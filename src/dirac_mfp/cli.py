@@ -60,11 +60,9 @@ class RunConfig:
     newton_max_iter: int = 200
     residual_tol: float = 1e-10
     gamma_y_floor: float = 1e-8
-    linear_solver: str = "banded-direct"
     fit_window: tuple[float, float] | None = None
     outdir: str = "run"
     strict: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("theta", "eps", "T"):
@@ -95,9 +93,6 @@ class RunConfig:
                     f"config: fit window must satisfy 0 < lo < hi, "
                     f"got [{lo}, {hi}]")
             object.__setattr__(self, "fit_window", (float(lo), float(hi)))
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise InvalidParameterError(
-                f"config: seed must be a nonnegative integer, got {self.seed!r}")
         if self.newton_max_iter < 1:
             raise InvalidParameterError("config: newton_max_iter must be >= 1")
         if not self.residual_tol > 0.0:
@@ -112,10 +107,9 @@ def config_to_nested(cfg: RunConfig) -> dict:
                    "b": cfg.target_b, "path": cfg.target_path},
         "solver": {"newton_max_iter": cfg.newton_max_iter,
                    "residual_tol": cfg.residual_tol,
-                   "gamma_y_floor": cfg.gamma_y_floor,
-                   "linear_solver": cfg.linear_solver},
+                   "gamma_y_floor": cfg.gamma_y_floor},
         "fit_window": list(cfg.fit_window) if cfg.fit_window else None,
-        "outdir": cfg.outdir, "strict": cfg.strict, "seed": cfg.seed,
+        "outdir": cfg.outdir, "strict": cfg.strict,
     }
 
 
@@ -123,13 +117,14 @@ def nested_to_config(doc: dict, where: str = "config") -> RunConfig:
     """Build a RunConfig from the nested document, rejecting unknown keys."""
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected a JSON object at top level")
+    # retired keys (seed, solver.linear_solver): older run dirs must still load
     known = {"theta", "eps", "T", "nt", "ny", "target", "solver",
              "fit_window", "outdir", "strict", "seed"}
     for key in doc:
         if key not in known:
             raise FormatError(f"{where}: unknown key {key!r}")
     kw: dict = {}
-    for key in ("theta", "eps", "T", "nt", "ny", "outdir", "strict", "seed"):
+    for key in ("theta", "eps", "T", "nt", "ny", "outdir", "strict"):
         if key in doc:
             kw[key] = doc[key]
     tgt = doc.get("target", {})
@@ -154,6 +149,7 @@ def nested_to_config(doc: dict, where: str = "config") -> RunConfig:
                        "linear_solver"):
             raise FormatError(f"{where}: unknown solver key {key!r}")
     kw.update(sol)
+    kw.pop("linear_solver", None)
     win = doc.get("fit_window")
     if win is not None:
         if not (isinstance(win, (list, tuple)) and len(win) == 2):
@@ -185,8 +181,7 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
              ("nt", "nt"), ("ny", "ny"), ("target", "target_kind"),
              ("a", "target_a"), ("b", "target_b"),
              ("target_path", "target_path"), ("outdir", "outdir"),
-             ("seed", "seed"), ("max_iter", "newton_max_iter"),
-             ("tol", "residual_tol"), ("linear_solver", "linear_solver")]
+             ("max_iter", "newton_max_iter"), ("tol", "residual_tol")]
     for flag, field in pairs:
         v = getattr(args, flag, None)
         if v is not None:
@@ -258,7 +253,9 @@ def _build_target(cfg: RunConfig, p):
 # ---------------------------------------------------------------------------
 
 def _run_pipeline(cfg: RunConfig):
-    """solve -> fields -> rescale -> metrics; returns (field, artifacts)."""
+    """solve -> fields -> rescale -> metrics; returns (field, certificates,
+    rate report).  The value, the free boundaries and the rescaled series
+    are derived once and handed to every consumer."""
     from . import fields as fields_mod
     from . import metrics as metrics_mod
     from . import rescale as rescale_mod
@@ -270,8 +267,7 @@ def _run_pipeline(cfg: RunConfig):
     m_T = _build_target(cfg, p)
     scfg = SolverConfig(newton_max_iter=cfg.newton_max_iter,
                         residual_tol=cfg.residual_tol,
-                        gamma_y_floor=cfg.gamma_y_floor,
-                        linear_solver=cfg.linear_solver)
+                        gamma_y_floor=cfg.gamma_y_floor)
     f = solve(p, m_T, grid, scfg)
 
     out = Path(cfg.outdir)
@@ -282,14 +278,16 @@ def _run_pipeline(cfg: RunConfig):
         json.dump(config_to_nested(cfg), fh, indent=2)
         fh.write("\n")
     save_flow_csv(f, out / "flow.csv")
-    for i in _snapshot_rows(grid.nt):
-        snap = fields_mod.snapshot(f, int(i), p)
-        fields_mod.save_snapshot_csv(snap, out / "snapshots" / f"slice_{i:04d}.csv")
+    ubar = fields_mod.value_on_support(f, p)
     fb = fields_mod.free_boundaries(f)
+    for i in _snapshot_rows(grid.nt):
+        snap = fields_mod.snapshot(f, int(i), p, ubar=ubar, fb=fb)
+        fields_mod.save_snapshot_csv(snap, out / "snapshots" / f"slice_{i:04d}.csv")
     fields_mod.save_boundary_csv(fb, out / "boundary.csv")
-    series = rescale_mod.build_series(f, p)
+    series = rescale_mod.build_series(f, p, ubar=ubar, fb=fb)
     rescale_mod.save_series_csv(series, out / "series.csv")
-    report = metrics_mod.rate_report(f, p, window=cfg.fit_window)
+    report = metrics_mod.rate_report(f, p, window=cfg.fit_window, ubar=ubar,
+                                     fb=fb, series=series)
     metrics_mod.save_rate_report(report, out / "rates.json")
 
     masses = fields_mod.pushforward_masses(f, p)
@@ -325,13 +323,13 @@ def _run_pipeline(cfg: RunConfig):
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    return f, certificates
+    return f, certificates, report
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     try:
-        f, certs = _run_pipeline(cfg)
+        f, certs, _ = _run_pipeline(cfg)
     except (NewtonDivergenceError, DegenerateStateError,
             CrossingCharacteristicsError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
@@ -367,8 +365,7 @@ def _pool_size(n_jobs: int) -> int:
 
 def _sweep_one(cfg: RunConfig):
     try:
-        f, certs = _run_pipeline(cfg)
-        report = json.loads((Path(cfg.outdir) / "rates.json").read_text())
+        f, _, report = _run_pipeline(cfg)
         return f, report, None
     except (NewtonDivergenceError, DegenerateStateError,
             CrossingCharacteristicsError, InvalidParameterError,
@@ -527,11 +524,13 @@ def cmd_export(args: argparse.Namespace) -> int:
     g = f.grid
     out = rundir / "export"
     out.mkdir(exist_ok=True)
+    ubar = fields_mod.value_on_support(f, p)
+    fb = fields_mod.free_boundaries(f)
 
     # rescaled density overlays with the stationary reference column
     rows = []
     for i in _snapshot_rows(g.nt):
-        snap = fields_mod.snapshot(f, int(i), p)
+        snap = fields_mod.snapshot(f, int(i), p, ubar=ubar, fb=fb)
         state = rescale_mod.rescale_snapshot(snap, p)
         eta = state.eta_nodes
         rows.append(np.column_stack([
@@ -540,7 +539,7 @@ def cmd_export(args: argparse.Namespace) -> int:
                delimiter=",", header="tau,eta,mu,phi", comments="")
 
     # Lyapunov series with both dH/dtau columns and the fitted envelope
-    series = rescale_mod.build_series(f, p)
+    series = rescale_mod.build_series(f, p, ubar=ubar, fb=fb)
     tau, H = series["tau"], series["H"]
     lo, hi = cfg.fit_window or (10.0 * g.eps, g.T / 4.0)
     env = np.full_like(tau, np.nan)
@@ -555,7 +554,6 @@ def cmd_export(args: argparse.Namespace) -> int:
                header="tau,H,dH_fd,dH_identity,envelope", comments="")
 
     # log-log support radius with its fitted power law
-    fb = fields_mod.free_boundaries(f)
     pos = g.t > 0.0
     t_pos = g.t[pos]
     radius = 0.5 * (fb.gamma_R[pos] - fb.gamma_L[pos])
@@ -606,11 +604,8 @@ def _add_config_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--outdir")
     sp.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"),
                     help="fit window in t")
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--max-iter", type=int, dest="max_iter")
     sp.add_argument("--tol", type=float, help="scaled gradient tolerance")
-    sp.add_argument("--linear-solver", dest="linear_solver",
-                    choices=("banded-direct", "cg"))
     sp.add_argument("--strict", action="store_const", const=True,
                     default=None, help="turn certificate misses into exit 3")
 

@@ -194,7 +194,9 @@ def _law_row(law: str, theo: float, fit: RateFit | None) -> dict:
             "window": list(fit.window), "pass": bool(ok)}
 
 
-def rate_report(f, p: Profile, window: tuple | None = None) -> dict:
+def rate_report(f, p: Profile, window: tuple | None = None,
+                ubar: np.ndarray | None = None, fb=None,
+                series: dict | None = None) -> dict:
     """Fit every applicable scaling law of a solved flow.
 
     Power laws (all theta): support radius ~ t^alpha, sup m ~ t^-alpha,
@@ -203,6 +205,9 @@ def rate_report(f, p: Profile, window: tuple | None = None) -> dict:
     Exponential laws in tau (theta > 2 only): H ~ e^{2 kappa tau},
     d2(mu, phi) ~ e^{kappa tau}, |duality pairing| ~ e^{2 kappa tau},
     each fitted over the rows where the series is sign-definite.
+    ``ubar``, ``fb`` and ``series`` may be passed when the caller has
+    already derived them from ``f``; ``series`` must be `build_series`
+    with its default ``t_min`` and ``n_pad``.
     """
     from . import fields as fields_mod
     from . import rescale as rescale_mod
@@ -213,8 +218,10 @@ def rate_report(f, p: Profile, window: tuple | None = None) -> dict:
     lo, hi = float(window[0]), float(window[1])
     critical = abs(p.kappa) < 1e-12
 
-    fb = fields_mod.free_boundaries(f)
-    ubar = fields_mod.value_on_support(f, p)
+    if fb is None:
+        fb = fields_mod.free_boundaries(f)
+    if ubar is None:
+        ubar = fields_mod.value_on_support(f, p)
     wq = p.node_masses(g.y)
 
     rows = [i for i in range(g.nt + 1) if lo <= g.t[i] <= hi]
@@ -254,7 +261,8 @@ def rate_report(f, p: Profile, window: tuple | None = None) -> dict:
         flags.append("critical: kappa=0, no exponential fit")
         flags.append("osc_u skipped: exponent 2*alpha-1 vanishes")
     elif p.kappa > 0.0:
-        series = rescale_mod.build_series(f, p)
+        if series is None:
+            series = rescale_mod.build_series(f, p, ubar=ubar, fb=fb)
         tau = series["tau"]
         tau_win = (math.log(lo), math.log(hi))
 

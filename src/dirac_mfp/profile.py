@@ -12,10 +12,9 @@ with the radius ``R = r_alpha`` fixed by unit mass.  Writing
 closed form and cross-checked against adaptive quadrature on construction.
 
 All integrals of powers of phi reduce to regularized incomplete beta
-functions; `Profile.power_mass` exposes that primitive and the rest of the
-package routes every integral against phi (cell masses, L^p norms,
-reciprocal integrals) through it, so degenerate-endpoint quadrature error
-never enters.
+functions: `Profile.cdf` gives the cell masses of phi itself and
+`Profile.power_cell_masses` those of phi**p (L^p norms, reciprocal
+integrals), so degenerate-endpoint quadrature error never enters.
 """
 
 from __future__ import annotations
@@ -107,19 +106,10 @@ class Profile:
         Requires ``p / theta > -1`` (otherwise the endpoint singularity is
         not integrable).  Defaults to the full support.
         """
-        e = p / self.theta
-        if not e > -1.0:
-            raise InvalidParameterError(
-                f"phi**{p} is not integrable for theta={self.theta}")
         R = self.r_alpha
         lo = -R if lo is None else lo
         hi = R if hi is None else hi
-        z0 = np.clip(0.5 * (lo / R + 1.0), 0.0, 1.0)
-        z1 = np.clip(0.5 * (hi / R + 1.0), 0.0, 1.0)
-        total = (self.c**e * R ** (2.0 * e + 1.0) * 2.0 * 4.0**e
-                 * special.beta(e + 1.0, e + 1.0))
-        return float(total * (special.betainc(e + 1.0, e + 1.0, z1)
-                              - special.betainc(e + 1.0, e + 1.0, z0)))
+        return float(self.power_cell_masses(p, [lo, hi])[0])
 
     def cell_masses(self, edges: np.ndarray) -> np.ndarray:
         """Exact masses ``int phi`` between consecutive edges."""
@@ -129,7 +119,7 @@ class Profile:
     def power_cell_masses(self, p: float, edges: np.ndarray) -> np.ndarray:
         """Exact ``int phi**p`` between consecutive edges.
 
-        Same integrability constraint as `power_mass`.  For p < 0 the
+        Requires ``p / theta > -1``, as `power_mass`.  For p < 0 the
         endpoint cells absorb the (integrable) singularity of phi**p
         exactly, so integrands of the form f * phi**p can be handled with
         plain nodal values of f.

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, InvalidParameterError
-from .fields import EulerianSnapshot, free_boundaries, snapshot, value_on_support
+from .fields import (EulerianSnapshot, FreeBoundaries, _second_derivative,
+                     free_boundaries, snapshot, value_on_support)
 from .profile import Profile
 from .solver import FlowField
 
@@ -205,16 +206,6 @@ def reciprocal_integral(state: RescaledState, p: Profile) -> float:
     return float(np.sum(wq * ghy ** p.theta))
 
 
-def _second_derivative_rows(values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # nonuniform 3-point second derivative along axis 0; end rows copy the
-    # neighbouring parabola (same convention as the boundary curvatures)
-    hm = np.diff(t)[:-1, None]
-    hp = np.diff(t)[1:, None]
-    core = 2.0 * (values[2:] * hm - values[1:-1] * (hm + hp) + values[:-2] * hp)
-    core /= hm * hp * (hm + hp)
-    return np.concatenate([core[:1], core, core[-1:]])
-
-
 def hat_gamma_residual(f: FlowField,
                        p: Profile | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Residual of the rescaled-flow equation on interior log-time rows.
@@ -240,7 +231,7 @@ def hat_gamma_residual(f: FlowField,
     tau = np.log(t)
     gh = f.gamma[1:] / t[:, None] ** p.alpha
     gh_tau = np.gradient(gh, tau, axis=0, edge_order=2)
-    gh_tautau = _second_derivative_rows(gh, tau)
+    gh_tautau = _second_derivative(gh, tau)
     gh_y = np.gradient(gh, g.dy, axis=1, edge_order=2)
     if np.min(gh_y) <= 0.0:
         raise DegenerateStateError("rescaled flow map is not increasing")
@@ -286,7 +277,9 @@ SERIES_COLUMNS = ("tau", "H", "dH_fd", "dH_identity", "d1", "d2", "mu_max",
 
 def build_series(f: FlowField, p: Profile | None = None,
                  t_min: float | None = None,
-                 n_pad: int | None = None) -> dict[str, np.ndarray]:
+                 n_pad: int | None = None,
+                 ubar: np.ndarray | None = None,
+                 fb: FreeBoundaries | None = None) -> dict[str, np.ndarray]:
     """Rescaled diagnostics for every slice with t >= t_min.
 
     ``t_min`` defaults to 10 eps, below which the regularization bias
@@ -296,7 +289,8 @@ def build_series(f: FlowField, p: Profile | None = None,
     the exact dissipation form; comparing the two columns tests the
     Lyapunov identity with no shared discretization.  Padding defaults to
     the full support width per side so the duality pairing never needs to
-    extrapolate w in realistic runs.
+    extrapolate w in realistic runs.  ``ubar`` and ``fb`` may be passed
+    to reuse the value and free boundaries already derived from ``f``.
     """
     p = f.profile if p is None else p
     g = f.grid
@@ -308,8 +302,10 @@ def build_series(f: FlowField, p: Profile | None = None,
     if keep.size < 4:
         raise InvalidParameterError(
             f"fewer than four slices with t >= {t_min}")
-    ubar = value_on_support(f, p)
-    fb = free_boundaries(f)
+    if ubar is None:
+        ubar = value_on_support(f, p)
+    if fb is None:
+        fb = free_boundaries(f)
     wq = p.node_masses(g.y)
 
     cols = {k: np.empty(keep.size) for k in SERIES_COLUMNS}

@@ -24,19 +24,17 @@ the semi-discretization exact on y-linear flows, and reproduce the
 free-boundary law gamma_tt = (phi^theta)_y gamma_y^{-theta-1} as the
 natural stationarity condition of the boundary columns.
 
-The Newton system is solved either by a banded Cholesky (time-slab
-ordering, bandwidth ny+1; memory O(nt ny^2)) or by Jacobi-preconditioned
-conjugate gradients.
+The Newton system is solved by a banded Cholesky (time-slab ordering,
+bandwidth ny+1; memory O(nt ny^2)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded, solveh_banded
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import (
     DegenerateStateError,
@@ -59,8 +57,6 @@ __all__ = [
     "scaled_gradient_norm",
     "solve",
 ]
-
-LINEAR_SOLVERS = ("banded-direct", "conjugate-gradient")
 
 
 @dataclass(frozen=True)
@@ -129,8 +125,6 @@ class SolverConfig:
     gamma_y_floor: float = 1e-8
     armijo_c: float = 1e-4
     armijo_shrink: float = 0.5
-    linear_solver: str = "banded-direct"
-    cg_rtol: float = 1e-12
 
 
 def make_grid(p: Profile, eps: float, T: float, nt: int, ny: int) -> SpaceTimeGrid:
@@ -331,8 +325,8 @@ def residual(f: FlowField, p: Profile | None = None) -> np.ndarray:
 # Newton
 # ---------------------------------------------------------------------------
 
-def _solve_newton_system(ws: _Workspace, gamma: np.ndarray, G: np.ndarray,
-                         cfg: SolverConfig) -> np.ndarray:
+def _solve_newton_system(ws: _Workspace, gamma: np.ndarray,
+                         G: np.ndarray) -> np.ndarray:
     nt, M = ws.grid.nt, ws.grid.ny + 1
     n = (nt - 1) * M
     kin_diag = np.outer(1.0 / ws.dt[:-1] + 1.0 / ws.dt[1:], ws.W)
@@ -344,41 +338,20 @@ def _solve_newton_system(ws: _Workspace, gamma: np.ndarray, G: np.ndarray,
     U1[:, :-1] = -cc
     UM = -np.outer(1.0 / ws.dt[1:-1], ws.W)             # coupling i <-> i+1
 
-    if cfg.linear_solver == "banded-direct":
-        ab = np.zeros((M + 1, n))
-        ab[M] = D.ravel()
-        ab[M - 1, 1:] = U1.ravel()[:-1]
-        ab[0, M:] = UM.ravel()
-        try:
-            d = solveh_banded(ab, -G.ravel(), lower=False)
-        except LinAlgError:
-            full = np.zeros((2 * M + 1, n))
-            full[M] = ab[M]
-            full[M - 1] = ab[M - 1]
-            full[M + 1, :-1] = ab[M - 1, 1:]
-            full[0] = ab[0]
-            full[2 * M, :-M] = ab[0, M:]
-            d = solve_banded((M, M), full, -G.ravel())
-        return d.reshape(nt - 1, M)
-
-    diag = D.ravel()
-    u1 = U1.ravel()[:-1]
-    um = UM.ravel()
-
-    def matvec(x):
-        out = diag * x
-        out[:-1] += u1 * x[1:]
-        out[1:] += u1 * x[:-1]
-        out[:-M] += um * x[M:]
-        out[M:] += um * x[:-M]
-        return out
-
-    A = LinearOperator((n, n), matvec=matvec, dtype=float)
-    precond = LinearOperator((n, n), matvec=lambda x: x / diag, dtype=float)
-    d, info = cg(A, -G.ravel(), rtol=cfg.cg_rtol, atol=0.0,
-                 maxiter=20 * n, M=precond)
-    if info != 0:
-        raise NewtonDivergenceError(f"conjugate gradient stalled (info={info})")
+    ab = np.zeros((M + 1, n))
+    ab[M] = D.ravel()
+    ab[M - 1, 1:] = U1.ravel()[:-1]
+    ab[0, M:] = UM.ravel()
+    try:
+        d = solveh_banded(ab, -G.ravel(), lower=False)
+    except LinAlgError:
+        full = np.zeros((2 * M + 1, n))
+        full[M] = ab[M]
+        full[M - 1] = ab[M - 1]
+        full[M + 1, :-1] = ab[M - 1, 1:]
+        full[0] = ab[0]
+        full[2 * M, :-M] = ab[0, M:]
+        d = solve_banded((M, M), full, -G.ravel())
     return d.reshape(nt - 1, M)
 
 
@@ -390,10 +363,6 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
     and accepted under the Armijo condition, so the energy decreases
     strictly until the scaled gradient norm meets ``residual_tol``.
     """
-    if cfg.linear_solver not in LINEAR_SOLVERS:
-        raise InvalidParameterError(
-            f"unknown linear solver {cfg.linear_solver!r}; "
-            f"expected one of {LINEAR_SOLVERS}")
     if abs(m.mass - 1.0) > 1e-6:
         raise InvalidParameterError(
             f"terminal density mass {m.mass} is not normalized")
@@ -413,7 +382,7 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
             return FlowField(grid=grid, profile=p, gamma=gamma,
                              info=SolveInfo(iterations=it - 1, grad_norm=gn,
                                             energy=E0, converged=True))
-        d = _solve_newton_system(ws, gamma, G, cfg)
+        d = _solve_newton_system(ws, gamma, G)
 
         # largest step keeping all interior slopes above the floor
         s = ws.slopes(gamma)[1:-1]

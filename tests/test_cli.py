@@ -190,6 +190,19 @@ def test_validate_reports_envelope(tmp_path, capsys):
     assert run_cli("validate", tmp_path / "absent.csv", "--theta", "1") == 1
 
 
+def test_retired_config_keys_still_load(solved_run, tmp_path):
+    # config.json as written while seed and solver.linear_solver existed
+    old = tmp_path / "old"
+    old.mkdir()
+    doc = json.loads((solved_run / "config.json").read_text())
+    doc["seed"] = 0
+    doc["solver"]["linear_solver"] = "banded-direct"
+    (old / "config.json").write_text(json.dumps(doc, indent=2) + "\n")
+    (old / "flow.csv").write_bytes((solved_run / "flow.csv").read_bytes())
+    assert run_cli("rates", old) == 0
+    assert run_cli("export", old) == 0
+
+
 def test_export_emits_plot_data(solved_run):
     assert run_cli("export", solved_run) == 0
     exp = solved_run / "export"

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
+from dirac_mfp import fields as F
 from dirac_mfp.errors import InvalidParameterError
 from dirac_mfp.metrics import (QuantileTable, fit_rate, quantile_table,
                                rate_report, save_rate_report, wasserstein,
                                wasserstein_maps)
 from dirac_mfp.profile import make_profile
+from dirac_mfp.rescale import build_series
 from dirac_mfp.solver import make_grid, solve
 from dirac_mfp.target import power_bump
 
@@ -345,6 +347,15 @@ def test_report_supercritical_theta3(run_rates3, theta3):
     assert rows["duality_pairing"]["fitted_exponent"] == approx(1.323819, abs=0.07)
     assert rows["duality_pairing"]["pass"] is False
     assert rows["osc_u"]["pass"] is False
+
+
+def test_report_with_passed_products(run_rates3, theta3):
+    # theta > 2 so the series branch runs; handing in the value, the free
+    # boundaries and the series must not change a single entry
+    f, p = run_rates3, theta3
+    rep = rate_report(f, p, ubar=F.value_on_support(f, p),
+                      fb=F.free_boundaries(f), series=build_series(f, p))
+    assert rep == rate_report(f, p)
 
 
 def test_report_critical_theta2(run_critical, theta2):

@@ -360,6 +360,15 @@ def test_series_columns_and_csv_roundtrip(tmp_path, theta1, solved128):
         assert np.allclose(back[k], series[k], rtol=0, atol=0)
 
 
+def test_series_with_passed_value_and_boundaries(theta1, solved128):
+    f = solved128
+    ref = RS.build_series(f, theta1)
+    got = RS.build_series(f, theta1, ubar=F.value_on_support(f, theta1),
+                          fb=F.free_boundaries(f))
+    for k in RS.SERIES_COLUMNS:
+        assert np.array_equal(got[k], ref[k])
+
+
 def test_series_respects_t_min(theta1, solved128):
     series = RS.build_series(solved128, theta1, t_min=0.3)
     assert np.exp(series["tau"]).min() >= 0.3

@@ -243,19 +243,3 @@ def test_invalid_target_rejected():
                      cdf_nodes=m.cdf_nodes, mass=0.5)
     with pytest.raises(errors.InvalidParameterError):
         solve(p, broken, g)
-
-
-def test_conjugate_gradient_matches_banded():
-    p = make_profile(1.0)
-    g = make_grid(p, eps=1e-2, T=1.0, nt=16, ny=16)
-    m = power_bump(-1.0, 1.0, 1.0)
-    f1 = solve(p, m, g, SolverConfig(linear_solver="banded-direct"))
-    f2 = solve(p, m, g, SolverConfig(linear_solver="conjugate-gradient"))
-    assert np.max(np.abs(f1.gamma - f2.gamma)) < 1e-7
-
-
-def test_unknown_linear_solver_rejected():
-    p = make_profile(1.0)
-    g = make_grid(p, eps=1e-2, T=1.0, nt=8, ny=8)
-    with pytest.raises(errors.InvalidParameterError):
-        solve(p, power_bump(-1, 1, 1.0), g, SolverConfig(linear_solver="lu"))
