@@ -24,17 +24,22 @@ the semi-discretization exact on y-linear flows, and reproduce the
 free-boundary law gamma_tt = (phi^theta)_y gamma_y^{-theta-1} as the
 natural stationarity condition of the boundary columns.
 
-The Newton system is solved by a banded Cholesky (time-slab ordering,
-bandwidth ny+1; memory O(nt ny^2)).
+The Newton system is solved by a multifrontal Cholesky over a nested
+dissection of the (time, label) grid: O(n^2 log n) memory and O(n^3) flops
+on an n x n grid.  A band LU (bandwidth ny+1) solves the rare system that
+is not positive definite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded, solveh_banded
+from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.blas import dgemv, dsyrk, dtrsm, dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from .errors import (
     DegenerateStateError,
@@ -322,37 +327,217 @@ def residual(f: FlowField, p: Profile | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Newton
+# Newton system: nested-dissection multifrontal Cholesky
 # ---------------------------------------------------------------------------
+#
+# The Newton matrix is a symmetric 5-point stencil on the (nt-1) x (ny+1)
+# grid of interior time rows and labels.  Its unknowns are eliminated in a
+# geometric nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973):
+# each box is cut by one grid line across its longer side, the two halves are
+# eliminated first and the line (the separator) last, down to leaf boxes of
+# at most _LEAF x _LEAF nodes.  Each box gives one dense front: its separator
+# nodes followed by its boundary, the outside neighbours of the box, which
+# all lie on enclosing separators.  The fronts are factored by the
+# multifrontal method (Duff & Reid, ACM TOMS 9, 1983).  The factor of an n x n
+# grid holds O(n^2 log n) entries and costs O(n^3) flops, against the band's
+# O(n^3) entries and O(n^4) flops.  Every dense operation goes through
+# scipy's BLAS and LAPACK: mixing in numpy's matmul would start numpy's own
+# BLAS thread pool beside scipy's, and the two pools contend.
 
-def _solve_newton_system(ws: _Workspace, gamma: np.ndarray,
-                         G: np.ndarray) -> np.ndarray:
-    nt, M = ws.grid.nt, ws.grid.ny + 1
-    n = (nt - 1) * M
-    kin_diag = np.outer(1.0 / ws.dt[:-1] + 1.0 / ws.dt[1:], ws.W)
+_LEAF = 8
+
+
+@dataclass(frozen=True)
+class _Front:
+    lo: int              # separator: elimination positions lo .. hi-1
+    hi: int
+    bnd: np.ndarray      # elimination positions of the boundary nodes
+    dst: np.ndarray      # flat lower-triangle positions of its stencil entries
+    src: np.ndarray      # their indices in the stencil value vector
+    children: tuple      # (front index, increasing positions of the child's
+                         #  boundary in this front)
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    perm: np.ndarray     # elimination position -> grid node i * C + j
+    fronts: tuple        # _Front in postorder
+
+
+def _dissect(r0: int, r1: int, c0: int, c1: int, out: list) -> int:
+    """Append the fronts of the box rows r0:r1, columns c0:c1 to ``out``
+    in postorder as (box, separator box, child indices); return the index of
+    the box's own front."""
+    h, w = r1 - r0, c1 - c0
+    if h <= _LEAF and w <= _LEAF:
+        sep, kids = (r0, r1, c0, c1), ()
+    elif w >= h:
+        mid = c0 + w // 2
+        kids = (_dissect(r0, r1, c0, mid, out), _dissect(r0, r1, mid + 1, c1, out))
+        sep = (r0, r1, mid, mid + 1)
+    else:
+        mid = r0 + h // 2
+        kids = (_dissect(r0, mid, c0, c1, out), _dissect(mid + 1, r1, c0, c1, out))
+        sep = (mid, mid + 1, c0, c1)
+    out.append(((r0, r1, c0, c1), sep, kids))
+    return len(out) - 1
+
+
+@functools.lru_cache(maxsize=4)
+def _analysis(R: int, C: int) -> _Analysis:
+    """Symbolic analysis of the 5-point stencil on an R x C grid.
+
+    The stencil values are one vector: the diagonal (R*C, row-major), the
+    label couplings (i, j)-(i, j+1) (R*(C-1)), then the time couplings
+    (i, j)-(i+1, j) ((R-1)*C).  A front holds its separator, then its
+    boundary ordered by position in the parent front, so that each child
+    update lands lower triangle on lower triangle and only lower triangles
+    are ever read.  The analysis depends only on the grid shape, is cached
+    and is shared between threads; nothing in it is written after it is
+    built.
+    """
+    raw: list = []
+    _dissect(0, R, 0, C, raw)
+    n, ncc = R * C, R * (C - 1)
+    node = np.arange(n).reshape(R, C)
+    seps = [node[a:b, c:d].ravel() for _, (a, b, c, d), _ in raw]
+    perm = np.concatenate(seps)
+    inv = np.empty(n, dtype=np.intp)
+    inv[perm] = np.arange(n)
+    his = np.cumsum([s.size for s in seps])
+    # the boundary of a box is the set of its outside neighbours
+    bnds = [inv[np.concatenate([node[max(r0 - 1, 0):r0, c0:c1].ravel(),
+                                node[r1:r1 + 1, c0:c1].ravel(),
+                                node[r0:r1, max(c0 - 1, 0):c0].ravel(),
+                                node[r0:r1, c1:c1 + 1].ravel()])]
+            for (r0, r1, c0, c1), _, _ in raw]
+    where = np.empty(n, dtype=np.intp)   # elimination position -> front position
+    fronts: list = [None] * len(raw)
+    for f in reversed(range(len(raw))):  # parents first: they order the children
+        sep, bnd, kids = seps[f], bnds[f], raw[f][2]
+        hi = int(his[f])
+        lo = hi - sep.size
+        k = sep.size + bnd.size
+        where[lo:hi] = np.arange(sep.size)
+        where[bnd] = np.arange(sep.size, k)
+        children = []
+        for c in kids:
+            pos = where[bnds[c]]
+            order = np.argsort(pos)
+            bnds[c] = bnds[c][order]
+            children.append((c, pos[order]))
+        # entries coupling a separator node to a node not eliminated before it
+        i, j = np.divmod(sep, C)
+        us, vs, srcs = [sep], [sep], [sep]
+        for ok, v, s in ((j < C - 1, sep + 1, n + sep - i),
+                         (j > 0, sep - 1, n + sep - i - 1),
+                         (i < R - 1, sep + C, n + ncc + sep),
+                         (i > 0, sep - C, n + ncc + sep - C)):
+            u, v, s = sep[ok], v[ok], s[ok]
+            live = inv[v] >= lo
+            us.append(u[live])
+            vs.append(v[live])
+            srcs.append(s[live])
+        pu = where[inv[np.concatenate(us)]]
+        pv = where[inv[np.concatenate(vs)]]
+        fronts[f] = _Front(lo=lo, hi=hi, bnd=bnd,
+                           dst=np.maximum(pu, pv) * k + np.minimum(pu, pv),
+                           src=np.concatenate(srcs), children=tuple(children))
+    for fr in fronts:
+        for arr in (fr.bnd, fr.dst, fr.src, *(pos for _, pos in fr.children)):
+            arr.flags.writeable = False
+    perm.flags.writeable = False
+    return _Analysis(perm=perm, fronts=tuple(fronts))
+
+
+def _cholesky_solve(an: _Analysis, vals: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray:
+    """Solve the stencil system with values ``vals`` (layout of `_analysis`)
+    by multifrontal Cholesky; LinAlgError if it is not positive definite.
+    The numeric factor lives only in this call."""
+    factors = []
+    updates: list = [None] * len(an.fronts)
+    for fi, fr in enumerate(an.fronts):
+        s, b = fr.hi - fr.lo, fr.bnd.size
+        F = np.zeros((s + b, s + b))
+        F.flat[fr.dst] = vals[fr.src]
+        for c, pos in fr.children:
+            # extend-add: gather whole rows, add into their columns, scatter
+            rows = F[pos]
+            rows[:, pos] += updates[c]
+            F[pos] = rows
+            updates[c] = None
+        L, info = dpotrf(F[:s, :s], lower=1)
+        if info != 0:
+            raise LinAlgError(f"Newton matrix not positive definite (dpotrf info {info})")
+        X = None
+        if b:
+            X = dtrsm(1.0, L, F[s:, :s], side=1, lower=1, trans_a=1)
+            updates[fi] = dsyrk(-1.0, X, 1.0, F[s:, s:], lower=1)
+        factors.append((L, X))
+
+    x = rhs[an.perm]
+    for fr, (L, X) in zip(an.fronts, factors):
+        x[fr.lo:fr.hi] = xs = dtrsv(L, x[fr.lo:fr.hi], lower=1)
+        if X is not None:
+            x[fr.bnd] = dgemv(-1.0, X, xs, 1.0, x[fr.bnd])
+    for fr, (L, X) in zip(reversed(an.fronts), reversed(factors)):
+        xs = x[fr.lo:fr.hi]
+        if X is not None:
+            xs = dgemv(-1.0, X, x[fr.bnd], 1.0, xs, trans=1)
+        x[fr.lo:fr.hi] = dtrsv(L, xs, lower=1, trans=1)
+    out = np.empty_like(x)
+    out[an.perm] = x
+    return out
+
+
+def _band_lu_solve(D: np.ndarray, UY: np.ndarray, UT: np.ndarray,
+                   rhs: np.ndarray) -> np.ndarray:
+    """Solve the stencil system by general band LU (bandwidth ny+1)."""
+    M = D.shape[1]
+    u1 = np.zeros_like(D)                               # coupling j <-> j+1
+    u1[:, :-1] = UY
+    u1 = u1.ravel()[:-1]
+    ut = UT.ravel()                                     # coupling i <-> i+1
+    full = np.zeros((2 * M + 1, D.size))
+    full[M] = D.ravel()
+    full[M - 1, 1:] = u1
+    full[M + 1, :-1] = u1
+    full[0, M:] = ut
+    full[2 * M, :-M] = ut
+    return solve_banded((M, M), full, rhs)
+
+
+def _newton_matrix(ws: _Workspace,
+                   gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy Hessian at the interior rows as a 5-point stencil: diagonal
+    (nt-1, ny+1), label couplings (nt-1, ny), time couplings (nt-2, ny+1)."""
     cc = ws.cell_curvature(gamma)                       # (nt-1, ny)
-    D = kin_diag.copy()
+    D = np.outer(1.0 / ws.dt[:-1] + 1.0 / ws.dt[1:], ws.W)
     D[:, :-1] += cc
     D[:, 1:] += cc
-    U1 = np.zeros((nt - 1, M))                          # coupling j <-> j+1
-    U1[:, :-1] = -cc
-    UM = -np.outer(1.0 / ws.dt[1:-1], ws.W)             # coupling i <-> i+1
+    return D, -cc, -np.outer(1.0 / ws.dt[1:-1], ws.W)
 
-    ab = np.zeros((M + 1, n))
-    ab[M] = D.ravel()
-    ab[M - 1, 1:] = U1.ravel()[:-1]
-    ab[0, M:] = UM.ravel()
+
+def _solve_newton_system(D: np.ndarray, UY: np.ndarray, UT: np.ndarray,
+                         G: np.ndarray) -> np.ndarray:
+    """Newton step for the stencil matrix (D, UY, UT) and gradient G."""
+    rhs = -G.ravel()
     try:
-        d = solveh_banded(ab, -G.ravel(), lower=False)
+        d = _cholesky_solve(_analysis(*D.shape),
+                            np.concatenate([D.ravel(), UY.ravel(), UT.ravel()]),
+                            rhs)
     except LinAlgError:
-        full = np.zeros((2 * M + 1, n))
-        full[M] = ab[M]
-        full[M - 1] = ab[M - 1]
-        full[M + 1, :-1] = ab[M - 1, 1:]
-        full[0] = ab[0]
-        full[2 * M, :-M] = ab[0, M:]
-        d = solve_banded((M, M), full, -G.ravel())
-    return d.reshape(nt - 1, M)
+        d = _band_lu_solve(D, UY, UT, rhs)
+    return d.reshape(D.shape)
+
+
+# Rounding of an energy difference, in units in the last place of the
+# energy.  Measured against an 80-bit long double evaluation of the same
+# formula, the difference of two evaluations is off by at most 3.9 ulp for
+# theta in {0.5, 1, 3} on grids of 128^2 to 1024^2; it does not grow with the
+# grid, since numpy sums pairwise.  The bound leaves a factor of four.
+_ENERGY_ROUNDING_ULPS = 16
 
 
 def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
@@ -361,7 +546,9 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
 
     Steps are clipped to keep every label slope above ``gamma_y_floor``
     and accepted under the Armijo condition, so the energy decreases
-    strictly until the scaled gradient norm meets ``residual_tol``.
+    strictly until the scaled gradient norm meets ``residual_tol``.  A step
+    whose energy change is within rounding of the energy is accepted when
+    it lowers the scaled gradient norm.
     """
     if abs(m.mass - 1.0) > 1e-6:
         raise InvalidParameterError(
@@ -382,7 +569,7 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
             return FlowField(grid=grid, profile=p, gamma=gamma,
                              info=SolveInfo(iterations=it - 1, grad_norm=gn,
                                             energy=E0, converged=True))
-        d = _solve_newton_system(ws, gamma, G)
+        d = _solve_newton_system(*_newton_matrix(ws, gamma), G)
 
         # largest step keeping all interior slopes above the floor
         s = ws.slopes(gamma)[1:-1]
@@ -402,6 +589,12 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
             candidate[1:-1] = gamma[1:-1] + a * d
             E1 = ws.energy(candidate, cfg.gamma_y_floor)
             if E1 <= E0 + cfg.armijo_c * a * descent:
+                break
+            # near the minimum the energy drop falls below the rounding of
+            # the energy sum and Armijo can no longer see it; there the
+            # scaled gradient decides
+            if (abs(E1 - E0) <= _ENERGY_ROUNDING_ULPS * math.ulp(E0)
+                    and ws.scaled_norm(ws.gradient(candidate), candidate) < gn):
                 break
             a *= cfg.armijo_shrink
             if a < 1e-14:

@@ -5,28 +5,47 @@ which is the exact solution when the terminal density is the self-similar
 slice.  Everything else is checked through refinement rates and invariants.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import LinAlgError, solveh_banded
 
 from dirac_mfp import errors
 from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import (
     FlowField,
     SolverConfig,
+    _analysis,
+    _cholesky_solve,
+    _newton_matrix,
+    _solve_newton_system,
+    _Workspace,
     energy,
+    initial_guess,
     make_grid,
     residual,
     scaled_gradient_norm,
     solve,
     terminal_row,
 )
-from dirac_mfp.target import power_bump, self_similar_terminal
+from dirac_mfp.target import TerminalDensity, power_bump, self_similar_terminal
 
 
 def analytic_flow(p, grid):
     gamma = (grid.t[:, None] + grid.eps) ** p.alpha * grid.y[None, :]
     return FlowField(grid=grid, profile=p, gamma=gamma)
+
+
+def two_bump(theta):
+    """Bimodal table target: its flow is genuinely non-affine in the label."""
+    x = np.linspace(-1.0, 1.0, 200)
+    edge = np.clip((x + 1.0) * (1.0 - x), 0.0, None) ** (1.0 / theta)
+    bumps = (np.exp(-0.5 * ((x + 0.4) / 0.25) ** 2)
+             + 0.8 * np.exp(-0.5 * ((x - 0.45) / 0.25) ** 2) + 0.3)
+    return TerminalDensity.from_table(x, edge * bumps, theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +239,119 @@ def test_theta_three_solve_and_support_growth():
     radius = np.max(np.abs(f.gamma), axis=1)
     envelope = radius / (g.t + g.eps) ** p.alpha
     assert envelope.max() / envelope.min() < 3.0
+
+
+# ---------------------------------------------------------------------------
+# Newton system: multifrontal Cholesky against the band solvers
+# ---------------------------------------------------------------------------
+
+def newton_system(theta, nt, ny):
+    p = make_profile(theta)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=nt, ny=ny)
+    ws = _Workspace(p, g)
+    gamma = initial_guess(p, two_bump(theta), g)
+    return _newton_matrix(ws, gamma), ws.gradient(gamma)
+
+
+def stencil_values(D, UY, UT):
+    return np.concatenate([D.ravel(), UY.ravel(), UT.ravel()])
+
+
+def upper_band(D, UY, UT):
+    """Upper band storage (bandwidth ny+1) of the 5-point stencil."""
+    M = D.shape[1]
+    ab = np.zeros((M + 1, D.size))
+    ab[M] = D.ravel()
+    u1 = np.zeros_like(D)
+    u1[:, :-1] = UY
+    ab[M - 1, 1:] = u1.ravel()[:-1]
+    ab[0, M:] = UT.ravel()
+    return ab
+
+
+@pytest.mark.parametrize("theta", [0.5, 3.0])
+@pytest.mark.parametrize("nt,ny", [(4, 4), (5, 9), (16, 16), (33, 20), (64, 64)])
+def test_multifrontal_matches_banded_cholesky(theta, nt, ny):
+    (D, UY, UT), G = newton_system(theta, nt, ny)
+    d = _cholesky_solve(_analysis(*D.shape), stencil_values(D, UY, UT), -G.ravel())
+    ref = solveh_banded(upper_band(D, UY, UT), -G.ravel())
+    assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_indefinite_system_falls_back_to_band_lu():
+    (D, UY, UT), G = newton_system(1.0, 16, 16)
+    D = D.copy()
+    D[7, 8] = -D[7, 8]                    # e_k^T A e_k < 0: indefinite
+    with pytest.raises(LinAlgError):
+        _cholesky_solve(_analysis(*D.shape), stencil_values(D, UY, UT), -G.ravel())
+    ab = upper_band(D, UY, UT)
+    M = D.shape[1]
+    A = np.diag(ab[M])
+    for k in range(1, M + 1):
+        A += np.diag(ab[M - k, k:], k) + np.diag(ab[M - k, k:], -k)
+    ref = np.linalg.solve(A, -G.ravel())
+    d = _solve_newton_system(D, UY, UT, G)
+    assert np.max(np.abs(d.ravel() - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_concurrent_solves_share_the_analysis():
+    p = make_profile(3.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=32, ny=32)
+    targets = [two_bump(3.0), power_bump(-1.0, 1.0, 3.0)]
+    _analysis.cache_clear()               # both threads meet an empty cache
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve, p, m, g) for m in targets * 2]
+            parallel = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    serial = [solve(p, m, g) for m in targets]
+    for f, ref in zip(parallel, serial * 2):
+        assert np.array_equal(f.gamma, ref.gamma)
+
+
+def test_factor_needs_under_a_quarter_of_the_band_at_512():
+    # symbolic analysis only: no numeric factor is formed.  The factor keeps
+    # an s x s diagonal block and a b x s boundary block per front.
+    R, M = 511, 513                       # nt = ny = 512
+    try:
+        entries = sum((f.hi - f.lo) * (f.hi - f.lo + f.bnd.size)
+                      for f in _analysis(R, M).fronts)
+    finally:
+        _analysis.cache_clear()
+    assert entries <= (M + 1) * R * M / 4
+
+
+def test_newton_converges_when_energy_drop_is_below_rounding():
+    # the fourth step changes the energy by one ulp, below what Armijo can
+    # resolve; it is accepted because it lowers the scaled gradient
+    p = make_profile(3.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=128, ny=128)
+    f = solve(p, power_bump(-1.044521532507142, 1.0407914685505548, 3.0), g)
+    assert f.info.converged
+    assert f.info.iterations <= 5
+    assert f.info.grad_norm <= SolverConfig().residual_tol
+
+
+def test_newton_converges_on_two_bump_table_near_rounding():
+    # without the rounding acceptance the scaled gradient of this sharp
+    # two-bump table sits at 3.8e-10 from the sixth step on
+    p = make_profile(3.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=256, ny=256)
+    a, b = -1.0006253310061373, 1.0139330509821234
+    x = np.linspace(a, b, 400)
+    s = 0.3021837572982391
+    bumps = (np.exp(-0.5 * ((x + 0.35513798774040606) / s) ** 2)
+             + 1.1903270351594082 * np.exp(-0.5 * ((x - 0.40467911716250904) / s) ** 2)
+             + 0.3)
+    edge = np.clip((x - a) * (b - x), 0.0, None) ** (1.0 / 3.0)
+    m = TerminalDensity.from_table(x, edge * bumps, theta=3.0)
+    f = solve(p, m, g, SolverConfig(newton_max_iter=10))
+    assert f.info.converged
+    assert f.info.iterations <= 7
+    assert f.info.grad_norm <= SolverConfig().residual_tol
 
 
 # ---------------------------------------------------------------------------
