@@ -460,6 +460,7 @@ def _write_cauchy_table(cfg: RunConfig, values, results, out: Path) -> None:
 
 def cmd_rates(args: argparse.Namespace) -> int:
     from .metrics import rate_report, save_rate_report
+    from .rescale import load_series_csv
 
     rundir = Path(args.rundir)
     for name in ("config.json", "flow.csv"):
@@ -468,7 +469,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
             return EXIT_SOLVER
     cfg, p, f = _load_run(rundir)
     window = tuple(args.window) if args.window else cfg.fit_window
-    report = rate_report(f, p, window=window)
+    report = rate_report(f, p, window=window,
+                         series=load_series_csv(rundir / "series.csv", f))
 
     print(f"theta={report['theta']:g} alpha={report['alpha']:.6f} "
           f"kappa={report['kappa']:.6f} window=[{report['window'][0]:g}, "
@@ -538,8 +540,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     np.savetxt(out / "mu_overlay.csv", np.vstack(rows), fmt="%.17g",
                delimiter=",", header="tau,eta,mu,phi", comments="")
 
-    # Lyapunov series with both dH/dtau columns and the fitted envelope
-    series = rescale_mod.build_series(f, p, ubar=ubar, fb=fb)
+    # Lyapunov series with both dH/dtau columns and the fitted envelope;
+    # the run's series.csv when it is the series of this flow
+    series = rescale_mod.load_series_csv(rundir / "series.csv", f)
+    if series is None:
+        series = rescale_mod.build_series(f, p, ubar=ubar, fb=fb)
     tau, H = series["tau"], series["H"]
     lo, hi = cfg.fit_window or (10.0 * g.eps, g.T / 4.0)
     env = np.full_like(tau, np.nan)

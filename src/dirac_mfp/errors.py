@@ -23,7 +23,8 @@ class FormatError(DiracMfpError, ValueError):
 
 
 class DegenerateStateError(DiracMfpError, RuntimeError):
-    """A flow field lost strict monotonicity (slope below the floor)."""
+    """A flow field lost strict monotonicity (slope below the floor), or
+    its Newton matrix is not positive definite."""
 
 
 class NewtonDivergenceError(DiracMfpError, RuntimeError):

@@ -76,6 +76,27 @@ def _gamma_t_all(f: FlowField) -> np.ndarray:
     return np.gradient(f.gamma, f.grid.t, axis=0, edge_order=2)
 
 
+def _row_gradient(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d values / dx along the last axis, each row on its own nodes ``x``
+    (same shape as ``values``): the nonuniform 3-point formula of
+    ``np.gradient(..., edge_order=2)``, one-sided second order at the ends."""
+    h = np.diff(x, axis=-1)
+    h1, h2 = h[..., :-1], h[..., 1:]
+    out = np.empty(np.shape(values))
+    out[..., 1:-1] = (-h2 / (h1 * (h1 + h2)) * values[..., :-2]
+                      + (h2 - h1) / (h1 * h2) * values[..., 1:-1]
+                      + h1 / (h2 * (h1 + h2)) * values[..., 2:])
+    h1, h2 = h[..., 0], h[..., 1]
+    out[..., 0] = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)) * values[..., 0]
+                   + (h1 + h2) / (h1 * h2) * values[..., 1]
+                   - h1 / (h2 * (h1 + h2)) * values[..., 2])
+    h1, h2 = h[..., -2], h[..., -1]
+    out[..., -1] = (h2 / (h1 * (h1 + h2)) * values[..., -3]
+                    - (h2 + h1) / (h1 * h2) * values[..., -2]
+                    + (2.0 * h2 + h1) / (h2 * (h1 + h2)) * values[..., -1])
+    return out
+
+
 def _second_derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     # second derivative along axis 0 of the local interpolating parabola;
     # the end rows share the parabola of their neighbor
@@ -89,18 +110,22 @@ def _second_derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 # -- pointwise fields on the support -----------------------------------------
 
+def _density_rows(f: FlowField, rows) -> np.ndarray:
+    """``m = phi(y) / gamma_y`` on the image nodes of the time rows ``rows``
+    (an index or an index array)."""
+    s = np.gradient(f.gamma[rows], f.grid.dy, axis=-1, edge_order=2)
+    if s.size and np.min(s) <= _SLOPE_FLOOR:
+        raise DegenerateStateError("flow map slope collapsed; density undefined")
+    return f.profile.phi(f.grid.y) / s
+
+
 def density(f: FlowField, t_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Density on the image nodes of slice ``t_index``.
 
     Returns ``(x, m)`` with ``m = phi(y) / gamma_y``; exactly zero at the
     two free-boundary nodes where phi vanishes.
     """
-    p = f.profile
-    row = f.gamma[t_index]
-    s = np.gradient(row, f.grid.dy, edge_order=2)
-    if np.min(s) <= _SLOPE_FLOOR:
-        raise DegenerateStateError("flow map slope collapsed; density undefined")
-    return row.copy(), p.phi(f.grid.y) / s
+    return f.gamma[t_index].copy(), _density_rows(f, t_index)
 
 
 def velocity(f: FlowField, t_index: int) -> np.ndarray:
@@ -369,6 +394,37 @@ class EulerianSnapshot:
         return (self.x_nodes >= self.gamma_L) & (self.x_nodes <= self.gamma_R)
 
 
+def _padded_rows(f: FlowField, rows: np.ndarray, n_pad: int,
+                 ubar: np.ndarray, fb: FreeBoundaries):
+    """Image nodes of the time rows ``rows`` with ``n_pad`` exterior nodes
+    per side at the mean support spacing.
+
+    Returns ``(x, m, u, ux_ext)``: nodes, density (zero outside the
+    support) and value, each of shape (rows, n_pad + ny + 1 + n_pad), and
+    the exterior slopes, shape (rows, 2 n_pad), left nodes first.  The
+    exterior continuation brackets each row separately, so it runs once
+    per row.
+    """
+    x_sup = f.gamma[rows]
+    m_sup = _density_rows(f, rows)
+    gL, gR = x_sup[:, :1], x_sup[:, -1:]
+    h = (gR - gL) / f.grid.ny
+    x_left = gL - h * np.arange(n_pad, 0, -1)
+    x_right = gR + h * np.arange(1, n_pad + 1)
+    x_ext = np.concatenate([x_left, x_right], axis=1)
+    u_ext = np.empty_like(x_ext)
+    ux_ext = np.empty_like(x_ext)
+    for k, i in enumerate(rows):
+        u_ext[k], ux_ext[k] = extend_value(fb, ubar[:, 0], ubar[:, -1],
+                                           int(i), x_ext[k])
+    pad = np.zeros((len(rows), n_pad))
+    x = np.concatenate([x_left, x_sup, x_right], axis=1)
+    m = np.concatenate([pad, m_sup, pad], axis=1)
+    u = np.concatenate([u_ext[:, :n_pad], ubar[rows], u_ext[:, n_pad:]],
+                       axis=1)
+    return x, m, u, ux_ext
+
+
 def snapshot(f: FlowField, t_index: int, p: Profile | None = None,
              m: TerminalDensity | None = None, n_pad: int | None = None,
              ubar: np.ndarray | None = None,
@@ -388,24 +444,17 @@ def snapshot(f: FlowField, t_index: int, p: Profile | None = None,
     if n_pad is None:
         n_pad = max(2, g.ny // 4)
 
-    x_sup, m_sup = density(f, t_index)
-    ux_sup = velocity(f, t_index)
-    u_sup = ubar[t_index]
-    gL, gR = x_sup[0], x_sup[-1]
-    h = (gR - gL) / g.ny
-    x_left = gL - h * np.arange(n_pad, 0, -1)
-    x_right = gR + h * np.arange(1, n_pad + 1)
-    uL, uxL = extend_value(fb, ubar[:, 0], ubar[:, -1], t_index, x_left)
-    uR, uxR = extend_value(fb, ubar[:, 0], ubar[:, -1], t_index, x_right)
-
+    x, dens, u, ux_ext = _padded_rows(f, np.array([t_index]), n_pad, ubar, fb)
+    ux = np.concatenate([ux_ext[0, :n_pad], velocity(f, t_index),
+                         ux_ext[0, n_pad:]])
     return EulerianSnapshot(
         t=float(g.t[t_index]),
-        x_nodes=np.concatenate([x_left, x_sup, x_right]),
-        m=np.concatenate([np.zeros(n_pad), m_sup, np.zeros(n_pad)]),
-        u=np.concatenate([uL, u_sup, uR]),
-        u_x=np.concatenate([uxL, ux_sup, uxR]),
-        gamma_L=float(gL),
-        gamma_R=float(gR),
+        x_nodes=x[0],
+        m=dens[0],
+        u=u[0],
+        u_x=ux,
+        gamma_L=float(f.gamma[t_index, 0]),
+        gamma_R=float(f.gamma[t_index, -1]),
         y_nodes=g.y.copy(),
     )
 

@@ -207,7 +207,9 @@ def rate_report(f, p: Profile, window: tuple | None = None,
     each fitted over the rows where the series is sign-definite.
     ``ubar``, ``fb`` and ``series`` may be passed when the caller has
     already derived them from ``f``; ``series`` must be `build_series`
-    with its default ``t_min`` and ``n_pad``.
+    with its default ``t_min`` and ``n_pad`` (as `rescale.load_series_csv`
+    returns it).  The per-row laws are reductions along the label axis of
+    the (rows x labels) arrays of the fit window.
     """
     from . import fields as fields_mod
     from . import rescale as rescale_mod
@@ -224,22 +226,17 @@ def rate_report(f, p: Profile, window: tuple | None = None,
         ubar = fields_mod.value_on_support(f, p)
     wq = p.node_masses(g.y)
 
-    rows = [i for i in range(g.nt + 1) if lo <= g.t[i] <= hi]
+    rows = np.nonzero((g.t >= lo) & (g.t <= hi))[0]
     t = g.t[rows]
     radius = 0.5 * (fb.gamma_R[rows] - fb.gamma_L[rows])
-    m_inf = np.empty(t.size)
-    m_power = np.empty(t.size)
-    ux_inf = np.empty(t.size)
-    osc_u = np.empty(t.size)
-    for k, i in enumerate(rows):
-        slopes = np.gradient(f.gamma[i], g.y, edge_order=2)
-        m_sup = p.phi(g.y) / slopes
-        m_inf[k] = m_sup.max()
-        # int m^{theta+1} dx pulled back to mass coordinates
-        m_power[k] = np.sum(wq * m_sup ** p.theta)
-        ux_inf[k] = np.max(np.abs(np.gradient(ubar[i], f.gamma[i],
-                                              edge_order=2)))
-        osc_u[k] = ubar[i].max() - ubar[i].min()
+    m_sup = fields_mod._density_rows(f, rows)
+    m_inf = m_sup.max(axis=1)
+    # int m^{theta+1} dx pulled back to mass coordinates
+    m_power = np.sum(wq * m_sup ** p.theta, axis=1)
+    u = ubar[rows]
+    ux_inf = np.max(np.abs(fields_mod._row_gradient(u, f.gamma[rows])),
+                    axis=1)
+    osc_u = u.max(axis=1) - u.min(axis=1)
 
     def _fit_power(vals):
         try:

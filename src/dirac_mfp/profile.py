@@ -12,9 +12,9 @@ with the radius ``R = r_alpha`` fixed by unit mass.  Writing
 closed form and cross-checked against adaptive quadrature on construction.
 
 All integrals of powers of phi reduce to regularized incomplete beta
-functions: `Profile.cdf` gives the cell masses of phi itself and
-`Profile.power_cell_masses` those of phi**p (L^p norms, reciprocal
-integrals), so degenerate-endpoint quadrature error never enters.
+functions: `Profile.power_cell_masses` gives the cell masses of phi**p
+(p = 1 for the masses of phi itself, L^p norms, reciprocal integrals),
+so degenerate-endpoint quadrature error never enters.
 """
 
 from __future__ import annotations
@@ -113,8 +113,7 @@ class Profile:
 
     def cell_masses(self, edges: np.ndarray) -> np.ndarray:
         """Exact masses ``int phi`` between consecutive edges."""
-        F = self.cdf(np.asarray(edges, dtype=float))
-        return np.diff(F)
+        return self.power_cell_masses(1.0, edges)
 
     def power_cell_masses(self, p: float, edges: np.ndarray) -> np.ndarray:
         """Exact ``int phi**p`` between consecutive edges.
@@ -146,9 +145,7 @@ class Profile:
         ``sum(node_masses(y) * f(y))`` integrates ``f phi`` exactly for
         piecewise constants on the dual mesh; second order for smooth f.
         """
-        y = np.asarray(y, dtype=float)
-        half = np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]])
-        return self.cell_masses(half)
+        return self.power_node_masses(1.0, y)
 
     def second_moment(self) -> float:
         """Exact ``int y^2 phi(y) dy``."""

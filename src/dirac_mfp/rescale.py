@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, InvalidParameterError
-from .fields import (EulerianSnapshot, FreeBoundaries, _second_derivative,
-                     free_boundaries, snapshot, value_on_support)
+from .fields import (EulerianSnapshot, FreeBoundaries, _padded_rows,
+                     _row_gradient, _second_derivative, free_boundaries,
+                     value_on_support)
 from .profile import Profile
 from .solver import FlowField
 
@@ -54,6 +55,7 @@ __all__ = [
     "stationary_residual",
     "build_series",
     "save_series_csv",
+    "load_series_csv",
 ]
 
 
@@ -77,6 +79,17 @@ class RescaledState:
     support_mask: np.ndarray
 
 
+def _rescale_rows(t, x: np.ndarray, m: np.ndarray, u: np.ndarray,
+                  p: Profile):
+    """``(eta, mu, w, w_eta)`` of slices at times ``t`` (a scalar, or a
+    column broadcasting over the rows of ``x``, ``m`` and ``u``)."""
+    ta = t ** p.alpha
+    eta = x / ta
+    mu = ta * m
+    w = t ** (1.0 - 2.0 * p.alpha) * u + 0.5 * p.alpha * eta * eta
+    return eta, mu, w, _row_gradient(w, eta)
+
+
 def rescale_snapshot(s: EulerianSnapshot, p: Profile) -> RescaledState:
     """Map one Eulerian slice into the self-similar frame.
 
@@ -91,11 +104,7 @@ def rescale_snapshot(s: EulerianSnapshot, p: Profile) -> RescaledState:
     if int(np.count_nonzero(mask)) != s.y_nodes.size:
         raise InvalidParameterError(
             "snapshot support nodes do not match its source labels")
-    ta = s.t ** p.alpha
-    eta = s.x_nodes / ta
-    mu = ta * s.m
-    w = s.t ** (1.0 - 2.0 * p.alpha) * s.u + 0.5 * p.alpha * eta * eta
-    w_eta = np.gradient(w, eta, edge_order=2)
+    eta, mu, w, w_eta = _rescale_rows(s.t, s.x_nodes, s.m, s.u, p)
     return RescaledState(
         tau=math.log(s.t),
         eta_nodes=eta,
@@ -128,6 +137,54 @@ def pushforward_deviation(state: RescaledState, p: Profile) -> np.ndarray:
     return cum - p.cdf(y)
 
 
+# Each functional below is written once, for slices stacked along the
+# first axis and reduced along the last, so that `build_series` evaluates
+# every row in one pass and the per-slice functions are its one-row case.
+
+def _dissipation(weta_sup: np.ndarray, wq: np.ndarray):
+    return np.sum(wq * weta_sup * weta_sup, axis=-1)
+
+
+def _lyapunov(mu_sup: np.ndarray, weta_sup: np.ndarray, gh: np.ndarray,
+              y: np.ndarray, wq: np.ndarray, p: Profile):
+    c = 0.5 * p.alpha * (1.0 - p.alpha)
+    kinetic = 0.5 * _dissipation(weta_sup, wq)
+    internal = np.sum(wq * mu_sup ** p.theta, axis=-1) / (p.theta + 1.0)
+    confinement = c * np.sum(wq * gh * gh, axis=-1)
+    const = (-p.theta / (p.theta + 1.0) * np.sum(wq * p.phi(y) ** p.theta)
+             + c * p.r_alpha ** 2)
+    return kinetic - internal - confinement + const
+
+
+def _w_on(eta: np.ndarray, w: np.ndarray, w_eta: np.ndarray,
+          pts: np.ndarray) -> np.ndarray:
+    # piecewise-linear in the resolved eta range, linear continuation with
+    # the edge slopes beyond it (the exact continued value is eventually
+    # linear on each side, so wide padding makes this exact); the nodes
+    # differ per row, so the interpolation runs row by row
+    eta, w, w_eta = (np.atleast_2d(a) for a in (eta, w, w_eta))
+    out = np.array([np.interp(pts, e, v) for e, v in zip(eta, w)])
+    lo, hi = eta[:, :1], eta[:, -1:]
+    out = np.where(pts < lo, w[:, :1] + w_eta[:, :1] * (pts - lo), out)
+    out = np.where(pts > hi, w[:, -1:] + w_eta[:, -1:] * (pts - hi), out)
+    return out
+
+
+def _duality(eta: np.ndarray, w: np.ndarray, w_eta: np.ndarray,
+             w_sup: np.ndarray, y: np.ndarray, wq: np.ndarray):
+    w_phi = _w_on(eta, w, w_eta, y).reshape(w_sup.shape)
+    return np.sum(wq * (w_sup - w_phi), axis=-1)
+
+
+def _reciprocal(gh: np.ndarray, y: np.ndarray, wr: np.ndarray, p: Profile):
+    if np.any(np.diff(gh, axis=-1) <= 0.0):
+        raise DegenerateStateError("rescaled flow map is not increasing")
+    ghy = np.gradient(gh, y, axis=-1, edge_order=2)
+    if np.min(ghy) <= 0.0:
+        raise DegenerateStateError("rescaled flow map is not increasing")
+    return np.sum(wr * ghy ** p.theta, axis=-1)
+
+
 def lyapunov(state: RescaledState, p: Profile) -> float:
     """Lyapunov functional H(tau) of one rescaled slice.
 
@@ -136,17 +193,10 @@ def lyapunov(state: RescaledState, p: Profile) -> float:
     stored directly.  See the module docstring for why the phi-moment
     constant is evaluated with the same dual-cell rule.
     """
-    wq = p.node_masses(state.y_nodes)
-    mu_sup = state.mu[state.support_mask]
-    weta_sup = state.w_eta[state.support_mask]
-    c = 0.5 * p.alpha * (1.0 - p.alpha)
-    phi_th = p.phi(state.y_nodes) ** p.theta
-    kinetic = 0.5 * np.sum(wq * weta_sup * weta_sup)
-    internal = np.sum(wq * mu_sup ** p.theta) / (p.theta + 1.0)
-    confinement = c * np.sum(wq * state.gamma_hat * state.gamma_hat)
-    const = (-p.theta / (p.theta + 1.0) * np.sum(wq * phi_th)
-             + c * p.r_alpha ** 2)
-    return float(kinetic - internal - confinement + const)
+    mask = state.support_mask
+    return float(_lyapunov(state.mu[mask], state.w_eta[mask],
+                           state.gamma_hat, state.y_nodes,
+                           p.node_masses(state.y_nodes), p))
 
 
 def dissipation(state: RescaledState, p: Profile) -> float:
@@ -154,24 +204,8 @@ def dissipation(state: RescaledState, p: Profile) -> float:
 
     ``-(2 alpha - 1) * dissipation`` is the exact dH/dtau.
     """
-    wq = p.node_masses(state.y_nodes)
-    weta_sup = state.w_eta[state.support_mask]
-    return float(np.sum(wq * weta_sup * weta_sup))
-
-
-def _w_on(state: RescaledState, pts: np.ndarray) -> np.ndarray:
-    # piecewise-linear in the resolved eta range, linear continuation with
-    # the edge slopes beyond it (the exact continued value is eventually
-    # linear on each side, so wide padding makes this exact)
-    w = np.interp(pts, state.eta_nodes, state.w)
-    lo, hi = state.eta_nodes[0], state.eta_nodes[-1]
-    below = pts < lo
-    above = pts > hi
-    if np.any(below):
-        w[below] = state.w[0] + state.w_eta[0] * (pts[below] - lo)
-    if np.any(above):
-        w[above] = state.w[-1] + state.w_eta[-1] * (pts[above] - hi)
-    return w
+    return float(_dissipation(state.w_eta[state.support_mask],
+                              p.node_masses(state.y_nodes)))
 
 
 def duality_pairing(state: RescaledState, p: Profile) -> float:
@@ -182,10 +216,9 @@ def duality_pairing(state: RescaledState, p: Profile) -> float:
     (interpolated, since phi's support need not match mu's).  Inherits
     the terminal normalization of the reconstructed value.
     """
-    wq = p.node_masses(state.y_nodes)
-    w_mu = state.w[state.support_mask]
-    w_phi = _w_on(state, state.y_nodes)
-    return float(np.sum(wq * (w_mu - w_phi)))
+    return float(_duality(state.eta_nodes, state.w, state.w_eta,
+                          state.w[state.support_mask], state.y_nodes,
+                          p.node_masses(state.y_nodes)))
 
 
 def reciprocal_integral(state: RescaledState, p: Profile) -> float:
@@ -197,13 +230,8 @@ def reciprocal_integral(state: RescaledState, p: Profile) -> float:
     nodal values.
     """
     y = state.y_nodes
-    if np.any(np.diff(state.gamma_hat) <= 0.0):
-        raise DegenerateStateError("rescaled flow map is not increasing")
-    ghy = np.gradient(state.gamma_hat, y, edge_order=2)
-    if np.min(ghy) <= 0.0:
-        raise DegenerateStateError("rescaled flow map is not increasing")
-    wq = p.power_node_masses(1.0 - p.theta, y)
-    return float(np.sum(wq * ghy ** p.theta))
+    return float(_reciprocal(state.gamma_hat, y,
+                             p.power_node_masses(1.0 - p.theta, y), p))
 
 
 def hat_gamma_residual(f: FlowField,
@@ -275,6 +303,12 @@ SERIES_COLUMNS = ("tau", "H", "dH_fd", "dH_identity", "d1", "d2", "mu_max",
                   "duality_pairing")
 
 
+def _series_rows(g, t_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """Time rows of the series (t >= t_min and t > 0) and their log-times."""
+    keep = np.nonzero((g.t >= t_min) & (g.t > 0.0))[0]
+    return keep, np.log(g.t[keep])
+
+
 def build_series(f: FlowField, p: Profile | None = None,
                  t_min: float | None = None,
                  n_pad: int | None = None,
@@ -291,6 +325,12 @@ def build_series(f: FlowField, p: Profile | None = None,
     the full support width per side so the duality pairing never needs to
     extrapolate w in realistic runs.  ``ubar`` and ``fb`` may be passed
     to reuse the value and free boundaries already derived from ``f``.
+
+    All slices are rescaled together as (rows x nodes) arrays and every
+    column is one reduction along the nodes, with the same functionals
+    as `lyapunov`, `dissipation`, `duality_pairing` and
+    `reciprocal_integral`; only the exterior continuation of the value
+    and the interpolation inside the duality pairing run per row.
     """
     p = f.profile if p is None else p
     g = f.grid
@@ -298,7 +338,7 @@ def build_series(f: FlowField, p: Profile | None = None,
         t_min = 10.0 * g.eps
     if n_pad is None:
         n_pad = g.ny
-    keep = np.nonzero((g.t >= t_min) & (g.t > 0.0))[0]
+    keep, tau = _series_rows(g, t_min)
     if keep.size < 4:
         raise InvalidParameterError(
             f"fewer than four slices with t >= {t_min}")
@@ -306,32 +346,60 @@ def build_series(f: FlowField, p: Profile | None = None,
         ubar = value_on_support(f, p)
     if fb is None:
         fb = free_boundaries(f)
-    wq = p.node_masses(g.y)
+    y = g.y
+    wq = p.node_masses(y)
+    wr = p.power_node_masses(1.0 - p.theta, y)
 
-    cols = {k: np.empty(keep.size) for k in SERIES_COLUMNS}
-    diss = np.empty(keep.size)
-    for n, i in enumerate(keep):
-        st = rescale_snapshot(
-            snapshot(f, int(i), p, n_pad=n_pad, ubar=ubar, fb=fb), p)
-        gap = st.gamma_hat - g.y
-        w_sup = st.w[st.support_mask]
-        cols["tau"][n] = st.tau
-        cols["H"][n] = lyapunov(st, p)
-        diss[n] = dissipation(st, p)
-        cols["d1"][n] = np.sum(wq * np.abs(gap))
-        cols["d2"][n] = math.sqrt(np.sum(wq * gap * gap))
-        cols["mu_max"][n] = st.mu.max()
-        cols["osc_w"][n] = w_sup.max() - w_sup.min()
-        cols["supp_left"][n] = st.gamma_hat[0]
-        cols["supp_right"][n] = st.gamma_hat[-1]
-        cols["recip_integral"][n] = reciprocal_integral(st, p)
-        cols["duality_pairing"][n] = duality_pairing(st, p)
-    cols["dH_fd"] = np.gradient(cols["H"], cols["tau"], edge_order=2)
-    cols["dH_identity"] = -(2.0 * p.alpha - 1.0) * diss
-    return cols
+    x, m, u, _ = _padded_rows(f, keep, n_pad, ubar, fb)
+    eta, mu, w, w_eta = _rescale_rows(g.t[keep, None], x, m, u, p)
+    sup = slice(n_pad, n_pad + y.size)
+    gh, mu_sup, w_sup, weta_sup = eta[:, sup], mu[:, sup], w[:, sup], w_eta[:, sup]
+    gap = gh - y
+    H = _lyapunov(mu_sup, weta_sup, gh, y, wq, p)
+    return {
+        "tau": tau,
+        "H": H,
+        "dH_fd": np.gradient(H, tau, edge_order=2),
+        "dH_identity": -(2.0 * p.alpha - 1.0) * _dissipation(weta_sup, wq),
+        "d1": np.sum(wq * np.abs(gap), axis=1),
+        "d2": np.sqrt(np.sum(wq * gap * gap, axis=1)),
+        "mu_max": mu.max(axis=1),
+        "osc_w": w_sup.max(axis=1) - w_sup.min(axis=1),
+        "supp_left": gh[:, 0].copy(),
+        "supp_right": gh[:, -1].copy(),
+        "recip_integral": _reciprocal(gh, y, wr, p),
+        "duality_pairing": _duality(eta, w, w_eta, w_sup, y, wq),
+    }
 
 
 def save_series_csv(series: dict[str, np.ndarray], path) -> None:
     data = np.column_stack([series[k] for k in SERIES_COLUMNS])
     np.savetxt(path, data, fmt="%.17g", delimiter=",",
                header=",".join(SERIES_COLUMNS), comments="")
+
+
+def load_series_csv(path, f: FlowField) -> dict[str, np.ndarray] | None:
+    """Read back a series written by `save_series_csv`, if it is the
+    `build_series` of ``f`` (default ``t_min`` and ``n_pad``).
+
+    The file is accepted only when its header is `SERIES_COLUMNS`, it has
+    one row per series row of ``f`` and its ``tau`` column equals the
+    log-times of those rows bit for bit; ``%.17g`` round-trips exactly,
+    so an accepted series is the one that was saved.  Returns ``None``
+    otherwise (also for a missing or unreadable file), and the caller
+    rebuilds the series.
+    """
+    _, tau = _series_rows(f.grid, 10.0 * f.grid.eps)
+    if tau.size < 4:
+        return None                     # build_series raises on so few rows
+    try:
+        with open(path) as fh:
+            if fh.readline().rstrip("\n") != ",".join(SERIES_COLUMNS):
+                return None
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError):
+        return None
+    if (data.shape != (tau.size, len(SERIES_COLUMNS))
+            or data[:, 0].tobytes() != tau.tobytes()):
+        return None
+    return {k: data[:, j].copy() for j, k in enumerate(SERIES_COLUMNS)}

@@ -26,8 +26,9 @@ natural stationarity condition of the boundary columns.
 
 The Newton system is solved by a multifrontal Cholesky over a nested
 dissection of the (time, label) grid: O(n^2 log n) memory and O(n^3) flops
-on an n x n grid.  A band LU (bandwidth ny+1) solves the rare system that
-is not positive definite.
+on an n x n grid.  While every slope stays above the floor the matrix is
+positive definite by construction; a pivot that is not positive ends the
+solve with `DegenerateStateError`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 from scipy.linalg.blas import dgemv, dsyrk, dtrsm, dtrsv
 from scipy.linalg.lapack import dpotrf
 
@@ -453,8 +453,8 @@ def _analysis(R: int, C: int) -> _Analysis:
 def _cholesky_solve(an: _Analysis, vals: np.ndarray,
                     rhs: np.ndarray) -> np.ndarray:
     """Solve the stencil system with values ``vals`` (layout of `_analysis`)
-    by multifrontal Cholesky; LinAlgError if it is not positive definite.
-    The numeric factor lives only in this call."""
+    by multifrontal Cholesky; `DegenerateStateError` if it is not positive
+    definite.  The numeric factor lives only in this call."""
     factors = []
     updates: list = [None] * len(an.fronts)
     for fi, fr in enumerate(an.fronts):
@@ -469,7 +469,9 @@ def _cholesky_solve(an: _Analysis, vals: np.ndarray,
             updates[c] = None
         L, info = dpotrf(F[:s, :s], lower=1)
         if info != 0:
-            raise LinAlgError(f"Newton matrix not positive definite (dpotrf info {info})")
+            raise DegenerateStateError(
+                f"Newton matrix not positive definite: dpotrf info {info} "
+                f"in front {fi} of {len(an.fronts)}")
         X = None
         if b:
             X = dtrsm(1.0, L, F[s:, :s], side=1, lower=1, trans_a=1)
@@ -491,23 +493,6 @@ def _cholesky_solve(an: _Analysis, vals: np.ndarray,
     return out
 
 
-def _band_lu_solve(D: np.ndarray, UY: np.ndarray, UT: np.ndarray,
-                   rhs: np.ndarray) -> np.ndarray:
-    """Solve the stencil system by general band LU (bandwidth ny+1)."""
-    M = D.shape[1]
-    u1 = np.zeros_like(D)                               # coupling j <-> j+1
-    u1[:, :-1] = UY
-    u1 = u1.ravel()[:-1]
-    ut = UT.ravel()                                     # coupling i <-> i+1
-    full = np.zeros((2 * M + 1, D.size))
-    full[M] = D.ravel()
-    full[M - 1, 1:] = u1
-    full[M + 1, :-1] = u1
-    full[0, M:] = ut
-    full[2 * M, :-M] = ut
-    return solve_banded((M, M), full, rhs)
-
-
 def _newton_matrix(ws: _Workspace,
                    gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy Hessian at the interior rows as a 5-point stencil: diagonal
@@ -522,13 +507,9 @@ def _newton_matrix(ws: _Workspace,
 def _solve_newton_system(D: np.ndarray, UY: np.ndarray, UT: np.ndarray,
                          G: np.ndarray) -> np.ndarray:
     """Newton step for the stencil matrix (D, UY, UT) and gradient G."""
-    rhs = -G.ravel()
-    try:
-        d = _cholesky_solve(_analysis(*D.shape),
-                            np.concatenate([D.ravel(), UY.ravel(), UT.ravel()]),
-                            rhs)
-    except LinAlgError:
-        d = _band_lu_solve(D, UY, UT, rhs)
+    d = _cholesky_solve(_analysis(*D.shape),
+                        np.concatenate([D.ravel(), UY.ravel(), UT.ravel()]),
+                        -G.ravel())
     return d.reshape(D.shape)
 
 

@@ -285,3 +285,103 @@ def test_pool_cap_validation(tmp_path, monkeypatch):
     monkeypatch.setenv("DIRAC_MFP_THREADS", "soon")
     assert run_cli("sweep", "--axis", "eps", "--values", "1e-2",
                    "--outdir", tmp_path / "sw", *FAST) == 1
+
+
+# ---------------------------------------------------------------------------
+# series read-back in rates and export
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def supercritical_run(tmp_path_factory):
+    # theta = 3: rates fits the exponential laws, so it reads the series
+    out = tmp_path_factory.mktemp("cli3") / "run"
+    assert cli.main(["solve", "--outdir", str(out), "--theta", "3",
+                     *FAST]) == 0
+    return out
+
+
+def rates_and_export(rundir, capsys):
+    """stdout of `rates`, and the export tree, of a copy of ``rundir``."""
+    capsys.readouterr()
+    assert run_cli("rates", rundir) == 0
+    stdout = capsys.readouterr().out
+    assert run_cli("export", rundir) == 0
+    capsys.readouterr()
+    return stdout, read_tree(rundir / "export")
+
+
+def copy_run(src, dst):
+    dst.mkdir()
+    for name in ("config.json", "flow.csv", "series.csv"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+def count_series_builds(monkeypatch):
+    from dirac_mfp import rescale
+    calls = []
+    build = rescale.build_series
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rescale, "build_series", counted)
+    return calls
+
+
+def test_rates_and_export_reuse_series_csv(supercritical_run, tmp_path,
+                                           capsys, monkeypatch):
+    calls = count_series_builds(monkeypatch)
+    kept = copy_run(supercritical_run, tmp_path / "kept")
+    reused = rates_and_export(kept, capsys)
+    assert calls == []
+    rebuilt_dir = copy_run(supercritical_run, tmp_path / "rebuilt")
+    (rebuilt_dir / "series.csv").unlink()
+    rebuilt = rates_and_export(rebuilt_dir, capsys)
+    assert len(calls) == 2
+    assert reused == rebuilt
+    assert "lyapunov" in reused[0]
+
+
+def drop_last_row(text):
+    return "".join(text.splitlines(keepends=True)[:-1])
+
+
+def foreign_header(text):
+    head, rest = text.split("\n", 1)
+    return head.replace("duality_pairing", "duality") + "\n" + rest
+
+
+def tau_one_ulp_up(text):
+    head, first, rest = text.split("\n", 2)
+    cells = first.split(",")
+    cells[0] = f"{np.nextafter(float(cells[0]), np.inf):.17g}"
+    return "\n".join([head, ",".join(cells), rest])
+
+
+@pytest.mark.parametrize("corrupt", [foreign_header, drop_last_row,
+                                     tau_one_ulp_up])
+def test_mismatched_series_csv_is_rebuilt(supercritical_run, tmp_path,
+                                          capsys, monkeypatch, corrupt):
+    expected = rates_and_export(copy_run(supercritical_run, tmp_path / "ok"),
+                                capsys)
+    calls = count_series_builds(monkeypatch)
+    bad = copy_run(supercritical_run, tmp_path / "bad")
+    text = (bad / "series.csv").read_text()
+    (bad / "series.csv").write_text(corrupt(text))
+    assert (bad / "series.csv").read_text() != text
+    assert rates_and_export(bad, capsys) == expected
+    assert len(calls) == 2
+
+
+def test_rates_write_reproduces_solve(supercritical_run, tmp_path, capsys):
+    run = copy_run(supercritical_run, tmp_path / "run")
+    assert run_cli("rates", run, "--write") == 0
+    assert (run / "rates.json").read_bytes() \
+        == (supercritical_run / "rates.json").read_bytes()
+    (run / "series.csv").unlink()
+    assert run_cli("rates", run, "--write") == 0
+    assert (run / "rates.json").read_bytes() \
+        == (supercritical_run / "rates.json").read_bytes()
+    capsys.readouterr()

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from dirac_mfp import fields as F
+from dirac_mfp import metrics
 from dirac_mfp.errors import InvalidParameterError
 from dirac_mfp.metrics import (QuantileTable, fit_rate, quantile_table,
                                rate_report, save_rate_report, wasserstein,
@@ -394,3 +395,52 @@ def test_report_empty_window_rows_are_null(tmp_path, run_scaling, theta1):
     path = tmp_path / "rates.json"
     save_rate_report(rep, path)
     assert json.loads(path.read_text())["laws"][0]["fitted_exponent"] is None
+
+
+# ---------------------------------------------------------------------------
+# bulk per-row laws against the per-row loop
+# ---------------------------------------------------------------------------
+
+def per_row_laws(f, p, ubar, lo, hi):
+    """sup m, int m^(theta+1), sup |u_x| and osc u, one time row at a time."""
+    g = f.grid
+    rows = [i for i in range(g.nt + 1) if lo <= g.t[i] <= hi]
+    wq = p.node_masses(g.y)
+    out = {k: np.empty(len(rows))
+           for k in ("m_inf", "m_power_norm", "ux_inf", "osc_u")}
+    for k, i in enumerate(rows):
+        m_sup = p.phi(g.y) / np.gradient(f.gamma[i], g.y, edge_order=2)
+        out["m_inf"][k] = m_sup.max()
+        out["m_power_norm"][k] = np.sum(wq * m_sup ** p.theta)
+        out["ux_inf"][k] = np.max(np.abs(
+            np.gradient(ubar[i], f.gamma[i], edge_order=2)))
+        out["osc_u"][k] = ubar[i].max() - ubar[i].min()
+    return g.t[rows], out
+
+
+def test_rate_report_matches_per_row_loop(solved64, monkeypatch):
+    p, f = solved64
+    g = f.grid
+    ubar = F.value_on_support(f, p)
+    fitted = []                        # (abscissa, values) of each power fit
+
+    def recording_fit(abscissa, values, window=None, kind="power"):
+        if kind == "power":
+            fitted.append((abscissa, values))
+        return fit_rate(abscissa, values, window=window, kind=kind)
+
+    monkeypatch.setattr(metrics, "fit_rate", recording_fit)
+    rep = rate_report(f, p, ubar=ubar)
+    t, ref = per_row_laws(f, p, ubar, 10.0 * g.eps, g.T / 4.0)
+    laws = {r["law"]: r for r in rep["laws"]}
+    # power fits run in the order support_radius, m_inf, m_power_norm,
+    # ux_inf, osc_u
+    for (abscissa, vals), law in zip(fitted[1:], ref):
+        assert np.array_equal(abscissa, t)
+        assert np.max(np.abs(vals - ref[law])) \
+            <= 1e-13 * np.max(np.abs(ref[law])), law
+        fit = fit_rate(t, ref[law], kind="power")
+        theo = laws[law]["theoretical_exponent"]
+        assert laws[law]["pass"] == (abs(fit.exponent - theo)
+                                     <= 0.10 * abs(theo)), law
+    assert len(fitted) == 5

@@ -350,10 +350,14 @@ def test_power_cell_masses_singular_endpoint_cell():
 
 
 def test_power_node_masses_reduce_to_plain_masses():
-    p = make_profile(1.0)
-    y = np.linspace(-p.r_alpha, p.r_alpha, 65)
-    np.testing.assert_allclose(p.power_node_masses(1.0, y),
-                               p.node_masses(y), rtol=1e-14, atol=0.0)
+    # node_masses is power_node_masses at p = 1; against the cdf route the
+    # two differ only by the rounding of the closed-form total (4 ulp)
+    for theta in (0.25, 1.0, 3.0, 10.0):
+        p = make_profile(theta)
+        y = np.linspace(-p.r_alpha, p.r_alpha, 65)
+        half = np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]])
+        np.testing.assert_allclose(p.node_masses(y), np.diff(p.cdf(half)),
+                                   rtol=1e-14, atol=0.0)
 
 
 def test_power_cell_masses_not_integrable():

@@ -443,3 +443,63 @@ def test_series_dh_identity_supercritical(theta3, run_identity):
 def test_series_needs_rows(theta1, solved128):
     with pytest.raises(errors.InvalidParameterError):
         RS.build_series(solved128, theta1, t_min=0.999)
+
+
+# ---------------------------------------------------------------------------
+# bulk series against a per-row reference
+# ---------------------------------------------------------------------------
+
+def per_row_series(f, p, ubar, fb):
+    """The series slice by slice: snapshot -> rescale_snapshot -> the
+    per-slice functionals, with build_series' default rows and padding."""
+    g = f.grid
+    keep = np.nonzero((g.t >= 10.0 * g.eps) & (g.t > 0.0))[0]
+    wq = p.node_masses(g.y)
+    cols = {k: np.empty(keep.size) for k in RS.SERIES_COLUMNS}
+    diss = np.empty(keep.size)
+    for n, i in enumerate(keep):
+        st = RS.rescale_snapshot(
+            F.snapshot(f, int(i), p, n_pad=g.ny, ubar=ubar, fb=fb), p)
+        gap = st.gamma_hat - g.y
+        w_sup = st.w[st.support_mask]
+        cols["tau"][n] = st.tau
+        cols["H"][n] = RS.lyapunov(st, p)
+        diss[n] = RS.dissipation(st, p)
+        cols["d1"][n] = np.sum(wq * np.abs(gap))
+        cols["d2"][n] = np.sqrt(np.sum(wq * gap * gap))
+        cols["mu_max"][n] = st.mu.max()
+        cols["osc_w"][n] = w_sup.max() - w_sup.min()
+        cols["supp_left"][n] = st.gamma_hat[0]
+        cols["supp_right"][n] = st.gamma_hat[-1]
+        cols["recip_integral"][n] = RS.reciprocal_integral(st, p)
+        cols["duality_pairing"][n] = RS.duality_pairing(st, p)
+    cols["dH_fd"] = np.gradient(cols["H"], cols["tau"], edge_order=2)
+    cols["dH_identity"] = -(2.0 * p.alpha - 1.0) * diss
+    return cols
+
+
+def test_series_matches_per_row_reference(solved64):
+    p, f = solved64
+    ubar, fb = F.value_on_support(f, p), F.free_boundaries(f)
+    got = RS.build_series(f, p, ubar=ubar, fb=fb)
+    ref = per_row_series(f, p, ubar, fb)
+    for k in RS.SERIES_COLUMNS:
+        assert got[k].shape == ref[k].shape
+        scale = np.max(np.abs(ref[k]))
+        assert np.max(np.abs(got[k] - ref[k])) <= 1e-13 * scale, k
+
+
+def test_series_csv_reads_back_only_its_own_flow(tmp_path, theta1, solved128):
+    f = solved128
+    series = RS.build_series(f, theta1)
+    path = tmp_path / "series.csv"
+    RS.save_series_csv(series, path)
+    back = RS.load_series_csv(path, f)
+    for k in RS.SERIES_COLUMNS:
+        assert back[k].tobytes() == series[k].tobytes()
+    assert RS.load_series_csv(tmp_path / "absent.csv", f) is None
+    # the same file against a flow on a different time grid
+    p = theta1
+    other = solve(p, power_bump(-1.0, 1.0, 1.0),
+                  make_grid(p, eps=2e-3, T=1.0, nt=128, ny=32))
+    assert RS.load_series_csv(path, other) is None

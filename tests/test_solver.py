@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg import solveh_banded
 
 from dirac_mfp import errors
 from dirac_mfp.profile import make_profile
@@ -278,20 +278,12 @@ def test_multifrontal_matches_banded_cholesky(theta, nt, ny):
     assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_indefinite_system_falls_back_to_band_lu():
+def test_indefinite_system_raises_degenerate_state():
     (D, UY, UT), G = newton_system(1.0, 16, 16)
     D = D.copy()
     D[7, 8] = -D[7, 8]                    # e_k^T A e_k < 0: indefinite
-    with pytest.raises(LinAlgError):
-        _cholesky_solve(_analysis(*D.shape), stencil_values(D, UY, UT), -G.ravel())
-    ab = upper_band(D, UY, UT)
-    M = D.shape[1]
-    A = np.diag(ab[M])
-    for k in range(1, M + 1):
-        A += np.diag(ab[M - k, k:], k) + np.diag(ab[M - k, k:], -k)
-    ref = np.linalg.solve(A, -G.ravel())
-    d = _solve_newton_system(D, UY, UT, G)
-    assert np.max(np.abs(d.ravel() - ref)) <= 1e-10 * np.max(np.abs(ref))
+    with pytest.raises(errors.DegenerateStateError, match="dpotrf info"):
+        _solve_newton_system(D, UY, UT, G)
 
 
 def test_concurrent_solves_share_the_analysis():
