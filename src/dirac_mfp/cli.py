@@ -14,19 +14,23 @@ solver failure or missing run artifacts, 3 certificate failure under
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (CompatibilityError, CrossingCharacteristicsError,
                      DegenerateStateError, FormatError, InvalidParameterError,
-                     NewtonDivergenceError, UnsupportedParameterError)
+                     NewtonDivergenceError, UnsupportedParameterError,
+                     check_int, check_number, check_type)
+from .solver import SolverConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -45,120 +49,98 @@ SWEEP_LAWS = ("support_radius", "m_inf", "m_power_norm", "ux_inf",
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class TargetConfig:
+    """Terminal density: the ``target`` section of ``config.json``."""
+
+    kind: str = "power_bump"
+    a: float = -1.0
+    b: float = 1.0
+    path: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in TARGET_KINDS:
+            raise InvalidParameterError(
+                f"config: target kind must be one of {TARGET_KINDS}, "
+                f"got {self.kind!r}")
+        check_number("target.a", self.a)
+        check_number("target.b", self.b)
+        check_type("target.path", self.path, (str, type(None)),
+                   "a string or null")
+        if self.kind == "file" and not self.path:
+            raise InvalidParameterError(
+                "config: target kind 'file' needs a path")
+        if self.kind == "power_bump" and not self.b > self.a:
+            raise InvalidParameterError(
+                f"config: power_bump needs a < b, got [{self.a}, {self.b}]")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run description (file defaults + flag overrides)."""
+    """Fully resolved run description (file defaults + flag overrides),
+    laid out as ``config.json``."""
 
     theta: float = 1.0
     eps: float = 1e-3
     T: float = 1.0
     nt: int = 128
     ny: int = 128
-    target_kind: str = "power_bump"
-    target_a: float = -1.0
-    target_b: float = 1.0
-    target_path: str | None = None
-    newton_max_iter: int = 200
-    residual_tol: float = 1e-10
-    gamma_y_floor: float = 1e-8
+    target: TargetConfig = field(default_factory=TargetConfig)
+    solver: SolverConfig = field(default_factory=SolverConfig)
     fit_window: tuple[float, float] | None = None
     outdir: str = "run"
     strict: bool = False
 
     def __post_init__(self):
         for name in ("theta", "eps", "T"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0.0 and np.isfinite(v)):
-                raise InvalidParameterError(f"config: {name} must be a "
-                                            f"positive number, got {v!r}")
+            check_number(name, getattr(self, name), positive=True)
         for name in ("nt", "ny"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 16):
-                raise InvalidParameterError(f"config: {name} must be an "
-                                            f"integer >= 16, got {v!r}")
-        if self.target_kind not in TARGET_KINDS:
-            raise InvalidParameterError(
-                f"config: target kind must be one of {TARGET_KINDS}, "
-                f"got {self.target_kind!r}")
-        if self.target_kind == "file" and not self.target_path:
-            raise InvalidParameterError(
-                "config: target kind 'file' needs a path")
-        if self.target_kind == "power_bump" and not self.target_b > self.target_a:
-            raise InvalidParameterError(
-                f"config: power_bump needs a < b, got "
-                f"[{self.target_a}, {self.target_b}]")
-        if self.fit_window is not None:
-            lo, hi = self.fit_window
-            if not (0.0 < lo < hi):
-                raise InvalidParameterError(
-                    f"config: fit window must satisfy 0 < lo < hi, "
-                    f"got [{lo}, {hi}]")
-            object.__setattr__(self, "fit_window", (float(lo), float(hi)))
-        if self.newton_max_iter < 1:
-            raise InvalidParameterError("config: newton_max_iter must be >= 1")
-        if not self.residual_tol > 0.0:
-            raise InvalidParameterError("config: residual_tol must be positive")
+            check_int(name, getattr(self, name), 16)
+        check_type("target", self.target, TargetConfig, "a target section")
+        check_type("solver", self.solver, SolverConfig, "a solver section")
+        win = self.fit_window
+        if win is not None:
+            if not (isinstance(win, (list, tuple)) and len(win) == 2):
+                raise FormatError(
+                    f"config: fit_window must be [lo, hi], got {win!r}")
+            for v in win:
+                check_number("fit_window", v)
+            if not 0.0 < win[0] < win[1]:
+                raise InvalidParameterError(f"config: fit window must satisfy "
+                                            f"0 < lo < hi, got {list(win)}")
+            object.__setattr__(self, "fit_window", tuple(map(float, win)))
+        check_type("outdir", self.outdir, str, "a string")
+        check_type("strict", self.strict, bool, "true or false")
 
 
-def config_to_nested(cfg: RunConfig) -> dict:
-    return {
-        "theta": cfg.theta, "eps": cfg.eps, "T": cfg.T,
-        "nt": cfg.nt, "ny": cfg.ny,
-        "target": {"kind": cfg.target_kind, "a": cfg.target_a,
-                   "b": cfg.target_b, "path": cfg.target_path},
-        "solver": {"newton_max_iter": cfg.newton_max_iter,
-                   "residual_tol": cfg.residual_tol,
-                   "gamma_y_floor": cfg.gamma_y_floor},
-        "fit_window": list(cfg.fit_window) if cfg.fit_window else None,
-        "outdir": cfg.outdir, "strict": cfg.strict,
-    }
+# keys of older config files that no setting reads any more
+_RETIRED_KEYS = ("seed", "solver.linear_solver")
 
 
 def nested_to_config(doc: dict, where: str = "config") -> RunConfig:
-    """Build a RunConfig from the nested document, rejecting unknown keys."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: expected a JSON object at top level")
-    # retired keys (seed, solver.linear_solver): older run dirs must still load
-    known = {"theta", "eps", "T", "nt", "ny", "target", "solver",
-             "fit_window", "outdir", "strict", "seed"}
-    for key in doc:
-        if key not in known:
-            raise FormatError(f"{where}: unknown key {key!r}")
-    kw: dict = {}
-    for key in ("theta", "eps", "T", "nt", "ny", "outdir", "strict"):
-        if key in doc:
-            kw[key] = doc[key]
-    tgt = doc.get("target", {})
-    if not isinstance(tgt, dict):
-        raise FormatError(f"{where}: 'target' must be an object")
-    for key in tgt:
-        if key not in ("kind", "a", "b", "path"):
-            raise FormatError(f"{where}: unknown target key {key!r}")
-    if "kind" in tgt:
-        kw["target_kind"] = tgt["kind"]
-    if "a" in tgt:
-        kw["target_a"] = tgt["a"]
-    if "b" in tgt:
-        kw["target_b"] = tgt["b"]
-    if "path" in tgt:
-        kw["target_path"] = tgt["path"]
-    sol = doc.get("solver", {})
-    if not isinstance(sol, dict):
-        raise FormatError(f"{where}: 'solver' must be an object")
-    for key in sol:
-        if key not in ("newton_max_iter", "residual_tol", "gamma_y_floor",
-                       "linear_solver"):
-            raise FormatError(f"{where}: unknown solver key {key!r}")
-    kw.update(sol)
-    kw.pop("linear_solver", None)
-    win = doc.get("fit_window")
-    if win is not None:
-        if not (isinstance(win, (list, tuple)) and len(win) == 2):
-            raise FormatError(f"{where}: fit_window must be [lo, hi]")
-        kw["fit_window"] = (win[0], win[1])
-    try:
-        return RunConfig(**kw)
-    except TypeError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    """Build a RunConfig from the nested document of ``config.json``.
+
+    Each JSON object becomes the config type of its section; a key that
+    the type does not declare is rejected, except the retired keys, which
+    are skipped so that older run directories still load.
+    """
+    def build(cls, node, prefix: str):
+        if not isinstance(node, dict):
+            raise FormatError(f"{where}: {prefix.rstrip('.') or 'top level'} "
+                              f"must be a JSON object")
+        types = typing.get_type_hints(cls)
+        kw = {}
+        for key, value in node.items():
+            path = prefix + key
+            if path in _RETIRED_KEYS:
+                continue
+            if key not in types:
+                raise FormatError(f"{where}: unknown key {path!r}")
+            section = types[key]
+            kw[key] = (build(section, value, path + ".")
+                       if dataclasses.is_dataclass(section) else value)
+        return cls(**kw)
+
+    return build(RunConfig, doc, "")
 
 
 def load_config(path) -> RunConfig:
@@ -175,22 +157,15 @@ def load_config(path) -> RunConfig:
 
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Apply CLI flags (None = not given) on top of the config file."""
-    updates: dict = {}
-    pairs = [("theta", "theta"), ("eps", "eps"), ("T", "T"),
-             ("nt", "nt"), ("ny", "ny"), ("target", "target_kind"),
-             ("a", "target_a"), ("b", "target_b"),
-             ("target_path", "target_path"), ("outdir", "outdir"),
-             ("max_iter", "newton_max_iter"), ("tol", "residual_tol")]
-    for flag, field in pairs:
-        v = getattr(args, flag, None)
-        if v is not None:
-            updates[field] = v
-    if getattr(args, "window", None) is not None:
-        updates["fit_window"] = tuple(args.window)
-    if getattr(args, "strict", None):
-        updates["strict"] = True
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    """Apply the flags of `CONFIG_FLAGS` that were given (not None) on top
+    of ``cfg``, all at once, and validate the result."""
+    doc = dataclasses.asdict(cfg)
+    for fl in CONFIG_FLAGS:
+        value = getattr(args, fl.path, None)
+        if value is not None:
+            section, _, key = fl.path.rpartition(".")
+            (doc[section] if section else doc)[key] = value
+    return nested_to_config(doc)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -220,11 +195,18 @@ def load_flow_csv(path):
     return data[:, 0], y, data[:, 1:]
 
 
+class _MissingArtifact(Exception):
+    """A run directory lacks an artifact that `_load_run` reads (exit 2)."""
+
+
 def _load_run(rundir: Path):
     """Rebuild the flow field of a finished run from its artifacts."""
     from .profile import make_profile
     from .solver import FlowField, SpaceTimeGrid
 
+    for name in ("config.json", "flow.csv"):
+        if not (rundir / name).is_file():
+            raise _MissingArtifact(rundir / name)
     cfg = nested_to_config(
         json.loads((rundir / "config.json").read_text()),
         where=str(rundir / "config.json"))
@@ -241,11 +223,12 @@ def _snapshot_rows(nt: int, n: int = 8) -> np.ndarray:
 
 def _build_target(cfg: RunConfig, p):
     from . import target as target_mod
-    if cfg.target_kind == "power_bump":
-        return target_mod.power_bump(cfg.target_a, cfg.target_b, cfg.theta)
-    if cfg.target_kind == "self_similar":
+    tgt = cfg.target
+    if tgt.kind == "power_bump":
+        return target_mod.power_bump(tgt.a, tgt.b, cfg.theta)
+    if tgt.kind == "self_similar":
         return target_mod.self_similar_terminal(p, cfg.T, cfg.eps)
-    return target_mod.load_csv(cfg.target_path, cfg.theta, strict=cfg.strict)
+    return target_mod.load_csv(tgt.path, cfg.theta, strict=cfg.strict)
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +243,18 @@ def _run_pipeline(cfg: RunConfig):
     from . import metrics as metrics_mod
     from . import rescale as rescale_mod
     from .profile import make_profile
-    from .solver import SolverConfig, make_grid, solve
+    from .solver import make_grid, solve
 
     p = make_profile(cfg.theta)
     grid = make_grid(p, cfg.eps, cfg.T, cfg.nt, cfg.ny)
-    m_T = _build_target(cfg, p)
-    scfg = SolverConfig(newton_max_iter=cfg.newton_max_iter,
-                        residual_tol=cfg.residual_tol,
-                        gamma_y_floor=cfg.gamma_y_floor)
-    f = solve(p, m_T, grid, scfg)
+    f = solve(p, _build_target(cfg, p), grid, cfg.solver)
 
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "snapshots").mkdir(exist_ok=True)
 
     with open(out / "config.json", "w") as fh:
-        json.dump(config_to_nested(cfg), fh, indent=2)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2)
         fh.write("\n")
     save_flow_csv(f, out / "flow.csv")
     ubar = fields_mod.value_on_support(f, p)
@@ -306,7 +285,7 @@ def _run_pipeline(cfg: RunConfig):
     }
     manifest = {
         "schema_version": 1,
-        "config": config_to_nested(cfg),
+        "config": dataclasses.asdict(cfg),
         "solver": {"iterations": f.info.iterations,
                    "grad_norm": f.info.grad_norm,
                    "energy": f.info.energy,
@@ -391,9 +370,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     subcfgs = []
     for v in values:
-        sub = {axis: v} if axis == "eps" else {"theta": v}
         subcfgs.append(dataclasses.replace(
-            cfg, outdir=str(out / f"{axis}={v:g}"), **sub))
+            cfg, outdir=str(out / f"{axis}={v:g}"), **{axis: v}))
 
     with ThreadPoolExecutor(max_workers=_pool_size(len(values))) as pool:
         results = list(pool.map(_sweep_one, subcfgs))
@@ -463,13 +441,10 @@ def cmd_rates(args: argparse.Namespace) -> int:
     from .rescale import load_series_csv
 
     rundir = Path(args.rundir)
-    for name in ("config.json", "flow.csv"):
-        if not (rundir / name).is_file():
-            print(f"missing run artifact: {rundir / name}", file=sys.stderr)
-            return EXIT_SOLVER
     cfg, p, f = _load_run(rundir)
-    window = tuple(args.window) if args.window else cfg.fit_window
-    report = rate_report(f, p, window=window,
+    # a refit is strict only when asked, whatever the run was
+    cfg = _merge_flags(dataclasses.replace(cfg, strict=False), args)
+    report = rate_report(f, p, window=cfg.fit_window,
                          series=load_series_csv(rundir / "series.csv", f))
 
     print(f"theta={report['theta']:g} alpha={report['alpha']:.6f} "
@@ -490,7 +465,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     if args.write:
         save_rate_report(report, rundir / "rates.json")
         print(f"wrote {rundir / 'rates.json'}")
-    if args.strict and any_fail:
+    if cfg.strict and any_fail:
         return EXIT_CERTIFICATE
     return EXIT_OK
 
@@ -515,13 +490,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from . import fields as fields_mod
     from . import rescale as rescale_mod
-    from .metrics import fit_rate
+    from .metrics import default_fit_window, fit_rate
 
     rundir = Path(args.rundir)
-    for name in ("config.json", "flow.csv"):
-        if not (rundir / name).is_file():
-            print(f"missing run artifact: {rundir / name}", file=sys.stderr)
-            return EXIT_SOLVER
     cfg, p, f = _load_run(rundir)
     g = f.grid
     out = rundir / "export"
@@ -546,7 +517,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     if series is None:
         series = rescale_mod.build_series(f, p, ubar=ubar, fb=fb)
     tau, H = series["tau"], series["H"]
-    lo, hi = cfg.fit_window or (10.0 * g.eps, g.T / 4.0)
+    lo, hi = cfg.fit_window or default_fit_window(g)
     env = np.full_like(tau, np.nan)
     keep = (H > 0.0) & (tau >= np.log(lo)) & (tau <= np.log(hi))
     if np.count_nonzero(keep) >= 4:
@@ -595,24 +566,44 @@ def cmd_export(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+_Flag = collections.namedtuple(
+    "_Flag", "flag path type metavar help choices", defaults=(None, None))
+
+# Every flag that sets a run setting, in the order `--help` lists them: the
+# flag, its key in config.json ("section.key" inside a section), the value
+# type (bool: a switch; tuple: a pair of floats), metavar and help text.
+CONFIG_FLAGS = (
+    _Flag("--theta", "theta", float, "THETA"),
+    _Flag("--eps", "eps", float, "EPS"),
+    _Flag("--T", "T", float, "T"),
+    _Flag("--nt", "nt", int, "NT"),
+    _Flag("--ny", "ny", int, "NY"),
+    _Flag("--target", "target.kind", str, None, choices=TARGET_KINDS),
+    _Flag("--a", "target.a", float, "A", "left support endpoint"),
+    _Flag("--b", "target.b", float, "B", "right support endpoint"),
+    _Flag("--target-path", "target.path", str, "TARGET_PATH",
+          "CSV for target kind 'file'"),
+    _Flag("--outdir", "outdir", str, "OUTDIR"),
+    _Flag("--window", "fit_window", tuple, ("LO", "HI"), "fit window in t"),
+    _Flag("--max-iter", "solver.newton_max_iter", int, "MAX_ITER"),
+    _Flag("--tol", "solver.residual_tol", float, "TOL",
+          "scaled gradient tolerance"),
+    _Flag("--strict", "strict", bool, None,
+          "turn certificate misses into exit 3"),
+)
+
+
+def _add_flag(sp: argparse.ArgumentParser, fl: _Flag, help) -> None:
+    kw = ({"action": "store_const", "const": True} if fl.type is bool else
+          {"type": float, "nargs": 2} if fl.type is tuple else
+          {"type": fl.type, "choices": fl.choices})
+    sp.add_argument(fl.flag, dest=fl.path, metavar=fl.metavar, help=help, **kw)
+
+
 def _add_config_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON config file; flags override it")
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--nt", type=int)
-    sp.add_argument("--ny", type=int)
-    sp.add_argument("--target", choices=TARGET_KINDS)
-    sp.add_argument("--a", type=float, help="left support endpoint")
-    sp.add_argument("--b", type=float, help="right support endpoint")
-    sp.add_argument("--target-path", help="CSV for target kind 'file'")
-    sp.add_argument("--outdir")
-    sp.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"),
-                    help="fit window in t")
-    sp.add_argument("--max-iter", type=int, dest="max_iter")
-    sp.add_argument("--tol", type=float, help="scaled gradient tolerance")
-    sp.add_argument("--strict", action="store_const", const=True,
-                    default=None, help="turn certificate misses into exit 3")
+    for fl in CONFIG_FLAGS:
+        _add_flag(sp, fl, fl.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -635,10 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rates", help="refit scaling laws of a finished run")
     sp.add_argument("rundir")
-    sp.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"))
+    flags = {fl.path: fl for fl in CONFIG_FLAGS}
+    _add_flag(sp, flags["fit_window"], None)
     sp.add_argument("--write", action="store_true",
                     help="rewrite rates.json with the refit")
-    sp.add_argument("--strict", action="store_true")
+    _add_flag(sp, flags["strict"], None)
     sp.set_defaults(func=cmd_rates)
 
     sp = sub.add_parser("validate", help="terminal-density compatibility")
@@ -660,6 +652,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _MissingArtifact as exc:
+        print(f"missing run artifact: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (FormatError, InvalidParameterError,
             UnsupportedParameterError) as exc:
         print(str(exc), file=sys.stderr)

@@ -1,8 +1,14 @@
-"""Semantic exception hierarchy.
+"""Semantic exception hierarchy, and the field checks of the config types.
 
 Every failure mode the library promises to detect gets its own class so
 callers (and the CLI exit-code mapping) can branch without string matching.
+A config value (`solver.SolverConfig`, `cli.RunConfig`, `cli.TargetConfig`)
+of the wrong type is a FormatError, one of the right type out of its range
+an InvalidParameterError.
 """
+
+import math
+import numbers
 
 
 class DiracMfpError(Exception):
@@ -38,3 +44,26 @@ class CrossingCharacteristicsError(DiracMfpError, RuntimeError):
 class CompatibilityError(DiracMfpError, RuntimeError):
     """A terminal density failed the power-growth compatibility check in
     strict mode."""
+
+
+def check_type(name: str, value, kind, what: str) -> None:
+    """A bool passes only where ``kind`` is bool: it is not a number."""
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, kind)):
+        raise FormatError(f"config: {name} must be {what}, got {value!r}")
+
+
+def check_number(name: str, value, positive: bool = False) -> None:
+    """A finite real number (an int is one), and above zero if ``positive``."""
+    check_type(name, value, numbers.Real, "a number")
+    if not math.isfinite(value) or (positive and not value > 0.0):
+        raise InvalidParameterError(
+            f"config: {name} must be a {'positive' if positive else 'finite'}"
+            f" number, got {value!r}")
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    check_type(name, value, numbers.Integral, "an integer")
+    if value < minimum:
+        raise InvalidParameterError(
+            f"config: {name} must be an integer >= {minimum}, got {value!r}")

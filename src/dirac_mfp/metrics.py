@@ -194,6 +194,11 @@ def _law_row(law: str, theo: float, fit: RateFit | None) -> dict:
             "window": list(fit.window), "pass": bool(ok)}
 
 
+def default_fit_window(g) -> tuple[float, float]:
+    """The fit window in t of a run that sets none: [10 eps, T/4]."""
+    return 10.0 * g.eps, g.T / 4.0
+
+
 def rate_report(f, p: Profile, window: tuple | None = None,
                 ubar: np.ndarray | None = None, fb=None,
                 series: dict | None = None) -> dict:
@@ -207,16 +212,17 @@ def rate_report(f, p: Profile, window: tuple | None = None,
     each fitted over the rows where the series is sign-definite.
     ``ubar``, ``fb`` and ``series`` may be passed when the caller has
     already derived them from ``f``; ``series`` must be `build_series`
-    with its default ``t_min`` and ``n_pad`` (as `rescale.load_series_csv`
-    returns it).  The per-row laws are reductions along the label axis of
-    the (rows x labels) arrays of the fit window.
+    with its default ``t_min`` (as `rescale.load_series_csv` returns it).
+    The window defaults to `default_fit_window`.  The per-row laws are
+    reductions along the label axis of the (rows x labels) arrays of the
+    fit window.
     """
     from . import fields as fields_mod
     from . import rescale as rescale_mod
 
     g = f.grid
     if window is None:
-        window = (10.0 * g.eps, g.T / 4.0)
+        window = default_fit_window(g)
     lo, hi = float(window[0]), float(window[1])
     critical = abs(p.kappa) < 1e-12
 

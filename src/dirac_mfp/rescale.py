@@ -311,7 +311,6 @@ def _series_rows(g, t_min: float) -> tuple[np.ndarray, np.ndarray]:
 
 def build_series(f: FlowField, p: Profile | None = None,
                  t_min: float | None = None,
-                 n_pad: int | None = None,
                  ubar: np.ndarray | None = None,
                  fb: FreeBoundaries | None = None) -> dict[str, np.ndarray]:
     """Rescaled diagnostics for every slice with t >= t_min.
@@ -321,8 +320,8 @@ def build_series(f: FlowField, p: Profile | None = None,
     mu(tau) to phi in mass coordinates (gamma_hat is the monotone optimal
     map).  ``dH_fd`` differences the H column in tau, ``dH_identity`` is
     the exact dissipation form; comparing the two columns tests the
-    Lyapunov identity with no shared discretization.  Padding defaults to
-    the full support width per side so the duality pairing never needs to
+    Lyapunov identity with no shared discretization.  The padding is the
+    full support width per side, so the duality pairing never needs to
     extrapolate w in realistic runs.  ``ubar`` and ``fb`` may be passed
     to reuse the value and free boundaries already derived from ``f``.
 
@@ -336,8 +335,7 @@ def build_series(f: FlowField, p: Profile | None = None,
     g = f.grid
     if t_min is None:
         t_min = 10.0 * g.eps
-    if n_pad is None:
-        n_pad = g.ny
+    n_pad = g.ny
     keep, tau = _series_rows(g, t_min)
     if keep.size < 4:
         raise InvalidParameterError(
@@ -380,7 +378,7 @@ def save_series_csv(series: dict[str, np.ndarray], path) -> None:
 
 def load_series_csv(path, f: FlowField) -> dict[str, np.ndarray] | None:
     """Read back a series written by `save_series_csv`, if it is the
-    `build_series` of ``f`` (default ``t_min`` and ``n_pad``).
+    `build_series` of ``f`` (default ``t_min``).
 
     The file is accepted only when its header is `SERIES_COLUMNS`, it has
     one row per series row of ``f`` and its ``tau`` column equals the

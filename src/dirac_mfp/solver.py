@@ -45,6 +45,8 @@ from .errors import (
     DegenerateStateError,
     InvalidParameterError,
     NewtonDivergenceError,
+    check_int,
+    check_number,
 )
 from .profile import Profile
 from .target import TerminalDensity
@@ -125,11 +127,16 @@ class FlowField:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Newton settings: the ``solver`` section of a run's ``config.json``."""
+
     newton_max_iter: int = 200
     residual_tol: float = 1e-10      # scaled energy-gradient sup norm
     gamma_y_floor: float = 1e-8
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
+
+    def __post_init__(self):
+        check_int("solver.newton_max_iter", self.newton_max_iter, 1)
+        check_number("solver.residual_tol", self.residual_tol, positive=True)
+        check_number("solver.gamma_y_floor", self.gamma_y_floor, positive=True)
 
 
 def make_grid(p: Profile, eps: float, T: float, nt: int, ny: int) -> SpaceTimeGrid:
@@ -267,11 +274,11 @@ class _Workspace:
         return float(np.max(np.abs(G) / scale))
 
 
-def energy(f: FlowField, p: Profile | None = None,
-           floor: float = SolverConfig.gamma_y_floor) -> float:
-    """Discrete transport energy of a flow field."""
+def energy(f: FlowField, p: Profile | None = None) -> float:
+    """Discrete transport energy of a flow field; `DegenerateStateError`
+    when a slope is below the default ``gamma_y_floor``."""
     p = f.profile if p is None else p
-    return _Workspace(p, f.grid).energy(f.gamma, floor)
+    return _Workspace(p, f.grid).energy(f.gamma, SolverConfig.gamma_y_floor)
 
 
 def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
@@ -520,6 +527,10 @@ def _solve_newton_system(D: np.ndarray, UY: np.ndarray, UT: np.ndarray,
 # grid, since numpy sums pairwise.  The bound leaves a factor of four.
 _ENERGY_ROUNDING_ULPS = 16
 
+# Armijo line search: sufficient-decrease constant and step shrink factor.
+_ARMIJO_C = 1e-4
+_ARMIJO_SHRINK = 0.5
+
 
 def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
           cfg: SolverConfig = SolverConfig()) -> FlowField:
@@ -569,7 +580,7 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
         while True:
             candidate[1:-1] = gamma[1:-1] + a * d
             E1 = ws.energy(candidate, cfg.gamma_y_floor)
-            if E1 <= E0 + cfg.armijo_c * a * descent:
+            if E1 <= E0 + _ARMIJO_C * a * descent:
                 break
             # near the minimum the energy drop falls below the rounding of
             # the energy sum and Armijo can no longer see it; there the
@@ -577,7 +588,7 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
             if (abs(E1 - E0) <= _ENERGY_ROUNDING_ULPS * math.ulp(E0)
                     and ws.scaled_norm(ws.gradient(candidate), candidate) < gn):
                 break
-            a *= cfg.armijo_shrink
+            a *= _ARMIJO_SHRINK
             if a < 1e-14:
                 raise NewtonDivergenceError(
                     f"line search failed at iteration {it} "

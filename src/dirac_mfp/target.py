@@ -85,9 +85,10 @@ class TerminalDensity:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_table(cls, x: np.ndarray, pdf: np.ndarray, theta: float,
-                   attach_report: bool = True) -> "TerminalDensity":
-        """Build a table-backed density; normalizes total mass to one."""
+    def from_table(cls, x: np.ndarray, pdf: np.ndarray,
+                   theta: float) -> "TerminalDensity":
+        """Build a table-backed density; normalizes total mass to one and
+        attaches its compatibility report."""
         x = np.asarray(x, dtype=float)
         pdf = np.asarray(pdf, dtype=float)
         if x.ndim != 1 or x.shape != pdf.shape or x.size < MIN_CSV_ROWS:
@@ -115,9 +116,7 @@ class TerminalDensity:
                   theta=float(theta), power=float("nan"),
                   x_nodes=x, samples=pdf, cdf_nodes=cdf_nodes, mass=1.0,
                   _pdf_interp=interp, _cdf_interp=anti)
-        if attach_report:
-            out = replace(out, report=validate_compatibility(out))
-        return out
+        return replace(out, report=validate_compatibility(out))
 
     # -- pointwise transforms -------------------------------------------------
 

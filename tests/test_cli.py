@@ -6,13 +6,17 @@ precedence, file layouts, determinism, and the exit-code contract
 (0 ok, 1 bad config, 2 solver/artifact failure, 3 strict certificate).
 """
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from dirac_mfp import cli
 from dirac_mfp.errors import FormatError, InvalidParameterError
+from dirac_mfp.profile import make_profile
+from dirac_mfp.solver import SolverConfig, make_grid, solve
 from dirac_mfp.target import power_bump, save_csv
 
 FAST = ["--nt", "48", "--ny", "48"]
@@ -35,8 +39,10 @@ def read_tree(root):
 
 def test_config_roundtrip():
     cfg = cli.RunConfig(theta=3.0, eps=1e-4, fit_window=(1e-3, 0.25),
-                        target_kind="self_similar", outdir="x")
-    assert cli.nested_to_config(cli.config_to_nested(cfg)) == cfg
+                        target=cli.TargetConfig(kind="self_similar"),
+                        outdir="x")
+    doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert cli.nested_to_config(doc) == cfg
 
 
 def test_config_invariants():
@@ -45,13 +51,99 @@ def test_config_invariants():
     with pytest.raises(InvalidParameterError, match="theta"):
         cli.RunConfig(theta=-1.0)
     with pytest.raises(InvalidParameterError, match="path"):
-        cli.RunConfig(target_kind="file")
+        cli.TargetConfig(kind="file")
     with pytest.raises(InvalidParameterError, match="kind"):
-        cli.RunConfig(target_kind="gaussian")
+        cli.TargetConfig(kind="gaussian")
     with pytest.raises(InvalidParameterError, match="window"):
         cli.RunConfig(fit_window=(0.5, 0.1))
     with pytest.raises(InvalidParameterError, match="a < b"):
-        cli.RunConfig(target_a=1.0, target_b=-1.0)
+        cli.TargetConfig(a=1.0, b=-1.0)
+
+
+# (config document, the key the message must name); each was accepted, or
+# ended in a traceback, before the config types checked their own fields
+REJECTED = [
+    ({"strict": "no"}, "strict"),
+    ({"theta": True}, "theta"),
+    ({"solver": {"newton_max_iter": 2.5}}, "newton_max_iter"),
+    ({"solver": {"newton_max_iter": True}}, "newton_max_iter"),
+    ({"solver": {"gamma_y_floor": "x"}}, "gamma_y_floor"),
+    ({"solver": {"gamma_y_floor": -1}}, "gamma_y_floor"),
+    ({"outdir": 5}, "outdir"),
+    ({"target": {"path": 7}}, "target.path"),
+]
+
+
+@pytest.mark.parametrize("doc,key", REJECTED,
+                         ids=[json.dumps(d) for d, _ in REJECTED])
+def test_config_rejects_wrong_types_and_ranges(tmp_path, capsys, doc, key):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises((FormatError, InvalidParameterError), match=key):
+        cli.load_config(path)
+    assert run_cli("solve", "--config", path, "--outdir", tmp_path / "r") == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_solve_rejects_solver_config_out_of_range():
+    p = make_profile(1.0)
+    with pytest.raises(InvalidParameterError, match="newton_max_iter"):
+        solve(p, power_bump(-1.0, 1.0, 1.0), make_grid(p, 1e-3, 1.0, 16, 16),
+              SolverConfig(newton_max_iter=0))
+
+
+def test_int_in_float_field_loads_and_echoes(tmp_path):
+    doc = tmp_path / "c.json"
+    doc.write_text(json.dumps({"theta": 3, "outdir": str(tmp_path / "r")}))
+    assert cli.load_config(doc).theta == 3
+    assert run_cli("solve", "--config", doc, *FAST) == 0
+    assert '\n  "theta": 3,\n' in (tmp_path / "r" / "config.json").read_text()
+
+
+# for every flag of cli.CONFIG_FLAGS: its key in config.json, a value other
+# than the default, and the setting that value must give
+FLAG_VALUES = {
+    "--theta": ("theta", ["0.37"], 0.37),
+    "--eps": ("eps", ["0.37"], 0.37),
+    "--T": ("T", ["0.37"], 0.37),
+    "--nt": ("nt", ["37"], 37),
+    "--ny": ("ny", ["37"], 37),
+    "--target": ("target.kind", ["self_similar"], "self_similar"),
+    "--a": ("target.a", ["0.37"], 0.37),
+    "--b": ("target.b", ["0.37"], 0.37),
+    "--target-path": ("target.path", ["t.csv"], "t.csv"),
+    "--outdir": ("outdir", ["o"], "o"),
+    "--window": ("fit_window", ["0.01", "0.2"], (0.01, 0.2)),
+    "--max-iter": ("solver.newton_max_iter", ["37"], 37),
+    "--tol": ("solver.residual_tol", ["0.37"], 0.37),
+    "--strict": ("strict", [], True),
+}
+
+
+def setting(cfg, path):
+    for key in path.split("."):
+        cfg = getattr(cfg, key)
+    return cfg
+
+
+@pytest.mark.parametrize("fl", cli.CONFIG_FLAGS, ids=lambda fl: fl.flag)
+def test_config_flag_sets_its_path(fl):
+    path, argv, expected = FLAG_VALUES[fl.flag]
+    assert fl.path == path
+    args = cli.build_parser().parse_args(["solve", fl.flag, *argv])
+    assert setting(cli.RunConfig(), fl.path) != expected
+    assert setting(cli._config_from_args(args), fl.path) == expected
+
+
+def test_solve_help_lists_the_flag_table(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["solve", "--help"])
+    flag = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+    listed = set(flag.findall(capsys.readouterr().out))
+    table = {fl.flag for fl in cli.CONFIG_FLAGS}
+    assert listed == table | {"--help", "--config"}
+    assert set(FLAG_VALUES) == table
 
 
 def test_load_config_reports_line_numbers(tmp_path):
@@ -176,6 +268,18 @@ def test_rates_window_override_and_write(solved_run, capsys):
     report = json.loads((solved_run / "rates.json").read_text())
     assert report["window"] == [0.02, 0.2]
     capsys.readouterr()
+
+
+def test_rates_rejects_inverted_window(solved_run, tmp_path, capsys):
+    before = (solved_run / "rates.json").read_bytes()
+    assert run_cli("rates", solved_run, "--window", "0.3", "0.2",
+                   "--strict") == 1
+    message = capsys.readouterr().err
+    assert "fit window must satisfy 0 < lo < hi" in message
+    assert run_cli("solve", "--window", "0.3", "0.2",
+                   "--outdir", tmp_path / "r") == 1
+    assert capsys.readouterr().err == message
+    assert (solved_run / "rates.json").read_bytes() == before
 
 
 def test_validate_reports_envelope(tmp_path, capsys):
