@@ -247,6 +247,7 @@ def _run_pipeline(cfg: RunConfig):
 
     p = make_profile(cfg.theta)
     grid = make_grid(p, cfg.eps, cfg.T, cfg.nt, cfg.ny)
+    rescale_mod.series_rows(grid)       # fail before the solve and any write
     f = solve(p, _build_target(cfg, p), grid, cfg.solver)
 
     out = Path(cfg.outdir)
@@ -274,13 +275,12 @@ def _run_pipeline(cfg: RunConfig):
     interior = slice(1, grid.nt)
     curv_ok = bool(np.all(fb.ddgL[interior] > 0.0)
                    and np.all(fb.ddgR[interior] < 0.0))
-    fitted = [r for r in report["laws"] if r["fitted_exponent"] is not None]
-    failed = [r["law"] for r in fitted if not r["pass"]]
+    failed, unfitted = metrics_mod.rate_verdict(report)
     certificates = {
         "mass_error": mass_err,
         "mass_conserved": bool(mass_err <= 1e-6),
         "boundary_curvature_signs": curv_ok,
-        "rates_all_pass": not failed,
+        "rates_all_pass": not failed and unfitted is None,
         "laws_out_of_band": failed,
     }
     manifest = {
@@ -306,9 +306,11 @@ def _run_pipeline(cfg: RunConfig):
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .metrics import rate_verdict
+
     cfg = _config_from_args(args)
     try:
-        f, certs, _ = _run_pipeline(cfg)
+        f, certs, report = _run_pipeline(cfg)
     except (NewtonDivergenceError, DegenerateStateError,
             CrossingCharacteristicsError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
@@ -320,9 +322,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not cert_ok:
         bad = [k for k in ("mass_conserved", "boundary_curvature_signs",
                            "rates_all_pass") if not certs[k]]
+        failed, unfitted = rate_verdict(report)
         print(f"certificates out of band: {', '.join(bad)}"
-              + (f" (laws: {', '.join(certs['laws_out_of_band'])})"
-                 if certs["laws_out_of_band"] else ""))
+              + (f" (laws: {', '.join(failed)})" if failed else
+                 f" ({unfitted})" if unfitted else ""))
         if cfg.strict:
             return EXIT_CERTIFICATE
     return EXIT_OK
@@ -437,7 +440,7 @@ def _write_cauchy_table(cfg: RunConfig, values, results, out: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_rates(args: argparse.Namespace) -> int:
-    from .metrics import rate_report, save_rate_report
+    from .metrics import rate_report, rate_verdict, save_rate_report
     from .rescale import load_series_csv
 
     rundir = Path(args.rundir)
@@ -452,20 +455,21 @@ def cmd_rates(args: argparse.Namespace) -> int:
           f"{report['window'][1]:g}]")
     for flag in report["flags"]:
         print(f"  note: {flag}")
-    any_fail = False
     for r in report["laws"]:
         if r["fitted_exponent"] is None:
             print(f"  {r['law']:16s} theoretical {r['theoretical_exponent']:+.4f}"
                   f"   (window too short to fit)")
             continue
         verdict = "pass" if r["pass"] else "FAIL"
-        any_fail |= not r["pass"]
         print(f"  {r['law']:16s} theoretical {r['theoretical_exponent']:+.4f} "
               f"fitted {r['fitted_exponent']:+.6f} r2 {r['r2']:.5f} {verdict}")
+    failed, unfitted = rate_verdict(report)
+    if unfitted:
+        print(f"  {unfitted}")
     if args.write:
         save_rate_report(report, rundir / "rates.json")
         print(f"wrote {rundir / 'rates.json'}")
-    if cfg.strict and any_fail:
+    if cfg.strict and (failed or unfitted):
         return EXIT_CERTIFICATE
     return EXIT_OK
 
@@ -473,9 +477,6 @@ def cmd_rates(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from .target import load_csv, validate_compatibility
 
-    if not Path(args.path).is_file():
-        print(f"{args.path}: no such target file", file=sys.stderr)
-        return EXIT_CONFIG
     m = load_csv(args.path, theta=args.theta)
     report = validate_compatibility(m, ratio_bound=args.ratio_bound)
     print(f"c_lower={report.c_lower:.17g}")

@@ -63,15 +63,6 @@ _SLOPE_FLOOR = 1e-12
 
 # -- derivative stencils -----------------------------------------------------
 
-def _slopes_all(f: FlowField) -> np.ndarray:
-    """Label derivative gamma_y on every slice; centered inside, one-sided
-    second order at the boundary columns."""
-    s = np.gradient(f.gamma, f.grid.dy, axis=1, edge_order=2)
-    if np.min(s) <= _SLOPE_FLOOR:
-        raise DegenerateStateError("flow map slope collapsed; density undefined")
-    return s
-
-
 def _gamma_t_all(f: FlowField) -> np.ndarray:
     return np.gradient(f.gamma, f.grid.t, axis=0, edge_order=2)
 
@@ -97,26 +88,35 @@ def _row_gradient(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _second_derivative(values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # second derivative along axis 0 of the local interpolating parabola;
-    # the end rows share the parabola of their neighbor
-    shape = (-1,) + (1,) * (np.ndim(values) - 1)
+def _second_derivative(values: np.ndarray, t: np.ndarray,
+                       axis: int = 0) -> np.ndarray:
+    """Second derivative along ``axis`` on the nodes ``t``: that of the
+    local interpolating parabola; the end nodes share the parabola of
+    their neighbor."""
+    v = np.moveaxis(values, axis, 0)
+    shape = (-1,) + (1,) * (v.ndim - 1)
     hm = np.diff(t)[:-1].reshape(shape)
     hp = np.diff(t)[1:].reshape(shape)
-    core = 2.0 * (values[2:] * hm - values[1:-1] * (hm + hp) + values[:-2] * hp)
+    core = 2.0 * (v[2:] * hm - v[1:-1] * (hm + hp) + v[:-2] * hp)
     core /= hm * hp * (hm + hp)
-    return np.concatenate([core[:1], core, core[-1:]])
+    return np.moveaxis(np.concatenate([core[:1], core, core[-1:]]), 0, axis)
 
 
 # -- pointwise fields on the support -----------------------------------------
 
-def _density_rows(f: FlowField, rows) -> np.ndarray:
-    """``m = phi(y) / gamma_y`` on the image nodes of the time rows ``rows``
-    (an index or an index array)."""
+def _label_slopes(f: FlowField, rows) -> np.ndarray:
+    """Label derivative gamma_y of the time rows ``rows`` (an index, slice
+    or index array): centered inside, one-sided second order at the
+    boundary columns."""
     s = np.gradient(f.gamma[rows], f.grid.dy, axis=-1, edge_order=2)
     if s.size and np.min(s) <= _SLOPE_FLOOR:
         raise DegenerateStateError("flow map slope collapsed; density undefined")
-    return f.profile.phi(f.grid.y) / s
+    return s
+
+
+def _density_rows(f: FlowField, rows) -> np.ndarray:
+    """``m = phi(y) / gamma_y`` on the image nodes of the time rows ``rows``."""
+    return f.profile.phi(f.grid.y) / _label_slopes(f, rows)
 
 
 def density(f: FlowField, t_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,9 +158,7 @@ def value_on_support(f: FlowField, p: Profile | None = None,
             raise CompatibilityError(
                 "terminal row of the flow does not match the supplied target")
     gt = _gamma_t_all(f)
-    s = _slopes_all(f)
-    mth = (p.phi(g.y)[None, :] / s) ** p.theta
-    psi = mth + 0.5 * gt * gt
+    psi = _density_rows(f, slice(None)) ** p.theta + 0.5 * gt * gt
 
     xT = f.gamma[-1]
     uxT = -gt[-1]
@@ -330,16 +328,38 @@ def _extend_one_side(h: _SideHistory, i: int,
         beyond = x < lT
         fan = ~beyond
         if np.any(fan):
-            idx = np.arange(i, h.t.size)
-            if idx.size == 1:
-                u[fan] = h.ub[i]
-                ux[fan] = -h.d[i]
-            else:
-                u[fan], ux[fan] = _fan_invert(h, idx, s, x[fan])
+            u[fan], ux[fan] = _fan_invert(h, np.arange(i, h.t.size), s, x[fan])
         if np.any(beyond):
             u_at_lT = h.ub[-1] + (h.t[-1] - s) * 0.5 * h.d[-1] ** 2
             u[beyond] = (lT - x[beyond]) * h.d[-1] + u_at_lT
             ux[beyond] = -h.d[-1]
+    return u, ux
+
+
+def _histories(fb: FreeBoundaries, u_left: np.ndarray,
+               u_right: np.ndarray) -> tuple[_SideHistory, _SideHistory]:
+    """Side histories of the two boundary labels, the right one reflected."""
+    return (_side_history(fb.t, fb.gamma_L, fb.dgL, u_left),
+            _side_history(fb.t, -fb.gamma_R, -fb.dgR, u_right))
+
+
+def _extend(hL: _SideHistory, hR: _SideHistory, i: int,
+            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, u_x)`` of the continuation at exterior points ``x`` of time row
+    ``i``: points left of the support on the left history, the others on
+    the reflected right one."""
+    left = x <= hL.g[i]
+    right = -x <= hR.g[i]
+    if not np.all(left | right):
+        raise InvalidParameterError("extension requested inside the support")
+    u = np.empty_like(x)
+    ux = np.empty_like(x)
+    if np.any(left):
+        u[left], ux[left] = _extend_one_side(hL, i, x[left])
+    if np.any(right):
+        ur, uxr = _extend_one_side(hR, i, -x[right])
+        u[right] = ur
+        ux[right] = -uxr
     return u, ux
 
 
@@ -351,22 +371,9 @@ def extend_value(fb: FreeBoundaries, u_left: np.ndarray, u_right: np.ndarray,
     boundary labels.  Returns ``(u, u_x)``; points must lie on or outside
     the support at that time.
     """
-    x = np.asarray(x, dtype=float)
-    hL = _side_history(fb.t, fb.gamma_L, fb.dgL, np.asarray(u_left, float))
-    hR = _side_history(fb.t, -fb.gamma_R, -fb.dgR, np.asarray(u_right, float))
-    left = x <= fb.gamma_L[t_index]
-    right = x >= fb.gamma_R[t_index]
-    if not np.all(left | right):
-        raise InvalidParameterError("extension requested inside the support")
-    u = np.empty_like(x)
-    ux = np.empty_like(x)
-    if np.any(left):
-        u[left], ux[left] = _extend_one_side(hL, t_index, x[left])
-    if np.any(right):
-        ur, uxr = _extend_one_side(hR, t_index, -x[right])
-        u[right] = ur
-        ux[right] = -uxr
-    return u, ux
+    hL, hR = _histories(fb, np.asarray(u_left, float),
+                        np.asarray(u_right, float))
+    return _extend(hL, hR, t_index, np.asarray(x, dtype=float))
 
 
 # -- snapshots ----------------------------------------------------------------
@@ -394,6 +401,11 @@ class EulerianSnapshot:
         return (self.x_nodes >= self.gamma_L) & (self.x_nodes <= self.gamma_R)
 
 
+def _default_pad(ny: int) -> int:
+    """Exterior nodes per side of a snapshot that sets none."""
+    return max(2, ny // 4)
+
+
 def _padded_rows(f: FlowField, rows: np.ndarray, n_pad: int,
                  ubar: np.ndarray, fb: FreeBoundaries):
     """Image nodes of the time rows ``rows`` with ``n_pad`` exterior nodes
@@ -403,7 +415,7 @@ def _padded_rows(f: FlowField, rows: np.ndarray, n_pad: int,
     support) and value, each of shape (rows, n_pad + ny + 1 + n_pad), and
     the exterior slopes, shape (rows, 2 n_pad), left nodes first.  The
     exterior continuation brackets each row separately, so it runs once
-    per row.
+    per row, on side histories built once.
     """
     x_sup = f.gamma[rows]
     m_sup = _density_rows(f, rows)
@@ -414,9 +426,9 @@ def _padded_rows(f: FlowField, rows: np.ndarray, n_pad: int,
     x_ext = np.concatenate([x_left, x_right], axis=1)
     u_ext = np.empty_like(x_ext)
     ux_ext = np.empty_like(x_ext)
+    hL, hR = _histories(fb, ubar[:, 0], ubar[:, -1])
     for k, i in enumerate(rows):
-        u_ext[k], ux_ext[k] = extend_value(fb, ubar[:, 0], ubar[:, -1],
-                                           int(i), x_ext[k])
+        u_ext[k], ux_ext[k] = _extend(hL, hR, int(i), x_ext[k])
     pad = np.zeros((len(rows), n_pad))
     x = np.concatenate([x_left, x_sup, x_right], axis=1)
     m = np.concatenate([pad, m_sup, pad], axis=1)
@@ -442,7 +454,7 @@ def snapshot(f: FlowField, t_index: int, p: Profile | None = None,
     if fb is None:
         fb = free_boundaries(f)
     if n_pad is None:
-        n_pad = max(2, g.ny // 4)
+        n_pad = _default_pad(g.ny)
 
     x, dens, u, ux_ext = _padded_rows(f, np.array([t_index]), n_pad, ubar, fb)
     ux = np.concatenate([ux_ext[0, :n_pad], velocity(f, t_index),
@@ -471,7 +483,7 @@ def pushforward_masses(f: FlowField, p: Profile | None = None) -> np.ndarray:
     """
     p = f.profile if p is None else p
     g = f.grid
-    s = _slopes_all(f)
+    s = _label_slopes(f, slice(None))
     phi = p.phi(g.y)
     mvals = phi[None, :] / s
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -486,7 +498,7 @@ def pushforward_partial_masses(f: FlowField, t_index: int,
     p = f.profile if p is None else p
     g = f.grid
     _, m = density(f, t_index)
-    s = np.gradient(f.gamma[t_index], g.dy, edge_order=2)
+    s = _label_slopes(f, t_index)
     phi = p.phi(g.y)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(phi > 0.0, m * s / phi, 1.0)
@@ -554,12 +566,10 @@ class _ValueEvaluator:
     support (linear would pollute the u_t stencils at O(dy^2/dtau)),
     characteristic continuation outside."""
 
-    def __init__(self, f: FlowField, ubar: np.ndarray, hL: _SideHistory,
-                 hR: _SideHistory):
+    def __init__(self, f: FlowField, ubar: np.ndarray, fb: FreeBoundaries):
         self.f = f
         self.ubar = ubar
-        self.hL = hL
-        self.hR = hR
+        self.hL, self.hR = _histories(fb, ubar[:, 0], ubar[:, -1])
         self._splines: dict[int, CubicSpline] = {}
 
     def __call__(self, k: int, x: np.ndarray) -> np.ndarray:
@@ -568,20 +578,32 @@ class _ValueEvaluator:
         if sp is None:
             sp = self._splines[k] = CubicSpline(row, self.ubar[k])
         u = sp(x)
-        outL = x < row[0]
-        outR = x > row[-1]
-        if np.any(outL):
-            u[outL] = _extend_one_side(self.hL, k, x[outL])[0]
-        if np.any(outR):
-            u[outR] = _extend_one_side(self.hR, k, -x[outR])[0]
+        out = (x < row[0]) | (x > row[-1])
+        if np.any(out):
+            u[out] = _extend(self.hL, self.hR, k, x[out])[0]
         return u
 
+    def time_derivative(self, i: int, x: np.ndarray,
+                        u: np.ndarray) -> np.ndarray:
+        """u_t at time row ``i`` on the nodes ``x``, where the value is
+        ``u``: the nonuniform three-point stencil of `_row_gradient` over
+        the rows i-1, i, i+1, the neighbor slices evaluated at ``x``."""
+        rows = np.stack([self(i - 1, x), u, self(i + 1, x)], axis=-1)
+        t = np.broadcast_to(self.f.grid.t[i - 1:i + 2], rows.shape)
+        return _row_gradient(rows, t)[:, 1]
 
-def _histories(f: FlowField, ubar: np.ndarray,
-               fb: FreeBoundaries) -> tuple[_SideHistory, _SideHistory]:
-    hL = _side_history(fb.t, fb.gamma_L, fb.dgL, ubar[:, 0])
-    hR = _side_history(fb.t, -fb.gamma_R, -fb.dgR, ubar[:, -1])
-    return hL, hR
+
+def _hj_setup(f: FlowField, p: Profile | None, ubar: np.ndarray | None,
+              t_min: float | None):
+    """``(ubar, fb, evaluator, rows)`` of an HJ residual; ``rows`` are the
+    interior time rows with t >= t_min (default `SpaceTimeGrid.t_resolved`,
+    the end of the initial layer)."""
+    ubar = value_on_support(f, p) if ubar is None else ubar
+    fb = free_boundaries(f)
+    t = f.grid.t
+    t_min = f.grid.t_resolved if t_min is None else t_min
+    return (ubar, fb, _ValueEvaluator(f, ubar, fb),
+            np.arange(1, t.size - 1)[t[1:-1] >= t_min])
 
 
 def hj_interior_residual(f: FlowField, p: Profile | None = None,
@@ -595,36 +617,20 @@ def hj_interior_residual(f: FlowField, p: Profile | None = None,
     so this is a genuine consistency check of all reconstructed fields.
 
     NaN marks nodes where the pointwise statement does not apply: rows
-    before ``t_min`` (default 10 eps, inside the initial layer), the
-    boundary columns, and nodes whose time stencil leaves the open
-    support at a neighbor slice.  The value is merely C^1 across the free
-    boundary, so finite differences across it test the smoothness of the
-    exact solution, not the reconstruction.
+    before ``t_min`` (default `SpaceTimeGrid.t_resolved`, the end of the
+    initial layer), the boundary columns, and nodes whose time stencil
+    leaves the open support at a neighbor slice.  The value is merely C^1
+    across the free boundary, so finite differences across it test the
+    smoothness of the exact solution, not the reconstruction.
     """
     p = f.profile if p is None else p
-    g = f.grid
-    if ubar is None:
-        ubar = value_on_support(f, p)
-    fb = free_boundaries(f)
-    hL, hR = _histories(f, ubar, fb)
-    ev = _ValueEvaluator(f, ubar, hL, hR)
-    if t_min is None:
-        t_min = 10.0 * g.eps
-    s = _slopes_all(f)
-    mth = (p.phi(g.y)[None, :] / s) ** p.theta
+    ubar, _, ev, rows = _hj_setup(f, p, ubar, t_min)
+    mth = _density_rows(f, slice(None)) ** p.theta
 
     out = np.full_like(ubar, np.nan)
-    for i in range(1, g.nt):
-        if g.t[i] < t_min:
-            continue
+    for i in rows:
         x = f.gamma[i]
-        hm = g.t[i] - g.t[i - 1]
-        hp = g.t[i + 1] - g.t[i]
-        um = ev(i - 1, x)
-        up = ev(i + 1, x)
-        u_t = (-hp / (hm * (hm + hp)) * um
-               + (hp - hm) / (hm * hp) * ubar[i]
-               + hm / (hp * (hm + hp)) * up)
+        u_t = ev.time_derivative(i, x, ubar[i])
         u_x = np.gradient(ubar[i], x, edge_order=2)
         res = -u_t + 0.5 * u_x * u_x - mth[i]
         inside = ((x > f.gamma[i - 1, 0]) & (x < f.gamma[i - 1, -1])
@@ -632,6 +638,16 @@ def hj_interior_residual(f: FlowField, p: Profile | None = None,
         inside[0] = inside[-1] = False
         out[i, inside] = res[inside]
     return out
+
+
+def _off_interfaces(h: _SideHistory, i: int, x: np.ndarray) -> np.ndarray:
+    """False at the exterior nodes ``x`` of row ``i`` (left frame) whose
+    space or time stencil straddles a region interface of the
+    construction (see `_degenerate_region`); u is C^1 but not C^2 there."""
+    flags = [_degenerate_region(h, j, x) for j in (i - 1, i, i + 1)]
+    same_t = (flags[0] == flags[1]) & (flags[1] == flags[2])
+    jump = flags[1][1:] != flags[1][:-1]       # between neighboring nodes
+    return same_t & ~(np.r_[False, jump] | np.r_[jump, False])
 
 
 def hj_exterior_residual(f: FlowField, p: Profile | None = None,
@@ -642,78 +658,44 @@ def hj_exterior_residual(f: FlowField, p: Profile | None = None,
     """-u_t + u_x^2/2 of the continued value on exterior pads.
 
     Same finite-difference protocol as the interior residual, evaluated on
-    ``n_pad`` uniformly spaced nodes glued to each free boundary.  NaN on
-    rows before ``t_min``, at nodes the moving boundary crosses within the
-    time stencil, and within ``standoff`` pad cells of the boundary: the
-    tangency time of the continuation satisfies dt_hat/ds ~ 1/(s - t_hat),
-    so second time derivatives of the exact continued value blow up like
-    distance^(-1/2) at the contact line and pointwise finite differences
-    are meaningless there no matter how the field was produced.
+    the ``n_pad`` exterior nodes per side of a snapshot (default as in
+    `snapshot`).  NaN on rows before ``t_min``, at nodes the moving
+    boundary crosses within the time stencil, and within ``standoff`` pad
+    cells of the boundary: the tangency time of the continuation satisfies
+    dt_hat/ds ~ 1/(s - t_hat), so second time derivatives of the exact
+    continued value blow up like distance^(-1/2) at the contact line and
+    pointwise finite differences are meaningless there no matter how the
+    field was produced.
     """
-    p = f.profile if p is None else p
     g = f.grid
-    if ubar is None:
-        ubar = value_on_support(f, p)
-    fb = free_boundaries(f)
-    hL, hR = _histories(f, ubar, fb)
-    ev = _ValueEvaluator(f, ubar, hL, hR)
-    if t_min is None:
-        t_min = 10.0 * g.eps
+    ubar, fb, ev, rows = _hj_setup(f, p, ubar, t_min)
     if n_pad is None:
-        n_pad = max(2, g.ny // 4)
+        n_pad = _default_pad(g.ny)
+
+    x, _, u, _ = _padded_rows(f, rows, n_pad, ubar, fb)
+    # one-sided gradients on [pads, boundary node] keep the stencil on
+    # the correct side of the C^1 glue point
+    side = n_pad + 1
+    u_x = np.concatenate(
+        [_row_gradient(u[:, :side], x[:, :side])[:, :-1],
+         _row_gradient(u[:, -side:], x[:, -side:])[:, 1:]], axis=1)
+    pads = np.r_[:n_pad, -n_pad:0]
+    x, u = x[:, pads], u[:, pads]
 
     out = np.full((g.nt + 1, 2 * n_pad), np.nan)
-    for i in range(1, g.nt):
-        if g.t[i] < t_min:
-            continue
-        gL, gR = f.gamma[i, 0], f.gamma[i, -1]
-        h = (gR - gL) / g.ny
-        xl = gL - h * np.arange(n_pad, 0, -1)
-        xr = gR + h * np.arange(1, n_pad + 1)
-        ul, _ = _extend_one_side(hL, i, xl)
-        ur_, uxr = _extend_one_side(hR, i, -xr)
-        # one-sided gradients on [pads, boundary node] keep the stencil on
-        # the correct side of the C^1 glue point
-        u_x_l = np.gradient(np.concatenate([ul, [ubar[i, 0]]]),
-                            np.concatenate([xl, [gL]]), edge_order=2)[:-1]
-        u_x_r = np.gradient(np.concatenate([[ubar[i, -1]], ur_]),
-                            np.concatenate([[gR], xr]), edge_order=2)[1:]
-        x = np.concatenate([xl, xr])
-        u0 = np.concatenate([ul, ur_])
-        u_x = np.concatenate([u_x_l, u_x_r])
-        hm = g.t[i] - g.t[i - 1]
-        hp = g.t[i + 1] - g.t[i]
-        um = ev(i - 1, x)
-        up = ev(i + 1, x)
-        u_t = (-hp / (hm * (hm + hp)) * um
-               + (hp - hm) / (hm * hp) * u0
-               + hm / (hp * (hm + hp)) * up)
-        res = -u_t + 0.5 * u_x * u_x
-        outside = np.concatenate([
+    for k, i in enumerate(rows):
+        res = -ev.time_derivative(i, x[k], u[k]) + 0.5 * u_x[k] * u_x[k]
+        xl, xr = x[k, :n_pad], x[k, n_pad:]
+        h = (f.gamma[i, -1] - f.gamma[i, 0]) / g.ny
+        ok = np.concatenate([
             (xl < f.gamma[i - 1, 0] - standoff * h)
-            & (xl < f.gamma[i + 1, 0] - standoff * h),
+            & (xl < f.gamma[i + 1, 0] - standoff * h)
+            & _off_interfaces(ev.hL, i, xl),
             (xr > f.gamma[i - 1, -1] + standoff * h)
-            & (xr > f.gamma[i + 1, -1] + standoff * h),
+            & (xr > f.gamma[i + 1, -1] + standoff * h)
+            & _off_interfaces(ev.hR, i, -xr),
         ])
-        # drop nodes whose space or time stencil straddles a region
-        # interface of the construction; u is C^1 but not C^2 there
-        ok_l = np.ones(n_pad, dtype=bool)
-        ok_r = np.ones(n_pad, dtype=bool)
-        for k, xs in ((0, xl), (1, -xr)):
-            hh = (hL, hR)[k]
-            flags = [_degenerate_region(hh, j, xs) for j in (i - 1, i, i + 1)]
-            same_t = (flags[0] == flags[1]) & (flags[1] == flags[2])
-            fi = flags[1]
-            same_x = np.ones_like(fi)
-            same_x[1:-1] = (fi[:-2] == fi[1:-1]) & (fi[1:-1] == fi[2:])
-            same_x[0] = fi[0] == fi[1]
-            same_x[-1] = fi[-1] == fi[-2]
-            if k == 0:
-                ok_l = same_t & same_x
-            else:
-                ok_r = same_t & same_x
-        out[i, outside & np.concatenate([ok_l, ok_r])] = \
-            res[outside & np.concatenate([ok_l, ok_r])]
+        out[i, ok] = res[ok]
     return out
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "wasserstein_maps",
     "fit_rate",
     "rate_report",
+    "rate_verdict",
     "save_rate_report",
 ]
 
@@ -195,8 +196,8 @@ def _law_row(law: str, theo: float, fit: RateFit | None) -> dict:
 
 
 def default_fit_window(g) -> tuple[float, float]:
-    """The fit window in t of a run that sets none: [10 eps, T/4]."""
-    return 10.0 * g.eps, g.T / 4.0
+    """The fit window in t of a run that sets none: [t_resolved, T/4]."""
+    return g.t_resolved, g.T / 4.0
 
 
 def rate_report(f, p: Profile, window: tuple | None = None,
@@ -286,6 +287,16 @@ def rate_report(f, p: Profile, window: tuple | None = None,
     return {"theta": p.theta, "alpha": p.alpha, "kappa": p.kappa,
             "critical": critical, "flags": flags,
             "window": [lo, hi], "laws": laws}
+
+
+def rate_verdict(report: dict) -> tuple[list[str], str | None]:
+    """Why the rate certificate of ``report`` fails: the fitted laws out of
+    their band, and a note when the window fitted no law, which certifies
+    nothing.  It passes when the list is empty and the note None."""
+    fitted = [r for r in report["laws"] if r["fitted_exponent"] is not None]
+    lo, hi = report["window"]
+    return ([r["law"] for r in fitted if not r["pass"]],
+            None if fitted else f"no law fitted in window [{lo:g}, {hi:g}]")
 
 
 def save_rate_report(report: dict, path) -> None:

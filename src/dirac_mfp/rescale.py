@@ -53,6 +53,7 @@ __all__ = [
     "reciprocal_integral",
     "hat_gamma_residual",
     "stationary_residual",
+    "series_rows",
     "build_series",
     "save_series_csv",
     "load_series_csv",
@@ -263,10 +264,7 @@ def hat_gamma_residual(f: FlowField,
     gh_y = np.gradient(gh, g.dy, axis=1, edge_order=2)
     if np.min(gh_y) <= 0.0:
         raise DegenerateStateError("rescaled flow map is not increasing")
-    gh_yy = np.empty_like(gh)
-    gh_yy[:, 1:-1] = (gh[:, 2:] - 2.0 * gh[:, 1:-1] + gh[:, :-2]) / g.dy ** 2
-    gh_yy[:, 0] = gh_yy[:, 1]
-    gh_yy[:, -1] = gh_yy[:, -2]
+    gh_yy = _second_derivative(gh, g.y, axis=1)
     phi_th = p.phi(g.y) ** p.theta
     dphi_th = np.gradient(phi_th, g.dy, edge_order=2)
     res = (p.alpha * (p.alpha - 1.0) * gh
@@ -303,9 +301,16 @@ SERIES_COLUMNS = ("tau", "H", "dH_fd", "dH_identity", "d1", "d2", "mu_max",
                   "duality_pairing")
 
 
-def _series_rows(g, t_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """Time rows of the series (t >= t_min and t > 0) and their log-times."""
+def series_rows(g, t_min: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Time rows of the series of grid ``g`` (t >= t_min, default
+    `SpaceTimeGrid.t_resolved`, and t > 0) and their log-times;
+    `InvalidParameterError` when fewer than four rows qualify.  The check
+    needs only the grid, so a run makes it before it solves."""
+    t_min = g.t_resolved if t_min is None else t_min
     keep = np.nonzero((g.t >= t_min) & (g.t > 0.0))[0]
+    if keep.size < 4:
+        raise InvalidParameterError(
+            f"fewer than four slices with t >= {t_min}")
     return keep, np.log(g.t[keep])
 
 
@@ -315,10 +320,10 @@ def build_series(f: FlowField, p: Profile | None = None,
                  fb: FreeBoundaries | None = None) -> dict[str, np.ndarray]:
     """Rescaled diagnostics for every slice with t >= t_min.
 
-    ``t_min`` defaults to 10 eps, below which the regularization bias
-    dominates every certificate.  d1, d2 are the Wasserstein distances of
-    mu(tau) to phi in mass coordinates (gamma_hat is the monotone optimal
-    map).  ``dH_fd`` differences the H column in tau, ``dH_identity`` is
+    ``t_min`` defaults to `SpaceTimeGrid.t_resolved`, below which the
+    regularization bias dominates every certificate.  d1, d2 are the
+    Wasserstein distances of mu(tau) to phi in mass coordinates
+    (gamma_hat is the monotone optimal map).  ``dH_fd`` differences the H column in tau, ``dH_identity`` is
     the exact dissipation form; comparing the two columns tests the
     Lyapunov identity with no shared discretization.  The padding is the
     full support width per side, so the duality pairing never needs to
@@ -333,13 +338,8 @@ def build_series(f: FlowField, p: Profile | None = None,
     """
     p = f.profile if p is None else p
     g = f.grid
-    if t_min is None:
-        t_min = 10.0 * g.eps
     n_pad = g.ny
-    keep, tau = _series_rows(g, t_min)
-    if keep.size < 4:
-        raise InvalidParameterError(
-            f"fewer than four slices with t >= {t_min}")
+    keep, tau = series_rows(g, t_min)
     if ubar is None:
         ubar = value_on_support(f, p)
     if fb is None:
@@ -384,13 +384,11 @@ def load_series_csv(path, f: FlowField) -> dict[str, np.ndarray] | None:
     one row per series row of ``f`` and its ``tau`` column equals the
     log-times of those rows bit for bit; ``%.17g`` round-trips exactly,
     so an accepted series is the one that was saved.  Returns ``None``
-    otherwise (also for a missing or unreadable file), and the caller
-    rebuilds the series.
+    otherwise (also for a missing or unreadable file, and for a grid with
+    too few series rows), and the caller rebuilds the series.
     """
-    _, tau = _series_rows(f.grid, 10.0 * f.grid.eps)
-    if tau.size < 4:
-        return None                     # build_series raises on so few rows
     try:
+        _, tau = series_rows(f.grid)    # InvalidParameterError is a ValueError
         with open(path) as fh:
             if fh.readline().rstrip("\n") != ",".join(SERIES_COLUMNS):
                 return None

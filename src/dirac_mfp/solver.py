@@ -97,6 +97,12 @@ class SpaceTimeGrid:
         return self.t + self.eps
 
     @property
+    def t_resolved(self) -> float:
+        """End of the initial layer, 10 eps: the HJ residuals, the rescaled
+        series and the default fit window start here."""
+        return 10.0 * self.eps
+
+    @property
     def wt(self) -> np.ndarray:
         """Trapezoidal time weights."""
         dt = self.dt
@@ -236,16 +242,19 @@ class _Workspace:
                            * self.dy / (self.theta + 1.0))
         return kinetic + congestion
 
+    def _fluxes(self, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Kinetic flux on each time interval, (nt, ny+1), and congestion
+        flux on each label cell, (nt+1, ny), zero-padded to (nt+1, ny+2)."""
+        th = self.theta
+        kin = self.W[None, :] * (np.diff(gamma, axis=0) / self.dt[:, None])
+        q = self.PHI[None, :] * (-th / (th + 1.0)) * self.slopes(gamma) ** (-th - 1.0)
+        return kin, np.pad(q, ((0, 0), (1, 1)))
+
     def gradient(self, gamma: np.ndarray) -> np.ndarray:
         """dE/dgamma at the interior time rows, shape (nt-1, ny+1)."""
-        th = self.theta
-        dtg = np.diff(gamma, axis=0) / self.dt[:, None]
-        kin_flux = self.W[None, :] * dtg
-        s = self.slopes(gamma)
-        q = self.PHI[None, :] * (-th / (th + 1.0)) * s ** (-th - 1.0)
-        qp = np.pad(q, ((0, 0), (1, 1)))
+        kin, qp = self._fluxes(gamma)
         cong = self.wt[:, None] * (qp[:, :-1] - qp[:, 1:])
-        return (kin_flux[:-1] - kin_flux[1:]) + cong[1:-1]
+        return (kin[:-1] - kin[1:]) + cong[1:-1]
 
     def cell_curvature(self, gamma: np.ndarray) -> np.ndarray:
         """Hessian coefficient of each congestion cell at interior rows."""
@@ -255,13 +264,9 @@ class _Workspace:
 
     def term_scale(self, gamma: np.ndarray) -> np.ndarray:
         """Sum of absolute assembly terms entering each gradient entry."""
-        th = self.theta
-        dtg = np.diff(gamma, axis=0) / self.dt[:, None]
-        kin_abs = self.W[None, :] * np.abs(dtg)
-        qa = self.PHI[None, :] * (th / (th + 1.0)) * self.slopes(gamma) ** (-th - 1.0)
-        qp = np.pad(qa, ((0, 0), (1, 1)))
-        cong_abs = self.wt[:, None] * (qp[:, :-1] + qp[:, 1:])
-        return (kin_abs[:-1] + kin_abs[1:]) + cong_abs[1:-1]
+        kin, qp = (np.abs(a) for a in self._fluxes(gamma))
+        cong = self.wt[:, None] * (qp[:, :-1] + qp[:, 1:])
+        return (kin[:-1] + kin[1:]) + cong[1:-1]
 
     def scaled_norm(self, G: np.ndarray, gamma: np.ndarray) -> float:
         """Relative stationarity measure: gradient entries divided by the
@@ -301,29 +306,22 @@ def residual(f: FlowField, p: Profile | None = None) -> np.ndarray:
     Uses the exact coefficients phi^theta = c (R^2 - y^2) and
     (phi^theta)_y = -2 c y rather than numerical powers of phi.
     """
+    from .fields import _second_derivative
+
     p = f.profile if p is None else p
     g, gamma = f.grid, f.gamma
     th, c, R = p.theta, p.c, p.r_alpha
-    dt = g.dt
-    dy = g.dy
     y = g.y
 
-    # nonuniform three-point second difference in t
-    fwd = (gamma[2:] - gamma[1:-1]) / dt[1:, None]
-    bwd = (gamma[1:-1] - gamma[:-2]) / dt[:-1, None]
-    gamma_tt = 2.0 * (fwd - bwd) / (dt[:-1] + dt[1:])[:, None]
-
+    gamma_tt = _second_derivative(gamma, g.t)[1:-1]
     inner = gamma[1:-1]
-    gamma_y = np.empty_like(inner)
-    gamma_y[:, 1:-1] = (inner[:, 2:] - inner[:, :-2]) / (2.0 * dy)
-    gamma_y[:, 0] = (-3.0 * inner[:, 0] + 4.0 * inner[:, 1] - inner[:, 2]) / (2.0 * dy)
-    gamma_y[:, -1] = (3.0 * inner[:, -1] - 4.0 * inner[:, -2] + inner[:, -3]) / (2.0 * dy)
+    gamma_y = np.gradient(inner, g.dy, axis=1, edge_order=2)
+    gamma_yy = _second_derivative(inner, y, axis=1)[:, 1:-1]
 
     phith = c * (R * R - y * y)
     dphith = -2.0 * c * y
 
     out = np.empty_like(inner)
-    gamma_yy = (inner[:, 2:] - 2.0 * inner[:, 1:-1] + inner[:, :-2]) / dy**2
     mid = gamma_y[:, 1:-1]
     out[:, 1:-1] = (gamma_tt[:, 1:-1]
                     + th * phith[None, 1:-1] * gamma_yy / mid ** (th + 2.0)

@@ -261,9 +261,15 @@ def load_csv(path, theta: float, strict: bool = False) -> TerminalDensity:
     The file must have the exact header ``x,density``, at least 8 rows,
     strictly increasing x and nonnegative density.  Mass is normalized to
     one.  ``theta`` fixes the exponent for the compatibility certificate;
-    in strict mode a failed certificate raises `CompatibilityError`.
+    in strict mode a failed certificate raises `CompatibilityError`.  A
+    missing or unreadable file raises `FormatError`.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise FormatError(f"{path}: no such target file") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file ({exc.reason})") from exc
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(c.strip() for c in row)]
     if not rows or [c.strip() for c in rows[0]] != ["x", "density"]:

@@ -229,6 +229,47 @@ def test_solve_exit_codes(tmp_path):
                    "--strict") == 3
 
 
+def test_missing_target_csv_exits_1(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    out = tmp_path / "run"
+    assert run_cli("solve", "--target", "file", "--target-path", missing,
+                   "--outdir", out, "--nt", "32", "--ny", "32") == 1
+    assert f"{missing}: no such target file" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("validate", missing, "--theta", "1") == 1
+    assert f"{missing}: no such target file" in capsys.readouterr().err
+
+
+def test_eps_too_large_for_horizon_rejected_before_solve(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("solve", "--eps", "0.5", "--T", "2", "--nt", "64",
+                   "--ny", "64", "--outdir", out) == 1
+    assert "fewer than four slices with t >= 5.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, window", [
+    (["--window", "2", "3"], "[2, 3]"),            # window beyond T
+    (["--eps", "0.01", "--T", "0.3"], "[0.1, 0.075]"),  # default window empty
+], ids=["window-beyond-T", "default-window-inverted"])
+def test_strict_fails_when_no_law_fitted(tmp_path, capsys, flags, window):
+    note = f"no law fitted in window {window}"
+    grid = ["--nt", "32", "--ny", "32"]
+    out = tmp_path / "run"
+    assert run_cli("solve", *flags, *grid, "--outdir", out) == 0
+    assert note in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["certificates"]["rates_all_pass"] is False
+    assert run_cli("solve", *flags, *grid, "--outdir", tmp_path / "s",
+                   "--strict") == 3
+    assert note in capsys.readouterr().out
+    # rates refits over the window the run recorded
+    assert run_cli("rates", out) == 0
+    assert note in capsys.readouterr().out
+    assert run_cli("rates", out, "--strict") == 3
+    assert note in capsys.readouterr().out
+
+
 def test_solve_strict_passes_on_clean_run(tmp_path):
     out = tmp_path / "clean"
     assert run_cli("solve", "--outdir", out, "--eps", "1e-4",

@@ -223,11 +223,14 @@ def test_extension_constant_below_turning_level():
 
 def test_extension_matches_boundary_data():
     t, g, d, ub = _quadratic_histories()
-    h = F._side_history(t, g, d, ub)
-    for i in (5, 40, 75):
-        u, ux = F._extend_one_side(h, i, np.array([g[i]]))
-        assert abs(u[0] - ub[i]) < 1e-12
-        assert abs(ux[0] + d[i]) < 1e-12
+    # the turning boundary, and a convex one without a turn, whose fan at
+    # the last row has a single tangent
+    for g, d in ((g, d), (g + 0.3 * t - 0.03, d + 0.3)):
+        h = F._side_history(t, g, d, ub)
+        for i in (5, 40, 75, t.size - 1):
+            u, ux = F._extend_one_side(h, i, np.array([g[i]]))
+            assert abs(u[0] - ub[i]) < 1e-12
+            assert abs(ux[0] + d[i]) < 1e-12
 
 
 def test_extension_case_b_linear_region(theta1, selfsim64):
@@ -265,13 +268,13 @@ def test_extension_crossing_characteristics_detected():
         F._extend_one_side(h, 10, np.array([g[10] - 1e-3]))
 
 
-def test_exterior_slope_bounded_by_boundary_history(solved128):
-    f, m = solved128
-    p, g = f.profile, f.grid
-    ub = F.value_on_support(f, p, m)
+def test_exterior_slope_bounded_by_boundary_history(solved64):
+    # every row, the last one included, on flows with real label dependence
+    p, f = solved64
+    ub = F.value_on_support(f, p)
     fb = F.free_boundaries(f)
     bound = max(np.max(np.abs(fb.dgL)), np.max(np.abs(fb.dgR)))
-    for i in (20, 60, 100):
+    for i in range(1, f.grid.nt + 1):
         snap = F.snapshot(f, i, p, ubar=ub, fb=fb)
         out = ~snap.support_mask
         assert np.max(np.abs(snap.u_x[out])) <= bound + 1e-12
@@ -385,6 +388,20 @@ def test_d1_to_dirac_oracle(theta1, selfsim64):
     exact = mean_abs * g.sigma ** p.alpha
     assert np.max(np.abs(d1 - exact)) < 3e-4
     assert np.all(np.diff(d1) > 0)
+
+
+def test_second_derivative_exact_on_quadratics():
+    # nonuniform nodes along each axis; the end nodes share the parabola
+    # of their neighbor, which is exact on a quadratic too
+    rng = np.random.default_rng(5)
+    t = np.cumsum(rng.uniform(0.05, 1.0, size=12))
+    y = np.cumsum(rng.uniform(0.05, 1.0, size=9))
+    along_t = 3.0 * t[:, None] ** 2 - t[:, None] + y[None, :]
+    along_y = -2.0 * y[None, :] ** 2 + 5.0 * y[None, :] + t[:, None]
+    np.testing.assert_allclose(F._second_derivative(along_t, t), 6.0,
+                               rtol=1e-10)
+    np.testing.assert_allclose(F._second_derivative(along_y, y, axis=1),
+                               -4.0, rtol=1e-10)
 
 
 def test_row_gradient_matches_numpy_per_row():

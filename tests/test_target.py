@@ -174,6 +174,13 @@ def test_csv_format_errors(tmp_path):
     with pytest.raises(errors.FormatError):
         load_csv(p, theta=1.0)  # wrong header
 
+    p.write_bytes(b"x,density\n\xf6\xff,1\n")
+    with pytest.raises(errors.FormatError, match="not a text file"):
+        load_csv(p, theta=1.0)  # not UTF-8
+
+    with pytest.raises(errors.FormatError, match="no such target file"):
+        load_csv(tmp_path, theta=1.0)  # a directory
+
 
 def test_invalid_bump_parameters():
     with pytest.raises(errors.InvalidParameterError):
