@@ -43,7 +43,7 @@ ref = (grid.t[:, None] + grid.eps) ** p.alpha * grid.y[None, :]
 print(f"\nsolved 64x64 against the analytic slice: "
       f"sup flow error {np.max(np.abs(f.gamma - ref)):.2e}")
 
-rep = rate_report(f, p)
+rep = rate_report(f)
 print(f"rate report: critical = {rep['critical']}, kappa = {rep['kappa']}")
 for flag in rep["flags"]:
     print(f"  flag: {flag}")

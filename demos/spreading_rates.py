@@ -54,7 +54,7 @@ for i in (32, 64, 96, 128):
     print(f"  t = {t:8.5f}   sup |mu - phi| = {err:.3e}")
 
 # every scaling law of the window [10 eps, 0.25]
-rep = rate_report(f, p, window=(10 * eps, 0.25))
+rep = rate_report(f, window=(10 * eps, 0.25))
 print("\nfitted scaling laws over t in [1e-3, 0.25]:")
 print("  law              theoretical   fitted      r^2      verdict")
 for r in rep["laws"]:

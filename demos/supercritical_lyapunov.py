@@ -31,7 +31,7 @@ f = solve(p, power_bump(-0.6, 1.4, 3.0), grid)   # asymmetric datum
 print(f"solved: {f.info.iterations} Newton steps, "
       f"scaled gradient {f.info.grad_norm:.2e}\n")
 
-s = build_series(f, p)
+s = build_series(f)
 tau, H, d2, du = s["tau"], s["H"], s["d2"], s["duality_pairing"]
 t = np.exp(tau)
 

@@ -11,7 +11,9 @@ relative output paths, so ``config.json`` carries no absolute path.
 
 The matrix: one operation of each benchmark workload at seed 0; ``solve``,
 ``export`` and ``rates`` at theta in {0.5, 1, 2, 3, 10} on a 64^2 grid; a
-theta sweep over {1, 3}; one ``--target self_similar`` run.  The output lists,
+theta sweep over {1, 3}; one ``--target self_similar`` run; ``validate`` on
+a ``(1 - x^2)_+`` table that the script writes; the ``--help`` of the program
+and of each subcommand, at a fixed width of 80 columns.  The output lists,
 for each call, its argv, exit code and standard output, then one
 ``sha256  path`` line for each file written, sorted by path.
 """
@@ -27,6 +29,14 @@ import sys
 from pathlib import Path
 
 GRID64 = ["--nt", "64", "--ny", "64"]
+SUBCOMMANDS = ("solve", "sweep", "rates", "validate", "export")
+
+
+def write_table(path: Path) -> None:
+    """``x,density`` table of (1 - x^2)_+ on 101 nodes of [-1, 1]."""
+    x = [-1.0 + k / 50.0 for k in range(101)]
+    path.write_text("x,density\n" + "".join(
+        f"{a:.17g},{max(1.0 - a * a, 0.0):.17g}\n" for a in x))
 
 
 def matrix(workloads) -> list[list[str]]:
@@ -45,6 +55,11 @@ def matrix(workloads) -> list[list[str]]:
                   "--outdir", "sweep-theta"])
     calls.append(["solve", "--target", "self_similar", *GRID64,
                   "--outdir", "self-similar"])
+    table = Path("inputs") / "parabola.csv"
+    write_table(table)
+    calls.append(["validate", str(table), "--theta", "1"])
+    calls.append(["--help"])
+    calls += [[name, "--help"] for name in SUBCOMMANDS]
     return calls
 
 
@@ -62,10 +77,14 @@ def main() -> int:
 
     args.outdir.mkdir(parents=True)
     os.chdir(args.outdir)
+    os.environ["COLUMNS"] = "80"        # argparse wraps help to the terminal
     for argv in matrix(workloads):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = cli_main(argv)
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:   # --help
+                code = exc.code
         print(f"$ dirac-mfp {' '.join(argv)}\nexit {code}")
         print(buf.getvalue(), end="")
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):

@@ -27,9 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (CompatibilityError, CrossingCharacteristicsError,
-                     DegenerateStateError, FormatError, InvalidParameterError,
-                     NewtonDivergenceError, UnsupportedParameterError,
-                     check_int, check_number, check_type)
+                     DegenerateStateError, DiracMfpError, FormatError,
+                     InvalidParameterError, NewtonDivergenceError,
+                     UnsupportedParameterError, check_int, check_number,
+                     check_type)
 from .solver import SolverConfig
 
 EXIT_OK = 0
@@ -186,12 +187,20 @@ def save_flow_csv(f, path) -> None:
 
 
 def load_flow_csv(path):
+    """``(t, y, gamma)`` of a file written by `save_flow_csv`;
+    `FormatError` naming ``path`` when the file does not parse."""
     with open(path) as fh:
         head = fh.readline().rstrip("\n").split(",")
     if head[0] != "t" or len(head) < 3:
         raise FormatError(f"{path}: expected a 't,<labels...>' header")
-    y = np.array([float(v) for v in head[1:]])
-    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    try:
+        y = np.array([float(v) for v in head[1:]])
+        data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if data.shape[1] != len(head):
+        raise FormatError(f"{path}: header has {len(head)} columns, "
+                          f"the rows {data.shape[1]}")
     return data[:, 0], y, data[:, 1:]
 
 
@@ -207,13 +216,11 @@ def _load_run(rundir: Path):
     for name in ("config.json", "flow.csv"):
         if not (rundir / name).is_file():
             raise _MissingArtifact(rundir / name)
-    cfg = nested_to_config(
-        json.loads((rundir / "config.json").read_text()),
-        where=str(rundir / "config.json"))
+    cfg = load_config(rundir / "config.json")
     t, y, gamma = load_flow_csv(rundir / "flow.csv")
-    p = make_profile(cfg.theta)
     grid = SpaceTimeGrid(eps=cfg.eps, T=cfg.T, t=t, y=y)
-    return cfg, p, FlowField(grid=grid, profile=p, gamma=gamma)
+    return cfg, FlowField(grid=grid, profile=make_profile(cfg.theta),
+                          gamma=gamma)
 
 
 def _snapshot_rows(nt: int, n: int = 8) -> np.ndarray:
@@ -237,8 +244,8 @@ def _build_target(cfg: RunConfig, p):
 
 def _run_pipeline(cfg: RunConfig):
     """solve -> fields -> rescale -> metrics; returns (field, certificates,
-    rate report).  The value, the free boundaries and the rescaled series
-    are derived once and handed to every consumer."""
+    rate report).  The flow keeps its value and free boundaries, and the
+    rescaled series is built once and handed to the rate report."""
     from . import fields as fields_mod
     from . import metrics as metrics_mod
     from . import rescale as rescale_mod
@@ -258,19 +265,17 @@ def _run_pipeline(cfg: RunConfig):
         json.dump(dataclasses.asdict(cfg), fh, indent=2)
         fh.write("\n")
     save_flow_csv(f, out / "flow.csv")
-    ubar = fields_mod.value_on_support(f, p)
-    fb = fields_mod.free_boundaries(f)
     for i in _snapshot_rows(grid.nt):
-        snap = fields_mod.snapshot(f, int(i), p, ubar=ubar, fb=fb)
+        snap = fields_mod.snapshot(f, int(i))
         fields_mod.save_snapshot_csv(snap, out / "snapshots" / f"slice_{i:04d}.csv")
+    fb = f.boundaries
     fields_mod.save_boundary_csv(fb, out / "boundary.csv")
-    series = rescale_mod.build_series(f, p, ubar=ubar, fb=fb)
+    series = rescale_mod.build_series(f)
     rescale_mod.save_series_csv(series, out / "series.csv")
-    report = metrics_mod.rate_report(f, p, window=cfg.fit_window, ubar=ubar,
-                                     fb=fb, series=series)
+    report = metrics_mod.rate_report(f, window=cfg.fit_window, series=series)
     metrics_mod.save_rate_report(report, out / "rates.json")
 
-    masses = fields_mod.pushforward_masses(f, p)
+    masses = fields_mod.pushforward_masses(f)
     mass_err = float(np.max(np.abs(masses - 1.0)))
     interior = slice(1, grid.nt)
     curv_ok = bool(np.all(fb.ddgL[interior] > 0.0)
@@ -349,16 +354,15 @@ def _sweep_one(cfg: RunConfig):
     try:
         f, _, report = _run_pipeline(cfg)
         return f, report, None
-    except (NewtonDivergenceError, DegenerateStateError,
-            CrossingCharacteristicsError, InvalidParameterError,
-            UnsupportedParameterError, FormatError) as exc:
+    except DiracMfpError as exc:
         return None, None, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    given = [v.strip() for v in args.values.split(",") if v.strip()]
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [float(v) for v in given]
     except ValueError:
         print(f"sweep values must be numbers, got {args.values!r}",
               file=sys.stderr)
@@ -368,13 +372,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     axis = args.axis
+    names = [f"{axis}={v:g}" for v in values]
+    shared = [f"{v} -> {n}" for v, n in zip(given, names) if names.count(n) > 1]
+    if shared:
+        print(f"sweep values would share a run directory: {', '.join(shared)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    subcfgs = []
-    for v in values:
-        subcfgs.append(dataclasses.replace(
-            cfg, outdir=str(out / f"{axis}={v:g}"), **{axis: v}))
+    subcfgs = [dataclasses.replace(cfg, outdir=str(out / n), **{axis: v})
+               for v, n in zip(values, names)]
 
     with ThreadPoolExecutor(max_workers=_pool_size(len(values))) as pool:
         results = list(pool.map(_sweep_one, subcfgs))
@@ -444,10 +452,10 @@ def cmd_rates(args: argparse.Namespace) -> int:
     from .rescale import load_series_csv
 
     rundir = Path(args.rundir)
-    cfg, p, f = _load_run(rundir)
+    cfg, f = _load_run(rundir)
     # a refit is strict only when asked, whatever the run was
     cfg = _merge_flags(dataclasses.replace(cfg, strict=False), args)
-    report = rate_report(f, p, window=cfg.fit_window,
+    report = rate_report(f, window=cfg.fit_window,
                          series=load_series_csv(rundir / "series.csv", f))
 
     print(f"theta={report['theta']:g} alpha={report['alpha']:.6f} "
@@ -477,6 +485,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from .target import load_csv, validate_compatibility
 
+    check_number("--theta", args.theta, positive=True)
+    check_number("--ratio-bound", args.ratio_bound, positive=True)
     m = load_csv(args.path, theta=args.theta)
     report = validate_compatibility(m, ratio_bound=args.ratio_bound)
     print(f"c_lower={report.c_lower:.17g}")
@@ -494,17 +504,15 @@ def cmd_export(args: argparse.Namespace) -> int:
     from .metrics import default_fit_window, fit_rate
 
     rundir = Path(args.rundir)
-    cfg, p, f = _load_run(rundir)
-    g = f.grid
+    cfg, f = _load_run(rundir)
+    p, g = f.profile, f.grid
     out = rundir / "export"
     out.mkdir(exist_ok=True)
-    ubar = fields_mod.value_on_support(f, p)
-    fb = fields_mod.free_boundaries(f)
 
     # rescaled density overlays with the stationary reference column
     rows = []
     for i in _snapshot_rows(g.nt):
-        snap = fields_mod.snapshot(f, int(i), p, ubar=ubar, fb=fb)
+        snap = fields_mod.snapshot(f, int(i))
         state = rescale_mod.rescale_snapshot(snap, p)
         eta = state.eta_nodes
         rows.append(np.column_stack([
@@ -516,7 +524,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     # the run's series.csv when it is the series of this flow
     series = rescale_mod.load_series_csv(rundir / "series.csv", f)
     if series is None:
-        series = rescale_mod.build_series(f, p, ubar=ubar, fb=fb)
+        series = rescale_mod.build_series(f)
     tau, H = series["tau"], series["H"]
     lo, hi = cfg.fit_window or default_fit_window(g)
     env = np.full_like(tau, np.nan)
@@ -531,6 +539,7 @@ def cmd_export(args: argparse.Namespace) -> int:
                header="tau,H,dH_fd,dH_identity,envelope", comments="")
 
     # log-log support radius with its fitted power law
+    fb = f.boundaries
     pos = g.t > 0.0
     t_pos = g.t[pos]
     radius = 0.5 * (fb.gamma_R[pos] - fb.gamma_L[pos])

@@ -32,11 +32,10 @@ from scipy.interpolate import CubicSpline
 from .errors import (
     CompatibilityError,
     CrossingCharacteristicsError,
-    DegenerateStateError,
     InvalidParameterError,
 )
 from .profile import Profile
-from .solver import FlowField
+from .solver import FlowField, _own_profile
 from .target import TerminalDensity
 
 __all__ = [
@@ -58,14 +57,10 @@ __all__ = [
     "save_boundary_csv",
 ]
 
-_SLOPE_FLOOR = 1e-12
-
-
 # -- derivative stencils -----------------------------------------------------
-
-def _gamma_t_all(f: FlowField) -> np.ndarray:
-    return np.gradient(f.gamma, f.grid.t, axis=0, edge_order=2)
-
+#
+# The label slope gamma_y, the time derivative gamma_t and the density
+# phi / gamma_y of the whole flow are `FlowField` properties.
 
 def _row_gradient(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """d values / dx along the last axis, each row on its own nodes ``x``
@@ -104,40 +99,19 @@ def _second_derivative(values: np.ndarray, t: np.ndarray,
 
 # -- pointwise fields on the support -----------------------------------------
 
-def _label_slopes(f: FlowField, rows) -> np.ndarray:
-    """Label derivative gamma_y of the time rows ``rows`` (an index, slice
-    or index array): centered inside, one-sided second order at the
-    boundary columns."""
-    s = np.gradient(f.gamma[rows], f.grid.dy, axis=-1, edge_order=2)
-    if s.size and np.min(s) <= _SLOPE_FLOOR:
-        raise DegenerateStateError("flow map slope collapsed; density undefined")
-    return s
-
-
-def _density_rows(f: FlowField, rows) -> np.ndarray:
-    """``m = phi(y) / gamma_y`` on the image nodes of the time rows ``rows``."""
-    return f.profile.phi(f.grid.y) / _label_slopes(f, rows)
-
-
 def density(f: FlowField, t_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Density on the image nodes of slice ``t_index``.
 
     Returns ``(x, m)`` with ``m = phi(y) / gamma_y``; exactly zero at the
     two free-boundary nodes where phi vanishes.
     """
-    return f.gamma[t_index].copy(), _density_rows(f, t_index)
+    return f.gamma[t_index].copy(), f.density[t_index].copy()
 
 
 def velocity(f: FlowField, t_index: int) -> np.ndarray:
     """u_x on the image nodes of slice ``t_index``, as minus the label
-    velocity of the flow (one-sided at t = 0, T).  Only the three rows the
-    stencil reads are differentiated; the result equals that row of
-    `_gamma_t_all`."""
-    t = f.grid.t
-    i = range(t.size)[t_index]
-    lo = min(max(i - 1, 0), t.size - 3)
-    rows = slice(lo, lo + 3)
-    return -np.gradient(f.gamma[rows], t[rows], axis=0, edge_order=2)[i - lo]
+    velocity of the flow (one-sided at t = 0, T)."""
+    return -f.gamma_t[t_index]
 
 
 def value_on_support(f: FlowField, p: Profile | None = None,
@@ -148,8 +122,12 @@ def value_on_support(f: FlowField, p: Profile | None = None,
     (trapezoid on the graded grid).  The terminal slice comes from
     u_x = -gamma_t integrated along the terminal row and is normalized so
     that the terminal value has zero mean against the target density.
+    ``p``, when given, must be the flow's own profile
+    (`InvalidParameterError` otherwise); ``m``, when given, is checked
+    against the terminal row (`CompatibilityError`).  `FlowField.value`
+    keeps the result of the flow.
     """
-    p = f.profile if p is None else p
+    p = _own_profile(f, p)
     g = f.grid
     if m is not None:
         expected = m.quantile(p.cdf(g.y))
@@ -157,8 +135,8 @@ def value_on_support(f: FlowField, p: Profile | None = None,
         if np.max(np.abs(f.gamma[-1] - expected)) > 1e-8 * scale:
             raise CompatibilityError(
                 "terminal row of the flow does not match the supplied target")
-    gt = _gamma_t_all(f)
-    psi = _density_rows(f, slice(None)) ** p.theta + 0.5 * gt * gt
+    gt = f.gamma_t
+    psi = f.density ** p.theta + 0.5 * gt * gt
 
     xT = f.gamma[-1]
     uxT = -gt[-1]
@@ -204,6 +182,7 @@ class FreeBoundaries:
 
 
 def free_boundaries(f: FlowField) -> FreeBoundaries:
+    """Boundary curves of ``f``; `FlowField.boundaries` keeps them."""
     g = f.grid
     gL = f.gamma[:, 0].copy()
     gR = f.gamma[:, -1].copy()
@@ -406,8 +385,7 @@ def _default_pad(ny: int) -> int:
     return max(2, ny // 4)
 
 
-def _padded_rows(f: FlowField, rows: np.ndarray, n_pad: int,
-                 ubar: np.ndarray, fb: FreeBoundaries):
+def _padded_rows(f: FlowField, rows: np.ndarray, n_pad: int):
     """Image nodes of the time rows ``rows`` with ``n_pad`` exterior nodes
     per side at the mean support spacing.
 
@@ -417,8 +395,9 @@ def _padded_rows(f: FlowField, rows: np.ndarray, n_pad: int,
     exterior continuation brackets each row separately, so it runs once
     per row, on side histories built once.
     """
+    ubar = f.value
     x_sup = f.gamma[rows]
-    m_sup = _density_rows(f, rows)
+    m_sup = f.density[rows]
     gL, gR = x_sup[:, :1], x_sup[:, -1:]
     h = (gR - gL) / f.grid.ny
     x_left = gL - h * np.arange(n_pad, 0, -1)
@@ -426,7 +405,7 @@ def _padded_rows(f: FlowField, rows: np.ndarray, n_pad: int,
     x_ext = np.concatenate([x_left, x_right], axis=1)
     u_ext = np.empty_like(x_ext)
     ux_ext = np.empty_like(x_ext)
-    hL, hR = _histories(fb, ubar[:, 0], ubar[:, -1])
+    hL, hR = _histories(f.boundaries, ubar[:, 0], ubar[:, -1])
     for k, i in enumerate(rows):
         u_ext[k], ux_ext[k] = _extend(hL, hR, int(i), x_ext[k])
     pad = np.zeros((len(rows), n_pad))
@@ -437,26 +416,19 @@ def _padded_rows(f: FlowField, rows: np.ndarray, n_pad: int,
     return x, m, u, ux_ext
 
 
-def snapshot(f: FlowField, t_index: int, p: Profile | None = None,
-             m: TerminalDensity | None = None, n_pad: int | None = None,
-             ubar: np.ndarray | None = None,
-             fb: FreeBoundaries | None = None) -> EulerianSnapshot:
+def snapshot(f: FlowField, t_index: int, *,
+             n_pad: int | None = None) -> EulerianSnapshot:
     """Assemble density, velocity and extended value at one time index.
 
     Padding uses the mean support spacing, ``n_pad`` nodes per side
-    (default ny // 4).  ``ubar`` and ``fb`` may be passed to avoid
-    recomputation when slicing many snapshots from one flow.
+    (default ny // 4).  The value and the free boundaries are those the
+    flow keeps, so slicing many snapshots derives them once.
     """
-    p = f.profile if p is None else p
     g = f.grid
-    if ubar is None:
-        ubar = value_on_support(f, p, m)
-    if fb is None:
-        fb = free_boundaries(f)
     if n_pad is None:
         n_pad = _default_pad(g.ny)
 
-    x, dens, u, ux_ext = _padded_rows(f, np.array([t_index]), n_pad, ubar, fb)
+    x, dens, u, ux_ext = _padded_rows(f, np.array([t_index]), n_pad)
     ux = np.concatenate([ux_ext[0, :n_pad], velocity(f, t_index),
                          ux_ext[0, n_pad:]])
     return EulerianSnapshot(
@@ -473,38 +445,29 @@ def snapshot(f: FlowField, t_index: int, p: Profile | None = None,
 
 # -- conservation and residual diagnostics ------------------------------------
 
-def pushforward_masses(f: FlowField, p: Profile | None = None) -> np.ndarray:
-    """Total mass of every slice, integrated in mass coordinates.
+def _mass_cells(f: FlowField) -> np.ndarray:
+    """Mass of every label cell of every slice, in mass coordinates.
 
     The substitution x = gamma(t, y) turns int m dx into exact profile
     cell masses times the cell average of m gamma_y / phi; the node
-    densities satisfy m gamma_y = phi identically, so the result is 1 up
-    to roundoff and the contract tolerance is pure headroom.
+    densities satisfy m gamma_y = phi identically, so the masses are
+    exact up to roundoff and the contract tolerance is pure headroom.
     """
-    p = f.profile if p is None else p
-    g = f.grid
-    s = _label_slopes(f, slice(None))
-    phi = p.phi(g.y)
-    mvals = phi[None, :] / s
+    p, y = f.profile, f.grid.y
+    phi = p.phi(y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(phi[None, :] > 0.0, mvals * s / phi[None, :], 1.0)
-    w = p.cell_masses(g.y)
-    return np.sum(w[None, :] * 0.5 * (ratio[:, :-1] + ratio[:, 1:]), axis=1)
+        ratio = np.where(phi > 0.0, f.density * f.gamma_y / phi, 1.0)
+    return p.cell_masses(y) * 0.5 * (ratio[:, :-1] + ratio[:, 1:])
 
 
-def pushforward_partial_masses(f: FlowField, t_index: int,
-                               p: Profile | None = None) -> np.ndarray:
+def pushforward_masses(f: FlowField) -> np.ndarray:
+    """Total mass of every slice, integrated in mass coordinates."""
+    return np.sum(_mass_cells(f), axis=1)
+
+
+def pushforward_partial_masses(f: FlowField, t_index: int) -> np.ndarray:
     """Cumulative mass up to each image node of one slice."""
-    p = f.profile if p is None else p
-    g = f.grid
-    _, m = density(f, t_index)
-    s = _label_slopes(f, t_index)
-    phi = p.phi(g.y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(phi > 0.0, m * s / phi, 1.0)
-    w = p.cell_masses(g.y)
-    cells = w * 0.5 * (ratio[:-1] + ratio[1:])
-    return np.concatenate([[0.0], np.cumsum(cells)])
+    return np.concatenate([[0.0], np.cumsum(_mass_cells(f)[t_index])])
 
 
 def _bump(z: np.ndarray) -> np.ndarray:
@@ -524,34 +487,37 @@ def _bump_prime(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def weak_continuity_residuals(f: FlowField, p: Profile | None = None,
-                              n_time: int = 4, n_space: int = 5) -> np.ndarray:
+# bump centers of the weak continuity residuals: in t, and in x
+_WEAK_N_TIME = 4
+_WEAK_N_SPACE = 5
+
+
+def weak_continuity_residuals(f: FlowField) -> np.ndarray:
     """Continuity-equation residuals against a grid of smooth bumps.
 
-    Each test function is a product of compactly supported bumps in t and
-    x; the weak form int int m (psi_t - u_x psi_x) dx dt is evaluated with
-    exact node masses in x and trapezoid weights in t, so the numbers
-    measure how well the discrete flow transports mass, not the
-    quadrature of phi.
+    Each test function is a product of compactly supported bumps in t
+    (`_WEAK_N_TIME` centers) and x (`_WEAK_N_SPACE`); the weak form
+    int int m (psi_t - u_x psi_x) dx dt is evaluated with exact node masses
+    in x and trapezoid weights in t, so the numbers measure how well the
+    discrete flow transports mass, not the quadrature of phi.
     """
-    p = f.profile if p is None else p
     g = f.grid
-    gt = _gamma_t_all(f)
-    w = p.node_masses(g.y)
+    gt = f.gamma_t
+    w = f.profile.node_masses(g.y)
     wt = g.wt
     T = g.T
     xmin, xmax = float(f.gamma.min()), float(f.gamma.max())
-    res = np.empty(n_time * n_space)
+    res = np.empty(_WEAK_N_TIME * _WEAK_N_SPACE)
     k = 0
-    for a in range(n_time):
-        ct = T * (a + 1.0) / (n_time + 1.0)
+    for a in range(_WEAK_N_TIME):
+        ct = T * (a + 1.0) / (_WEAK_N_TIME + 1.0)
         ht = 0.9 * min(ct, T - ct)
         zt = (g.t - ct) / ht
         bt = _bump(zt)
         bpt = _bump_prime(zt) / ht
-        for b in range(n_space):
-            cx = xmin + (xmax - xmin) * (b + 1.0) / (n_space + 1.0)
-            hx = 1.5 * (xmax - xmin) / (n_space + 1.0)
+        for b in range(_WEAK_N_SPACE):
+            cx = xmin + (xmax - xmin) * (b + 1.0) / (_WEAK_N_SPACE + 1.0)
+            hx = 1.5 * (xmax - xmin) / (_WEAK_N_SPACE + 1.0)
             zx = (f.gamma - cx) / hx
             bx = _bump(zx)
             bpx = _bump_prime(zx) / hx
@@ -564,12 +530,15 @@ def weak_continuity_residuals(f: FlowField, p: Profile | None = None,
 class _ValueEvaluator:
     """u(t_k, x) for arbitrary x: cubic-spline interpolation on the
     support (linear would pollute the u_t stencils at O(dy^2/dtau)),
-    characteristic continuation outside."""
+    characteristic continuation outside.  ``rows`` are the rows an HJ
+    residual tests: the interior ones from `SpaceTimeGrid.t_resolved` on."""
 
-    def __init__(self, f: FlowField, ubar: np.ndarray, fb: FreeBoundaries):
+    def __init__(self, f: FlowField):
         self.f = f
-        self.ubar = ubar
-        self.hL, self.hR = _histories(fb, ubar[:, 0], ubar[:, -1])
+        self.ubar = ubar = f.value
+        self.hL, self.hR = _histories(f.boundaries, ubar[:, 0], ubar[:, -1])
+        t = f.grid.t
+        self.rows = np.arange(1, t.size - 1)[t[1:-1] >= f.grid.t_resolved]
         self._splines: dict[int, CubicSpline] = {}
 
     def __call__(self, k: int, x: np.ndarray) -> np.ndarray:
@@ -593,22 +562,7 @@ class _ValueEvaluator:
         return _row_gradient(rows, t)[:, 1]
 
 
-def _hj_setup(f: FlowField, p: Profile | None, ubar: np.ndarray | None,
-              t_min: float | None):
-    """``(ubar, fb, evaluator, rows)`` of an HJ residual; ``rows`` are the
-    interior time rows with t >= t_min (default `SpaceTimeGrid.t_resolved`,
-    the end of the initial layer)."""
-    ubar = value_on_support(f, p) if ubar is None else ubar
-    fb = free_boundaries(f)
-    t = f.grid.t
-    t_min = f.grid.t_resolved if t_min is None else t_min
-    return (ubar, fb, _ValueEvaluator(f, ubar, fb),
-            np.arange(1, t.size - 1)[t[1:-1] >= t_min])
-
-
-def hj_interior_residual(f: FlowField, p: Profile | None = None,
-                         ubar: np.ndarray | None = None,
-                         t_min: float | None = None) -> np.ndarray:
+def hj_interior_residual(f: FlowField) -> np.ndarray:
     """-u_t + u_x^2/2 - m^theta at fixed x on interior image nodes.
 
     u_t uses a nonuniform three-point stencil with the neighbor slices
@@ -617,18 +571,18 @@ def hj_interior_residual(f: FlowField, p: Profile | None = None,
     so this is a genuine consistency check of all reconstructed fields.
 
     NaN marks nodes where the pointwise statement does not apply: rows
-    before ``t_min`` (default `SpaceTimeGrid.t_resolved`, the end of the
-    initial layer), the boundary columns, and nodes whose time stencil
-    leaves the open support at a neighbor slice.  The value is merely C^1
-    across the free boundary, so finite differences across it test the
-    smoothness of the exact solution, not the reconstruction.
+    before `SpaceTimeGrid.t_resolved` (the end of the initial layer), the
+    boundary columns, and nodes whose time stencil leaves the open support
+    at a neighbor slice.  The value is merely C^1 across the free
+    boundary, so finite differences across it test the smoothness of the
+    exact solution, not the reconstruction.
     """
-    p = f.profile if p is None else p
-    ubar, _, ev, rows = _hj_setup(f, p, ubar, t_min)
-    mth = _density_rows(f, slice(None)) ** p.theta
+    ubar = f.value
+    ev = _ValueEvaluator(f)
+    mth = f.density ** f.profile.theta
 
     out = np.full_like(ubar, np.nan)
-    for i in rows:
+    for i in ev.rows:
         x = f.gamma[i]
         u_t = ev.time_derivative(i, x, ubar[i])
         u_x = np.gradient(ubar[i], x, edge_order=2)
@@ -650,29 +604,29 @@ def _off_interfaces(h: _SideHistory, i: int, x: np.ndarray) -> np.ndarray:
     return same_t & ~(np.r_[False, jump] | np.r_[jump, False])
 
 
-def hj_exterior_residual(f: FlowField, p: Profile | None = None,
-                         ubar: np.ndarray | None = None,
-                         t_min: float | None = None,
-                         n_pad: int | None = None,
-                         standoff: int = 4) -> np.ndarray:
+# pad cells next to the boundary that `hj_exterior_residual` leaves out
+_HJ_STANDOFF = 4
+
+
+def hj_exterior_residual(f: FlowField) -> np.ndarray:
     """-u_t + u_x^2/2 of the continued value on exterior pads.
 
     Same finite-difference protocol as the interior residual, evaluated on
-    the ``n_pad`` exterior nodes per side of a snapshot (default as in
-    `snapshot`).  NaN on rows before ``t_min``, at nodes the moving
-    boundary crosses within the time stencil, and within ``standoff`` pad
-    cells of the boundary: the tangency time of the continuation satisfies
+    the exterior nodes of a snapshot with its default padding.  NaN on
+    rows before `SpaceTimeGrid.t_resolved`, at nodes the moving boundary
+    crosses within the time stencil, and within `_HJ_STANDOFF` pad cells
+    of the boundary: the tangency time of the continuation satisfies
     dt_hat/ds ~ 1/(s - t_hat), so second time derivatives of the exact
     continued value blow up like distance^(-1/2) at the contact line and
     pointwise finite differences are meaningless there no matter how the
     field was produced.
     """
     g = f.grid
-    ubar, fb, ev, rows = _hj_setup(f, p, ubar, t_min)
-    if n_pad is None:
-        n_pad = _default_pad(g.ny)
+    n_pad = _default_pad(g.ny)
+    ev = _ValueEvaluator(f)
+    rows = ev.rows
 
-    x, _, u, _ = _padded_rows(f, rows, n_pad, ubar, fb)
+    x, _, u, _ = _padded_rows(f, rows, n_pad)
     # one-sided gradients on [pads, boundary node] keep the stencil on
     # the correct side of the C^1 glue point
     side = n_pad + 1
@@ -688,22 +642,21 @@ def hj_exterior_residual(f: FlowField, p: Profile | None = None,
         xl, xr = x[k, :n_pad], x[k, n_pad:]
         h = (f.gamma[i, -1] - f.gamma[i, 0]) / g.ny
         ok = np.concatenate([
-            (xl < f.gamma[i - 1, 0] - standoff * h)
-            & (xl < f.gamma[i + 1, 0] - standoff * h)
+            (xl < f.gamma[i - 1, 0] - _HJ_STANDOFF * h)
+            & (xl < f.gamma[i + 1, 0] - _HJ_STANDOFF * h)
             & _off_interfaces(ev.hL, i, xl),
-            (xr > f.gamma[i - 1, -1] + standoff * h)
-            & (xr > f.gamma[i + 1, -1] + standoff * h)
+            (xr > f.gamma[i - 1, -1] + _HJ_STANDOFF * h)
+            & (xr > f.gamma[i + 1, -1] + _HJ_STANDOFF * h)
             & _off_interfaces(ev.hR, i, -xr),
         ])
         out[i, ok] = res[ok]
     return out
 
 
-def d1_to_dirac(f: FlowField, p: Profile | None = None) -> np.ndarray:
+def d1_to_dirac(f: FlowField) -> np.ndarray:
     """int |x| m(t, x) dx per slice, i.e. the 1-Wasserstein distance to the
     unit atom at the origin, in mass coordinates."""
-    p = f.profile if p is None else p
-    w = p.node_masses(f.grid.y)
+    w = f.profile.node_masses(f.grid.y)
     return np.abs(f.gamma) @ w
 
 

@@ -200,8 +200,7 @@ def default_fit_window(g) -> tuple[float, float]:
     return g.t_resolved, g.T / 4.0
 
 
-def rate_report(f, p: Profile, window: tuple | None = None,
-                ubar: np.ndarray | None = None, fb=None,
+def rate_report(f, *, window: tuple | None = None,
                 series: dict | None = None) -> dict:
     """Fit every applicable scaling law of a solved flow.
 
@@ -211,36 +210,32 @@ def rate_report(f, p: Profile, window: tuple | None = None,
     Exponential laws in tau (theta > 2 only): H ~ e^{2 kappa tau},
     d2(mu, phi) ~ e^{kappa tau}, |duality pairing| ~ e^{2 kappa tau},
     each fitted over the rows where the series is sign-definite.
-    ``ubar``, ``fb`` and ``series`` may be passed when the caller has
-    already derived them from ``f``; ``series`` must be `build_series`
-    with its default ``t_min`` (as `rescale.load_series_csv` returns it).
-    The window defaults to `default_fit_window`.  The per-row laws are
-    reductions along the label axis of the (rows x labels) arrays of the
-    fit window.
+    ``series`` may be passed when the caller already holds the
+    `rescale.build_series` of ``f`` (as `rescale.load_series_csv` returns
+    it).  The window defaults to `default_fit_window`.  The per-row laws
+    are reductions along the label axis of the (rows x labels) arrays of
+    the fit window.
     """
     from . import fields as fields_mod
     from . import rescale as rescale_mod
 
-    g = f.grid
+    p, g = f.profile, f.grid
     if window is None:
         window = default_fit_window(g)
     lo, hi = float(window[0]), float(window[1])
     critical = abs(p.kappa) < 1e-12
 
-    if fb is None:
-        fb = fields_mod.free_boundaries(f)
-    if ubar is None:
-        ubar = fields_mod.value_on_support(f, p)
+    fb = f.boundaries
     wq = p.node_masses(g.y)
 
     rows = np.nonzero((g.t >= lo) & (g.t <= hi))[0]
     t = g.t[rows]
     radius = 0.5 * (fb.gamma_R[rows] - fb.gamma_L[rows])
-    m_sup = fields_mod._density_rows(f, rows)
+    m_sup = f.density[rows]
     m_inf = m_sup.max(axis=1)
     # int m^{theta+1} dx pulled back to mass coordinates
     m_power = np.sum(wq * m_sup ** p.theta, axis=1)
-    u = ubar[rows]
+    u = f.value[rows]
     ux_inf = np.max(np.abs(fields_mod._row_gradient(u, f.gamma[rows])),
                     axis=1)
     osc_u = u.max(axis=1) - u.min(axis=1)
@@ -266,7 +261,7 @@ def rate_report(f, p: Profile, window: tuple | None = None,
         flags.append("osc_u skipped: exponent 2*alpha-1 vanishes")
     elif p.kappa > 0.0:
         if series is None:
-            series = rescale_mod.build_series(f, p, ubar=ubar, fb=fb)
+            series = rescale_mod.build_series(f)
         tau = series["tau"]
         tau_win = (math.log(lo), math.log(hi))
 

@@ -36,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, InvalidParameterError
-from .fields import (EulerianSnapshot, FreeBoundaries, _padded_rows,
-                     _row_gradient, _second_derivative, free_boundaries,
-                     value_on_support)
+from .fields import (EulerianSnapshot, _padded_rows, _row_gradient,
+                     _second_derivative)
 from .profile import Profile
 from .solver import FlowField
 
@@ -235,8 +234,7 @@ def reciprocal_integral(state: RescaledState, p: Profile) -> float:
                              p.power_node_masses(1.0 - p.theta, y), p))
 
 
-def hat_gamma_residual(f: FlowField,
-                       p: Profile | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hat_gamma_residual(f: FlowField) -> tuple[np.ndarray, np.ndarray]:
     """Residual of the rescaled-flow equation on interior log-time rows.
 
         alpha(alpha-1) g + (2 alpha - 1) g_tau + g_tautau
@@ -250,8 +248,7 @@ def hat_gamma_residual(f: FlowField,
     would be one-sided).  The identity map is an exact steady state:
     feeding gamma = t^alpha y returns roundoff.
     """
-    p = f.profile if p is None else p
-    g = f.grid
+    p, g = f.profile, f.grid
     if g.nt < 4:
         raise InvalidParameterError("need at least four t > 0 rows")
     t = g.t[1:]
@@ -301,12 +298,12 @@ SERIES_COLUMNS = ("tau", "H", "dH_fd", "dH_identity", "d1", "d2", "mu_max",
                   "duality_pairing")
 
 
-def series_rows(g, t_min: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Time rows of the series of grid ``g`` (t >= t_min, default
-    `SpaceTimeGrid.t_resolved`, and t > 0) and their log-times;
-    `InvalidParameterError` when fewer than four rows qualify.  The check
-    needs only the grid, so a run makes it before it solves."""
-    t_min = g.t_resolved if t_min is None else t_min
+def series_rows(g) -> tuple[np.ndarray, np.ndarray]:
+    """Time rows of the series of grid ``g`` (t >= `SpaceTimeGrid.t_resolved`
+    and t > 0) and their log-times; `InvalidParameterError` when fewer
+    than four rows qualify.  The check needs only the grid, so a run makes
+    it before it solves."""
+    t_min = g.t_resolved
     keep = np.nonzero((g.t >= t_min) & (g.t > 0.0))[0]
     if keep.size < 4:
         raise InvalidParameterError(
@@ -314,21 +311,17 @@ def series_rows(g, t_min: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     return keep, np.log(g.t[keep])
 
 
-def build_series(f: FlowField, p: Profile | None = None,
-                 t_min: float | None = None,
-                 ubar: np.ndarray | None = None,
-                 fb: FreeBoundaries | None = None) -> dict[str, np.ndarray]:
-    """Rescaled diagnostics for every slice with t >= t_min.
+def build_series(f: FlowField) -> dict[str, np.ndarray]:
+    """Rescaled diagnostics for every slice of `series_rows`.
 
-    ``t_min`` defaults to `SpaceTimeGrid.t_resolved`, below which the
+    The rows start at `SpaceTimeGrid.t_resolved`, below which the
     regularization bias dominates every certificate.  d1, d2 are the
     Wasserstein distances of mu(tau) to phi in mass coordinates
-    (gamma_hat is the monotone optimal map).  ``dH_fd`` differences the H column in tau, ``dH_identity`` is
-    the exact dissipation form; comparing the two columns tests the
-    Lyapunov identity with no shared discretization.  The padding is the
-    full support width per side, so the duality pairing never needs to
-    extrapolate w in realistic runs.  ``ubar`` and ``fb`` may be passed
-    to reuse the value and free boundaries already derived from ``f``.
+    (gamma_hat is the monotone optimal map).  ``dH_fd`` differences the H
+    column in tau, ``dH_identity`` is the exact dissipation form;
+    comparing the two columns tests the Lyapunov identity with no shared
+    discretization.  The padding is the full support width per side, so
+    the duality pairing never needs to extrapolate w in realistic runs.
 
     All slices are rescaled together as (rows x nodes) arrays and every
     column is one reduction along the nodes, with the same functionals
@@ -336,19 +329,14 @@ def build_series(f: FlowField, p: Profile | None = None,
     `reciprocal_integral`; only the exterior continuation of the value
     and the interpolation inside the duality pairing run per row.
     """
-    p = f.profile if p is None else p
-    g = f.grid
+    p, g = f.profile, f.grid
     n_pad = g.ny
-    keep, tau = series_rows(g, t_min)
-    if ubar is None:
-        ubar = value_on_support(f, p)
-    if fb is None:
-        fb = free_boundaries(f)
+    keep, tau = series_rows(g)
     y = g.y
     wq = p.node_masses(y)
     wr = p.power_node_masses(1.0 - p.theta, y)
 
-    x, m, u, _ = _padded_rows(f, keep, n_pad, ubar, fb)
+    x, m, u, _ = _padded_rows(f, keep, n_pad)
     eta, mu, w, w_eta = _rescale_rows(g.t[keep, None], x, m, u, p)
     sup = slice(n_pad, n_pad + y.size)
     gh, mu_sup, w_sup, weta_sup = eta[:, sup], mu[:, sup], w[:, sup], w_eta[:, sup]
@@ -378,7 +366,7 @@ def save_series_csv(series: dict[str, np.ndarray], path) -> None:
 
 def load_series_csv(path, f: FlowField) -> dict[str, np.ndarray] | None:
     """Read back a series written by `save_series_csv`, if it is the
-    `build_series` of ``f`` (default ``t_min``).
+    `build_series` of ``f``.
 
     The file is accepted only when its header is `SERIES_COLUMNS`, it has
     one row per series row of ``f`` and its ``tau`` column equals the

@@ -121,14 +121,60 @@ class SolveInfo:
     converged: bool
 
 
+# smallest label slope for which the density phi / gamma_y is defined
+_SLOPE_FLOOR = 1e-12
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class FlowField:
-    """Flow map samples ``gamma[i, j] = gamma(t_i, y_j)``."""
+    """Flow map samples ``gamma[i, j] = gamma(t_i, y_j)``.
+
+    Every diagnostic is a function of the flow alone: the derived fields
+    below are computed on first use and kept, so ``gamma`` must not be
+    written after that.
+    """
 
     grid: SpaceTimeGrid
     profile: Profile
     gamma: np.ndarray
     info: SolveInfo | None = None
+
+    @functools.cached_property
+    def gamma_y(self) -> np.ndarray:
+        """Label slope on every node (second order, one-sided at the ends);
+        `DegenerateStateError` when one is at or below `_SLOPE_FLOOR`."""
+        s = np.gradient(self.gamma, self.grid.dy, axis=-1, edge_order=2)
+        if np.min(s) <= _SLOPE_FLOOR:
+            raise DegenerateStateError("flow map slope collapsed; density undefined")
+        return _read_only(s)
+
+    @functools.cached_property
+    def gamma_t(self) -> np.ndarray:
+        """Time derivative on every node (``np.gradient`` on the graded t)."""
+        return _read_only(np.gradient(self.gamma, self.grid.t, axis=0,
+                                      edge_order=2))
+
+    @functools.cached_property
+    def density(self) -> np.ndarray:
+        """``m = phi(y) / gamma_y`` on the image nodes, shape (nt+1, ny+1)."""
+        return _read_only(self.profile.phi(self.grid.y) / self.gamma_y)
+
+    @functools.cached_property
+    def value(self) -> np.ndarray:
+        """`fields.value_on_support` of this flow."""
+        from . import fields
+        return _read_only(fields.value_on_support(self))
+
+    @functools.cached_property
+    def boundaries(self):
+        """`fields.free_boundaries` of this flow."""
+        from . import fields
+        return fields.free_boundaries(self)
 
 
 @dataclass(frozen=True)
@@ -279,18 +325,26 @@ class _Workspace:
         return float(np.max(np.abs(G) / scale))
 
 
-def energy(f: FlowField, p: Profile | None = None) -> float:
+def energy(f: FlowField) -> float:
     """Discrete transport energy of a flow field; `DegenerateStateError`
     when a slope is below the default ``gamma_y_floor``."""
-    p = f.profile if p is None else p
-    return _Workspace(p, f.grid).energy(f.gamma, SolverConfig.gamma_y_floor)
+    return _Workspace(f.profile, f.grid).energy(f.gamma,
+                                                SolverConfig.gamma_y_floor)
+
+
+def _own_profile(f: FlowField, p: Profile | None) -> Profile:
+    """The profile of ``f``; ``p`` may name it again, but no other one."""
+    if p not in (None, f.profile):
+        raise InvalidParameterError(
+            "profile differs from the one the flow was solved for")
+    return f.profile
 
 
 def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
     """Sup norm of the energy gradient scaled by the quadrature weights
-    (the solver's convergence functional)."""
-    p = f.profile if p is None else p
-    ws = _Workspace(p, f.grid)
+    (the solver's convergence functional).  ``p``, when given, must be the
+    flow's own profile."""
+    ws = _Workspace(_own_profile(f, p), f.grid)
     return ws.scaled_norm(ws.gradient(f.gamma), f.gamma)
 
 
@@ -298,7 +352,7 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 # pointwise second-order residual of the flow equation
 # ---------------------------------------------------------------------------
 
-def residual(f: FlowField, p: Profile | None = None) -> np.ndarray:
+def residual(f: FlowField) -> np.ndarray:
     """Finite-difference residual of the flow equation at interior time
     nodes, all labels; the two boundary columns carry the degenerate
     free-boundary law (phi^theta vanishes there exactly).
@@ -308,8 +362,7 @@ def residual(f: FlowField, p: Profile | None = None) -> np.ndarray:
     """
     from .fields import _second_derivative
 
-    p = f.profile if p is None else p
-    g, gamma = f.grid, f.gamma
+    p, g, gamma = f.profile, f.grid, f.gamma
     th, c, R = p.theta, p.c, p.r_alpha
     y = g.y
 

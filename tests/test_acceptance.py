@@ -125,7 +125,7 @@ def test_criterion_1_analytic_oracle(oracle64, oracle128):
 
 
 def test_criterion_2_exponent_reproduction(run_scaling, p1):
-    rep = rate_report(run_scaling, p1, window=(1e-3, 0.25))
+    rep = rate_report(run_scaling, window=(1e-3, 0.25))
     rows = {r["law"]: r["fitted_exponent"] for r in rep["laws"]}
     a = p1.alpha
     assert abs(rows["support_radius"] - a) <= 0.10 * a, \
@@ -138,9 +138,9 @@ def test_criterion_2_exponent_reproduction(run_scaling, p1):
 
 
 def test_criterion_3_supercritical_rates(run_super, p3):
-    rep = rate_report(run_super, p3)
+    rep = rate_report(run_super)
     rows = {r["law"]: r["fitted_exponent"] for r in rep["laws"]}
-    s = RS.build_series(run_super, p3)
+    s = RS.build_series(run_super)
 
     # duality pairing nonpositive once the eps time-shift envelope is
     # below the fitting tolerance (the resolved window)
@@ -174,7 +174,7 @@ def test_criterion_3_supercritical_rates(run_super, p3):
 
 def test_criterion_4_lyapunov_identity(run_conserve, run_ident3, p1, p3):
     for f, p in ((run_conserve, p1), (run_ident3, p3)):
-        s = RS.build_series(f, p)
+        s = RS.build_series(f)
         rel = np.abs(s["dH_fd"][1:-1] - s["dH_identity"][1:-1]) \
             / np.abs(s["dH_identity"][1:-1])
         frac = float(np.mean(rel <= 0.05))
@@ -183,16 +183,16 @@ def test_criterion_4_lyapunov_identity(run_conserve, run_ident3, p1, p3):
 
 
 def test_criterion_5_conservation_and_residuals(run_conserve, p1):
-    masses = F.pushforward_masses(run_conserve, p1)
+    masses = F.pushforward_masses(run_conserve)
     err = float(np.max(np.abs(masses - 1.0)))
     assert err <= 1e-6, f"mass error {err:.2e}"
-    weak = F.weak_continuity_residuals(run_conserve, p1)
+    weak = F.weak_continuity_residuals(run_conserve)
     assert weak.size == 20
     assert float(np.max(np.abs(weak))) <= 5e-3, \
         f"weak continuity residual {np.max(np.abs(weak)):.2e}"
-    hj_in = float(np.nanmax(np.abs(F.hj_interior_residual(run_conserve, p1))))
+    hj_in = float(np.nanmax(np.abs(F.hj_interior_residual(run_conserve))))
     assert hj_in <= 5e-3, f"interior HJ residual {hj_in:.2e}"
-    hj_ex = float(np.nanmax(np.abs(F.hj_exterior_residual(run_conserve, p1))))
+    hj_ex = float(np.nanmax(np.abs(F.hj_exterior_residual(run_conserve))))
     assert hj_ex <= 5e-3, f"exterior HJ residual {hj_ex:.2e}"
 
 
@@ -219,10 +219,10 @@ def test_criterion_7_structural_signs(run_super, p3):
     g = run_super.grid
     ident = FlowField(grid=g, profile=p3,
                       gamma=g.t[:, None] ** p3.alpha * g.y[None, :])
-    _, res = RS.hat_gamma_residual(ident, p3)
+    _, res = RS.hat_gamma_residual(ident)
     assert float(np.max(np.abs(res))) <= 1e-12
 
-    s = RS.build_series(run_super, p3)
+    s = RS.build_series(run_super)
     ratio = float(s["recip_integral"].max() / s["recip_integral"].min())
     assert ratio <= 2.0, f"reciprocal integral varies {ratio:.3f}x"
 
@@ -233,7 +233,7 @@ def test_criterion_8_criticality_flagging(oracle2_64, p2):
     e64 = _sup_gamma_error(oracle2_64)
     assert e64 <= bound, f"theta=2 flow error {e64:.3e} exceeds {bound:.3e}"
 
-    rep = rate_report(oracle2_64, p2)
+    rep = rate_report(oracle2_64)
     assert rep["critical"] is True
     assert rep["kappa"] == 0.0
     laws = {r["law"] for r in rep["laws"]}

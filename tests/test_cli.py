@@ -6,6 +6,7 @@ precedence, file layouts, determinism, and the exit-code contract
 (0 ok, 1 bad config, 2 solver/artifact failure, 3 strict certificate).
 """
 
+import collections
 import dataclasses
 import json
 import re
@@ -335,6 +336,69 @@ def test_validate_reports_envelope(tmp_path, capsys):
     assert run_cli("validate", tmp_path / "absent.csv", "--theta", "1") == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("flag", ["--theta", "--ratio-bound"])
+def test_validate_rejects_nonpositive_flags(tmp_path, capsys, flag, value):
+    path = tmp_path / "bump.csv"
+    save_csv(power_bump(-1.0, 1.0, 1.0), path)
+    flags = {"--theta": "1", "--ratio-bound": "1000", flag: value}
+    assert run_cli("validate", path, *[a for kv in flags.items()
+                                       for a in kv]) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} must be a positive number" in captured.err
+    assert captured.out == ""
+
+
+def truncate_config(run):
+    text = (run / "config.json").read_text()
+    (run / "config.json").write_text(text[:len(text) // 2])
+
+
+def edit_flow(run, edit):
+    lines = (run / "flow.csv").read_text().splitlines(keepends=True)
+    edit(lines)
+    (run / "flow.csv").write_text("".join(lines))
+
+
+def truncate_last_flow_row(run):
+    def edit(lines):
+        lines[-1] = ",".join(lines[-1].split(",")[:-3]) + "\n"
+    edit_flow(run, edit)
+
+
+def non_numeric_flow_cell(run):
+    def edit(lines):
+        cells = lines[2].split(",")
+        cells[3] = "abc"
+        lines[2] = ",".join(cells)
+    edit_flow(run, edit)
+
+
+def non_numeric_flow_label(run):
+    def edit(lines):
+        cells = lines[0].split(",")
+        cells[1] = "y0"
+        lines[0] = ",".join(cells)
+    edit_flow(run, edit)
+
+
+@pytest.mark.parametrize("command", ["rates", "export"])
+@pytest.mark.parametrize("corrupt", [truncate_config, truncate_last_flow_row,
+                                     non_numeric_flow_cell,
+                                     non_numeric_flow_label])
+def test_corrupt_run_artifacts_exit_1(solved_run, tmp_path, capsys,
+                                      command, corrupt):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("config.json", "flow.csv"):
+        (run / name).write_bytes((solved_run / name).read_bytes())
+    corrupt(run)
+    assert run_cli(command, run) == 1
+    err = capsys.readouterr().err
+    name = "config.json" if corrupt is truncate_config else "flow.csv"
+    assert str(run / name) in err
+
+
 def test_retired_config_keys_still_load(solved_run, tmp_path):
     # config.json as written while seed and solver.linear_solver existed
     old = tmp_path / "old"
@@ -424,6 +488,40 @@ def test_sweep_records_per_run_failures(tmp_path, monkeypatch):
         fh.readline()
         statuses = [line.split(",")[1] for line in fh]
     assert statuses == ["failed", "failed"]
+
+
+@pytest.mark.parametrize("axis, values, name", [
+    ("theta", "1,1.0000001", "theta=1"),
+    ("eps", "1e-3,0.001", "eps=0.001"),
+])
+def test_sweep_rejects_values_sharing_a_directory(tmp_path, capsys, axis,
+                                                  values, name):
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--axis", axis, "--values", values,
+                   "--outdir", out, *FAST) == 1
+    err = capsys.readouterr().err
+    a, b = values.split(",")
+    assert f"{a} -> {name}, {b} -> {name}" in err
+    assert not out.exists()
+
+
+def test_sweep_records_strict_compatibility_failure(tmp_path, monkeypatch):
+    # (1 - x^2)_+ vanishes like dist^1: compatible at theta = 1, far out of
+    # the envelope bound at theta = 0.25
+    monkeypatch.setenv("DIRAC_MFP_THREADS", "1")
+    table = tmp_path / "T.csv"
+    x = np.linspace(-1.0, 1.0, 101)
+    table.write_text("x,density\n" + "".join(
+        f"{a:.17g},{max(1.0 - a * a, 0.0):.17g}\n" for a in x))
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--axis", "theta", "--values", "1,0.25",
+                   "--strict", "--target", "file", "--target-path", table,
+                   "--outdir", out, *FAST) == 2
+    with open(out / "sweep.csv") as fh:
+        fh.readline()
+        statuses = [line.split(",")[1] for line in fh]
+    assert statuses == ["ok", "failed"]
+    assert (out / "theta=1" / "rates.json").is_file()
 
 
 def test_pool_cap_validation(tmp_path, monkeypatch):
@@ -529,4 +627,44 @@ def test_rates_write_reproduces_solve(supercritical_run, tmp_path, capsys):
     assert run_cli("rates", run, "--write") == 0
     assert (run / "rates.json").read_bytes() \
         == (supercritical_run / "rates.json").read_bytes()
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# derived fields of the flow
+# ---------------------------------------------------------------------------
+
+DERIVATIONS = ("gamma_y", "gamma_t", "value_on_support", "free_boundaries")
+
+
+def count_derivations(monkeypatch):
+    """Calls of the label slopes, gamma_t, the value and the free
+    boundaries of any flow, by name."""
+    from dirac_mfp import fields
+    from dirac_mfp.solver import FlowField
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("gamma_y", "gamma_t"):
+        prop = FlowField.__dict__[name]
+        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    for name in ("value_on_support", "free_boundaries"):
+        monkeypatch.setattr(fields, name, counted(name, getattr(fields, name)))
+    return calls
+
+
+def test_each_command_derives_each_field_once(tmp_path, capsys, monkeypatch):
+    # theta = 3: rates fits the exponential laws, so every consumer runs
+    calls = count_derivations(monkeypatch)
+    run = tmp_path / "run"
+    for argv in (["solve", "--outdir", run, "--theta", "3", *FAST],
+                 ["export", run], ["rates", run]):
+        calls.clear()
+        assert run_cli(*argv) == 0
+        assert calls == {name: 1 for name in DERIVATIONS}, argv[0]
     capsys.readouterr()

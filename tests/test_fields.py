@@ -14,7 +14,7 @@ import pytest
 from dirac_mfp import errors
 from dirac_mfp import fields as F
 from dirac_mfp.profile import make_profile
-from dirac_mfp.solver import FlowField, make_grid, solve
+from dirac_mfp.solver import FlowField, make_grid, scaled_gradient_norm, solve
 from dirac_mfp.target import power_bump, self_similar_terminal
 
 
@@ -163,6 +163,27 @@ def test_value_target_mismatch_raises(theta1, selfsim64):
         F.value_on_support(selfsim64, theta1, other)
 
 
+def test_another_profile_is_rejected(theta1, selfsim64):
+    f, other = selfsim64, make_profile(3.0)
+    with pytest.raises(errors.InvalidParameterError):
+        F.value_on_support(f, other)
+    with pytest.raises(errors.InvalidParameterError):
+        scaled_gradient_norm(f, other)
+    # the flow's own profile, or an equal one, is accepted by position
+    assert np.array_equal(F.value_on_support(f, make_profile(1.0)), f.value)
+    # the other optional parameters are keyword-only
+    with pytest.raises(TypeError):
+        F.snapshot(f, 3, theta1)
+
+
+def test_flow_keeps_its_derived_fields(selfsim64):
+    f = selfsim64
+    for name in ("gamma_y", "gamma_t", "density", "value", "boundaries"):
+        assert getattr(f, name) is getattr(f, name)
+    for name in ("gamma_y", "gamma_t", "density", "value"):
+        assert not getattr(f, name).flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # free boundaries
 # ---------------------------------------------------------------------------
@@ -271,11 +292,10 @@ def test_extension_crossing_characteristics_detected():
 def test_exterior_slope_bounded_by_boundary_history(solved64):
     # every row, the last one included, on flows with real label dependence
     p, f = solved64
-    ub = F.value_on_support(f, p)
     fb = F.free_boundaries(f)
     bound = max(np.max(np.abs(fb.dgL)), np.max(np.abs(fb.dgR)))
     for i in range(1, f.grid.nt + 1):
-        snap = F.snapshot(f, i, p, ubar=ub, fb=fb)
+        snap = F.snapshot(f, i)
         out = ~snap.support_mask
         assert np.max(np.abs(snap.u_x[out])) <= bound + 1e-12
 
@@ -287,7 +307,7 @@ def test_exterior_slope_bounded_by_boundary_history(solved64):
 def test_snapshot_structure(solved128):
     f, m = solved128
     p, g = f.profile, f.grid
-    snap = F.snapshot(f, 64, p, m)
+    snap = F.snapshot(f, 64)
     assert np.all(np.diff(snap.x_nodes) > 0)
     assert snap.gamma_L == f.gamma[64, 0] and snap.gamma_R == f.gamma[64, -1]
     inside = snap.support_mask
@@ -304,7 +324,7 @@ def test_snapshot_structure(solved128):
 
 def test_snapshot_csv_roundtrip(tmp_path, solved128):
     f, m = solved128
-    snap = F.snapshot(f, 40, f.profile, m)
+    snap = F.snapshot(f, 40)
     path = tmp_path / "snap.csv"
     F.save_snapshot_csv(snap, path)
     with open(path) as fh:

@@ -301,7 +301,7 @@ def _rows(report):
 
 
 def test_report_scaling_laws_theta1(run_scaling, theta1):
-    rep = rate_report(run_scaling, theta1, window=(1e-3, 0.25))
+    rep = rate_report(run_scaling, window=(1e-3, 0.25))
     rows = _rows(rep)
     assert rep["critical"] is False
     assert rep["flags"] == []
@@ -317,7 +317,7 @@ def test_report_scaling_laws_theta1(run_scaling, theta1):
 
 
 def test_report_default_window(run_scaling, theta1):
-    rep = rate_report(run_scaling, theta1)
+    rep = rate_report(run_scaling)
     g = run_scaling.grid
     assert rep["window"] == approx([10.0 * g.eps, g.T / 4.0], rel=1e-15)
 
@@ -328,7 +328,7 @@ def test_report_supercritical_theta3(run_rates3, theta3):
     # faster than the one-sided bound exponents kappa / 2 kappa; the
     # report flags them as out of band, and these frozen values guard
     # that verdict
-    rep = rate_report(run_rates3, theta3)
+    rep = rate_report(run_rates3)
     rows = _rows(rep)
     assert rep["kappa"] == approx(0.2, abs=1e-12)
     assert set(rows) == {"support_radius", "m_inf", "m_power_norm",
@@ -350,17 +350,15 @@ def test_report_supercritical_theta3(run_rates3, theta3):
     assert rows["osc_u"]["pass"] is False
 
 
-def test_report_with_passed_products(run_rates3, theta3):
-    # theta > 2 so the series branch runs; handing in the value, the free
-    # boundaries and the series must not change a single entry
-    f, p = run_rates3, theta3
-    rep = rate_report(f, p, ubar=F.value_on_support(f, p),
-                      fb=F.free_boundaries(f), series=build_series(f, p))
-    assert rep == rate_report(f, p)
+def test_report_with_passed_products(run_rates3):
+    # theta > 2 so the series branch runs; handing in the series must not
+    # change a single entry
+    f = run_rates3
+    assert rate_report(f, series=build_series(f)) == rate_report(f)
 
 
 def test_report_critical_theta2(run_critical, theta2):
-    rep = rate_report(run_critical, theta2)
+    rep = rate_report(run_critical)
     rows = _rows(rep)
     assert rep["critical"] is True
     assert rep["kappa"] == 0.0
@@ -374,7 +372,7 @@ def test_report_critical_theta2(run_critical, theta2):
 
 
 def test_report_json_roundtrip(tmp_path, run_critical, theta2):
-    rep = rate_report(run_critical, theta2)
+    rep = rate_report(run_critical)
     path = tmp_path / "rates.json"
     save_rate_report(rep, path)
     loaded = json.loads(path.read_text())
@@ -388,7 +386,7 @@ def test_report_json_roundtrip(tmp_path, run_critical, theta2):
 def test_report_empty_window_rows_are_null(tmp_path, run_scaling, theta1):
     # a window holding fewer than four time nodes cannot be fitted;
     # the rows stay in the report with null entries and pass=False
-    rep = rate_report(run_scaling, theta1, window=(0.2, 0.201))
+    rep = rate_report(run_scaling, window=(0.2, 0.201))
     for r in rep["laws"]:
         assert r["fitted_exponent"] is None
         assert r["pass"] is False
@@ -421,7 +419,7 @@ def per_row_laws(f, p, ubar, lo, hi):
 def test_rate_report_matches_per_row_loop(solved64, monkeypatch):
     p, f = solved64
     g = f.grid
-    ubar = F.value_on_support(f, p)
+    ubar = F.value_on_support(f)
     fitted = []                        # (abscissa, values) of each power fit
 
     def recording_fit(abscissa, values, window=None, kind="power"):
@@ -430,7 +428,7 @@ def test_rate_report_matches_per_row_loop(solved64, monkeypatch):
         return fit_rate(abscissa, values, window=window, kind=kind)
 
     monkeypatch.setattr(metrics, "fit_rate", recording_fit)
-    rep = rate_report(f, p, ubar=ubar)
+    rep = rate_report(f)
     t, ref = per_row_laws(f, p, ubar, 10.0 * g.eps, g.T / 4.0)
     laws = {r["law"]: r for r in rep["laws"]}
     # power fits run in the order support_radius, m_inf, m_power_norm,

@@ -110,7 +110,7 @@ def run_identity(theta3):
 # ---------------------------------------------------------------------------
 
 def test_rescale_snapshot_rejects_t_zero(theta1, analytic128):
-    s = F.snapshot(analytic128, 0, theta1)
+    s = F.snapshot(analytic128, 0)
     assert s.t == 0.0
     with pytest.raises(errors.InvalidParameterError):
         RS.rescale_snapshot(s, theta1)
@@ -121,7 +121,7 @@ def test_mu_matches_dilated_profile(theta1, analytic128):
     f = analytic128
     g = f.grid
     for i in (40, 80, g.nt):
-        st = RS.rescale_snapshot(F.snapshot(f, i, theta1), theta1)
+        st = RS.rescale_snapshot(F.snapshot(f, i), theta1)
         lam = (1.0 + g.eps / g.t[i]) ** theta1.alpha
         ref = theta1.phi(st.eta_nodes / lam) / lam
         assert np.max(np.abs(st.mu - ref)) < 1e-12
@@ -138,7 +138,7 @@ def test_w_eta_interior_accuracy(theta1, analytic128):
         t = g.t[i]
         if t < 0.25:
             continue
-        st = RS.rescale_snapshot(F.snapshot(f, i, theta1), theta1)
+        st = RS.rescale_snapshot(F.snapshot(f, i), theta1)
         b = theta1.alpha * g.eps / (t + g.eps)
         err = np.abs(st.w_eta[st.support_mask] - b * st.gamma_hat)
         worst = max(worst, err[2:-2].max())
@@ -150,7 +150,7 @@ def test_pushforward_certificate(theta1, solved128):
     f = solved128
     g = f.grid
     for i in (12, 64, 128):
-        st = RS.rescale_snapshot(F.snapshot(f, i, theta1), theta1)
+        st = RS.rescale_snapshot(F.snapshot(f, i), theta1)
         dev = RS.pushforward_deviation(st, theta1)
         assert np.max(np.abs(dev)) < 1e-12
 
@@ -201,7 +201,7 @@ def test_lyapunov_on_analytic_flow(theta1):
             t = g.t[i]
             if t < 0.1:
                 continue
-            st = RS.rescale_snapshot(F.snapshot(f, i, theta1), theta1)
+            st = RS.rescale_snapshot(F.snapshot(f, i), theta1)
             worst = max(worst, abs(RS.lyapunov(st, theta1)
                                    - closed_form_H(theta1, t, g.eps)))
         assert worst < tol
@@ -324,7 +324,7 @@ def test_hat_gamma_residual_identity_map(theta1, theta3):
         g = make_grid(p, eps=1e-3, T=1.0, nt=48, ny=48)
         f = FlowField(grid=g, profile=p,
                       gamma=g.t[:, None] ** p.alpha * g.y[None, :])
-        tau, res = RS.hat_gamma_residual(f, p)
+        tau, res = RS.hat_gamma_residual(f)
         assert np.max(np.abs(res)) < 1e-12
 
 
@@ -336,7 +336,7 @@ def test_hat_gamma_residual_truncation_decay(theta1):
     for ny in (64, 128):
         g = make_grid(theta1, eps=1e-3, T=1.0, nt=ny, ny=ny)
         f = analytic_flow(theta1, g)
-        tau, res = RS.hat_gamma_residual(f, theta1)
+        tau, res = RS.hat_gamma_residual(f)
         keep = np.exp(tau) >= 10.0 * g.eps
         sups[ny] = np.max(np.abs(res[keep]))
     assert sups[64] < 1.2e-4
@@ -348,7 +348,7 @@ def test_hat_gamma_residual_truncation_decay(theta1):
 # ---------------------------------------------------------------------------
 
 def test_series_columns_and_csv_roundtrip(tmp_path, theta1, solved128):
-    series = RS.build_series(solved128, theta1)
+    series = RS.build_series(solved128)
     assert set(series) == set(RS.SERIES_COLUMNS)
     n = series["tau"].size
     assert all(series[k].size == n for k in RS.SERIES_COLUMNS)
@@ -360,23 +360,9 @@ def test_series_columns_and_csv_roundtrip(tmp_path, theta1, solved128):
         assert np.allclose(back[k], series[k], rtol=0, atol=0)
 
 
-def test_series_with_passed_value_and_boundaries(theta1, solved128):
-    f = solved128
-    ref = RS.build_series(f, theta1)
-    got = RS.build_series(f, theta1, ubar=F.value_on_support(f, theta1),
-                          fb=F.free_boundaries(f))
-    for k in RS.SERIES_COLUMNS:
-        assert np.array_equal(got[k], ref[k])
-
-
-def test_series_respects_t_min(theta1, solved128):
-    series = RS.build_series(solved128, theta1, t_min=0.3)
-    assert np.exp(series["tau"]).min() >= 0.3
-
-
 def test_series_certificates_subcritical(theta1, solved128):
     # theta < 2: H decreasing, eventually negative; deviation grows in tau
-    s = RS.build_series(solved128, theta1)
+    s = RS.build_series(solved128)
     H = s["H"]
     assert np.all(np.diff(H) < 0.0)
     assert H[0] < 6e-3
@@ -395,7 +381,7 @@ def test_series_certificates_supercritical(theta3, run_rates):
     # theta > 2: H nonnegative up to the eps-dilation floor, nondecreasing
     # up to quadrature noise; duality nonpositive once the floor decays
     p = theta3
-    s = RS.build_series(run_rates, p)
+    s = RS.build_series(run_rates)
     t = np.exp(s["tau"])
     q = run_rates.grid.eps / t
     lam = (1.0 + q) ** p.alpha
@@ -420,7 +406,7 @@ def test_series_deviation_mode_rates(theta3, run_rates):
     # slowest deviation-mode rate 1-alpha (asymmetric datum), and H at
     # twice that; regression guard on the measured windows
     p = theta3
-    s = RS.build_series(run_rates, p)
+    s = RS.build_series(run_rates)
     tau = s["tau"]
     t = np.exp(tau)
     win = (t >= 0.02) & (t <= 0.25)
@@ -431,7 +417,7 @@ def test_series_deviation_mode_rates(theta3, run_rates):
 
 
 def test_series_dh_identity_supercritical(theta3, run_identity):
-    s = RS.build_series(run_identity, theta3)
+    s = RS.build_series(run_identity)
     assert np.all(s["H"] > 0.0)
     assert np.min(np.diff(s["H"])) > -5e-5
     rel = np.abs(s["dH_fd"][1:-1] - s["dH_identity"][1:-1]) \
@@ -440,16 +426,18 @@ def test_series_dh_identity_supercritical(theta3, run_identity):
     assert np.median(rel) < 5e-3
 
 
-def test_series_needs_rows(theta1, solved128):
-    with pytest.raises(errors.InvalidParameterError):
-        RS.build_series(solved128, theta1, t_min=0.999)
+def test_series_needs_rows(theta1):
+    # t_resolved = 10 eps = 0.99 leaves only the terminal row
+    f = analytic_flow(theta1, make_grid(theta1, eps=0.099, T=1.0, nt=16, ny=16))
+    with pytest.raises(errors.InvalidParameterError, match="fewer than four"):
+        RS.build_series(f)
 
 
 # ---------------------------------------------------------------------------
 # bulk series against a per-row reference
 # ---------------------------------------------------------------------------
 
-def per_row_series(f, p, ubar, fb):
+def per_row_series(f, p):
     """The series slice by slice: snapshot -> rescale_snapshot -> the
     per-slice functionals, with build_series' default rows and padding."""
     g = f.grid
@@ -459,7 +447,7 @@ def per_row_series(f, p, ubar, fb):
     diss = np.empty(keep.size)
     for n, i in enumerate(keep):
         st = RS.rescale_snapshot(
-            F.snapshot(f, int(i), p, n_pad=g.ny, ubar=ubar, fb=fb), p)
+            F.snapshot(f, int(i), n_pad=g.ny), p)
         gap = st.gamma_hat - g.y
         w_sup = st.w[st.support_mask]
         cols["tau"][n] = st.tau
@@ -480,9 +468,8 @@ def per_row_series(f, p, ubar, fb):
 
 def test_series_matches_per_row_reference(solved64):
     p, f = solved64
-    ubar, fb = F.value_on_support(f, p), F.free_boundaries(f)
-    got = RS.build_series(f, p, ubar=ubar, fb=fb)
-    ref = per_row_series(f, p, ubar, fb)
+    got = RS.build_series(f)
+    ref = per_row_series(f, p)
     for k in RS.SERIES_COLUMNS:
         assert got[k].shape == ref[k].shape
         scale = np.max(np.abs(ref[k]))
@@ -491,7 +478,7 @@ def test_series_matches_per_row_reference(solved64):
 
 def test_series_csv_reads_back_only_its_own_flow(tmp_path, theta1, solved128):
     f = solved128
-    series = RS.build_series(f, theta1)
+    series = RS.build_series(f)
     path = tmp_path / "series.csv"
     RS.save_series_csv(series, path)
     back = RS.load_series_csv(path, f)
