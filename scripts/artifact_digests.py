@@ -13,9 +13,15 @@ The matrix: one operation of each benchmark workload at seed 0; ``solve``,
 ``export`` and ``rates`` at theta in {0.5, 1, 2, 3, 10} on a 64^2 grid; a
 theta sweep over {1, 3}; one ``--target self_similar`` run; ``validate`` on
 a ``(1 - x^2)_+`` table that the script writes; the ``--help`` of the program
-and of each subcommand, at a fixed width of 80 columns.  The output lists,
-for each call, its argv, exit code and standard output, then one
-``sha256  path`` line for each file written, sorted by path.
+and of each subcommand, at a fixed width of 80 columns; and one call down
+each failure path: a malformed ``--config`` file, a bad value inside one, a
+Newton budget too small (exit 2), ``--strict`` at the default horizon (exit
+3), ``rates`` on a missing run directory, ``validate --theta 0``, an
+``--outdir`` that is a file or lies under one, and a sweep with a rejected
+value.  The output lists, for each call, its argv, its exit code (or
+``raised <Type>`` for an exception that escapes ``main``), its standard
+output and its standard error, each stderr line prefixed ``stderr: ``;
+then one ``sha256  path`` line for each file written, sorted by path.
 """
 
 from __future__ import annotations
@@ -60,6 +66,28 @@ def matrix(workloads) -> list[list[str]]:
     calls.append(["validate", str(table), "--theta", "1"])
     calls.append(["--help"])
     calls += [[name, "--help"] for name in SUBCOMMANDS]
+
+    malformed = Path("inputs") / "malformed.json"
+    malformed.write_text("{ not json\n")
+    bad_value = Path("inputs") / "bad-value.json"
+    bad_value.write_text('{"theta": -1}\n')
+    a_file = Path("inputs") / "a-file"
+    a_file.write_text("")
+    calls += [
+        ["solve", "--config", str(malformed)],
+        ["solve", "--config", str(bad_value)],
+        ["solve", *GRID64, "--max-iter", "1", "--tol", "1e-16",
+         "--outdir", "diverged"],
+        ["solve", *GRID64, "--strict", "--outdir", "strict"],
+        ["rates", "no-such-run"],
+        ["validate", str(table), "--theta", "0"],
+        ["solve", *GRID64, "--outdir", str(a_file)],
+        ["solve", *GRID64, "--outdir", str(a_file / "sub")],
+        ["sweep", "--axis", "eps", "--values", "1e-2", *GRID64,
+         "--outdir", str(a_file)],
+        ["sweep", "--axis", "eps", "--values", "1e-3,-1", *GRID64,
+         "--outdir", "rejected-sweep"],
+    ]
     return calls
 
 
@@ -79,14 +107,18 @@ def main() -> int:
     os.chdir(args.outdir)
     os.environ["COLUMNS"] = "80"        # argparse wraps help to the terminal
     for argv in matrix(workloads):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = cli_main(argv)
+                status = f"exit {cli_main(argv)}"
             except SystemExit as exc:   # --help
-                code = exc.code
-        print(f"$ dirac-mfp {' '.join(argv)}\nexit {code}")
-        print(buf.getvalue(), end="")
+                status = f"exit {exc.code}"
+            except Exception as exc:    # noqa: BLE001 - recorded, not fatal
+                status = f"raised {type(exc).__name__}"
+        print(f"$ dirac-mfp {' '.join(argv)}\n{status}")
+        print(out.getvalue(), end="")
+        print("".join(f"stderr: {line}\n"
+                      for line in err.getvalue().splitlines()), end="")
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
     return 0

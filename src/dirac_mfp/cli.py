@@ -6,9 +6,7 @@ certificate outcomes, and every float is written with 17 significant
 digits so a rerun with the same configuration produces bit-identical
 files.
 
-Exit codes: 0 success, 1 malformed configuration or input file, 2
-solver failure or missing run artifacts, 3 certificate failure under
-``--strict``.
+Each failure is an `errors.DiracMfpError` carrying its exit code.
 """
 
 from __future__ import annotations
@@ -26,17 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CompatibilityError, CrossingCharacteristicsError,
-                     DegenerateStateError, DiracMfpError, FormatError,
-                     InvalidParameterError, NewtonDivergenceError,
-                     UnsupportedParameterError, check_int, check_number,
-                     check_type)
+from .errors import (EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVER, DiracMfpError,
+                     FormatError, InvalidParameterError, check_int,
+                     check_number, check_type)
 from .solver import SolverConfig
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_SOLVER = 2
-EXIT_CERTIFICATE = 3
 
 TARGET_KINDS = ("power_bump", "self_similar", "file")
 
@@ -61,7 +52,7 @@ class TargetConfig:
     def __post_init__(self):
         if self.kind not in TARGET_KINDS:
             raise InvalidParameterError(
-                f"config: target kind must be one of {TARGET_KINDS}, "
+                f"target kind must be one of {TARGET_KINDS}, "
                 f"got {self.kind!r}")
         check_number("target.a", self.a)
         check_number("target.b", self.b)
@@ -69,10 +60,10 @@ class TargetConfig:
                    "a string or null")
         if self.kind == "file" and not self.path:
             raise InvalidParameterError(
-                "config: target kind 'file' needs a path")
+                "target kind 'file' needs a path")
         if self.kind == "power_bump" and not self.b > self.a:
             raise InvalidParameterError(
-                f"config: power_bump needs a < b, got [{self.a}, {self.b}]")
+                f"power_bump needs a < b, got [{self.a}, {self.b}]")
 
 
 @dataclass(frozen=True)
@@ -102,11 +93,11 @@ class RunConfig:
         if win is not None:
             if not (isinstance(win, (list, tuple)) and len(win) == 2):
                 raise FormatError(
-                    f"config: fit_window must be [lo, hi], got {win!r}")
+                    f"fit_window must be [lo, hi], got {win!r}")
             for v in win:
                 check_number("fit_window", v)
             if not 0.0 < win[0] < win[1]:
-                raise InvalidParameterError(f"config: fit window must satisfy "
+                raise InvalidParameterError(f"fit window must satisfy "
                                             f"0 < lo < hi, got {list(win)}")
             object.__setattr__(self, "fit_window", tuple(map(float, win)))
         check_type("outdir", self.outdir, str, "a string")
@@ -122,11 +113,13 @@ def nested_to_config(doc: dict, where: str = "config") -> RunConfig:
 
     Each JSON object becomes the config type of its section; a key that
     the type does not declare is rejected, except the retired keys, which
-    are skipped so that older run directories still load.
+    are skipped so that older run directories still load.  Any error
+    raised while building is re-raised with ``where: `` in front, so that
+    its message names the document's source.
     """
     def build(cls, node, prefix: str):
         if not isinstance(node, dict):
-            raise FormatError(f"{where}: {prefix.rstrip('.') or 'top level'} "
+            raise FormatError(f"{prefix.rstrip('.') or 'top level'} "
                               f"must be a JSON object")
         types = typing.get_type_hints(cls)
         kw = {}
@@ -135,13 +128,16 @@ def nested_to_config(doc: dict, where: str = "config") -> RunConfig:
             if path in _RETIRED_KEYS:
                 continue
             if key not in types:
-                raise FormatError(f"{where}: unknown key {path!r}")
+                raise FormatError(f"unknown key {path!r}")
             section = types[key]
             kw[key] = (build(section, value, path + ".")
                        if dataclasses.is_dataclass(section) else value)
         return cls(**kw)
 
-    return build(RunConfig, doc, "")
+    try:
+        return build(RunConfig, doc, "")
+    except (FormatError, InvalidParameterError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -178,6 +174,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # artifact I/O
 # ---------------------------------------------------------------------------
 
+# The files of a run directory, by their key in the manifest's "artifacts"
+# map and in its order; "snapshots" is the pattern of the slice files.
+RUN_FILES = {
+    "flow": "flow.csv", "boundary": "boundary.csv", "series": "series.csv",
+    "rates": "rates.json", "config": "config.json",
+    "snapshots": "snapshots/slice_{i:04d}.csv",
+}
+
+_N_SNAPSHOTS = 8        # persisted slices, fewer on grids with fewer rows
+
+
+def _write_json(doc, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def save_flow_csv(f, path) -> None:
     """Flow map as one row per time node; header carries the label grid."""
     g = f.grid
@@ -204,7 +217,7 @@ def load_flow_csv(path):
     return data[:, 0], y, data[:, 1:]
 
 
-class _MissingArtifact(Exception):
+class _MissingArtifact(DiracMfpError):
     """A run directory lacks an artifact that `_load_run` reads (exit 2)."""
 
 
@@ -213,19 +226,29 @@ def _load_run(rundir: Path):
     from .profile import make_profile
     from .solver import FlowField, SpaceTimeGrid
 
-    for name in ("config.json", "flow.csv"):
-        if not (rundir / name).is_file():
-            raise _MissingArtifact(rundir / name)
-    cfg = load_config(rundir / "config.json")
-    t, y, gamma = load_flow_csv(rundir / "flow.csv")
+    config, flow = rundir / RUN_FILES["config"], rundir / RUN_FILES["flow"]
+    for path in (config, flow):
+        if not path.is_file():
+            raise _MissingArtifact(f"missing run artifact: {path}")
+    cfg = load_config(config)
+    t, y, gamma = load_flow_csv(flow)
     grid = SpaceTimeGrid(eps=cfg.eps, T=cfg.T, t=t, y=y)
     return cfg, FlowField(grid=grid, profile=make_profile(cfg.theta),
                           gamma=gamma)
 
 
-def _snapshot_rows(nt: int, n: int = 8) -> np.ndarray:
+def _snapshot_rows(nt: int) -> np.ndarray:
     """Row indices of the persisted slices: geometric in t, t=0 excluded."""
-    return np.unique(np.linspace(1, nt, n).round().astype(int))
+    return np.unique(np.linspace(1, nt, _N_SNAPSHOTS).round().astype(int))
+
+
+def _check_outdir(outdir: str) -> None:
+    """`InvalidParameterError` when ``outdir`` is, or lies under, a file:
+    checked before any solve or write."""
+    for path in (Path(outdir), *Path(outdir).parents):
+        if path.exists() and not path.is_dir():
+            raise InvalidParameterError(
+                f"outdir {outdir}: {path} is not a directory")
 
 
 def _build_target(cfg: RunConfig, p):
@@ -243,15 +266,17 @@ def _build_target(cfg: RunConfig, p):
 # ---------------------------------------------------------------------------
 
 def _run_pipeline(cfg: RunConfig):
-    """solve -> fields -> rescale -> metrics; returns (field, certificates,
-    rate report).  The flow keeps its value and free boundaries, and the
-    rescaled series is built once and handed to the rate report."""
+    """solve -> fields -> rescale -> metrics; returns (field, rate report,
+    failed certificates, rate verdict: the laws out of band or the note
+    that none was fitted, else None).  The flow keeps its value and free
+    boundaries, and the rescaled series is built once for the report."""
     from . import fields as fields_mod
     from . import metrics as metrics_mod
     from . import rescale as rescale_mod
     from .profile import make_profile
     from .solver import make_grid, solve
 
+    _check_outdir(cfg.outdir)
     p = make_profile(cfg.theta)
     grid = make_grid(p, cfg.eps, cfg.T, cfg.nt, cfg.ny)
     rescale_mod.series_rows(grid)       # fail before the solve and any write
@@ -260,20 +285,20 @@ def _run_pipeline(cfg: RunConfig):
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "snapshots").mkdir(exist_ok=True)
+    rows = _snapshot_rows(grid.nt)
+    snapshots = [RUN_FILES["snapshots"].format(i=i) for i in rows]
 
-    with open(out / "config.json", "w") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, indent=2)
-        fh.write("\n")
-    save_flow_csv(f, out / "flow.csv")
-    for i in _snapshot_rows(grid.nt):
-        snap = fields_mod.snapshot(f, int(i))
-        fields_mod.save_snapshot_csv(snap, out / "snapshots" / f"slice_{i:04d}.csv")
+    _write_json(dataclasses.asdict(cfg), out / RUN_FILES["config"])
+    save_flow_csv(f, out / RUN_FILES["flow"])
+    for i, name in zip(rows, snapshots):
+        fields_mod.save_snapshot_csv(fields_mod.snapshot(f, int(i)),
+                                     out / name)
     fb = f.boundaries
-    fields_mod.save_boundary_csv(fb, out / "boundary.csv")
+    fields_mod.save_boundary_csv(fb, out / RUN_FILES["boundary"])
     series = rescale_mod.build_series(f)
-    rescale_mod.save_series_csv(series, out / "series.csv")
+    rescale_mod.save_series_csv(series, out / RUN_FILES["series"])
     report = metrics_mod.rate_report(f, window=cfg.fit_window, series=series)
-    metrics_mod.save_rate_report(report, out / "rates.json")
+    metrics_mod.save_rate_report(report, out / RUN_FILES["rates"])
 
     masses = fields_mod.pushforward_masses(f)
     mass_err = float(np.max(np.abs(masses - 1.0)))
@@ -296,44 +321,23 @@ def _run_pipeline(cfg: RunConfig):
                    "energy": f.info.energy,
                    "converged": f.info.converged},
         "certificates": certificates,
-        "artifacts": {
-            "flow": "flow.csv", "boundary": "boundary.csv",
-            "series": "series.csv", "rates": "rates.json",
-            "config": "config.json",
-            "snapshots": [f"snapshots/slice_{i:04d}.csv"
-                          for i in _snapshot_rows(grid.nt)],
-        },
+        "artifacts": {**RUN_FILES, "snapshots": snapshots},
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return f, certificates, report
+    _write_json(manifest, out / "manifest.json")
+    bad = [k for k in ("mass_conserved", "boundary_curvature_signs",
+                       "rates_all_pass") if not certificates[k]]
+    return f, report, bad, f"laws: {', '.join(failed)}" if failed else unfitted
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    from .metrics import rate_verdict
-
     cfg = _config_from_args(args)
-    try:
-        f, certs, report = _run_pipeline(cfg)
-    except (NewtonDivergenceError, DegenerateStateError,
-            CrossingCharacteristicsError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    f, _, bad, detail = _run_pipeline(cfg)
     print(f"wrote {cfg.outdir} ({f.info.iterations} Newton steps, "
           f"scaled gradient {f.info.grad_norm:.3g})")
-    cert_ok = (certs["mass_conserved"] and certs["boundary_curvature_signs"]
-               and certs["rates_all_pass"])
-    if not cert_ok:
-        bad = [k for k in ("mass_conserved", "boundary_curvature_signs",
-                           "rates_all_pass") if not certs[k]]
-        failed, unfitted = rate_verdict(report)
+    if bad:
         print(f"certificates out of band: {', '.join(bad)}"
-              + (f" (laws: {', '.join(failed)})" if failed else
-                 f" ({unfitted})" if unfitted else ""))
-        if cfg.strict:
-            return EXIT_CERTIFICATE
-    return EXIT_OK
+              + (f" ({detail})" if detail else ""))
+    return EXIT_CERTIFICATE if bad and cfg.strict else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +356,7 @@ def _pool_size(n_jobs: int) -> int:
 
 def _sweep_one(cfg: RunConfig):
     try:
-        f, _, report = _run_pipeline(cfg)
+        f, report, _, _ = _run_pipeline(cfg)
         return f, report, None
     except DiracMfpError as exc:
         return None, None, f"{type(exc).__name__}: {exc}"
@@ -364,54 +368,48 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         values = [float(v) for v in given]
     except ValueError:
-        print(f"sweep values must be numbers, got {args.values!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise FormatError(
+            f"sweep values must be numbers, got {args.values!r}") from None
     if not values:
-        print("sweep needs a nonempty comma-separated --values list",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise FormatError("sweep needs a nonempty comma-separated --values list")
     axis = args.axis
     names = [f"{axis}={v:g}" for v in values]
     shared = [f"{v} -> {n}" for v, n in zip(given, names) if names.count(n) > 1]
     if shared:
-        print(f"sweep values would share a run directory: {', '.join(shared)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise InvalidParameterError(
+            f"sweep values would share a run directory: {', '.join(shared)}")
 
+    # everything that can reject the sweep runs before the first write
     out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    subcfgs = [dataclasses.replace(cfg, outdir=str(out / n), **{axis: v})
+    doc = dataclasses.asdict(cfg)
+    subcfgs = [nested_to_config({**doc, "outdir": str(out / n), axis: v})
                for v, n in zip(values, names)]
+    workers = _pool_size(len(values))
+    _check_outdir(cfg.outdir)
+    out.mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=_pool_size(len(values))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_sweep_one, subcfgs))
 
-    rows = []
-    for v, (f, report, err) in zip(values, results):
-        law_fit = {law: float("nan") for law in SWEEP_LAWS}
-        status = "ok"
-        if err is not None:
-            status = "failed"
-        else:
-            for r in report["laws"]:
-                if r["fitted_exponent"] is not None:
-                    law_fit[r["law"]] = r["fitted_exponent"]
-        rows.append((v, status, law_fit))
-        if err is not None:
-            print(f"{axis}={v:g}: {err}", file=sys.stderr)
-
-    with open(out / "sweep.csv", "w") as fh:
+    summary = out / "sweep.csv"
+    with open(summary, "w") as fh:
         fh.write(f"{axis},status," + ",".join(SWEEP_LAWS) + "\n")
-        for v, status, law_fit in rows:
+        for v, (_, report, err) in zip(values, results):
+            law_fit = dict.fromkeys(SWEEP_LAWS, float("nan"))
+            if err is not None:
+                print(f"{axis}={v:g}: {err}", file=sys.stderr)
+            else:
+                law_fit.update((r["law"], r["fitted_exponent"])
+                               for r in report["laws"]
+                               if r["fitted_exponent"] is not None)
             vals = ",".join(f"{law_fit[law]:.17g}" for law in SWEEP_LAWS)
-            fh.write(f"{v:.17g},{status},{vals}\n")
+            fh.write(f"{v:.17g},{'ok' if err is None else 'failed'},{vals}\n")
 
     if axis == "eps":
         _write_cauchy_table(cfg, values, results, out)
 
-    n_failed = sum(1 for _, status, _ in rows if status == "failed")
-    print(f"wrote {out / 'sweep.csv'} ({len(values)} runs, {n_failed} failed)")
+    n_failed = sum(err is not None for _, _, err in results)
+    print(f"wrote {summary} ({len(values)} runs, {n_failed} failed)")
     return EXIT_SOLVER if n_failed else EXIT_OK
 
 
@@ -455,8 +453,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
     cfg, f = _load_run(rundir)
     # a refit is strict only when asked, whatever the run was
     cfg = _merge_flags(dataclasses.replace(cfg, strict=False), args)
-    report = rate_report(f, window=cfg.fit_window,
-                         series=load_series_csv(rundir / "series.csv", f))
+    series = load_series_csv(rundir / RUN_FILES["series"], f)
+    report = rate_report(f, window=cfg.fit_window, series=series)
 
     print(f"theta={report['theta']:g} alpha={report['alpha']:.6f} "
           f"kappa={report['kappa']:.6f} window=[{report['window'][0]:g}, "
@@ -475,11 +473,9 @@ def cmd_rates(args: argparse.Namespace) -> int:
     if unfitted:
         print(f"  {unfitted}")
     if args.write:
-        save_rate_report(report, rundir / "rates.json")
-        print(f"wrote {rundir / 'rates.json'}")
-    if cfg.strict and (failed or unfitted):
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+        save_rate_report(report, rundir / RUN_FILES["rates"])
+        print(f"wrote {rundir / RUN_FILES['rates']}")
+    return EXIT_CERTIFICATE if cfg.strict and (failed or unfitted) else EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -493,9 +489,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"c_upper={report.c_upper:.17g}")
     print(f"envelope ratio {report.ratio:.6g} against bound {report.bound:g}: "
           f"{'pass' if report.passed else 'FAIL'}")
-    if args.strict and not report.passed:
-        return EXIT_CERTIFICATE
-    return EXIT_OK
+    return EXIT_CERTIFICATE if args.strict and not report.passed else EXIT_OK
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -522,7 +516,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     # Lyapunov series with both dH/dtau columns and the fitted envelope;
     # the run's series.csv when it is the series of this flow
-    series = rescale_mod.load_series_csv(rundir / "series.csv", f)
+    series = rescale_mod.load_series_csv(rundir / RUN_FILES["series"], f)
     if series is None:
         series = rescale_mod.build_series(f)
     tau, H = series["tau"], series["H"]
@@ -662,20 +656,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _MissingArtifact as exc:
-        print(f"missing run artifact: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (FormatError, InvalidParameterError,
-            UnsupportedParameterError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except (NewtonDivergenceError, DegenerateStateError,
-            CrossingCharacteristicsError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SOLVER
-    except CompatibilityError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CERTIFICATE
+    except DiracMfpError as exc:
+        print(exc, file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -192,8 +192,8 @@ def free_boundaries(f: FlowField) -> FreeBoundaries:
         alpha=f.profile.alpha,
         gamma_L=gL,
         gamma_R=gR,
-        dgL=np.gradient(gL, g.t, edge_order=2),
-        dgR=np.gradient(gR, g.t, edge_order=2),
+        dgL=f.gamma_t[:, 0].copy(),
+        dgR=f.gamma_t[:, -1].copy(),
         ddgL=_second_derivative(gL, g.t),
         ddgR=_second_derivative(gR, g.t),
     )

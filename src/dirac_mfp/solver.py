@@ -296,33 +296,28 @@ class _Workspace:
         q = self.PHI[None, :] * (-th / (th + 1.0)) * self.slopes(gamma) ** (-th - 1.0)
         return kin, np.pad(q, ((0, 0), (1, 1)))
 
-    def gradient(self, gamma: np.ndarray) -> np.ndarray:
-        """dE/dgamma at the interior time rows, shape (nt-1, ny+1)."""
+    def gradient(self, gamma: np.ndarray) -> tuple[np.ndarray, float]:
+        """dE/dgamma at the interior time rows, shape (nt-1, ny+1), and its
+        scaled sup norm, the relative stationarity measure: each entry
+        divided by the quadrature weight plus the sum of the absolute
+        terms that were summed to produce it.  The early time rows carry
+        flow terms of size (t+eps)^(alpha-2); a purely weight-scaled norm
+        would bottom out at machine-eps times that factor and the default
+        tolerance would be unreachable for small eps."""
         kin, qp = self._fluxes(gamma)
         cong = self.wt[:, None] * (qp[:, :-1] - qp[:, 1:])
-        return (kin[:-1] - kin[1:]) + cong[1:-1]
+        G = (kin[:-1] - kin[1:]) + cong[1:-1]
+        kin, qp = np.abs(kin), np.abs(qp)
+        cong = self.wt[:, None] * (qp[:, :-1] + qp[:, 1:])
+        scale = (self.wt[1:-1, None] * self.W[None, :]
+                 + ((kin[:-1] + kin[1:]) + cong[1:-1]))
+        return G, float(np.max(np.abs(G) / scale))
 
     def cell_curvature(self, gamma: np.ndarray) -> np.ndarray:
         """Hessian coefficient of each congestion cell at interior rows."""
         s = self.slopes(gamma)[1:-1]
         return (self.wt[1:-1, None] * self.PHI[None, :]
                 * self.theta * s ** (-self.theta - 2.0) / self.dy)
-
-    def term_scale(self, gamma: np.ndarray) -> np.ndarray:
-        """Sum of absolute assembly terms entering each gradient entry."""
-        kin, qp = (np.abs(a) for a in self._fluxes(gamma))
-        cong = self.wt[:, None] * (qp[:, :-1] + qp[:, 1:])
-        return (kin[:-1] + kin[1:]) + cong[1:-1]
-
-    def scaled_norm(self, G: np.ndarray, gamma: np.ndarray) -> float:
-        """Relative stationarity measure: gradient entries divided by the
-        quadrature weight plus the local magnitude of the terms that were
-        summed to produce them.  The early time rows carry flow terms of
-        size (t+eps)^(alpha-2); a purely weight-scaled norm would bottom
-        out at machine-eps times that factor and the default tolerance
-        would be unreachable for small eps."""
-        scale = self.wt[1:-1, None] * self.W[None, :] + self.term_scale(gamma)
-        return float(np.max(np.abs(G) / scale))
 
 
 def energy(f: FlowField) -> float:
@@ -344,8 +339,7 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
     """Sup norm of the energy gradient scaled by the quadrature weights
     (the solver's convergence functional).  ``p``, when given, must be the
     flow's own profile."""
-    ws = _Workspace(_own_profile(f, p), f.grid)
-    return ws.scaled_norm(ws.gradient(f.gamma), f.gamma)
+    return _Workspace(_own_profile(f, p), f.grid).gradient(f.gamma)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +600,7 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
     it = 0
     gn = math.inf
     for it in range(1, cfg.newton_max_iter + 1):
-        G = ws.gradient(gamma)
-        gn = ws.scaled_norm(G, gamma)
+        G, gn = ws.gradient(gamma)
         if gn <= cfg.residual_tol:
             return FlowField(grid=grid, profile=p, gamma=gamma,
                              info=SolveInfo(iterations=it - 1, grad_norm=gn,
@@ -637,7 +630,7 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
             # the energy sum and Armijo can no longer see it; there the
             # scaled gradient decides
             if (abs(E1 - E0) <= _ENERGY_ROUNDING_ULPS * math.ulp(E0)
-                    and ws.scaled_norm(ws.gradient(candidate), candidate) < gn):
+                    and ws.gradient(candidate)[1] < gn):
                 break
             a *= _ARMIJO_SHRINK
             if a < 1e-14:

@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from dirac_mfp import cli
+from dirac_mfp import cli, errors
 from dirac_mfp.errors import FormatError, InvalidParameterError
 from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import SolverConfig, make_grid, solve
@@ -169,6 +169,24 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         cli.load_config(doc)
 
 
+def test_messages_name_their_source(tmp_path, capsys):
+    doc = tmp_path / "c.json"
+    doc.write_text('{"eps": 0}\n')
+    message = "eps must be a positive number, got 0"
+    assert run_cli("solve", "--config", doc, "--outdir", tmp_path / "r") == 1
+    assert capsys.readouterr().err == f"{doc}: {message}\n"
+    assert run_cli("solve", "--eps", "0", "--outdir", tmp_path / "r") == 1
+    assert capsys.readouterr().err == f"config: {message}.0\n"
+    table = tmp_path / "bump.csv"
+    save_csv(power_bump(-1.0, 1.0, 1.0), table)
+    for flags in (["--theta", "0"], ["--theta", "1", "--ratio-bound", "nan"]):
+        assert run_cli("validate", table, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{flags[-2]} must be a positive number")
+        assert "config:" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_flags_override_config_file(tmp_path):
     doc = tmp_path / "c.json"
     doc.write_text(json.dumps({"theta": 3.0, "eps": 1e-2, "nt": 48, "ny": 48,
@@ -195,6 +213,13 @@ def test_solve_writes_run_directory(tmp_path):
     assert len(snaps) == 8
 
     manifest = json.loads((out / "manifest.json").read_text())
+    # the manifest lists the run files of the table, in its order
+    artifacts = manifest["artifacts"]
+    assert list(artifacts) == list(cli.RUN_FILES)
+    assert artifacts["snapshots"] == [p.relative_to(out).as_posix()
+                                      for p in snaps]
+    assert all((out / artifacts[k]).is_file()
+               for k in cli.RUN_FILES if k != "snapshots")
     assert manifest["solver"]["converged"] is True
     assert manifest["solver"]["iterations"] >= 1
     assert manifest["solver"]["grad_norm"] <= 1e-10
@@ -230,6 +255,42 @@ def test_solve_exit_codes(tmp_path):
                    "--strict") == 3
 
 
+# the exit code the README states for each error class
+EXIT_CODES = {
+    errors.FormatError: 1,
+    errors.InvalidParameterError: 1,
+    errors.UnsupportedParameterError: 1,
+    errors.DegenerateStateError: 2,
+    errors.NewtonDivergenceError: 2,
+    errors.CrossingCharacteristicsError: 2,
+    cli._MissingArtifact: 2,
+    errors.CompatibilityError: 3,
+}
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_every_error_class_has_a_stated_exit_code():
+    assert set(subclasses(errors.DiracMfpError)) == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("exc", EXIT_CODES, ids=lambda c: c.__name__)
+def test_main_maps_each_error_to_its_exit_code(tmp_path, capsys,
+                                               monkeypatch, exc):
+    def fail(cfg):
+        raise exc("the message")
+
+    monkeypatch.setattr(cli, "_run_pipeline", fail)
+    assert run_cli("solve", "--outdir", tmp_path / "r") == EXIT_CODES[exc]
+    captured = capsys.readouterr()
+    assert captured.err == "the message\n"
+    assert captured.out == ""
+
+
 def test_missing_target_csv_exits_1(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     out = tmp_path / "run"
@@ -247,6 +308,32 @@ def test_eps_too_large_for_horizon_rejected_before_solve(tmp_path, capsys):
                    "--ny", "64", "--outdir", out) == 1
     assert "fewer than four slices with t >= 5.0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def forbid_solve(monkeypatch):
+    from dirac_mfp import solver
+
+    def fail(*args, **kwargs):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr(solver, "solve", fail)
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["sweep", "--axis", "eps", "--values", "1e-2,1e-3"]],
+    ids=["solve", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+def test_outdir_naming_a_file_exits_1(tmp_path, capsys, monkeypatch,
+                                      command, below):
+    forbid_solve(monkeypatch)
+    a_file = tmp_path / "F"
+    a_file.write_text("keep")
+    outdir = a_file / "sub" if below else a_file
+    assert run_cli(*command, "--outdir", outdir, *FAST) == 1
+    assert capsys.readouterr().err \
+        == f"outdir {outdir}: {a_file} is not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+    assert a_file.read_text() == "keep"
 
 
 @pytest.mark.parametrize("flags, window", [
@@ -469,11 +556,15 @@ def test_sweep_theta_tracks_support_exponent(tmp_path, monkeypatch):
     assert not (out / "cauchy_d1.csv").exists()
 
 
-def test_sweep_rejects_bad_values(tmp_path):
-    assert run_cli("sweep", "--axis", "eps", "--values", "",
-                   "--outdir", tmp_path / "a") == 1
-    assert run_cli("sweep", "--axis", "eps", "--values", "1e-2,zzz",
-                   "--outdir", tmp_path / "b") == 1
+def test_sweep_rejects_bad_values(tmp_path, capsys, monkeypatch):
+    forbid_solve(monkeypatch)
+    out = tmp_path / "sw"
+    for axis, values in (("eps", ""), ("eps", "1e-2,zzz"),
+                         ("eps", "1e-3,-1"), ("theta", "nan")):
+        assert run_cli("sweep", "--axis", axis, "--values", values,
+                       "--outdir", out) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
 
 
 def test_sweep_records_per_run_failures(tmp_path, monkeypatch):
@@ -526,8 +617,10 @@ def test_sweep_records_strict_compatibility_failure(tmp_path, monkeypatch):
 
 def test_pool_cap_validation(tmp_path, monkeypatch):
     monkeypatch.setenv("DIRAC_MFP_THREADS", "soon")
+    out = tmp_path / "sw"
     assert run_cli("sweep", "--axis", "eps", "--values", "1e-2",
-                   "--outdir", tmp_path / "sw", *FAST) == 1
+                   "--outdir", out, *FAST) == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

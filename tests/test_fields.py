@@ -217,6 +217,20 @@ def test_free_boundary_signs_on_solved_run(solved128):
     assert np.all(fb.ddgR[1:-1] < 0)
 
 
+@pytest.mark.parametrize("theta", [0.5, 3.0])
+def test_boundary_velocities_are_copies_of_gamma_t(theta):
+    p = make_profile(theta)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=48, ny=48)
+    f = solve(p, power_bump(-1.0, 2.0, theta), g)
+    fb = F.free_boundaries(f)
+    for d, col in ((fb.dgL, 0), (fb.dgR, -1)):
+        # the same numbers as differentiating the boundary column alone
+        assert np.array_equal(d, np.gradient(f.gamma[:, col], g.t,
+                                             edge_order=2))
+        assert np.array_equal(d, f.gamma_t[:, col])
+        assert d.flags.writeable and not np.shares_memory(d, f.gamma_t)
+
+
 # ---------------------------------------------------------------------------
 # exterior continuation
 # ---------------------------------------------------------------------------
