@@ -46,7 +46,7 @@ print("\nsup |t^alpha m(t, gamma(t,y)) gamma_y(t,y) - phi(y)| is zero by")
 print("construction in mass coordinates; the Eulerian collapse error is")
 print("the interpolation defect of the reconstructed density:")
 for i in (32, 64, 96, 128):
-    x, m = fields.density(f, i)
+    x, m = f.gamma[i], f.density[i]
     t = grid.t[i]
     mu = t ** p.alpha * m
     eta = x / t ** p.alpha

@@ -17,11 +17,15 @@ and of each subcommand, at a fixed width of 80 columns; and one call down
 each failure path: a malformed ``--config`` file, a bad value inside one, a
 Newton budget too small (exit 2), ``--strict`` at the default horizon (exit
 3), ``rates`` on a missing run directory, ``validate --theta 0``, an
-``--outdir`` that is a file or lies under one, and a sweep with a rejected
-value.  The output lists, for each call, its argv, its exit code (or
-``raised <Type>`` for an exception that escapes ``main``), its standard
-output and its standard error, each stderr line prefixed ``stderr: ``;
-then one ``sha256  path`` line for each file written, sorted by path.
+``--outdir`` that is a file or lies under one, a sweep with a rejected
+value, a flag value that does not parse (``--nt abc``), and ``export`` and
+``rates --write`` on a run directory whose ``export`` is a file and whose
+``rates.json`` is a directory.  A set-up step between calls (building that
+run directory) prints nothing.  The output lists, for each call, its argv,
+its exit code (or ``raised <Type>`` for an exception that escapes
+``main``), its standard output and its standard error, each stderr line
+prefixed ``stderr: ``; then one ``sha256  path`` line for each file
+written, sorted by path.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import contextlib
 import hashlib
 import io
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -45,7 +50,19 @@ def write_table(path: Path) -> None:
         f"{a:.17g},{max(1.0 - a * a, 0.0):.17g}\n" for a in x))
 
 
-def matrix(workloads) -> list[list[str]]:
+def wrong_kinds(run: Path, copy_of: Path) -> None:
+    """A run directory holding the ``config.json`` and ``flow.csv`` of
+    ``copy_of``, whose ``export`` is a file and whose ``rates.json`` is a
+    directory."""
+    run.mkdir()
+    for name in ("config.json", "flow.csv"):
+        shutil.copyfile(copy_of / name, run / name)
+    (run / "export").write_text("")
+    (run / "rates.json").mkdir()
+
+
+def matrix(workloads) -> list:
+    """The calls in order: argv lists, and set-up steps as callables."""
     calls = []
     for name in workloads.WORKLOADS:
         inputs = Path("inputs") / name
@@ -87,6 +104,10 @@ def matrix(workloads) -> list[list[str]]:
          "--outdir", str(a_file)],
         ["sweep", "--axis", "eps", "--values", "1e-3,-1", *GRID64,
          "--outdir", "rejected-sweep"],
+        ["solve", "--nt", "abc"],
+        lambda: wrong_kinds(Path("wrong-kind"), Path("theta=1")),
+        ["export", "wrong-kind"],
+        ["rates", "wrong-kind", "--write"],
     ]
     return calls
 
@@ -107,6 +128,9 @@ def main() -> int:
     os.chdir(args.outdir)
     os.environ["COLUMNS"] = "80"        # argparse wraps help to the terminal
     for argv in matrix(workloads):
+        if callable(argv):
+            argv()
+            continue
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

@@ -453,6 +453,9 @@ def cmd_rates(args: argparse.Namespace) -> int:
     cfg, f = _load_run(rundir)
     # a refit is strict only when asked, whatever the run was
     cfg = _merge_flags(dataclasses.replace(cfg, strict=False), args)
+    rates = rundir / RUN_FILES["rates"]
+    if args.write and rates.is_dir():
+        raise InvalidParameterError(f"cannot write {rates}: it is a directory")
     series = load_series_csv(rundir / RUN_FILES["series"], f)
     report = rate_report(f, window=cfg.fit_window, series=series)
 
@@ -473,8 +476,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
     if unfitted:
         print(f"  {unfitted}")
     if args.write:
-        save_rate_report(report, rundir / RUN_FILES["rates"])
-        print(f"wrote {rundir / RUN_FILES['rates']}")
+        save_rate_report(report, rates)
+        print(f"wrote {rates}")
     return EXIT_CERTIFICATE if cfg.strict and (failed or unfitted) else EXIT_OK
 
 
@@ -501,6 +504,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     cfg, f = _load_run(rundir)
     p, g = f.profile, f.grid
     out = rundir / "export"
+    _check_outdir(str(out))
     out.mkdir(exist_ok=True)
 
     # rescaled density overlays with the stationary reference column
@@ -610,8 +614,17 @@ def _add_config_flags(sp: argparse.ArgumentParser) -> None:
         _add_flag(sp, fl, fl.help)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a `FormatError` (exit 1, one stderr line), not
+    argparse's usage text and exit 2; the subcommand parsers share the
+    class."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dirac-mfp",
         description="Lagrangian laboratory for the congested planning "
                     "problem started from a point mass")
@@ -653,8 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DiracMfpError as exc:
         print(exc, file=sys.stderr)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.interpolate import CubicSpline
 
 from .errors import (
@@ -41,18 +41,13 @@ from .target import TerminalDensity
 __all__ = [
     "EulerianSnapshot",
     "FreeBoundaries",
-    "density",
-    "velocity",
     "value_on_support",
-    "extend_value",
     "free_boundaries",
     "snapshot",
     "pushforward_masses",
-    "pushforward_partial_masses",
     "weak_continuity_residuals",
     "hj_interior_residual",
     "hj_exterior_residual",
-    "d1_to_dirac",
     "save_snapshot_csv",
     "save_boundary_csv",
 ]
@@ -99,21 +94,6 @@ def _second_derivative(values: np.ndarray, t: np.ndarray,
 
 # -- pointwise fields on the support -----------------------------------------
 
-def density(f: FlowField, t_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Density on the image nodes of slice ``t_index``.
-
-    Returns ``(x, m)`` with ``m = phi(y) / gamma_y``; exactly zero at the
-    two free-boundary nodes where phi vanishes.
-    """
-    return f.gamma[t_index].copy(), f.density[t_index].copy()
-
-
-def velocity(f: FlowField, t_index: int) -> np.ndarray:
-    """u_x on the image nodes of slice ``t_index``, as minus the label
-    velocity of the flow (one-sided at t = 0, T)."""
-    return -f.gamma_t[t_index]
-
-
 def value_on_support(f: FlowField, p: Profile | None = None,
                      m: TerminalDensity | None = None) -> np.ndarray:
     """Value ubar(t_i, y_j) on every slice, shape (nt+1, ny+1).
@@ -153,32 +133,16 @@ def value_on_support(f: FlowField, p: Profile | None = None,
 
 @dataclass(frozen=True)
 class FreeBoundaries:
-    """Boundary curves with discrete first and second time derivatives."""
+    """Boundary curves with discrete first and second time derivatives:
+    the seven columns of `save_boundary_csv`."""
 
     t: np.ndarray
-    eps: float
-    alpha: float
     gamma_L: np.ndarray
     gamma_R: np.ndarray
     dgL: np.ndarray
     dgR: np.ndarray
     ddgL: np.ndarray
     ddgR: np.ndarray
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.t + self.eps
-
-    def velocity_envelopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """|gamma_dot| sigma^(1-alpha) for the two sides; bounded iff the
-        boundary speed obeys the self-similar law."""
-        fac = self.sigma ** (1.0 - self.alpha)
-        return np.abs(self.dgL) * fac, np.abs(self.dgR) * fac
-
-    def curvature_envelopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """gamma_ddot sigma^(2-alpha); signed, so convexity is visible."""
-        fac = self.sigma ** (2.0 - self.alpha)
-        return self.ddgL * fac, self.ddgR * fac
 
 
 def free_boundaries(f: FlowField) -> FreeBoundaries:
@@ -188,8 +152,6 @@ def free_boundaries(f: FlowField) -> FreeBoundaries:
     gR = f.gamma[:, -1].copy()
     return FreeBoundaries(
         t=g.t.copy(),
-        eps=g.eps,
-        alpha=f.profile.alpha,
         gamma_L=gL,
         gamma_R=gR,
         dgL=f.gamma_t[:, 0].copy(),
@@ -342,19 +304,6 @@ def _extend(hL: _SideHistory, hR: _SideHistory, i: int,
     return u, ux
 
 
-def extend_value(fb: FreeBoundaries, u_left: np.ndarray, u_right: np.ndarray,
-                 t_index: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Continue the value to exterior points ``x`` at time ``t[t_index]``.
-
-    ``u_left`` and ``u_right`` are the value histories along the two
-    boundary labels.  Returns ``(u, u_x)``; points must lie on or outside
-    the support at that time.
-    """
-    hL, hR = _histories(fb, np.asarray(u_left, float),
-                        np.asarray(u_right, float))
-    return _extend(hL, hR, t_index, np.asarray(x, dtype=float))
-
-
 # -- snapshots ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -429,7 +378,7 @@ def snapshot(f: FlowField, t_index: int, *,
         n_pad = _default_pad(g.ny)
 
     x, dens, u, ux_ext = _padded_rows(f, np.array([t_index]), n_pad)
-    ux = np.concatenate([ux_ext[0, :n_pad], velocity(f, t_index),
+    ux = np.concatenate([ux_ext[0, :n_pad], -f.gamma_t[t_index],
                          ux_ext[0, n_pad:]])
     return EulerianSnapshot(
         t=float(g.t[t_index]),
@@ -463,11 +412,6 @@ def _mass_cells(f: FlowField) -> np.ndarray:
 def pushforward_masses(f: FlowField) -> np.ndarray:
     """Total mass of every slice, integrated in mass coordinates."""
     return np.sum(_mass_cells(f), axis=1)
-
-
-def pushforward_partial_masses(f: FlowField, t_index: int) -> np.ndarray:
-    """Cumulative mass up to each image node of one slice."""
-    return np.concatenate([[0.0], np.cumsum(_mass_cells(f)[t_index])])
 
 
 def _bump(z: np.ndarray) -> np.ndarray:
@@ -504,7 +448,6 @@ def weak_continuity_residuals(f: FlowField) -> np.ndarray:
     g = f.grid
     gt = f.gamma_t
     w = f.profile.node_masses(g.y)
-    wt = g.wt
     T = g.T
     xmin, xmax = float(f.gamma.min()), float(f.gamma.max())
     res = np.empty(_WEAK_N_TIME * _WEAK_N_SPACE)
@@ -522,7 +465,7 @@ def weak_continuity_residuals(f: FlowField) -> np.ndarray:
             bx = _bump(zx)
             bpx = _bump_prime(zx) / hx
             integrand = bpt[:, None] * bx + bt[:, None] * bpx * gt
-            res[k] = np.abs(np.sum(wt[:, None] * integrand * w[None, :]))
+            res[k] = abs(trapezoid(integrand @ w, g.t))
             k += 1
     return res
 
@@ -651,13 +594,6 @@ def hj_exterior_residual(f: FlowField) -> np.ndarray:
         ])
         out[i, ok] = res[ok]
     return out
-
-
-def d1_to_dirac(f: FlowField) -> np.ndarray:
-    """int |x| m(t, x) dx per slice, i.e. the 1-Wasserstein distance to the
-    unit atom at the origin, in mass coordinates."""
-    w = f.profile.node_masses(f.grid.y)
-    return np.abs(f.gamma) @ w
 
 
 # -- flat-file output ---------------------------------------------------------

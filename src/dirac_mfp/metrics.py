@@ -30,7 +30,6 @@ from .profile import Profile
 __all__ = [
     "QuantileTable",
     "RateFit",
-    "quantile_table",
     "wasserstein",
     "wasserstein_maps",
     "fit_rate",
@@ -70,14 +69,6 @@ class QuantileTable:
             raise InvalidParameterError("quantile grid must increase strictly")
         if np.any(np.diff(x) < 0.0):
             raise InvalidParameterError("quantile values must be nondecreasing")
-
-
-def quantile_table(p: Profile, g: np.ndarray,
-                   y: np.ndarray | None = None) -> QuantileTable:
-    """Table of the pushforward of phi by the monotone map ``g``."""
-    if y is None:
-        y = np.linspace(-p.r_alpha, p.r_alpha, np.asarray(g).size)
-    return QuantileTable(q=p.cdf(y), x=np.asarray(g, dtype=float))
 
 
 def _cell_abs_linear(d0: np.ndarray, d1: np.ndarray, dq: np.ndarray) -> np.ndarray:

@@ -80,25 +80,6 @@ class Profile:
         out = special.betainc(q, q, z)
         return out if out.ndim else float(out)
 
-    def quantile(self, u):
-        """Monotone inverse of `cdf` on [0, 1]; exact at both endpoints."""
-        u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)):
-            raise InvalidParameterError("quantile argument outside [0, 1]")
-        q = 1.0 + 1.0 / self.theta
-        R = self.r_alpha
-        out = R * (2.0 * special.betaincinv(q, q, u) - 1.0)
-        # betaincinv alone drifts to ~1e-8 near the flat endpoints; two
-        # safeguarded Newton corrections on the closed-form cdf restore
-        # machine-level inversion
-        for _ in range(2):
-            miss = special.betainc(q, q, np.clip(0.5 * (out / R + 1.0), 0.0, 1.0)) - u
-            dens = np.power(np.clip(self.c * (R * R - out * out), 0.0, None),
-                            1.0 / self.theta)
-            out = np.clip(out - np.where(dens > 0.0, miss / np.where(dens > 0.0, dens, 1.0), 0.0),
-                          -R, R)
-        return out if out.ndim else float(out)
-
     def power_mass(self, p: float, lo: float | None = None,
                    hi: float | None = None) -> float:
         """Exact ``int_lo^hi phi(y)**p dy``.

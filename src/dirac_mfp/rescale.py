@@ -13,8 +13,8 @@ identity, certified here through the Lyapunov functional
              + alpha(1-alpha)/2 r_alpha^2
 
 together with its dissipation identity dH/dtau = -(2 alpha - 1) int
-mu |w_eta|^2, the duality pairing int w (mu - phi), and residuals of the
-stationary and rescaled-flow equations.
+mu |w_eta|^2, the duality pairing int w (mu - phi), and the residual of
+the rescaled-flow equation.
 
 Quadrature policy: every integral against mu is pulled back to mass
 coordinates (an integral against phi dy) through the pushforward
@@ -45,13 +45,11 @@ __all__ = [
     "RescaledState",
     "SERIES_COLUMNS",
     "rescale_snapshot",
-    "pushforward_deviation",
     "lyapunov",
     "dissipation",
     "duality_pairing",
     "reciprocal_integral",
     "hat_gamma_residual",
-    "stationary_residual",
     "series_rows",
     "build_series",
     "save_series_csv",
@@ -115,26 +113,6 @@ def rescale_snapshot(s: EulerianSnapshot, p: Profile) -> RescaledState:
         y_nodes=s.y_nodes,
         support_mask=mask,
     )
-
-
-def pushforward_deviation(state: RescaledState, p: Profile) -> np.ndarray:
-    """Certificate for mu = gamma_hat-pushforward of phi.
-
-    Returns the cumulative mass of mu up to gamma_hat(y_j) minus Phi(y_j),
-    evaluated in mass coordinates where the integrand mu gamma_hat_y / phi
-    is identically one at the nodes; the contract tolerance 1e-6 is pure
-    headroom over roundoff.  The last entry doubles as the total-mass
-    defect of mu.
-    """
-    y = state.y_nodes
-    ghy = np.gradient(state.gamma_hat, y, edge_order=2)
-    mu_sup = state.mu[state.support_mask]
-    phi = p.phi(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(phi > 0.0, mu_sup * ghy / phi, 1.0)
-    cells = p.cell_masses(y) * 0.5 * (ratio[:-1] + ratio[1:])
-    cum = np.concatenate([[0.0], np.cumsum(cells)])
-    return cum - p.cdf(y)
 
 
 # Each functional below is written once, for slices stacked along the
@@ -270,27 +248,6 @@ def hat_gamma_residual(f: FlowField) -> tuple[np.ndarray, np.ndarray]:
            + p.theta * phi_th[None, :] * gh_yy / gh_y ** (p.theta + 2.0)
            - dphi_th[None, :] / gh_y ** (p.theta + 1.0))
     return tau[1:-1], res[1:-1]
-
-
-def stationary_residual(y: np.ndarray, xi: np.ndarray,
-                        p: Profile) -> np.ndarray:
-    """Residual of the stationary flow equation for a monotone map xi(y):
-
-        alpha(alpha-1)/2 (xi^2)_y - (phi^theta / xi_y^theta)_y = 0.
-
-    Discrete flux form with 3-point differences; exact polynomial
-    cancellation makes the identity map vanish to roundoff.  Applied to
-    gamma_hat at the earliest resolved tau this is the terminal
-    certificate of convergence.
-    """
-    y = np.asarray(y, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if np.any(np.diff(xi) <= 0.0):
-        raise DegenerateStateError("stationary map must be strictly increasing")
-    xi_y = np.gradient(xi, y, edge_order=2)
-    flux = p.phi(y) ** p.theta / xi_y ** p.theta
-    return (0.5 * p.alpha * (p.alpha - 1.0) * np.gradient(xi * xi, y, edge_order=2)
-            - np.gradient(flux, y, edge_order=2))
 
 
 SERIES_COLUMNS = ("tau", "H", "dH_fd", "dH_identity", "d1", "d2", "mu_max",

@@ -60,7 +60,6 @@ __all__ = [
     "terminal_row",
     "initial_guess",
     "energy",
-    "residual",
     "scaled_gradient_norm",
     "solve",
 ]
@@ -101,16 +100,6 @@ class SpaceTimeGrid:
         """End of the initial layer, 10 eps: the HJ residuals, the rescaled
         series and the default fit window start here."""
         return 10.0 * self.eps
-
-    @property
-    def wt(self) -> np.ndarray:
-        """Trapezoidal time weights."""
-        dt = self.dt
-        w = np.empty(self.nt + 1)
-        w[0] = 0.5 * dt[0]
-        w[-1] = 0.5 * dt[-1]
-        w[1:-1] = 0.5 * (dt[:-1] + dt[1:])
-        return w
 
 
 @dataclass(frozen=True)
@@ -340,42 +329,6 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
     (the solver's convergence functional).  ``p``, when given, must be the
     flow's own profile."""
     return _Workspace(_own_profile(f, p), f.grid).gradient(f.gamma)[1]
-
-
-# ---------------------------------------------------------------------------
-# pointwise second-order residual of the flow equation
-# ---------------------------------------------------------------------------
-
-def residual(f: FlowField) -> np.ndarray:
-    """Finite-difference residual of the flow equation at interior time
-    nodes, all labels; the two boundary columns carry the degenerate
-    free-boundary law (phi^theta vanishes there exactly).
-
-    Uses the exact coefficients phi^theta = c (R^2 - y^2) and
-    (phi^theta)_y = -2 c y rather than numerical powers of phi.
-    """
-    from .fields import _second_derivative
-
-    p, g, gamma = f.profile, f.grid, f.gamma
-    th, c, R = p.theta, p.c, p.r_alpha
-    y = g.y
-
-    gamma_tt = _second_derivative(gamma, g.t)[1:-1]
-    inner = gamma[1:-1]
-    gamma_y = np.gradient(inner, g.dy, axis=1, edge_order=2)
-    gamma_yy = _second_derivative(inner, y, axis=1)[:, 1:-1]
-
-    phith = c * (R * R - y * y)
-    dphith = -2.0 * c * y
-
-    out = np.empty_like(inner)
-    mid = gamma_y[:, 1:-1]
-    out[:, 1:-1] = (gamma_tt[:, 1:-1]
-                    + th * phith[None, 1:-1] * gamma_yy / mid ** (th + 2.0)
-                    - dphith[None, 1:-1] / mid ** (th + 1.0))
-    for j in (0, -1):
-        out[:, j] = gamma_tt[:, j] - dphith[j] / gamma_y[:, j] ** (th + 1.0)
-    return out
 
 
 # ---------------------------------------------------------------------------

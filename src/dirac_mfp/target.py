@@ -171,7 +171,10 @@ class TerminalDensity:
         q = self.power + 1.0
         width = self.b - self.a
         out = self.a + width * special.betaincinv(q, q, u)
-        for _ in range(2):  # polish the inverse (same issue as the profile)
+        # betaincinv alone drifts to ~1e-8 near the flat endpoints; two
+        # safeguarded Newton corrections on the closed-form cdf restore
+        # machine-level inversion
+        for _ in range(2):
             z = np.clip((out - self.a) / width, 0.0, 1.0)
             miss = special.betainc(q, q, z) - u
             dens = self.pdf(out)

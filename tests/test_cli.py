@@ -411,6 +411,52 @@ def test_rates_rejects_inverted_window(solved_run, tmp_path, capsys):
     assert (solved_run / "rates.json").read_bytes() == before
 
 
+def test_write_onto_the_wrong_kind_of_path_exits_1(solved_run, tmp_path,
+                                                   capsys):
+    # export onto a file, rates --write onto a directory: one stderr line,
+    # and nothing printed or written
+    run = copy_run(solved_run, tmp_path / "run")
+    (run / "export").write_text("keep")
+    before = read_tree(run)
+    assert run_cli("export", run) == 1
+    assert capsys.readouterr() == (
+        "", f"outdir {run / 'export'}: {run / 'export'} is not a directory\n")
+    (run / "export").unlink()
+    (run / "rates.json").mkdir()
+    del before["export"]
+    assert run_cli("rates", run, "--write") == 1
+    assert capsys.readouterr() == (
+        "", f"cannot write {run / 'rates.json'}: it is a directory\n")
+    assert read_tree(run) == before
+    assert not any((run / "rates.json").iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--nt", "abc"],
+     "dirac-mfp solve: argument --nt: invalid int value: 'abc'"),
+    (["rates"], "dirac-mfp rates: the following arguments are required: "
+                "rundir"),
+    (["solve", "--no-such-flag"], None),
+    (["no-such-command"], None),
+    ([], None),
+], ids=["bad-value", "missing", "unknown-flag", "unknown-command", "none"])
+def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
+    # argparse would print the usage and exit 2, the solver-failure code
+    monkeypatch.chdir(tmp_path)
+    forbid_solve(monkeypatch)
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("dirac-mfp")
+    if message is not None:
+        assert err == message + "\n"
+    assert not any(tmp_path.iterdir())
+    # --help of the same parser still exits 0
+    parser = argv[:1] if argv[:1] in (["solve"], ["rates"]) else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*parser, "--help")
+    assert exc.value.code == 0
+
+
 def test_validate_reports_envelope(tmp_path, capsys):
     path = tmp_path / "bump.csv"
     save_csv(power_bump(-1.0, 1.0, 1.0), path)

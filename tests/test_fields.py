@@ -52,7 +52,7 @@ def test_density_exact_on_self_similar_flow(theta1, selfsim64):
     p, f = theta1, selfsim64
     g = f.grid
     for i in (0, 17, 40, g.nt):
-        x, m = F.density(f, i)
+        x, m = f.gamma[i], f.density[i]
         sig = g.t[i] + g.eps
         ref = sig ** (-p.alpha) * p.phi(sig ** (-p.alpha) * x)
         # the flow is linear in y, so centered slopes are exact
@@ -64,7 +64,7 @@ def test_density_exact_on_self_similar_flow(theta1, selfsim64):
 def test_density_sup_envelope(solved128):
     f, _ = solved128
     p, g = f.profile, f.grid
-    sup = np.array([F.density(f, i)[1].max() for i in range(g.nt + 1)])
+    sup = f.density.max(axis=1)
     env = sup * (g.t + g.eps) ** p.alpha
     # profile controls the early slices, the target the late ones; the
     # envelope must not exceed either regime in between
@@ -78,7 +78,7 @@ def test_density_degenerate_slope_raises(theta1):
     gamma[3] = gamma[3, ::-1]           # folded slice
     bad = FlowField(grid=g, profile=theta1, gamma=gamma)
     with pytest.raises(errors.DegenerateStateError):
-        F.density(bad, 3)
+        bad.density
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +93,13 @@ def test_velocity_oracle_on_self_similar_flow(theta1, selfsim64):
     for i in range(g.nt + 1):
         if g.t[i] < 0.1:
             continue
-        ux = F.velocity(f, i)
+        ux = -f.gamma_t[i]
         err.append(np.max(np.abs(ux + p.alpha * f.gamma[i] / sig[i])))
     assert max(err) < 5e-3
 
 
 def test_velocity_odd_symmetry(theta1, selfsim64):
-    ux = F.velocity(selfsim64, 20)
+    ux = -selfsim64.gamma_t[20]
     assert abs(ux[selfsim64.grid.ny // 2]) < 1e-14
     assert np.max(np.abs(ux + ux[::-1])) < 1e-13
 
@@ -107,13 +107,13 @@ def test_velocity_odd_symmetry(theta1, selfsim64):
 def test_velocity_envelope_on_solved_run(solved128):
     f, _ = solved128
     p, g = f.profile, f.grid
-    env = [np.max(np.abs(F.velocity(f, i))) * (g.t[i] + g.eps) ** (1 - p.alpha)
-           for i in range(g.nt + 1)]
+    env = np.max(np.abs(f.gamma_t), axis=1) * (g.t + g.eps) ** (1 - p.alpha)
     assert max(env) < 1.5 * p.alpha * p.r_alpha
-    # the three-row stencil reproduces the full-array time derivative bitwise
+    # a snapshot's u_x on the support is minus the full-array gamma_t, bitwise
     full = -np.gradient(f.gamma, g.t, axis=0, edge_order=2)
     for i in (0, 1, g.nt // 2, g.nt - 1, g.nt):
-        assert F.velocity(f, i).tobytes() == full[i].tobytes()
+        snap = F.snapshot(f, i)
+        assert snap.u_x[snap.support_mask].tobytes() == full[i].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,10 @@ def test_free_boundaries_self_similar(theta1, selfsim64):
     win = g.t >= 0.05
     assert np.max(np.abs(fb.dgR - ref)[win] / ref[win]) < 5e-3
     assert np.all(fb.ddgR[1:-1] < 0) and np.all(fb.ddgL[1:-1] > 0)
-    vL, vR = fb.velocity_envelopes()
+    # the envelopes |gamma_dot| sigma^(1-alpha) and gamma_ddot sigma^(2-alpha)
+    vR = np.abs(fb.dgR) * sig ** (1.0 - p.alpha)
     assert np.max(np.abs(vR - p.alpha * p.r_alpha)) < 5e-2 * p.alpha * p.r_alpha
-    cL, cR = fb.curvature_envelopes()
+    cR = fb.ddgR * sig ** (2.0 - p.alpha)
     exact_c = p.alpha * (1.0 - p.alpha) * p.r_alpha
     assert np.max(np.abs(cR + exact_c))[()] < 0.25 * exact_c
 
@@ -277,7 +278,7 @@ def test_extension_case_b_linear_region(theta1, selfsim64):
     s = g.t[i]
     lT = fb.gamma_L[-1] + (s - g.t[-1]) * fb.dgL[-1]
     x = lT - np.array([2.0, 1.5, 1.0, 0.5])
-    u, ux = F.extend_value(fb, ub[:, 0], ub[:, -1], i, x)
+    u, ux = F._extend(*F._histories(fb, ub[:, 0], ub[:, -1]), i, x)
     assert np.max(np.abs(ux - (-fb.dgL[-1]))) < 1e-12
     # exactly linear: second differences vanish
     assert np.max(np.abs(np.diff(u, 2))) < 1e-10
@@ -291,7 +292,7 @@ def test_extension_rejects_interior_points(theta1, selfsim64):
     ub = F.value_on_support(f, p)
     fb = F.free_boundaries(f)
     with pytest.raises(errors.InvalidParameterError):
-        F.extend_value(fb, ub[:, 0], ub[:, -1], 30, np.array([0.0]))
+        F._extend(*F._histories(fb, ub[:, 0], ub[:, -1]), 30, np.array([0.0]))
 
 
 def test_extension_crossing_characteristics_detected():
@@ -329,10 +330,9 @@ def test_snapshot_structure(solved128):
     assert np.all(snap.m[inside][1:-1] > 0)
     # C0 gluing of the value across the boundary nodes
     jl = np.argmax(inside)
-    ext_u, _ = F.extend_value(F.free_boundaries(f),
-                              F.value_on_support(f, p)[:, 0],
-                              F.value_on_support(f, p)[:, -1],
-                              64, snap.x_nodes[jl:jl + 1])
+    ub = F.value_on_support(f, p)
+    ext_u, _ = F._extend(*F._histories(F.free_boundaries(f), ub[:, 0], ub[:, -1]),
+                         64, snap.x_nodes[jl:jl + 1])
     assert abs(ext_u[0] - snap.u[jl]) < 1e-12
 
 
@@ -374,14 +374,6 @@ def test_pushforward_mass_every_slice(solved128):
     assert np.max(np.abs(F.pushforward_masses(f) - 1.0)) < 1e-6
 
 
-def test_pushforward_partial_masses(theta1, solved128):
-    f, _ = solved128
-    g = f.grid
-    for i in (0, 50, g.nt):
-        part = F.pushforward_partial_masses(f, i)
-        assert np.max(np.abs(part - theta1.cdf(g.y))) < 1e-6
-
-
 def test_weak_continuity_residuals(solved128):
     f, _ = solved128
     res = F.weak_continuity_residuals(f)
@@ -411,17 +403,6 @@ def test_hj_exterior_residual(solved128):
     f, _ = solved128
     res = F.hj_exterior_residual(f)
     assert np.nanmax(np.abs(res)) < 5e-3
-
-
-def test_d1_to_dirac_oracle(theta1, selfsim64):
-    p, f = theta1, selfsim64
-    g = f.grid
-    d1 = F.d1_to_dirac(f)
-    th = p.theta
-    mean_abs = th / (p.c * (th + 1.0)) * (p.c * p.r_alpha ** 2) ** ((th + 1.0) / th)
-    exact = mean_abs * g.sigma ** p.alpha
-    assert np.max(np.abs(d1 - exact)) < 3e-4
-    assert np.all(np.diff(d1) > 0)
 
 
 def test_second_derivative_exact_on_quadratics():

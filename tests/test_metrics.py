@@ -18,15 +18,21 @@ from pytest import approx
 from dirac_mfp import fields as F
 from dirac_mfp import metrics
 from dirac_mfp.errors import InvalidParameterError
-from dirac_mfp.metrics import (QuantileTable, fit_rate, quantile_table,
-                               rate_report, save_rate_report, wasserstein,
-                               wasserstein_maps)
+from dirac_mfp.metrics import (QuantileTable, fit_rate, rate_report,
+                               save_rate_report, wasserstein, wasserstein_maps)
 from dirac_mfp.profile import make_profile
 from dirac_mfp.rescale import build_series
 from dirac_mfp.solver import make_grid, solve
 from dirac_mfp.target import power_bump
 
 M2_THETA1 = 0.71433047338569   # int y^2 phi dy, oracle-pinned in test_profile
+
+
+def pushforward_table(p, g):
+    """Quantile table of the pushforward of phi by the monotone map ``g``,
+    sampled on the symmetric label grid of its length."""
+    y = np.linspace(-p.r_alpha, p.r_alpha, np.asarray(g).size)
+    return QuantileTable(q=p.cdf(y), x=g)
 
 
 @pytest.fixture(scope="module")
@@ -102,18 +108,6 @@ def test_table_rejects_nonfinite():
         QuantileTable(q=q, x=np.array([0.0, np.nan, 1.0, 2.0]))
 
 
-def test_quantile_table_from_profile(theta1):
-    p = theta1
-    y = np.linspace(-p.r_alpha, p.r_alpha, 257)
-    tab = quantile_table(p, 2.0 * y, y=y)
-    assert tab.q[0] == approx(0.0, abs=1e-15)
-    assert tab.q[-1] == approx(1.0, abs=1e-12)
-    assert np.all(np.diff(tab.q) > 0.0)
-    # default grid is the symmetric linspace of the same length
-    tab2 = quantile_table(p, 2.0 * y)
-    assert np.array_equal(tab.q, tab2.q)
-
-
 # ---------------------------------------------------------------------------
 # wasserstein: exact integrals of the interpolants
 # ---------------------------------------------------------------------------
@@ -121,7 +115,7 @@ def test_quantile_table_from_profile(theta1):
 def test_wasserstein_zero_on_identical(theta1):
     p = theta1
     y = np.linspace(-p.r_alpha, p.r_alpha, 129)
-    tab = quantile_table(p, np.sinh(y))
+    tab = pushforward_table(p, np.sinh(y))
     assert wasserstein(tab, tab, order=1) == 0.0
     assert wasserstein(tab, tab, order=2) == 0.0
 
@@ -133,8 +127,8 @@ def test_wasserstein_translation_exact(theta1):
     y = np.linspace(-p.r_alpha, p.r_alpha, 97)
     g = y + 0.3 * y ** 3
     for c in (0.25, -1.7):
-        tu = quantile_table(p, g)
-        tv = quantile_table(p, g + c)
+        tu = pushforward_table(p, g)
+        tv = pushforward_table(p, g + c)
         assert wasserstein(tu, tv, 1) == approx(abs(c), rel=1e-14)
         assert wasserstein(tu, tv, 2) == approx(abs(c), rel=1e-14)
 
@@ -154,7 +148,7 @@ def test_wasserstein_hand_values_sign_split():
 
 def test_wasserstein_rejects_bad_order(theta1):
     p = theta1
-    tab = quantile_table(p, np.linspace(-1.0, 1.0, 16))
+    tab = pushforward_table(p, np.linspace(-1.0, 1.0, 16))
     with pytest.raises(InvalidParameterError, match="order"):
         wasserstein(tab, tab, order=3)
     with pytest.raises(InvalidParameterError, match="order"):
@@ -193,7 +187,7 @@ def test_two_routes_agree_dilation(theta1):
     g, h = y, 1.1 * y
     for order, tol in ((1, 1e-12), (2, 1e-7)):
         wm = wasserstein_maps(p, g, h, order=order)
-        wt = wasserstein(quantile_table(p, g), quantile_table(p, h),
+        wt = wasserstein(pushforward_table(p, g), pushforward_table(p, h),
                          order=order)
         assert abs(wm - wt) <= tol * (1.0 + wm)
 
@@ -208,7 +202,7 @@ def test_two_routes_agree_property(a1, c1, b1, a2, c2, b2):
     y = np.linspace(-p.r_alpha, p.r_alpha, 4096)
     g = b1 + a1 * y + c1 * y ** 3
     h = b2 + a2 * y + c2 * y ** 3
-    tu, tv = quantile_table(p, g), quantile_table(p, h)
+    tu, tv = pushforward_table(p, g), pushforward_table(p, h)
     for order in (1, 2):
         wm = wasserstein_maps(p, g, h, order=order)
         wt = wasserstein(tu, tv, order=order)
@@ -222,7 +216,7 @@ def test_triangle_inequality(theta1):
     for _ in range(100):
         a, c = rng.uniform(0.5, 2.0, 3), rng.uniform(0.0, 0.5, 3)
         b = rng.uniform(-1.0, 1.0, 3)
-        t0, t1, t2 = (quantile_table(p, b[k] + a[k] * y + c[k] * y ** 3)
+        t0, t1, t2 = (pushforward_table(p, b[k] + a[k] * y + c[k] * y ** 3)
                       for k in range(3))
         for order in (1, 2):
             d02 = wasserstein(t0, t2, order)

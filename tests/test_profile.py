@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 
 from dirac_mfp import errors
 from dirac_mfp.profile import Profile, make_profile
+from dirac_mfp.target import self_similar_terminal
 
 THETAS = [0.5, 1.0, 2.0, 3.0, 5.0]
 
@@ -125,13 +126,16 @@ def test_cdf_against_quadrature(theta):
 
 @pytest.mark.parametrize("theta", THETAS)
 def test_quantile_round_trip(theta):
+    # the profile's cdf against the quantile of the unit self-similar
+    # target, the inverse that the terminal row of a self-similar run uses
     p = make_profile(theta)
+    m = self_similar_terminal(p, 1.0, 0.0)
     r = np.linspace(-0.999, 0.999, 401) * p.r_alpha
-    assert np.max(np.abs(p.quantile(p.cdf(r)) - r)) < 1e-9
+    assert np.max(np.abs(m.quantile(p.cdf(r)) - r)) < 1e-9
     u = np.linspace(1e-6, 1.0 - 1e-6, 401)
-    assert np.max(np.abs(p.cdf(p.quantile(u)) - u)) < 1e-12
-    assert p.quantile(0.0) == -p.r_alpha
-    assert p.quantile(1.0) == p.r_alpha
+    assert np.max(np.abs(p.cdf(m.quantile(u)) - u)) < 1e-12
+    assert m.quantile(0.0) == -p.r_alpha
+    assert m.quantile(1.0) == p.r_alpha
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -297,9 +301,10 @@ def test_profile_properties(theta):
     lhs = p.phi(r) ** theta
     rhs = 0.5 * p.alpha * (1.0 - p.alpha) * (p.r_alpha**2 - r**2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-    # round trip
+    # round trip through the quantile of the unit self-similar target
     u = np.linspace(0.001, 0.999, 101)
-    assert np.max(np.abs(p.cdf(p.quantile(u)) - u)) < 1e-12
+    m = self_similar_terminal(p, 1.0, 0.0)
+    assert np.max(np.abs(p.cdf(m.quantile(u)) - u)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

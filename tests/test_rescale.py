@@ -145,16 +145,6 @@ def test_w_eta_interior_accuracy(theta1, analytic128):
     assert worst < 4e-3
 
 
-def test_pushforward_certificate(theta1, solved128):
-    # Lagrangian masses make the transport certificate exact to roundoff
-    f = solved128
-    g = f.grid
-    for i in (12, 64, 128):
-        st = RS.rescale_snapshot(F.snapshot(f, i), theta1)
-        dev = RS.pushforward_deviation(st, theta1)
-        assert np.max(np.abs(dev)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # lyapunov / dissipation
 # ---------------------------------------------------------------------------
@@ -291,32 +281,6 @@ def test_reciprocal_rejects_nonmonotone(theta3):
 # ---------------------------------------------------------------------------
 # residuals of the map equations
 # ---------------------------------------------------------------------------
-
-def test_stationary_residual_identity(theta1, theta3):
-    for p in (theta1, theta3):
-        y = np.linspace(-p.r_alpha, p.r_alpha, 81)
-        res = RS.stationary_residual(y, y.copy(), p)
-        assert np.max(np.abs(res)) < 1e-12
-
-
-def test_stationary_residual_dilation(theta1, theta3):
-    # xi = a y: residual is 2c(a^-theta - a^2) y, zero only at a = 1
-    for p in (theta1, theta3):
-        y = np.linspace(-p.r_alpha, p.r_alpha, 81)
-        for a in (0.8, 1.25):
-            res = RS.stationary_residual(y, a * y, p)
-            ref = 2.0 * p.c * (a ** (-p.theta) - a * a) * y
-            assert np.max(np.abs(res - ref)) < 1e-12
-            assert np.max(np.abs(res)) > 1e-3
-
-
-def test_stationary_residual_rejects_nonmonotone(theta1):
-    y = np.linspace(-theta1.r_alpha, theta1.r_alpha, 33)
-    xi = y.copy()
-    xi[5] = xi[7]
-    with pytest.raises(errors.DegenerateStateError):
-        RS.stationary_residual(y, xi, theta1)
-
 
 def test_hat_gamma_residual_identity_map(theta1, theta3):
     # gamma = t^alpha y is a steady state of the rescaled map equation

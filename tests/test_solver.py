@@ -1,4 +1,4 @@
-"""Solver tests: grid contracts, discrete energy, residual, Newton solve.
+"""Solver tests: grid contracts, discrete energy, Newton solve.
 
 The principal oracle is the closed-form flow gamma(t, y) = (t+eps)^alpha y,
 which is the exact solution when the terminal density is the self-similar
@@ -26,7 +26,6 @@ from dirac_mfp.solver import (
     energy,
     initial_guess,
     make_grid,
-    residual,
     scaled_gradient_norm,
     solve,
     terminal_row,
@@ -137,31 +136,6 @@ def test_energy_rejects_degenerate_slopes():
     bad[3, 4] = bad[3, 5] + 1.0  # crossing trajectories
     with pytest.raises(errors.DegenerateStateError):
         energy(FlowField(grid=g, profile=p, gamma=bad))
-
-
-# ---------------------------------------------------------------------------
-# residual
-# ---------------------------------------------------------------------------
-
-def test_residual_second_order_on_analytic_flow():
-    p = make_profile(1.0)
-    maxima = []
-    for n in (32, 64, 128):
-        g = make_grid(p, eps=1e-3, T=1.0, nt=n, ny=n)
-        r = residual(analytic_flow(p, g))
-        assert r.shape == (n - 1, n + 1)
-        maxima.append(np.max(np.abs(r)))
-    assert maxima[0] / maxima[1] > 3.0
-    assert maxima[1] / maxima[2] > 3.0
-
-
-def test_residual_small_away_from_initial_layer():
-    # truncation scales like (t+eps)^(alpha-2), so fix the window t >= T/4
-    p = make_profile(1.0)
-    g = make_grid(p, eps=1e-3, T=1.0, nt=96, ny=96)
-    r = residual(analytic_flow(p, g))
-    window = g.t[1:-1] >= 0.25
-    assert np.max(np.abs(r[window])) < 5e-3
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,9 @@ def test_self_similar_terminal_matches_profile():
     x = np.linspace(m.a, m.b, 101)
     ref = (T + eps) ** (-p.alpha) * p.phi(x / s)
     assert np.max(np.abs(m.pdf(x) - ref)) < 1e-12
-    u = np.linspace(0.0, 1.0, 101)
-    assert np.max(np.abs(m.quantile(u) - s * p.quantile(u))) < 1e-11
+    # the terminal row of the self-similar run is the dilation s y
+    y = np.linspace(-p.r_alpha, p.r_alpha, 101)
+    assert np.max(np.abs(m.quantile(p.cdf(y)) - s * y)) < 1e-11
     assert m.theta == 1.0
 
 
