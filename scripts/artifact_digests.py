@@ -1,7 +1,7 @@
 """Digest every artifact of a fixed matrix of CLI calls, so that two trees can
 be compared byte for byte with one ``diff``.
 
-    python3 scripts/artifact_digests.py OUTDIR [--src TREE] > digests.txt
+    python3 scripts/artifact_digests.py OUTDIR [--src TREE] [--against OTHER] > digests.txt
 
 ``TREE`` is the root of the checkout to run (default: the one holding this
 script); its ``src/`` provides ``dirac_mfp`` and its ``perfbench/workloads.py``
@@ -26,14 +26,26 @@ its exit code (or ``raised <Type>`` for an exception that escapes
 ``main``), its standard output and its standard error, each stderr line
 prefixed ``stderr: ``; then one ``sha256  path`` line for each file
 written, sorted by path.
+
+``--against OTHER`` names the ``OUTDIR`` of an earlier run of this script
+(for instance on the parent commit).  After the digests, each file whose
+bytes differ between the two directories gets one ``differs`` line with the
+largest absolute difference of its numbers: over the numeric fields of a
+CSV file, or the numeric leaves of a JSON file, at the positions both files
+have.  The line also counts the non-numeric fields that differ and the
+positions only one file has; a file present in one directory only, or
+neither CSV nor JSON, is named as such.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import math
 import os
 import shutil
 import sys
@@ -59,6 +71,79 @@ def wrong_kinds(run: Path, copy_of: Path) -> None:
         shutil.copyfile(copy_of / name, run / name)
     (run / "export").write_text("")
     (run / "rates.json").mkdir()
+
+
+def numbers(path: Path) -> dict | None:
+    """The numbers of a CSV or JSON file by their position (row and column,
+    or key path), non-numeric fields by their text; None for other files."""
+    if path.suffix == ".csv":
+        rows = list(csv.reader(path.read_text().splitlines()))
+        return {(i, j): _number(v) for i, row in enumerate(rows)
+                for j, v in enumerate(row)}
+    if path.suffix == ".json":
+        out = {}
+
+        def walk(node, key):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else None)
+            if items is None:
+                out[key] = node
+                return
+            for k, v in items:
+                walk(v, (*key, k))
+        walk(json.loads(path.read_text()), ())
+        return out
+    return None
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _gap(x: float, y: float) -> float:
+    """|x - y|, with equal values (NaN included) 0 and NaN against a number
+    infinite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    d = abs(x - y)
+    return d if d == d else math.inf
+
+
+def compare(here: Path, other: Path) -> None:
+    """Print one line for each file whose bytes differ between the two
+    directories."""
+    files = {p.relative_to(d) for d in (here, other)
+             for p in d.rglob("*") if p.is_file()}
+    for rel in sorted(files):
+        a, b = here / rel, other / rel
+        if not (a.is_file() and b.is_file()):
+            where = "this run" if a.is_file() else "the other run"
+            print(f"differs: {rel}  only in {where}")
+            continue
+        if a.read_bytes() == b.read_bytes():
+            continue
+        na, nb = numbers(a), numbers(b)
+        if na is None:
+            print(f"differs: {rel}  (neither CSV nor JSON)")
+            continue
+        common = na.keys() & nb.keys()
+        gap = max((_gap(na[k], nb[k]) for k in common
+                   if _is_number(na[k]) and _is_number(nb[k])), default=0.0)
+        note = f"max abs difference {gap:.3g}"
+        text = sum(na[k] != nb[k] for k in common
+                   if not (_is_number(na[k]) and _is_number(nb[k])))
+        if text:
+            note += f"; {text} non-numeric fields differ"
+        if na.keys() != nb.keys():
+            note += f"; {len(na.keys() ^ nb.keys())} fields in one file only"
+        print(f"differs: {rel}  {note}")
 
 
 def matrix(workloads) -> list:
@@ -118,8 +203,11 @@ def main() -> int:
     ap.add_argument("--src", type=Path,
                     default=Path(__file__).resolve().parent.parent,
                     help="root of the checkout to run")
+    ap.add_argument("--against", type=Path, metavar="OTHER",
+                    help="OUTDIR of an earlier run to compare the files with")
     args = ap.parse_args()
     tree = args.src.resolve()
+    against = args.against.resolve() if args.against else None
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
     from dirac_mfp.cli import main as cli_main
@@ -145,6 +233,8 @@ def main() -> int:
                       for line in err.getvalue().splitlines()), end="")
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
+    if against is not None:
+        compare(Path("."), against)
     return 0
 
 

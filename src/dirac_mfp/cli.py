@@ -319,7 +319,8 @@ def _run_pipeline(cfg: RunConfig):
         "solver": {"iterations": f.info.iterations,
                    "grad_norm": f.info.grad_norm,
                    "energy": f.info.energy,
-                   "converged": f.info.converged},
+                   "converged": f.info.converged,
+                   "levels": [list(level) for level in f.info.levels]},
         "certificates": certificates,
         "artifacts": {**RUN_FILES, "snapshots": snapshots},
     }
@@ -332,8 +333,10 @@ def _run_pipeline(cfg: RunConfig):
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     f, _, bad, detail = _run_pipeline(cfg)
-    print(f"wrote {cfg.outdir} ({f.info.iterations} Newton steps, "
-          f"scaled gradient {f.info.grad_norm:.3g})")
+    levels = ", ".join(f"{nt}x{ny}: {k}" for nt, ny, k in f.info.levels)
+    print(f"wrote {cfg.outdir} ({f.info.iterations} Newton steps"
+          + (f" ({levels})" if len(f.info.levels) > 1 else "")
+          + f", scaled gradient {f.info.grad_norm:.3g})")
     if bad:
         print(f"certificates out of band: {', '.join(bad)}"
               + (f" ({detail})" if detail else ""))

@@ -29,6 +29,12 @@ dissection of the (time, label) grid: O(n^2 log n) memory and O(n^3) flops
 on an n x n grid.  While every slope stays above the floor the matrix is
 positive definite by construction; a pivot that is not positive ends the
 solve with `DegenerateStateError`.
+
+Newton is grid-sequenced (nested iteration, Brandt, Math. Comp. 31, 1977):
+while nt and ny are even with halves of at least 64, the grid of every second
+node is solved first, the coarsest from `initial_guess`, and each finer grid
+starts from the coarser flow prolonged bilinearly in (log(t+eps), y), with
+its own pinned rows.  ``newton_max_iter`` caps each level.
 """
 
 from __future__ import annotations
@@ -104,10 +110,12 @@ class SpaceTimeGrid:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    iterations: int
+    iterations: int      # Newton steps on the requested grid
     grad_norm: float
     energy: float
     converged: bool
+    # (nt, ny, Newton steps) of each grid solved, coarsest first
+    levels: tuple[tuple[int, int, int], ...]
 
 
 # smallest label slope for which the density phi / gamma_y is defined
@@ -388,7 +396,7 @@ def _dissect(r0: int, r1: int, c0: int, c1: int, out: list) -> int:
     return len(out) - 1
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)   # a whole ladder up to 8192^2
 def _analysis(R: int, C: int) -> _Analysis:
     """Symbolic analysis of the 5-point stencil on an R x C grid.
 
@@ -530,9 +538,18 @@ _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 
 
-def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
-          cfg: SolverConfig = SolverConfig()) -> FlowField:
-    """Minimize the discrete transport energy by damped Newton.
+def _rounding_accepts(ws: _Workspace, candidate: np.ndarray, E0: float,
+                      E1: float, gn: float) -> bool:
+    """Near the minimum the energy drop falls below the rounding of the energy
+    sum, where Armijo cannot see it; there the scaled gradient decides."""
+    return (abs(E1 - E0) <= _ENERGY_ROUNDING_ULPS * math.ulp(E0)
+            and ws.gradient(candidate)[1] < gn)
+
+
+def _newton(ws: _Workspace, gamma: np.ndarray,
+            cfg: SolverConfig) -> tuple[np.ndarray, int, float, float]:
+    """Damped Newton on the grid of ``ws`` from ``gamma``; returns the flow,
+    its step count, its scaled gradient norm and its energy.
 
     Steps are clipped to keep every label slope above ``gamma_y_floor``
     and accepted under the Armijo condition, so the energy decreases
@@ -540,24 +557,13 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
     whose energy change is within rounding of the energy is accepted when
     it lowers the scaled gradient norm.
     """
-    if abs(m.mass - 1.0) > 1e-6:
-        raise InvalidParameterError(
-            f"terminal density mass {m.mass} is not normalized")
-    if not m.b > m.a:
-        raise InvalidParameterError("terminal density support is empty")
-
-    ws = _Workspace(p, grid)
-    gamma = initial_guess(p, m, grid)
+    where = f"on the {ws.grid.nt}x{ws.grid.ny} grid"
     E0 = ws.energy(gamma, cfg.gamma_y_floor)
-
-    it = 0
     gn = math.inf
     for it in range(1, cfg.newton_max_iter + 1):
         G, gn = ws.gradient(gamma)
         if gn <= cfg.residual_tol:
-            return FlowField(grid=grid, profile=p, gamma=gamma,
-                             info=SolveInfo(iterations=it - 1, grad_norm=gn,
-                                            energy=E0, converged=True))
+            return gamma, it - 1, gn, E0
         d = _solve_newton_system(*_newton_matrix(ws, gamma), G)
 
         # largest step keeping all interior slopes above the floor
@@ -570,28 +576,72 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
         else:
             a = 1.0
         if a <= 0.0:
-            raise DegenerateStateError("no feasible step above the slope floor")
+            raise DegenerateStateError(
+                f"no feasible step above the slope floor {where}")
 
         descent = float(np.sum(G * d))
         candidate = gamma.copy()
         while True:
             candidate[1:-1] = gamma[1:-1] + a * d
             E1 = ws.energy(candidate, cfg.gamma_y_floor)
-            if E1 <= E0 + _ARMIJO_C * a * descent:
-                break
-            # near the minimum the energy drop falls below the rounding of
-            # the energy sum and Armijo can no longer see it; there the
-            # scaled gradient decides
-            if (abs(E1 - E0) <= _ENERGY_ROUNDING_ULPS * math.ulp(E0)
-                    and ws.gradient(candidate)[1] < gn):
+            if (E1 <= E0 + _ARMIJO_C * a * descent
+                    or _rounding_accepts(ws, candidate, E0, E1, gn)):
                 break
             a *= _ARMIJO_SHRINK
             if a < 1e-14:
                 raise NewtonDivergenceError(
-                    f"line search failed at iteration {it} "
+                    f"line search failed at iteration {it} {where} "
                     f"(gradient norm {gn:.3e})")
         gamma, E0 = candidate, E1
 
     raise NewtonDivergenceError(
-        f"no convergence in {cfg.newton_max_iter} Newton iterations "
+        f"no convergence in {cfg.newton_max_iter} Newton iterations {where} "
         f"(scaled gradient norm {gn:.3e}, tol {cfg.residual_tol:.1e})")
+
+
+_COARSEST = 64      # fewest intervals on either axis of a coarsened grid
+
+
+def _ladder(grid: SpaceTimeGrid) -> list[SpaceTimeGrid]:
+    """``grid`` and its halvings to every second node, coarsest first."""
+    ladder = [grid]
+    g = grid
+    while g.nt % 2 == 0 and g.ny % 2 == 0 and min(g.nt, g.ny) >= 2 * _COARSEST:
+        g = SpaceTimeGrid(eps=g.eps, T=g.T, t=g.t[::2], y=g.y[::2])
+        ladder.append(g)
+    return ladder[::-1]
+
+
+def _prolong(gamma: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation in (log(t+eps), y), where the nodes are uniform,
+    onto the grid with twice the intervals."""
+    R, C = gamma.shape
+    out = np.empty((2 * R - 1, 2 * C - 1))
+    out[::2, ::2] = gamma
+    out[1::2, ::2] = 0.5 * (gamma[:-1] + gamma[1:])
+    out[:, 1::2] = 0.5 * (out[:, :-1:2] + out[:, 2::2])
+    return out
+
+
+def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
+          cfg: SolverConfig = SolverConfig()) -> FlowField:
+    """Minimize the discrete transport energy by `_newton` on each grid of
+    `_ladder`, each from the flow one level coarser; a failure on any level
+    ends the solve."""
+    if abs(m.mass - 1.0) > 1e-6:
+        raise InvalidParameterError(
+            f"terminal density mass {m.mass} is not normalized")
+    if not m.b > m.a:
+        raise InvalidParameterError("terminal density support is empty")
+
+    levels = []
+    gamma = None
+    for g in _ladder(grid):
+        start = initial_guess(p, m, g)
+        if gamma is not None:
+            start[1:-1] = _prolong(gamma)[1:-1]
+        gamma, steps, gn, E = _newton(_Workspace(p, g), start, cfg)
+        levels.append((g.nt, g.ny, steps))
+    return FlowField(grid=grid, profile=p, gamma=gamma,
+                     info=SolveInfo(iterations=steps, grad_norm=gn, energy=E,
+                                    converged=True, levels=tuple(levels)))

@@ -223,6 +223,9 @@ def test_solve_writes_run_directory(tmp_path):
     assert manifest["solver"]["converged"] is True
     assert manifest["solver"]["iterations"] >= 1
     assert manifest["solver"]["grad_norm"] <= 1e-10
+    # 48 does not halve to 64: one level, the requested grid
+    assert manifest["solver"]["levels"] == [[48, 48,
+                                             manifest["solver"]["iterations"]]]
     assert manifest["certificates"]["mass_conserved"] is True
     assert manifest["certificates"]["boundary_curvature_signs"] is True
     # the manifest alone reconstructs the configuration
@@ -233,6 +236,17 @@ def test_solve_writes_run_directory(tmp_path):
     assert gamma.shape == (49, 49)
     assert t[0] == 0.0 and t[-1] == 1.0
     assert np.all(np.diff(gamma[-1]) > 0.0)
+
+
+def test_solve_reports_newton_steps_per_level(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("solve", "--outdir", out, "--nt", "128", "--ny", "128") == 0
+    solver_doc = json.loads((out / "manifest.json").read_text())["solver"]
+    (nt0, ny0, k0), (nt1, ny1, k1) = solver_doc["levels"]
+    assert (nt0, ny0, nt1, ny1) == (64, 64, 128, 128)
+    assert k1 == solver_doc["iterations"]
+    assert (f"({k1} Newton steps (64x64: {k0}, 128x128: {k1}), "
+            in capsys.readouterr().out)
 
 
 def test_solve_reruns_bit_identical(tmp_path):

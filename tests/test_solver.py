@@ -13,13 +13,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import solveh_banded
 
-from dirac_mfp import errors
+from dirac_mfp import errors, solver
 from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import (
     FlowField,
     SolverConfig,
     _analysis,
     _cholesky_solve,
+    _newton,
     _newton_matrix,
     _solve_newton_system,
     _Workspace,
@@ -265,17 +266,19 @@ def test_indefinite_system_raises_degenerate_state():
 def test_concurrent_solves_share_the_analysis():
     p = make_profile(3.0)
     g = make_grid(p, eps=1e-3, T=1.0, nt=32, ny=32)
-    targets = [two_bump(3.0), power_bump(-1.0, 1.0, 3.0)]
-    _analysis.cache_clear()               # both threads meet an empty cache
+    g128 = make_grid(p, eps=1e-3, T=1.0, nt=128, ny=128)   # a 64^2, 128^2 ladder
+    cases = [(two_bump(3.0), g), (power_bump(-1.0, 1.0, 3.0), g),
+             (two_bump(3.0), g128)]
+    _analysis.cache_clear()               # all threads meet an empty cache
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(solve, p, m, g) for m in targets * 2]
+            futures = [pool.submit(solve, p, m, grid) for m, grid in cases * 2]
             parallel = [fut.result(timeout=120) for fut in futures]
     finally:
         sys.setswitchinterval(switch)
-    serial = [solve(p, m, g) for m in targets]
+    serial = [solve(p, m, grid) for m, grid in cases]
     for f, ref in zip(parallel, serial * 2):
         assert np.array_equal(f.gamma, ref.gamma)
 
@@ -292,18 +295,39 @@ def test_factor_needs_under_a_quarter_of_the_band_at_512():
     assert entries <= (M + 1) * R * M / 4
 
 
-def test_newton_converges_when_energy_drop_is_below_rounding():
-    # the fourth step changes the energy by one ulp, below what Armijo can
-    # resolve; it is accepted because it lowers the scaled gradient
+@pytest.fixture
+def rounding_acceptances(monkeypatch):
+    """Counts the line-search steps that `_newton` accepts by rounding."""
+    accepted = []
+    original = solver._rounding_accepts
+
+    def counting(*args):
+        ok = original(*args)
+        accepted.append(ok)
+        return ok
+    monkeypatch.setattr(solver, "_rounding_accepts", counting)
+    return accepted
+
+
+def cold_newton(p, m, g, cfg=SolverConfig()):
+    """`_newton` on ``g`` alone, from `initial_guess`: the start every grid
+    had before grid sequencing."""
+    return _newton(_Workspace(p, g), initial_guess(p, m, g), cfg)
+
+
+def test_newton_converges_when_energy_drop_is_below_rounding(rounding_acceptances):
+    # a late step changes the energy by less than its rounding, below what
+    # Armijo can resolve; it is accepted because it lowers the scaled gradient
     p = make_profile(3.0)
     g = make_grid(p, eps=1e-3, T=1.0, nt=128, ny=128)
-    f = solve(p, power_bump(-1.044521532507142, 1.0407914685505548, 3.0), g)
-    assert f.info.converged
-    assert f.info.iterations <= 5
-    assert f.info.grad_norm <= SolverConfig().residual_tol
+    m = power_bump(-1.0201149476842386, 1.0872884123684006, 3.0)
+    _, steps, gn, _ = cold_newton(p, m, g)
+    assert sum(rounding_acceptances) >= 1
+    assert steps <= 5
+    assert gn <= SolverConfig().residual_tol
 
 
-def test_newton_converges_on_two_bump_table_near_rounding():
+def test_newton_converges_on_two_bump_table_near_rounding(rounding_acceptances):
     # without the rounding acceptance the scaled gradient of this sharp
     # two-bump table sits at 3.8e-10 from the sixth step on
     p = make_profile(3.0)
@@ -316,10 +340,92 @@ def test_newton_converges_on_two_bump_table_near_rounding():
              + 0.3)
     edge = np.clip((x - a) * (b - x), 0.0, None) ** (1.0 / 3.0)
     m = TerminalDensity.from_table(x, edge * bumps, theta=3.0)
-    f = solve(p, m, g, SolverConfig(newton_max_iter=10))
-    assert f.info.converged
-    assert f.info.iterations <= 7
+    _, steps, gn, _ = cold_newton(p, m, g, SolverConfig(newton_max_iter=10))
+    assert sum(rounding_acceptances) >= 1
+    assert steps <= 7
+    assert gn <= SolverConfig().residual_tol
+
+
+# ---------------------------------------------------------------------------
+# grid sequencing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["power_bump", "two_bump"])
+@pytest.mark.parametrize("theta", [0.25, 1.0, 3.0, 10.0])
+def test_sequenced_solve_matches_cold_newton(theta, kind):
+    p = make_profile(theta)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=128, ny=128)
+    m = power_bump(-0.7, 1.2, theta) if kind == "power_bump" else two_bump(theta)
+    f = solve(p, m, g)
+    cold, _, _, _ = cold_newton(p, m, g)
+    assert np.max(np.abs(f.gamma - cold)) <= 1e-10
+    assert [lv[:2] for lv in f.info.levels] == [(64, 64), (128, 128)]
+    assert f.info.levels[-1][2] == f.info.iterations <= 4
     assert f.info.grad_norm <= SolverConfig().residual_tol
+
+
+@pytest.mark.parametrize("nt,ny", [(100, 128), (64, 64), (128, 96)])
+def test_grid_that_does_not_halve_is_solved_cold(nt, ny):
+    # nt = 100 and ny = 96 halve below 64; 64 does not halve at all
+    p = make_profile(3.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=nt, ny=ny)
+    m = two_bump(3.0)
+    f = solve(p, m, g)
+    cold, steps, gn, E = cold_newton(p, m, g)
+    assert np.array_equal(f.gamma, cold)
+    assert f.info.levels == ((nt, ny, steps),)
+    assert (f.info.iterations, f.info.grad_norm, f.info.energy) == (steps, gn, E)
+
+
+def test_sequencing_with_unequal_axes():
+    p = make_profile(1.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=256, ny=128)
+    m = two_bump(1.0)
+    f = solve(p, m, g)
+    assert [lv[:2] for lv in f.info.levels] == [(128, 64), (256, 128)]
+    # the coarse level's nodes are the fine grid's, bit for bit
+    coarse = solver._ladder(g)[0]
+    assert np.array_equal(coarse.t, g.t[::2]) and np.array_equal(coarse.y, g.y[::2])
+    cold, _, _, _ = cold_newton(p, m, g)
+    assert np.max(np.abs(f.gamma - cold)) <= 1e-10
+    assert f.gamma[0].tolist() == initial_guess(p, m, g)[0].tolist()
+    assert f.gamma[-1].tolist() == terminal_row(p, m, g).tolist()
+
+
+def test_prolongation_is_bilinear_in_log_time_and_label():
+    p = make_profile(1.0)
+    fine = make_grid(p, eps=1e-3, T=1.0, nt=16, ny=8)
+    coarse = solver.SpaceTimeGrid(fine.eps, fine.T, fine.t[::2], fine.y[::2])
+    # a field bilinear in (log(t+eps), y) is reproduced to rounding
+    def field(g):
+        tau = np.log(g.sigma)[:, None]
+        return 0.3 + 2.0 * tau - 0.5 * g.y[None, :] + 0.7 * tau * g.y[None, :]
+    fine_values = solver._prolong(field(coarse))
+    assert fine_values.shape == (17, 9)
+    assert np.max(np.abs(fine_values - field(fine))) <= 1e-12
+
+
+def test_coarse_level_failure_names_its_grid():
+    p = make_profile(3.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=128, ny=128)
+    with pytest.raises(errors.NewtonDivergenceError, match="on the 64x64 grid"):
+        solve(p, two_bump(3.0), g, SolverConfig(newton_max_iter=2))
+
+
+def test_repeated_solve_reuses_the_analysis_of_every_level():
+    p = make_profile(1.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=256, ny=256)
+    m = power_bump(-1.0, 1.0, 1.0)
+    _analysis.cache_clear()
+    try:
+        f = solve(p, m, g)
+        assert len(f.info.levels) == 3
+        misses = _analysis.cache_info().misses
+        assert misses == 3
+        solve(p, m, g)
+        assert _analysis.cache_info().misses == misses
+    finally:
+        _analysis.cache_clear()
 
 
 # ---------------------------------------------------------------------------
