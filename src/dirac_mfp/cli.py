@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import collections
+import ctypes
 import dataclasses
+import functools
 import json
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -347,16 +348,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _pool_size(n_jobs: int) -> int:
-    cap = os.environ.get("DIRAC_MFP_THREADS", "2")
-    try:
-        cap = max(1, int(cap))
-    except ValueError:
-        raise InvalidParameterError(
-            f"DIRAC_MFP_THREADS must be an integer, got {cap!r}")
-    return max(1, min(cap, n_jobs))
-
-
 def _sweep_one(cfg: RunConfig):
     try:
         f, report, _, _ = _run_pipeline(cfg)
@@ -387,12 +378,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     doc = dataclasses.asdict(cfg)
     subcfgs = [nested_to_config({**doc, "outdir": str(out / n), axis: v})
                for v, n in zip(values, names)]
-    workers = _pool_size(len(values))
     _check_outdir(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_sweep_one, subcfgs))
+    results = [_sweep_one(sub) for sub in subcfgs]
 
     summary = out / "sweep.csv"
     with open(summary, "w") as fh:
@@ -668,7 +657,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+@functools.cache
+def _one_blas_thread() -> None:
+    """Set every loaded OpenBLAS to one thread, once per process (see the
+    factor's notes in `solver`).  Without OpenBLAS this does nothing."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {ln.split()[-1] for ln in fh}
+    except OSError:
+        return
+    for path in sorted(paths):
+        name = os.path.basename(path).lower()
+        if path.startswith("/") and name.startswith("lib") and "blas" in name:
+            lib = ctypes.CDLL(path)
+            sym = next((s for s in _BLAS_SET_THREADS if hasattr(lib, s)), None)
+            if sym is not None:
+                fn = getattr(lib, sym)
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+
+
 def main(argv=None) -> int:
+    _one_blas_thread()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

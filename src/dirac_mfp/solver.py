@@ -34,14 +34,15 @@ Newton is grid-sequenced (nested iteration, Brandt, Math. Comp. 31, 1977):
 while nt and ny are even with halves of at least 64, the grid of every second
 node is solved first, the coarsest from `initial_guess`, and each finer grid
 starts from the coarser flow prolonged bilinearly in (log(t+eps), y), with
-its own pinned rows.  ``newton_max_iter`` caps each level.
+its own pinned rows.  Coarse levels stop at a scaled gradient of 1e-4 (or a
+looser ``residual_tol``), and ``newton_max_iter`` caps each level.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk, dtrsm, dtrsv
@@ -354,8 +355,9 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 # multifrontal method (Duff & Reid, ACM TOMS 9, 1983).  The factor of an n x n
 # grid holds O(n^2 log n) entries and costs O(n^3) flops, against the band's
 # O(n^3) entries and O(n^4) flops.  Every dense operation goes through
-# scipy's BLAS and LAPACK: mixing in numpy's matmul would start numpy's own
-# BLAS thread pool beside scipy's, and the two pools contend.
+# scipy's BLAS and LAPACK.  The fronts are too small for BLAS threads: a
+# second one only spin-waits between them and doubles the CPU time, so
+# `cli.main` sets one thread; library callers keep their own setting.
 
 _LEAF = 8
 
@@ -600,6 +602,7 @@ def _newton(ws: _Workspace, gamma: np.ndarray,
 
 
 _COARSEST = 64      # fewest intervals on either axis of a coarsened grid
+_COARSE_TOL = 1e-4  # a coarse flow only starts the next level (Brandt 1977)
 
 
 def _ladder(grid: SpaceTimeGrid) -> list[SpaceTimeGrid]:
@@ -636,11 +639,13 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
 
     levels = []
     gamma = None
+    coarse = replace(cfg, residual_tol=max(_COARSE_TOL, cfg.residual_tol))
     for g in _ladder(grid):
         start = initial_guess(p, m, g)
         if gamma is not None:
             start[1:-1] = _prolong(gamma)[1:-1]
-        gamma, steps, gn, E = _newton(_Workspace(p, g), start, cfg)
+        gamma, steps, gn, E = _newton(_Workspace(p, g), start,
+                                      cfg if g is grid else coarse)
         levels.append((g.nt, g.ny, steps))
     return FlowField(grid=grid, profile=p, gamma=gamma,
                      info=SolveInfo(iterations=steps, grad_norm=gn, energy=E,

@@ -8,9 +8,17 @@ table, whose flow depends genuinely on the label.
 import numpy as np
 import pytest
 
+from dirac_mfp import cli
 from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import make_grid, solve
 from dirac_mfp.target import load_csv, power_bump
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """The BLAS threads `cli.main` sets, from the first test on: tests call
+    the CLI in-process, and results must not depend on which runs first."""
+    cli._one_blas_thread()
 
 
 def write_two_bump_csv(path, theta):

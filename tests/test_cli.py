@@ -7,9 +7,12 @@ precedence, file layouts, determinism, and the exit-code contract
 """
 
 import collections
+import ctypes
 import dataclasses
 import json
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -582,8 +585,7 @@ def test_export_emits_plot_data(solved_run):
 # sweep
 # ---------------------------------------------------------------------------
 
-def test_sweep_eps_writes_summary_and_cauchy(tmp_path, monkeypatch):
-    monkeypatch.setenv("DIRAC_MFP_THREADS", "2")
+def test_sweep_eps_writes_summary_and_cauchy(tmp_path):
     out = tmp_path / "sw"
     assert run_cli("sweep", "--axis", "eps", "--values", "1e-2,1e-3",
                    "--outdir", out, *FAST) == 0
@@ -599,8 +601,7 @@ def test_sweep_eps_writes_summary_and_cauchy(tmp_path, monkeypatch):
     assert np.all(cauchy[:, 3] > 0.0)
 
 
-def test_sweep_theta_tracks_support_exponent(tmp_path, monkeypatch):
-    monkeypatch.setenv("DIRAC_MFP_THREADS", "1")
+def test_sweep_theta_tracks_support_exponent(tmp_path):
     out = tmp_path / "sw"
     assert run_cli("sweep", "--axis", "theta", "--values", "1,3",
                    "--outdir", out, *FAST) == 0
@@ -627,8 +628,7 @@ def test_sweep_rejects_bad_values(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
-def test_sweep_records_per_run_failures(tmp_path, monkeypatch):
-    monkeypatch.setenv("DIRAC_MFP_THREADS", "1")
+def test_sweep_records_per_run_failures(tmp_path):
     out = tmp_path / "sw"
     # second value diverges under the starved iteration budget? no:
     # force failure by an eps too large for the horizon ordering instead
@@ -656,10 +656,9 @@ def test_sweep_rejects_values_sharing_a_directory(tmp_path, capsys, axis,
     assert not out.exists()
 
 
-def test_sweep_records_strict_compatibility_failure(tmp_path, monkeypatch):
+def test_sweep_records_strict_compatibility_failure(tmp_path):
     # (1 - x^2)_+ vanishes like dist^1: compatible at theta = 1, far out of
     # the envelope bound at theta = 0.25
-    monkeypatch.setenv("DIRAC_MFP_THREADS", "1")
     table = tmp_path / "T.csv"
     x = np.linspace(-1.0, 1.0, 101)
     table.write_text("x,density\n" + "".join(
@@ -675,12 +674,63 @@ def test_sweep_records_strict_compatibility_failure(tmp_path, monkeypatch):
     assert (out / "theta=1" / "rates.json").is_file()
 
 
-def test_pool_cap_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("DIRAC_MFP_THREADS", "soon")
-    out = tmp_path / "sw"
-    assert run_cli("sweep", "--axis", "eps", "--values", "1e-2",
-                   "--outdir", out, *FAST) == 1
-    assert not out.exists()
+def test_sweep_runs_in_order_on_the_calling_thread(tmp_path, monkeypatch):
+    calls = []
+
+    def pipeline(cfg):
+        calls.append((cfg.eps, threading.get_ident()))
+        raise errors.NewtonDivergenceError("not solved")
+
+    monkeypatch.setattr(cli, "_run_pipeline", pipeline)
+    assert run_cli("sweep", "--axis", "eps", "--values", "1e-2,1e-4,1e-3",
+                   "--outdir", tmp_path / "sw", *FAST) == 2
+    me = threading.get_ident()
+    assert calls == [(1e-2, me), (1e-4, me), (1e-3, me)]
+
+
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+_BLAS_GET_THREADS = ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def openblas_threads(set_to=None):
+    """The thread count of each loaded OpenBLAS, after setting it to
+    ``set_to`` when given."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {ln.split()[-1] for ln in fh}
+    except OSError:
+        return []
+    counts = []
+    for path in sorted(paths):
+        name = os.path.basename(path).lower()
+        if not (path.startswith("/") and name.startswith("lib")
+                and "blas" in name):
+            continue
+        lib = ctypes.CDLL(path)
+        for get, put in zip(_BLAS_GET_THREADS, cli._BLAS_SET_THREADS):
+            if hasattr(lib, get):
+                if set_to is not None:
+                    getattr(lib, put)(ctypes.c_int(set_to))
+                counts.append(getattr(lib, get)())
+                break
+    return counts
+
+
+def test_cli_runs_blas_on_one_thread(tmp_path):
+    if not openblas_threads():
+        pytest.skip("no OpenBLAS with a thread count is loaded")
+    openblas_threads(set_to=2)
+    cli._one_blas_thread.cache_clear()      # as in a fresh process
+    try:
+        assert run_cli("solve", "--outdir", tmp_path / "run", *FAST) == 0
+        assert set(openblas_threads()) == {1}
+    finally:
+        openblas_threads(set_to=1)          # the session's setting
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,31 @@ def test_sequencing_with_unequal_axes():
     assert f.gamma[-1].tolist() == terminal_row(p, m, g).tolist()
 
 
+def test_coarse_levels_stop_at_the_coarse_tolerance(monkeypatch):
+    p = make_profile(3.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=256, ny=256)
+    m = two_bump(3.0)
+    tols = []
+    newton = solver._newton
+
+    def recording_newton(ws, gamma, cfg):
+        tols.append((ws.grid.nt, cfg.residual_tol))
+        return newton(ws, gamma, cfg)
+
+    monkeypatch.setattr(solver, "_newton", recording_newton)
+    f = solve(p, m, g)
+    assert tols == [(64, solver._COARSE_TOL), (128, solver._COARSE_TOL),
+                    (256, SolverConfig().residual_tol)]
+    monkeypatch.setattr(solver, "_COARSE_TOL", 0.0)    # every level polished
+    polished = solve(p, m, g)
+    assert np.max(np.abs(f.gamma - polished.gamma)) <= 1e-11
+    # a residual_tol looser than the coarse tolerance holds on every level
+    tols.clear()
+    solve(p, m, make_grid(p, eps=1e-3, T=1.0, nt=128, ny=128),
+          SolverConfig(residual_tol=1e-3))
+    assert tols == [(64, 1e-3), (128, 1e-3)]
+
+
 def test_prolongation_is_bilinear_in_log_time_and_label():
     p = make_profile(1.0)
     fine = make_grid(p, eps=1e-3, T=1.0, nt=16, ny=8)
