@@ -20,7 +20,9 @@ Newton budget too small (exit 2), ``--strict`` at the default horizon (exit
 ``--outdir`` that is a file or lies under one, a sweep with a rejected
 value, a flag value that does not parse (``--nt abc``), and ``export`` and
 ``rates --write`` on a run directory whose ``export`` is a file and whose
-``rates.json`` is a directory.  A set-up step between calls (building that
+``rates.json`` is a directory.  Last, ``rates`` on a run directory whose
+``config.json`` carries the retired keys ``seed``, ``solver.linear_solver``
+and ``solver.gamma_y_floor``.  A set-up step between calls (building such a
 run directory) prints nothing.  The output lists, for each call, its argv,
 its exit code (or ``raised <Type>`` for an exception that escapes
 ``main``), its standard output and its standard error, each stderr line
@@ -71,6 +73,18 @@ def wrong_kinds(run: Path, copy_of: Path) -> None:
         shutil.copyfile(copy_of / name, run / name)
     (run / "export").write_text("")
     (run / "rates.json").mkdir()
+
+
+def retired_keys(run: Path, copy_of: Path) -> None:
+    """A run directory holding the ``flow.csv`` of ``copy_of`` and its
+    ``config.json`` with the retired keys added, as older versions wrote
+    them."""
+    run.mkdir()
+    shutil.copyfile(copy_of / "flow.csv", run / "flow.csv")
+    doc = json.loads((copy_of / "config.json").read_text())
+    doc["seed"] = 0
+    doc["solver"].update(linear_solver="banded-direct", gamma_y_floor=1e-8)
+    (run / "config.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def numbers(path: Path) -> dict | None:
@@ -193,6 +207,8 @@ def matrix(workloads) -> list:
         lambda: wrong_kinds(Path("wrong-kind"), Path("theta=1")),
         ["export", "wrong-kind"],
         ["rates", "wrong-kind", "--write"],
+        lambda: retired_keys(Path("retired-keys"), Path("theta=1")),
+        ["rates", "retired-keys"],
     ]
     return calls
 

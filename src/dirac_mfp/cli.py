@@ -106,7 +106,7 @@ class RunConfig:
 
 
 # keys of older config files that no setting reads any more
-_RETIRED_KEYS = ("seed", "solver.linear_solver")
+_RETIRED_KEYS = ("seed", "solver.linear_solver", "solver.gamma_y_floor")
 
 
 def nested_to_config(doc: dict, where: str = "config") -> RunConfig:
@@ -320,7 +320,6 @@ def _run_pipeline(cfg: RunConfig):
         "solver": {"iterations": f.info.iterations,
                    "grad_norm": f.info.grad_norm,
                    "energy": f.info.energy,
-                   "converged": f.info.converged,
                    "levels": [list(level) for level in f.info.levels]},
         "certificates": certificates,
         "artifacts": {**RUN_FILES, "snapshots": snapshots},
@@ -502,8 +501,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     # rescaled density overlays with the stationary reference column
     rows = []
     for i in _snapshot_rows(g.nt):
-        snap = fields_mod.snapshot(f, int(i))
-        state = rescale_mod.rescale_snapshot(snap, p)
+        state = rescale_mod.rescale_snapshot(fields_mod.snapshot(f, int(i)), p)
         eta = state.eta_nodes
         rows.append(np.column_stack([
             np.full_like(eta, state.tau), eta, state.mu, p.phi(eta)]))

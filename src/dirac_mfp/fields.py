@@ -308,87 +308,67 @@ def _extend(hL: _SideHistory, hR: _SideHistory, i: int,
 
 @dataclass(frozen=True)
 class EulerianSnapshot:
-    """One time slice on image nodes plus uniform exterior padding.
+    """Time slices on image nodes plus uniform exterior padding.
 
-    ``y_nodes`` are the Lagrangian labels whose images form the support
-    part of ``x_nodes``; downstream rescaling needs them to express
-    pushforward certificates in mass coordinates.
+    One slice, or a stack of them: every node array has shape
+    ``np.shape(t) + (nodes,)``, ``n_pad`` exterior nodes on each side of
+    the images of ``y_nodes``, the Lagrangian labels; downstream rescaling
+    needs them to express pushforward certificates in mass coordinates.
     """
 
-    t: float
+    t: float | np.ndarray
     x_nodes: np.ndarray
     m: np.ndarray
     u: np.ndarray
     u_x: np.ndarray
-    gamma_L: float
-    gamma_R: float
     y_nodes: np.ndarray
+    n_pad: int
 
     @property
-    def support_mask(self) -> np.ndarray:
-        return (self.x_nodes >= self.gamma_L) & (self.x_nodes <= self.gamma_R)
+    def support(self) -> slice:
+        return slice(self.n_pad, self.n_pad + self.y_nodes.size)
 
 
-def _default_pad(ny: int) -> int:
-    """Exterior nodes per side of a snapshot that sets none."""
-    return max(2, ny // 4)
+def snapshot(f: FlowField, rows, *,
+             n_pad: int | None = None) -> EulerianSnapshot:
+    """Assemble density, velocity and extended value at the time index
+    ``rows``, an int or an array of them.
 
-
-def _padded_rows(f: FlowField, rows: np.ndarray, n_pad: int):
-    """Image nodes of the time rows ``rows`` with ``n_pad`` exterior nodes
-    per side at the mean support spacing.
-
-    Returns ``(x, m, u, ux_ext)``: nodes, density (zero outside the
-    support) and value, each of shape (rows, n_pad + ny + 1 + n_pad), and
-    the exterior slopes, shape (rows, 2 n_pad), left nodes first.  The
-    exterior continuation brackets each row separately, so it runs once
-    per row, on side histories built once.
+    Padding uses the mean support spacing of each row, ``n_pad`` nodes per
+    side (default ny // 4, at least 2).  The value and the free boundaries
+    are those the flow keeps, so slicing many snapshots derives them once.
+    The exterior continuation brackets each row separately, so it runs
+    once per row, on side histories built once.
     """
+    g = f.grid
+    if n_pad is None:
+        n_pad = max(2, g.ny // 4)
+    shape = np.shape(rows)
+    rows = np.reshape(rows, -1)
     ubar = f.value
     x_sup = f.gamma[rows]
-    m_sup = f.density[rows]
     gL, gR = x_sup[:, :1], x_sup[:, -1:]
-    h = (gR - gL) / f.grid.ny
-    x_left = gL - h * np.arange(n_pad, 0, -1)
-    x_right = gR + h * np.arange(1, n_pad + 1)
-    x_ext = np.concatenate([x_left, x_right], axis=1)
+    h = (gR - gL) / g.ny
+    x_ext = np.concatenate([gL - h * np.arange(n_pad, 0, -1),
+                            gR + h * np.arange(1, n_pad + 1)], axis=1)
     u_ext = np.empty_like(x_ext)
     ux_ext = np.empty_like(x_ext)
     hL, hR = _histories(f.boundaries, ubar[:, 0], ubar[:, -1])
     for k, i in enumerate(rows):
         u_ext[k], ux_ext[k] = _extend(hL, hR, int(i), x_ext[k])
-    pad = np.zeros((len(rows), n_pad))
-    x = np.concatenate([x_left, x_sup, x_right], axis=1)
-    m = np.concatenate([pad, m_sup, pad], axis=1)
-    u = np.concatenate([u_ext[:, :n_pad], ubar[rows], u_ext[:, n_pad:]],
-                       axis=1)
-    return x, m, u, ux_ext
 
+    def glue(ext, sup):
+        out = np.concatenate([ext[:, :n_pad], sup, ext[:, n_pad:]], axis=1)
+        return out.reshape(shape + out.shape[-1:])
 
-def snapshot(f: FlowField, t_index: int, *,
-             n_pad: int | None = None) -> EulerianSnapshot:
-    """Assemble density, velocity and extended value at one time index.
-
-    Padding uses the mean support spacing, ``n_pad`` nodes per side
-    (default ny // 4).  The value and the free boundaries are those the
-    flow keeps, so slicing many snapshots derives them once.
-    """
-    g = f.grid
-    if n_pad is None:
-        n_pad = _default_pad(g.ny)
-
-    x, dens, u, ux_ext = _padded_rows(f, np.array([t_index]), n_pad)
-    ux = np.concatenate([ux_ext[0, :n_pad], -f.gamma_t[t_index],
-                         ux_ext[0, n_pad:]])
     return EulerianSnapshot(
-        t=float(g.t[t_index]),
-        x_nodes=x[0],
-        m=dens[0],
-        u=u[0],
-        u_x=ux,
-        gamma_L=float(f.gamma[t_index, 0]),
-        gamma_R=float(f.gamma[t_index, -1]),
+        t=g.t[rows].reshape(shape)[()],
+        x_nodes=glue(x_ext, x_sup),
+        m=glue(np.zeros_like(x_ext), f.density[rows]),
+        u=glue(u_ext, ubar[rows]),
+        u_x=glue(ux_ext, -f.gamma_t[rows]),
         y_nodes=g.y.copy(),
+        n_pad=n_pad,
     )
 
 
@@ -565,11 +545,9 @@ def hj_exterior_residual(f: FlowField) -> np.ndarray:
     field was produced.
     """
     g = f.grid
-    n_pad = _default_pad(g.ny)
     ev = _ValueEvaluator(f)
-    rows = ev.rows
-
-    x, _, u, _ = _padded_rows(f, rows, n_pad)
+    snap = snapshot(f, ev.rows)
+    x, u, n_pad = snap.x_nodes, snap.u, snap.n_pad
     # one-sided gradients on [pads, boundary node] keep the stencil on
     # the correct side of the C^1 glue point
     side = n_pad + 1
@@ -580,7 +558,7 @@ def hj_exterior_residual(f: FlowField) -> np.ndarray:
     x, u = x[:, pads], u[:, pads]
 
     out = np.full((g.nt + 1, 2 * n_pad), np.nan)
-    for k, i in enumerate(rows):
+    for k, i in enumerate(ev.rows):
         res = -ev.time_derivative(i, x[k], u[k]) + 0.5 * u_x[k] * u_x[k]
         xl, xr = x[k, :n_pad], x[k, n_pad:]
         h = (f.gamma[i, -1] - f.gamma[i, 0]) / g.ny

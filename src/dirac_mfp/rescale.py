@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, InvalidParameterError
-from .fields import (EulerianSnapshot, _padded_rows, _row_gradient,
-                     _second_derivative)
+from .fields import (EulerianSnapshot, _row_gradient, _second_derivative,
+                     snapshot)
 from .profile import Profile
 from .solver import FlowField
 
@@ -59,79 +59,95 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RescaledState:
-    """One rescaled slice.
+    """Rescaled slices, one or a stack, laid out as the `EulerianSnapshot`
+    they come from.
 
     ``eta_nodes`` carries every snapshot node (exterior padding included,
     where mu is zero but w is still the continued value); ``gamma_hat``
-    restricts to the rescaled support images and lives over ``y_nodes``,
-    picked out of ``eta_nodes`` by ``support_mask``.
+    restricts it to the rescaled support images, which live over
+    ``y_nodes``.
     """
 
-    tau: float
+    tau: float | np.ndarray
     eta_nodes: np.ndarray
     mu: np.ndarray
     w: np.ndarray
     w_eta: np.ndarray
-    gamma_hat: np.ndarray
     y_nodes: np.ndarray
-    support_mask: np.ndarray
+    n_pad: int
+
+    @property
+    def support(self) -> slice:
+        return slice(self.n_pad, self.n_pad + self.y_nodes.size)
+
+    @property
+    def gamma_hat(self) -> np.ndarray:
+        return self.eta_nodes[..., self.support]
 
 
-def _rescale_rows(t, x: np.ndarray, m: np.ndarray, u: np.ndarray,
-                  p: Profile):
-    """``(eta, mu, w, w_eta)`` of slices at times ``t`` (a scalar, or a
-    column broadcasting over the rows of ``x``, ``m`` and ``u``)."""
-    ta = t ** p.alpha
-    eta = x / ta
-    mu = ta * m
-    w = t ** (1.0 - 2.0 * p.alpha) * u + 0.5 * p.alpha * eta * eta
-    return eta, mu, w, _row_gradient(w, eta)
+# libm's log element by element: the one-slice tau keeps the bits that
+# `math.log` gives it, which numpy's vectorized log does not always match
+_log = np.vectorize(math.log, otypes=[float])
 
 
 def rescale_snapshot(s: EulerianSnapshot, p: Profile) -> RescaledState:
-    """Map one Eulerian slice into the self-similar frame.
+    """Map Eulerian slices into the self-similar frame.
 
     mu = t^alpha m(t, t^alpha eta), v = t^(1-2 alpha) u and
     w = v + alpha eta^2 / 2; w_eta by nonuniform differences on the eta
     nodes.  Only t > 0 slices admit the rescaling.
     """
-    if not s.t > 0.0:
+    if not np.all(s.t > 0.0):
         raise InvalidParameterError(
-            f"rescaling needs t > 0, got t={s.t}")
-    mask = s.support_mask
-    if int(np.count_nonzero(mask)) != s.y_nodes.size:
-        raise InvalidParameterError(
-            "snapshot support nodes do not match its source labels")
-    eta, mu, w, w_eta = _rescale_rows(s.t, s.x_nodes, s.m, s.u, p)
+            f"rescaling needs t > 0, got t={np.min(s.t)}")
+    # the powers of t are taken before t is broadcast over the nodes, so
+    # that one slice raises a scalar, with the scalar pow
+    ta = np.expand_dims(s.t ** p.alpha, -1)
+    tv = np.expand_dims(s.t ** (1.0 - 2.0 * p.alpha), -1)
+    eta = s.x_nodes / ta
+    w = tv * s.u + 0.5 * p.alpha * eta * eta
     return RescaledState(
-        tau=math.log(s.t),
+        tau=_log(s.t)[()],
         eta_nodes=eta,
-        mu=mu,
+        mu=ta * s.m,
         w=w,
-        w_eta=w_eta,
-        gamma_hat=eta[mask],
+        w_eta=_row_gradient(w, eta),
         y_nodes=s.y_nodes,
-        support_mask=mask,
+        n_pad=s.n_pad,
     )
 
 
-# Each functional below is written once, for slices stacked along the
-# first axis and reduced along the last, so that `build_series` evaluates
-# every row in one pass and the per-slice functions are its one-row case.
+# Each functional below reduces along the nodes, the last axis: it returns
+# a scalar for one slice and an array for a stack of them.
 
-def _dissipation(weta_sup: np.ndarray, wq: np.ndarray):
-    return np.sum(wq * weta_sup * weta_sup, axis=-1)
+def lyapunov(state: RescaledState, p: Profile):
+    """Lyapunov functional H(tau) of rescaled slices.
 
-
-def _lyapunov(mu_sup: np.ndarray, weta_sup: np.ndarray, gh: np.ndarray,
-              y: np.ndarray, wq: np.ndarray, p: Profile):
+    The mu^(theta+1) term needs no flow slope: in mass coordinates it is
+    int mu^theta(gamma_hat(y)) phi(y) dy and mu at the image nodes is
+    stored directly.  See the module docstring for why the phi-moment
+    constant is evaluated with the same dual-cell rule.
+    """
+    y = state.y_nodes
+    wq = p.node_masses(y)
+    gh = state.gamma_hat
     c = 0.5 * p.alpha * (1.0 - p.alpha)
-    kinetic = 0.5 * _dissipation(weta_sup, wq)
-    internal = np.sum(wq * mu_sup ** p.theta, axis=-1) / (p.theta + 1.0)
+    kinetic = 0.5 * dissipation(state, p)
+    internal = (np.sum(wq * state.mu[..., state.support] ** p.theta, axis=-1)
+                / (p.theta + 1.0))
     confinement = c * np.sum(wq * gh * gh, axis=-1)
     const = (-p.theta / (p.theta + 1.0) * np.sum(wq * p.phi(y) ** p.theta)
              + c * p.r_alpha ** 2)
     return kinetic - internal - confinement + const
+
+
+def dissipation(state: RescaledState, p: Profile):
+    """``int mu |w_eta|^2 deta`` in mass coordinates.
+
+    ``-(2 alpha - 1) * dissipation`` is the exact dH/dtau.
+    """
+    weta = state.w_eta[..., state.support]
+    return np.sum(p.node_masses(state.y_nodes) * weta * weta, axis=-1)
 
 
 def _w_on(eta: np.ndarray, w: np.ndarray, w_eta: np.ndarray,
@@ -148,45 +164,7 @@ def _w_on(eta: np.ndarray, w: np.ndarray, w_eta: np.ndarray,
     return out
 
 
-def _duality(eta: np.ndarray, w: np.ndarray, w_eta: np.ndarray,
-             w_sup: np.ndarray, y: np.ndarray, wq: np.ndarray):
-    w_phi = _w_on(eta, w, w_eta, y).reshape(w_sup.shape)
-    return np.sum(wq * (w_sup - w_phi), axis=-1)
-
-
-def _reciprocal(gh: np.ndarray, y: np.ndarray, wr: np.ndarray, p: Profile):
-    if np.any(np.diff(gh, axis=-1) <= 0.0):
-        raise DegenerateStateError("rescaled flow map is not increasing")
-    ghy = np.gradient(gh, y, axis=-1, edge_order=2)
-    if np.min(ghy) <= 0.0:
-        raise DegenerateStateError("rescaled flow map is not increasing")
-    return np.sum(wr * ghy ** p.theta, axis=-1)
-
-
-def lyapunov(state: RescaledState, p: Profile) -> float:
-    """Lyapunov functional H(tau) of one rescaled slice.
-
-    The mu^(theta+1) term needs no flow slope: in mass coordinates it is
-    int mu^theta(gamma_hat(y)) phi(y) dy and mu at the image nodes is
-    stored directly.  See the module docstring for why the phi-moment
-    constant is evaluated with the same dual-cell rule.
-    """
-    mask = state.support_mask
-    return float(_lyapunov(state.mu[mask], state.w_eta[mask],
-                           state.gamma_hat, state.y_nodes,
-                           p.node_masses(state.y_nodes), p))
-
-
-def dissipation(state: RescaledState, p: Profile) -> float:
-    """``int mu |w_eta|^2 deta`` in mass coordinates.
-
-    ``-(2 alpha - 1) * dissipation`` is the exact dH/dtau.
-    """
-    return float(_dissipation(state.w_eta[state.support_mask],
-                              p.node_masses(state.y_nodes)))
-
-
-def duality_pairing(state: RescaledState, p: Profile) -> float:
+def duality_pairing(state: RescaledState, p: Profile):
     """``int w (mu - phi) deta`` over the union of supports.
 
     Both pieces are pulled back to mass coordinates: int w mu uses w at
@@ -194,12 +172,13 @@ def duality_pairing(state: RescaledState, p: Profile) -> float:
     (interpolated, since phi's support need not match mu's).  Inherits
     the terminal normalization of the reconstructed value.
     """
-    return float(_duality(state.eta_nodes, state.w, state.w_eta,
-                          state.w[state.support_mask], state.y_nodes,
-                          p.node_masses(state.y_nodes)))
+    y = state.y_nodes
+    w_sup = state.w[..., state.support]
+    w_phi = _w_on(state.eta_nodes, state.w, state.w_eta, y).reshape(w_sup.shape)
+    return np.sum(p.node_masses(y) * (w_sup - w_phi), axis=-1)
 
 
-def reciprocal_integral(state: RescaledState, p: Profile) -> float:
+def reciprocal_integral(state: RescaledState, p: Profile):
     """``int mu^(1-theta) deta`` over the support of mu.
 
     Evaluated in mass coordinates as int gamma_hat_y^theta phi^(1-theta) dy:
@@ -207,9 +186,14 @@ def reciprocal_integral(state: RescaledState, p: Profile) -> float:
     integrable) is integrated exactly per dual cell, the slope enters by
     nodal values.
     """
-    y = state.y_nodes
-    return float(_reciprocal(state.gamma_hat, y,
-                             p.power_node_masses(1.0 - p.theta, y), p))
+    y, gh = state.y_nodes, state.gamma_hat
+    if np.any(np.diff(gh, axis=-1) <= 0.0):
+        raise DegenerateStateError("rescaled flow map is not increasing")
+    ghy = np.gradient(gh, y, axis=-1, edge_order=2)
+    if np.min(ghy) <= 0.0:
+        raise DegenerateStateError("rescaled flow map is not increasing")
+    return np.sum(p.power_node_masses(1.0 - p.theta, y) * ghy ** p.theta,
+                  axis=-1)
 
 
 def hat_gamma_residual(f: FlowField) -> tuple[np.ndarray, np.ndarray]:
@@ -280,38 +264,32 @@ def build_series(f: FlowField) -> dict[str, np.ndarray]:
     discretization.  The padding is the full support width per side, so
     the duality pairing never needs to extrapolate w in realistic runs.
 
-    All slices are rescaled together as (rows x nodes) arrays and every
-    column is one reduction along the nodes, with the same functionals
-    as `lyapunov`, `dissipation`, `duality_pairing` and
-    `reciprocal_integral`; only the exterior continuation of the value
-    and the interpolation inside the duality pairing run per row.
+    All slices are rescaled together as one stacked snapshot, and every
+    column is one reduction along the nodes; only the exterior
+    continuation of the value and the interpolation inside the duality
+    pairing run per row.
     """
     p, g = f.profile, f.grid
-    n_pad = g.ny
     keep, tau = series_rows(g)
-    y = g.y
-    wq = p.node_masses(y)
-    wr = p.power_node_masses(1.0 - p.theta, y)
-
-    x, m, u, _ = _padded_rows(f, keep, n_pad)
-    eta, mu, w, w_eta = _rescale_rows(g.t[keep, None], x, m, u, p)
-    sup = slice(n_pad, n_pad + y.size)
-    gh, mu_sup, w_sup, weta_sup = eta[:, sup], mu[:, sup], w[:, sup], w_eta[:, sup]
-    gap = gh - y
-    H = _lyapunov(mu_sup, weta_sup, gh, y, wq, p)
+    s = rescale_snapshot(snapshot(f, keep, n_pad=g.ny), p)
+    wq = p.node_masses(g.y)
+    gh = s.gamma_hat
+    w_sup = s.w[:, s.support]
+    gap = gh - g.y
+    H = lyapunov(s, p)
     return {
         "tau": tau,
         "H": H,
         "dH_fd": np.gradient(H, tau, edge_order=2),
-        "dH_identity": -(2.0 * p.alpha - 1.0) * _dissipation(weta_sup, wq),
+        "dH_identity": -(2.0 * p.alpha - 1.0) * dissipation(s, p),
         "d1": np.sum(wq * np.abs(gap), axis=1),
         "d2": np.sqrt(np.sum(wq * gap * gap, axis=1)),
-        "mu_max": mu.max(axis=1),
+        "mu_max": s.mu.max(axis=1),
         "osc_w": w_sup.max(axis=1) - w_sup.min(axis=1),
         "supp_left": gh[:, 0].copy(),
         "supp_right": gh[:, -1].copy(),
-        "recip_integral": _reciprocal(gh, y, wr, p),
-        "duality_pairing": _duality(eta, w, w_eta, w_sup, y, wq),
+        "recip_integral": reciprocal_integral(s, p),
+        "duality_pairing": duality_pairing(s, p),
     }
 
 

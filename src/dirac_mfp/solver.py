@@ -114,13 +114,14 @@ class SolveInfo:
     iterations: int      # Newton steps on the requested grid
     grad_norm: float
     energy: float
-    converged: bool
     # (nt, ny, Newton steps) of each grid solved, coarsest first
     levels: tuple[tuple[int, int, int], ...]
 
 
 # smallest label slope for which the density phi / gamma_y is defined
 _SLOPE_FLOOR = 1e-12
+# smallest label slope that a Newton step may reach and `energy` accepts
+_GAMMA_Y_FLOOR = 1e-8
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -181,12 +182,10 @@ class SolverConfig:
 
     newton_max_iter: int = 200
     residual_tol: float = 1e-10      # scaled energy-gradient sup norm
-    gamma_y_floor: float = 1e-8
 
     def __post_init__(self):
         check_int("solver.newton_max_iter", self.newton_max_iter, 1)
         check_number("solver.residual_tol", self.residual_tol, positive=True)
-        check_number("solver.gamma_y_floor", self.gamma_y_floor, positive=True)
 
 
 def make_grid(p: Profile, eps: float, T: float, nt: int, ny: int) -> SpaceTimeGrid:
@@ -274,11 +273,11 @@ class _Workspace:
     def slopes(self, gamma: np.ndarray) -> np.ndarray:
         return np.diff(gamma, axis=1) / self.dy
 
-    def energy(self, gamma: np.ndarray, floor: float) -> float:
+    def energy(self, gamma: np.ndarray) -> float:
         s = self.slopes(gamma)
-        if np.min(s) < floor:
-            raise DegenerateStateError(
-                f"flow slope {np.min(s):.3e} fell below the floor {floor:.1e}")
+        if np.min(s) < _GAMMA_Y_FLOOR:
+            raise DegenerateStateError(f"flow slope {np.min(s):.3e} fell "
+                                       f"below the floor {_GAMMA_Y_FLOOR:.1e}")
         dtg = np.diff(gamma, axis=0) / self.dt[:, None]
         kinetic = float(np.sum(self.dt[:, None] * (0.5 * self.W[None, :] * dtg**2)))
         congestion = float(np.sum(self.wt[:, None]
@@ -320,9 +319,8 @@ class _Workspace:
 
 def energy(f: FlowField) -> float:
     """Discrete transport energy of a flow field; `DegenerateStateError`
-    when a slope is below the default ``gamma_y_floor``."""
-    return _Workspace(f.profile, f.grid).energy(f.gamma,
-                                                SolverConfig.gamma_y_floor)
+    when a slope is below `_GAMMA_Y_FLOOR`."""
+    return _Workspace(f.profile, f.grid).energy(f.gamma)
 
 
 def _own_profile(f: FlowField, p: Profile | None) -> Profile:
@@ -553,14 +551,14 @@ def _newton(ws: _Workspace, gamma: np.ndarray,
     """Damped Newton on the grid of ``ws`` from ``gamma``; returns the flow,
     its step count, its scaled gradient norm and its energy.
 
-    Steps are clipped to keep every label slope above ``gamma_y_floor``
+    Steps are clipped to keep every label slope above `_GAMMA_Y_FLOOR`
     and accepted under the Armijo condition, so the energy decreases
     strictly until the scaled gradient norm meets ``residual_tol``.  A step
     whose energy change is within rounding of the energy is accepted when
     it lowers the scaled gradient norm.
     """
     where = f"on the {ws.grid.nt}x{ws.grid.ny} grid"
-    E0 = ws.energy(gamma, cfg.gamma_y_floor)
+    E0 = ws.energy(gamma)
     gn = math.inf
     for it in range(1, cfg.newton_max_iter + 1):
         G, gn = ws.gradient(gamma)
@@ -573,7 +571,7 @@ def _newton(ws: _Workspace, gamma: np.ndarray,
         ds = np.diff(d, axis=1) / ws.dy
         shrinking = ds < 0.0
         if np.any(shrinking):
-            room = (s[shrinking] - cfg.gamma_y_floor) / (-ds[shrinking])
+            room = (s[shrinking] - _GAMMA_Y_FLOOR) / (-ds[shrinking])
             a = min(1.0, 0.995 * float(np.min(room)))
         else:
             a = 1.0
@@ -585,7 +583,7 @@ def _newton(ws: _Workspace, gamma: np.ndarray,
         candidate = gamma.copy()
         while True:
             candidate[1:-1] = gamma[1:-1] + a * d
-            E1 = ws.energy(candidate, cfg.gamma_y_floor)
+            E1 = ws.energy(candidate)
             if (E1 <= E0 + _ARMIJO_C * a * descent
                     or _rounding_accepts(ws, candidate, E0, E1, gn)):
                 break
@@ -649,4 +647,4 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
         levels.append((g.nt, g.ny, steps))
     return FlowField(grid=grid, profile=p, gamma=gamma,
                      info=SolveInfo(iterations=steps, grad_norm=gn, energy=E,
-                                    converged=True, levels=tuple(levels)))
+                                    levels=tuple(levels)))

@@ -76,7 +76,6 @@ class TerminalDensity:
     power: float
     x_nodes: np.ndarray
     samples: np.ndarray
-    cdf_nodes: np.ndarray
     mass: float
     report: CompatibilityReport | None = None
     _pdf_interp: PchipInterpolator | None = field(default=None, repr=False)
@@ -111,10 +110,9 @@ class TerminalDensity:
         pdf = pdf / raw_mass
         interp = PchipInterpolator(x, pdf)
         anti = interp.antiderivative()
-        cdf_nodes = np.asarray(anti(x) - anti(x[0]), dtype=float)
         out = cls(kind="table", a=float(x[0]), b=float(x[-1]),
                   theta=float(theta), power=float("nan"),
-                  x_nodes=x, samples=pdf, cdf_nodes=cdf_nodes, mass=1.0,
+                  x_nodes=x, samples=pdf, mass=1.0,
                   _pdf_interp=interp, _cdf_interp=anti)
         return replace(out, report=validate_compatibility(out))
 
@@ -204,9 +202,8 @@ def _beta_density(a: float, b: float, power: float, theta: float,
     x = a + (b - a) * np.arange(1, n + 1) / (n + 1.0)
     out = TerminalDensity(kind="beta", a=float(a), b=float(b),
                           theta=float(theta), power=float(power),
-                          x_nodes=x, samples=np.empty(0), cdf_nodes=np.empty(0),
-                          mass=1.0)
-    out = replace(out, samples=out.pdf(x), cdf_nodes=out.cdf(x))
+                          x_nodes=x, samples=np.empty(0), mass=1.0)
+    out = replace(out, samples=out.pdf(x))
     return replace(out, report=validate_compatibility(out))
 
 

@@ -26,9 +26,6 @@ PACKAGE = "dirac_mfp"
 SRC = ROOT / "src" / PACKAGE
 CALLER_DIRS = ("src", "demos", "perfbench")
 
-_SERIES_REFERENCE = ("the per-slice reference that "
-                     "test_series_matches_per_row_reference compares "
-                     "build_series against")
 _TABLE_ROUTE = ("the quantile-table route that the tests compare "
                 "wasserstein_maps (cauchy_d1.csv) against")
 
@@ -38,10 +35,6 @@ KEPT = {
     ("fields", "hj_interior_residual"): "acceptance criterion 5",
     ("fields", "hj_exterior_residual"): "acceptance criterion 5",
     ("rescale", "hat_gamma_residual"): "acceptance criterion 7",
-    ("rescale", "lyapunov"): _SERIES_REFERENCE,
-    ("rescale", "dissipation"): _SERIES_REFERENCE,
-    ("rescale", "duality_pairing"): _SERIES_REFERENCE,
-    ("rescale", "reciprocal_integral"): _SERIES_REFERENCE,
     ("metrics", "QuantileTable"): _TABLE_ROUTE,
     ("metrics", "wasserstein"): _TABLE_ROUTE,
     ("solver", "energy"): ("the tests compare the energy of a solved flow "

@@ -71,8 +71,8 @@ REJECTED = [
     ({"theta": True}, "theta"),
     ({"solver": {"newton_max_iter": 2.5}}, "newton_max_iter"),
     ({"solver": {"newton_max_iter": True}}, "newton_max_iter"),
-    ({"solver": {"gamma_y_floor": "x"}}, "gamma_y_floor"),
-    ({"solver": {"gamma_y_floor": -1}}, "gamma_y_floor"),
+    ({"solver": {"residual_tol": "x"}}, "residual_tol"),
+    ({"solver": {"residual_tol": -1}}, "residual_tol"),
     ({"outdir": 5}, "outdir"),
     ({"target": {"path": 7}}, "target.path"),
 ]
@@ -223,7 +223,6 @@ def test_solve_writes_run_directory(tmp_path):
                                       for p in snaps]
     assert all((out / artifacts[k]).is_file()
                for k in cli.RUN_FILES if k != "snapshots")
-    assert manifest["solver"]["converged"] is True
     assert manifest["solver"]["iterations"] >= 1
     assert manifest["solver"]["grad_norm"] <= 1e-10
     # 48 does not halve to 64: one level, the requested grid
@@ -550,12 +549,14 @@ def test_corrupt_run_artifacts_exit_1(solved_run, tmp_path, capsys,
 
 
 def test_retired_config_keys_still_load(solved_run, tmp_path):
-    # config.json as written while seed and solver.linear_solver existed
+    # config.json as written while seed, solver.linear_solver and
+    # solver.gamma_y_floor existed
     old = tmp_path / "old"
     old.mkdir()
     doc = json.loads((solved_run / "config.json").read_text())
     doc["seed"] = 0
     doc["solver"]["linear_solver"] = "banded-direct"
+    doc["solver"]["gamma_y_floor"] = 1e-8
     (old / "config.json").write_text(json.dumps(doc, indent=2) + "\n")
     (old / "flow.csv").write_bytes((solved_run / "flow.csv").read_bytes())
     assert run_cli("rates", old) == 0

@@ -113,7 +113,7 @@ def test_velocity_envelope_on_solved_run(solved128):
     full = -np.gradient(f.gamma, g.t, axis=0, edge_order=2)
     for i in (0, 1, g.nt // 2, g.nt - 1, g.nt):
         snap = F.snapshot(f, i)
-        assert snap.u_x[snap.support_mask].tobytes() == full[i].tobytes()
+        assert snap.u_x[snap.support].tobytes() == full[i].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def test_exterior_slope_bounded_by_boundary_history(solved64):
     bound = max(np.max(np.abs(fb.dgL)), np.max(np.abs(fb.dgR)))
     for i in range(1, f.grid.nt + 1):
         snap = F.snapshot(f, i)
-        out = ~snap.support_mask
+        out = np.r_[:snap.n_pad, -snap.n_pad:0]
         assert np.max(np.abs(snap.u_x[out])) <= bound + 1e-12
 
 
@@ -324,16 +324,35 @@ def test_snapshot_structure(solved128):
     p, g = f.profile, f.grid
     snap = F.snapshot(f, 64)
     assert np.all(np.diff(snap.x_nodes) > 0)
-    assert snap.gamma_L == f.gamma[64, 0] and snap.gamma_R == f.gamma[64, -1]
-    inside = snap.support_mask
-    assert np.all(snap.m[~inside] == 0.0)
+    inside = snap.support
+    assert np.array_equal(snap.x_nodes[inside], f.gamma[64])
+    assert snap.x_nodes.size == snap.y_nodes.size + 2 * snap.n_pad
+    pads = np.r_[:snap.n_pad, -snap.n_pad:0]
+    assert np.all(snap.m[pads] == 0.0)
     assert np.all(snap.m[inside][1:-1] > 0)
     # C0 gluing of the value across the boundary nodes
-    jl = np.argmax(inside)
+    jl = inside.start
     ub = F.value_on_support(f, p)
     ext_u, _ = F._extend(*F._histories(F.free_boundaries(f), ub[:, 0], ub[:, -1]),
                          64, snap.x_nodes[jl:jl + 1])
     assert abs(ext_u[0] - snap.u[jl]) < 1e-12
+
+
+def test_stacked_snapshot_is_the_per_row_snapshots(solved64):
+    # rows stacked in one call give every row's snapshot bit for bit
+    p, f = solved64
+    rows = [1, 5, 40, f.grid.nt]
+    stack = F.snapshot(f, rows)
+    assert stack.t.shape == (len(rows),)
+    assert stack.x_nodes.shape == (len(rows), f.grid.ny + 1 + 2 * stack.n_pad)
+    for k, i in enumerate(rows):
+        one = F.snapshot(f, i)
+        assert np.ndim(one.t) == 0 and one.t == stack.t[k]
+        assert one.n_pad == stack.n_pad
+        assert one.y_nodes.tobytes() == stack.y_nodes.tobytes()
+        for name in ("x_nodes", "m", "u", "u_x"):
+            assert (getattr(one, name).tobytes()
+                    == getattr(stack, name)[k].tobytes()), (i, name)
 
 
 def test_snapshot_csv_roundtrip(tmp_path, solved128):

@@ -10,6 +10,8 @@ being inlined here; discrete tolerances carry a factor 2-3 margin over
 measured values at the stated resolutions.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,11 +57,8 @@ def shifted_state(p, ny, t, eps, n_pad=8):
     mu[n_pad:n_pad + ny + 1] = p.phi(y) / lam
     w = 0.5 * b * eta ** 2
     w_eta = b * eta
-    mask = np.zeros(eta.size, dtype=bool)
-    mask[n_pad:n_pad + ny + 1] = True
     return RS.RescaledState(tau=np.log(t), eta_nodes=eta, mu=mu, w=w,
-                            w_eta=w_eta, gamma_hat=sup, y_nodes=y,
-                            support_mask=mask)
+                            w_eta=w_eta, y_nodes=y, n_pad=n_pad)
 
 
 def identity_state(p, ny):
@@ -114,6 +113,11 @@ def test_rescale_snapshot_rejects_t_zero(theta1, analytic128):
     assert s.t == 0.0
     with pytest.raises(errors.InvalidParameterError):
         RS.rescale_snapshot(s, theta1)
+    # a stack is rejected when any of its slices is at t = 0
+    stack = F.snapshot(analytic128, [40, 0, 80])
+    assert stack.t[1] == 0.0
+    with pytest.raises(errors.InvalidParameterError):
+        RS.rescale_snapshot(stack, theta1)
 
 
 def test_mu_matches_dilated_profile(theta1, analytic128):
@@ -140,7 +144,7 @@ def test_w_eta_interior_accuracy(theta1, analytic128):
             continue
         st = RS.rescale_snapshot(F.snapshot(f, i), theta1)
         b = theta1.alpha * g.eps / (t + g.eps)
-        err = np.abs(st.w_eta[st.support_mask] - b * st.gamma_hat)
+        err = np.abs(st.w_eta[st.support] - b * st.gamma_hat)
         worst = max(worst, err[2:-2].max())
     assert worst < 4e-3
 
@@ -233,14 +237,12 @@ def test_duality_dilated_state_quadrature_bound(theta1):
         pad = 8
         eta = np.concatenate([sup[0] - h * np.arange(pad, 0, -1), sup,
                               sup[-1] + h * np.arange(1, pad + 1)])
-        mask = np.zeros(eta.size, dtype=bool)
-        mask[pad:pad + 65] = True
         mu = np.zeros_like(eta)
-        mu[mask] = p.phi(y) / lam
+        mu[pad:pad + 65] = p.phi(y) / lam
         w = 0.2 + 0.35 * eta ** 2
         st = RS.RescaledState(tau=0.0, eta_nodes=eta, mu=mu, w=w,
-                              w_eta=0.7 * eta, gamma_hat=sup, y_nodes=y,
-                              support_mask=mask)
+                              w_eta=0.7 * eta, y_nodes=y, n_pad=pad)
+        assert np.array_equal(st.gamma_hat, sup)
         exact = 0.35 * (lam * lam - 1.0) * m2
         got = RS.duality_pairing(st, p)
         assert abs(got - exact) <= 1.5 * 0.7 * h * h / 8.0
@@ -269,13 +271,11 @@ def test_reciprocal_dilated_state(theta3):
 def test_reciprocal_rejects_nonmonotone(theta3):
     p = theta3
     st = identity_state(p, 48)
-    bad = st.gamma_hat.copy()
-    bad[10], bad[11] = bad[11], bad[10]
-    st2 = RS.RescaledState(tau=st.tau, eta_nodes=st.eta_nodes, mu=st.mu,
-                           w=st.w, w_eta=st.w_eta, gamma_hat=bad,
-                           y_nodes=st.y_nodes, support_mask=st.support_mask)
+    bad = st.eta_nodes.copy()
+    j = st.n_pad + 10           # the support nodes 10 and 11
+    bad[j], bad[j + 1] = bad[j + 1], bad[j]
     with pytest.raises(errors.DegenerateStateError):
-        RS.reciprocal_integral(st2, p)
+        RS.reciprocal_integral(replace(st, eta_nodes=bad), p)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +413,7 @@ def per_row_series(f, p):
         st = RS.rescale_snapshot(
             F.snapshot(f, int(i), n_pad=g.ny), p)
         gap = st.gamma_hat - g.y
-        w_sup = st.w[st.support_mask]
+        w_sup = st.w[st.support]
         cols["tau"][n] = st.tau
         cols["H"][n] = RS.lyapunov(st, p)
         diss[n] = RS.dissipation(st, p)
