@@ -46,8 +46,7 @@ __all__ = [
     "snapshot",
     "pushforward_masses",
     "weak_continuity_residuals",
-    "hj_interior_residual",
-    "hj_exterior_residual",
+    "hj_residuals",
     "save_snapshot_csv",
     "save_boundary_csv",
 ]
@@ -118,10 +117,7 @@ def value_on_support(f: FlowField, p: Profile | None = None,
     gt = f.gamma_t
     psi = f.density ** p.theta + 0.5 * gt * gt
 
-    xT = f.gamma[-1]
-    uxT = -gt[-1]
-    uT = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (uxT[1:] + uxT[:-1]) * np.diff(xT))])
+    uT = cumulative_trapezoid(-gt[-1], f.gamma[-1], initial=0.0)
     w = p.node_masses(g.y)
     uT = uT - (w @ uT) / w.sum()
 
@@ -247,18 +243,14 @@ def _extend_one_side(h: _SideHistory, i: int,
     s = h.t[i]
     u = np.empty_like(x)
     ux = np.empty_like(x)
+    flat = _degenerate_region(h, i, x)
     if h.has_turn:
         k = h.k_min
-        below = x <= h.g[k]
-        u[below] = h.ub[k]
-        ux[below] = 0.0
-        fan = ~below
-        if np.any(fan):
-            # before the turning time the fan runs backward from the
-            # tangency, after it forward; both are oriented so the feet
-            # decrease along idx
-            idx = np.arange(i, k + 1) if i <= k else np.arange(i, k - 1, -1)
-            u[fan], ux[fan] = _fan_invert(h, idx, s, x[fan])
+        # the constant state below the turning level; before the turning
+        # time the fan runs backward from the tangency, after it forward,
+        # both oriented so the feet decrease along idx
+        u[flat], ux[flat] = h.ub[k], 0.0
+        idx = np.arange(i, k + 1) if i <= k else np.arange(i, k - 1, -1)
     else:
         lT = h.g[-1] + (s - h.t[-1]) * h.d[-1]
         if lT > h.g[i] + 1e-12 * (1.0 + abs(h.g[i])):
@@ -266,14 +258,14 @@ def _extend_one_side(h: _SideHistory, i: int,
             # landing above it means the tangent lines fold
             raise CrossingCharacteristicsError(
                 "tangent characteristics cross; boundary curve not convex")
-        beyond = x < lT
-        fan = ~beyond
-        if np.any(fan):
-            u[fan], ux[fan] = _fan_invert(h, np.arange(i, h.t.size), s, x[fan])
-        if np.any(beyond):
-            u_at_lT = h.ub[-1] + (h.t[-1] - s) * 0.5 * h.d[-1] ** 2
-            u[beyond] = (lT - x[beyond]) * h.d[-1] + u_at_lT
-            ux[beyond] = -h.d[-1]
+        # the linear state beyond the last tangent
+        u_at_lT = h.ub[-1] + (h.t[-1] - s) * 0.5 * h.d[-1] ** 2
+        u[flat] = (lT - x[flat]) * h.d[-1] + u_at_lT
+        ux[flat] = -h.d[-1]
+        idx = np.arange(i, h.t.size)
+    fan = ~flat
+    if np.any(fan):
+        u[fan], ux[fan] = _fan_invert(h, idx, s, x[fan])
     return u, ux
 
 
@@ -450,71 +442,31 @@ def weak_continuity_residuals(f: FlowField) -> np.ndarray:
     return res
 
 
-class _ValueEvaluator:
-    """u(t_k, x) for arbitrary x: cubic-spline interpolation on the
-    support (linear would pollute the u_t stencils at O(dy^2/dtau)),
-    characteristic continuation outside.  ``rows`` are the rows an HJ
-    residual tests: the interior ones from `SpaceTimeGrid.t_resolved` on."""
-
-    def __init__(self, f: FlowField):
-        self.f = f
-        self.ubar = ubar = f.value
-        self.hL, self.hR = _histories(f.boundaries, ubar[:, 0], ubar[:, -1])
-        t = f.grid.t
-        self.rows = np.arange(1, t.size - 1)[t[1:-1] >= f.grid.t_resolved]
-        self._splines: dict[int, CubicSpline] = {}
-
-    def __call__(self, k: int, x: np.ndarray) -> np.ndarray:
-        row = self.f.gamma[k]
-        sp = self._splines.get(k)
-        if sp is None:
-            sp = self._splines[k] = CubicSpline(row, self.ubar[k])
-        u = sp(x)
-        out = (x < row[0]) | (x > row[-1])
-        if np.any(out):
-            u[out] = _extend(self.hL, self.hR, k, x[out])[0]
-        return u
-
-    def time_derivative(self, i: int, x: np.ndarray,
-                        u: np.ndarray) -> np.ndarray:
-        """u_t at time row ``i`` on the nodes ``x``, where the value is
-        ``u``: the nonuniform three-point stencil of `_row_gradient` over
-        the rows i-1, i, i+1, the neighbor slices evaluated at ``x``."""
-        rows = np.stack([self(i - 1, x), u, self(i + 1, x)], axis=-1)
-        t = np.broadcast_to(self.f.grid.t[i - 1:i + 2], rows.shape)
-        return _row_gradient(rows, t)[:, 1]
-
-
-def hj_interior_residual(f: FlowField) -> np.ndarray:
-    """-u_t + u_x^2/2 - m^theta at fixed x on interior image nodes.
-
-    u_t uses a nonuniform three-point stencil with the neighbor slices
-    interpolated (or continued) to the current nodes, u_x differentiates
-    the value row in x; nothing is reused from the construction of ubar,
-    so this is a genuine consistency check of all reconstructed fields.
-
-    NaN marks nodes where the pointwise statement does not apply: rows
-    before `SpaceTimeGrid.t_resolved` (the end of the initial layer), the
-    boundary columns, and nodes whose time stencil leaves the open support
-    at a neighbor slice.  The value is merely C^1 across the free
-    boundary, so finite differences across it test the smoothness of the
-    exact solution, not the reconstruction.
-    """
+def _time_derivative(f: FlowField, hL: _SideHistory, hR: _SideHistory,
+                     rows: np.ndarray, x: np.ndarray,
+                     u: np.ndarray) -> np.ndarray:
+    """u_t at the time rows ``rows`` on the nodes ``x`` (one row of nodes
+    each), where the value is ``u``: the nonuniform three-point stencil of
+    `_row_gradient` over the rows i-1, i, i+1.  The neighbor slices are
+    evaluated at ``x`` by cubic-spline interpolation on their support
+    (linear would pollute the stencil at O(dy^2/dtau)) and by the
+    continuation on the side histories ``hL``, ``hR`` outside it."""
     ubar = f.value
-    ev = _ValueEvaluator(f)
-    mth = f.density ** f.profile.theta
+    splines = {k: CubicSpline(f.gamma[k], ubar[k])
+               for k in range(rows[0] - 1, rows[-1] + 2)}
 
-    out = np.full_like(ubar, np.nan)
-    for i in ev.rows:
-        x = f.gamma[i]
-        u_t = ev.time_derivative(i, x, ubar[i])
-        u_x = np.gradient(ubar[i], x, edge_order=2)
-        res = -u_t + 0.5 * u_x * u_x - mth[i]
-        inside = ((x > f.gamma[i - 1, 0]) & (x < f.gamma[i - 1, -1])
-                  & (x > f.gamma[i + 1, 0]) & (x < f.gamma[i + 1, -1]))
-        inside[0] = inside[-1] = False
-        out[i, inside] = res[inside]
-    return out
+    def value(k: int, xk: np.ndarray) -> np.ndarray:
+        row = f.gamma[k]
+        out = splines[k](xk)
+        beyond = (xk < row[0]) | (xk > row[-1])
+        if np.any(beyond):
+            out[beyond] = _extend(hL, hR, k, xk[beyond])[0]
+        return out
+
+    around = np.stack([[value(i - 1, xk) for i, xk in zip(rows, x)], u,
+                       [value(i + 1, xk) for i, xk in zip(rows, x)]], axis=-1)
+    t = f.grid.t[rows[:, None, None] + np.arange(-1, 2)]
+    return _row_gradient(around, np.broadcast_to(t, around.shape))[..., 1]
 
 
 def _off_interfaces(h: _SideHistory, i: int, x: np.ndarray) -> np.ndarray:
@@ -527,51 +479,71 @@ def _off_interfaces(h: _SideHistory, i: int, x: np.ndarray) -> np.ndarray:
     return same_t & ~(np.r_[False, jump] | np.r_[jump, False])
 
 
-# pad cells next to the boundary that `hj_exterior_residual` leaves out
+# pad cells next to the boundary where `hj_residuals` tests no exterior node
 _HJ_STANDOFF = 4
 
 
-def hj_exterior_residual(f: FlowField) -> np.ndarray:
-    """-u_t + u_x^2/2 of the continued value on exterior pads.
+def hj_residuals(f: FlowField) -> tuple[np.ndarray, np.ndarray]:
+    """-u_t + u_x^2/2 - m^theta at fixed x, on the nodes of a snapshot.
 
-    Same finite-difference protocol as the interior residual, evaluated on
-    the exterior nodes of a snapshot with its default padding.  NaN on
-    rows before `SpaceTimeGrid.t_resolved`, at nodes the moving boundary
-    crosses within the time stencil, and within `_HJ_STANDOFF` pad cells
-    of the boundary: the tangency time of the continuation satisfies
-    dt_hat/ds ~ 1/(s - t_hat), so second time derivatives of the exact
-    continued value blow up like distance^(-1/2) at the contact line and
-    pointwise finite differences are meaningless there no matter how the
-    field was produced.
+    Returns ``(interior, exterior)``: the residual on the image nodes,
+    shape (nt+1, ny+1), and on the exterior pads of a snapshot with its
+    default padding, shape (nt+1, 2 n_pad), where m = 0.  u_t is the
+    three-point stencil of `_time_derivative`, u_x differentiates the
+    value row in x (one-sided on [pads, boundary node] outside, so the
+    stencil stays on one side of the C^1 glue point); nothing is reused
+    from the construction of ubar, so this is a genuine consistency check
+    of all reconstructed fields.
+
+    NaN marks nodes where the pointwise statement does not apply: rows
+    before `SpaceTimeGrid.t_resolved` (the end of the initial layer), the
+    boundary columns, and nodes the moving boundary crosses within the
+    time stencil.  The value is merely C^1 across the free boundary, so
+    finite differences across it test the smoothness of the exact
+    solution, not the reconstruction.  Outside, NaN also marks nodes
+    within `_HJ_STANDOFF` pad cells of the boundary and nodes whose
+    stencil straddles a region interface of the continuation: the
+    tangency time satisfies dt_hat/ds ~ 1/(s - t_hat), so second time
+    derivatives of the exact continued value blow up like
+    distance^(-1/2) at the contact line and pointwise finite differences
+    are meaningless there no matter how the field was produced.
     """
     g = f.grid
-    ev = _ValueEvaluator(f)
-    snap = snapshot(f, ev.rows)
-    x, u, n_pad = snap.x_nodes, snap.u, snap.n_pad
-    # one-sided gradients on [pads, boundary node] keep the stencil on
-    # the correct side of the C^1 glue point
+    rows = np.arange(1, g.nt)[g.t[1:-1] >= g.t_resolved]
+    snap = snapshot(f, rows)
+    x, u, n_pad, sup = snap.x_nodes, snap.u, snap.n_pad, snap.support
+    interior = np.full((g.nt + 1, g.ny + 1), np.nan)
+    exterior = np.full((g.nt + 1, 2 * n_pad), np.nan)
+    if rows.size == 0:
+        return interior, exterior
+
+    hL, hR = _histories(f.boundaries, f.value[:, 0], f.value[:, -1])
     side = n_pad + 1
     u_x = np.concatenate(
         [_row_gradient(u[:, :side], x[:, :side])[:, :-1],
+         _row_gradient(u[:, sup], x[:, sup]),
          _row_gradient(u[:, -side:], x[:, -side:])[:, 1:]], axis=1)
-    pads = np.r_[:n_pad, -n_pad:0]
-    x, u = x[:, pads], u[:, pads]
+    res = (-_time_derivative(f, hL, hR, rows, x, u) + 0.5 * u_x * u_x
+           - snap.m ** f.profile.theta)
 
-    out = np.full((g.nt + 1, 2 * n_pad), np.nan)
-    for k, i in enumerate(ev.rows):
-        res = -ev.time_derivative(i, x[k], u[k]) + 0.5 * u_x[k] * u_x[k]
-        xl, xr = x[k, :n_pad], x[k, n_pad:]
-        h = (f.gamma[i, -1] - f.gamma[i, 0]) / g.ny
-        ok = np.concatenate([
-            (xl < f.gamma[i - 1, 0] - _HJ_STANDOFF * h)
-            & (xl < f.gamma[i + 1, 0] - _HJ_STANDOFF * h)
-            & _off_interfaces(ev.hL, i, xl),
-            (xr > f.gamma[i - 1, -1] + _HJ_STANDOFF * h)
-            & (xr > f.gamma[i + 1, -1] + _HJ_STANDOFF * h)
-            & _off_interfaces(ev.hR, i, -xr),
-        ])
-        out[i, ok] = res[ok]
-    return out
+    before, after = f.gamma[rows - 1], f.gamma[rows + 1]
+    xs = x[:, sup]
+    inside = ((xs > before[:, :1]) & (xs < before[:, -1:])
+              & (xs > after[:, :1]) & (xs < after[:, -1:]))
+    inside[:, [0, -1]] = False
+    interior[rows] = np.where(inside, res[:, sup], np.nan)
+
+    xl, xr = x[:, :n_pad], x[:, -n_pad:]
+    gap = _HJ_STANDOFF * ((xs[:, -1:] - xs[:, :1]) / g.ny)
+    ok = np.concatenate([
+        (xl < before[:, :1] - gap) & (xl < after[:, :1] - gap)
+        & np.array([_off_interfaces(hL, i, xk) for i, xk in zip(rows, xl)]),
+        (xr > before[:, -1:] + gap) & (xr > after[:, -1:] + gap)
+        & np.array([_off_interfaces(hR, i, -xk) for i, xk in zip(rows, xr)]),
+    ], axis=1)
+    pads = np.r_[:n_pad, -n_pad:0]
+    exterior[rows] = np.where(ok, res[:, pads], np.nan)
+    return interior, exterior
 
 
 # -- flat-file output ---------------------------------------------------------

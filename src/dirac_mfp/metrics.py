@@ -128,12 +128,12 @@ class RateFit:
 
 
 def fit_rate(abscissa: np.ndarray, values: np.ndarray,
-             window: tuple | None = None, kind: str = "power") -> RateFit:
-    """OLS fit of ``log(values)`` against the abscissa.
+             kind: str = "power") -> RateFit:
+    """OLS fit of ``log(values)`` against the abscissa, over the points
+    where both are finite; callers select their window beforehand.
 
-    ``kind="power"`` regresses on log(abscissa) (laws t^s, window in t);
-    ``kind="exp"`` regresses on the abscissa itself (laws e^{s tau},
-    window in tau).
+    ``kind="power"`` regresses on log(abscissa) (laws t^s);
+    ``kind="exp"`` regresses on the abscissa itself (laws e^{s tau}).
     """
     if kind not in ("power", "exp"):
         raise InvalidParameterError(f"unknown fit kind {kind!r}")
@@ -142,8 +142,6 @@ def fit_rate(abscissa: np.ndarray, values: np.ndarray,
     if a.shape != v.shape or a.ndim != 1:
         raise InvalidParameterError("fit needs matching 1d series")
     keep = np.isfinite(a) & np.isfinite(v)
-    if window is not None:
-        keep &= (a >= window[0]) & (a <= window[1])
     if np.any(v[keep] <= 0.0):
         raise InvalidParameterError("fit window contains nonpositive values")
     a, v = a[keep], v[keep]

@@ -43,7 +43,7 @@ __all__ = [
     "save_csv",
 ]
 
-N_QUADRATURE_NODES = 2048  # default size of the sampled tables
+N_QUADRATURE_NODES = 2048  # size of the sampled beta tables
 RATIO_BOUND = 1e3          # default edge-growth ratio tolerance
 MIN_CSV_ROWS = 8
 
@@ -193,12 +193,13 @@ class TerminalDensity:
         return 0.5 * (lo + hi)
 
 
-def _beta_density(a: float, b: float, power: float, theta: float,
-                  n: int) -> TerminalDensity:
+def _beta_density(a: float, b: float, power: float,
+                  theta: float) -> TerminalDensity:
     if not b > a:
         raise InvalidParameterError(f"support [{a}, {b}] is empty")
     if not power > 0.0 or not np.isfinite(power):
         raise InvalidParameterError(f"bump exponent must be positive, got {power}")
+    n = N_QUADRATURE_NODES
     x = a + (b - a) * np.arange(1, n + 1) / (n + 1.0)
     out = TerminalDensity(kind="beta", a=float(a), b=float(b),
                           theta=float(theta), power=float(power),
@@ -207,17 +208,16 @@ def _beta_density(a: float, b: float, power: float, theta: float,
     return replace(out, report=validate_compatibility(out))
 
 
-def power_bump(a: float, b: float, theta: float,
-               n: int = N_QUADRATURE_NODES) -> TerminalDensity:
+def power_bump(a: float, b: float, theta: float) -> TerminalDensity:
     """Reference bump ``((x-a)(b-x))^{1/theta} / Z`` with the edge growth
     matched to the congestion exponent."""
     if not theta > 0.0:
         raise InvalidParameterError(f"theta must be positive, got {theta}")
-    return _beta_density(a, b, 1.0 / theta, theta, n)
+    return _beta_density(a, b, 1.0 / theta, theta)
 
 
-def self_similar_terminal(p: Profile, T: float, eps: float,
-                          n: int = N_QUADRATURE_NODES) -> TerminalDensity:
+def self_similar_terminal(p: Profile, T: float,
+                          eps: float) -> TerminalDensity:
     """Exact self-similar slice ``(T+eps)^{-alpha} phi((T+eps)^{-alpha} x)``.
 
     This is the terminal datum for which the solved flow has the closed-form
@@ -228,31 +228,26 @@ def self_similar_terminal(p: Profile, T: float, eps: float,
         raise InvalidParameterError("need T > 0 and eps >= 0")
     scale = (T + eps) ** p.alpha
     return _beta_density(-p.r_alpha * scale, p.r_alpha * scale,
-                         1.0 / p.theta, p.theta, n)
+                         1.0 / p.theta, p.theta)
 
 
 def validate_compatibility(m: TerminalDensity,
-                           ratio_bound: float = RATIO_BOUND,
-                           strict: bool = False) -> CompatibilityReport:
+                           ratio_bound: float = RATIO_BOUND
+                           ) -> CompatibilityReport:
     """Envelope of ``density / dist(x, {a, b})^{1/theta}`` over the interior
-    sample nodes.  Advisory by default; raises in strict mode."""
+    sample nodes; advisory, `load_csv` raises on it in strict mode."""
     inner = (m.x_nodes > m.a) & (m.x_nodes < m.b)
     x = m.x_nodes[inner]
-    vals = m.samples[inner] if m.samples.size else m.pdf(x)
+    vals = m.samples[inner]
     dist = np.minimum(x - m.a, m.b - x)
     ratio_vals = vals / dist ** (1.0 / m.theta)
     c_lower = float(np.min(ratio_vals))
     c_upper = float(np.max(ratio_vals))
     ratio = c_upper / c_lower if c_lower > 0.0 else float("inf")
     passed = bool(c_lower > 0.0 and ratio <= ratio_bound)
-    report = CompatibilityReport(c_lower=c_lower, c_upper=c_upper,
-                                 ratio=ratio, bound=float(ratio_bound),
-                                 passed=passed)
-    if strict and not passed:
-        raise CompatibilityError(
-            f"terminal density violates the dist^(1/theta) edge growth: "
-            f"envelope ratio {ratio:.3g} exceeds {ratio_bound:.3g}")
-    return report
+    return CompatibilityReport(c_lower=c_lower, c_upper=c_upper,
+                               ratio=ratio, bound=float(ratio_bound),
+                               passed=passed)
 
 
 def load_csv(path, theta: float, strict: bool = False) -> TerminalDensity:
@@ -281,8 +276,11 @@ def load_csv(path, theta: float, strict: bool = False) -> TerminalDensity:
     if data.ndim != 2 or data.shape[1] != 2:
         raise FormatError(f"{path}: expected exactly two columns")
     out = TerminalDensity.from_table(data[:, 0], data[:, 1], theta=theta)
-    if strict and not out.report.passed:
-        validate_compatibility(out, strict=True)
+    rep = out.report
+    if strict and not rep.passed:
+        raise CompatibilityError(
+            f"terminal density violates the dist^(1/theta) edge growth: "
+            f"envelope ratio {rep.ratio:.3g} exceeds {rep.bound:.3g}")
     return out
 
 

@@ -190,9 +190,10 @@ def test_criterion_5_conservation_and_residuals(run_conserve, p1):
     assert weak.size == 20
     assert float(np.max(np.abs(weak))) <= 5e-3, \
         f"weak continuity residual {np.max(np.abs(weak)):.2e}"
-    hj_in = float(np.nanmax(np.abs(F.hj_interior_residual(run_conserve))))
+    interior, exterior = F.hj_residuals(run_conserve)
+    hj_in = float(np.nanmax(np.abs(interior)))
     assert hj_in <= 5e-3, f"interior HJ residual {hj_in:.2e}"
-    hj_ex = float(np.nanmax(np.abs(F.hj_exterior_residual(run_conserve))))
+    hj_ex = float(np.nanmax(np.abs(exterior)))
     assert hj_ex <= 5e-3, f"exterior HJ residual {hj_ex:.2e}"
 
 

@@ -402,8 +402,8 @@ def test_weak_continuity_residuals(solved128):
 
 def test_hj_interior_residual(solved128):
     f, _ = solved128
-    res = F.hj_interior_residual(f)
-    assert np.nanmax(np.abs(res)) < 5e-3
+    interior, _ = F.hj_residuals(f)
+    assert np.nanmax(np.abs(interior)) < 5e-3
 
 
 def test_hj_interior_second_order(theta1):
@@ -412,16 +412,26 @@ def test_hj_interior_second_order(theta1):
         g = make_grid(theta1, eps=1e-2, T=1.0, nt=n, ny=n)
         m = self_similar_terminal(theta1, 1.0, 1e-2)
         f = solve(theta1, m, g)
-        res = F.hj_interior_residual(f)
+        interior, _ = F.hj_residuals(f)
         rows = g.t >= 0.25
-        sups[n] = np.nanmax(np.abs(res[rows]))
+        sups[n] = np.nanmax(np.abs(interior[rows]))
     assert sups[64] / sups[128] > 2.5
 
 
 def test_hj_exterior_residual(solved128):
     f, _ = solved128
-    res = F.hj_exterior_residual(f)
-    assert np.nanmax(np.abs(res)) < 5e-3
+    _, exterior = F.hj_residuals(f)
+    assert np.nanmax(np.abs(exterior)) < 5e-3
+
+
+def test_hj_residuals_without_a_tested_row(theta1):
+    # t_resolved = 10 eps lies beyond T, so no interior row is tested
+    g = make_grid(theta1, eps=0.2, T=1.0, nt=16, ny=16)
+    f = solve(theta1, power_bump(-1.0, 1.0, 1.0), g)
+    interior, exterior = F.hj_residuals(f)
+    assert interior.shape == (17, 17)
+    assert exterior.shape == (17, 2 * F.snapshot(f, 0).n_pad)
+    assert np.all(np.isnan(interior)) and np.all(np.isnan(exterior))
 
 
 def test_second_derivative_exact_on_quadratics():

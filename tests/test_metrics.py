@@ -247,15 +247,13 @@ def test_fit_exp_exact():
     assert fit.r_squared == 1.0
 
 
-def test_fit_window_and_nonfinite_filtering():
+def test_fit_drops_nonfinite_points():
     t = np.geomspace(1e-3, 1.0, 30)
     v = 5.0 * t ** -0.25
-    v[0] = -1.0          # outside the window, must be ignored
     v[5] = np.nan        # dropped by the finite mask
-    fit = fit_rate(t, v, window=(1e-2, 1.0), kind="power")
+    fit = fit_rate(t, v, kind="power")
     assert fit.exponent == approx(-0.25, abs=1e-12)
-    assert fit.window[0] >= 1e-2 and fit.window[1] <= 1.0
-    assert fit.n_points == int(np.sum((t >= 1e-2) & (t <= 1.0)))
+    assert fit.n_points == 29
 
 
 def test_fit_noise_robust():
@@ -416,10 +414,10 @@ def test_rate_report_matches_per_row_loop(solved64, monkeypatch):
     ubar = F.value_on_support(f)
     fitted = []                        # (abscissa, values) of each power fit
 
-    def recording_fit(abscissa, values, window=None, kind="power"):
+    def recording_fit(abscissa, values, kind="power"):
         if kind == "power":
             fitted.append((abscissa, values))
-        return fit_rate(abscissa, values, window=window, kind=kind)
+        return fit_rate(abscissa, values, kind=kind)
 
     monkeypatch.setattr(metrics, "fit_rate", recording_fit)
     rep = rate_report(f)

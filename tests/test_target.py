@@ -99,11 +99,14 @@ def test_compatibility_flat_edges_fail():
     assert rep.c_upper / rep.c_lower > 1e3
 
 
-def test_compatibility_strict_raises():
+def test_compatibility_strict_raises(tmp_path):
     x = np.linspace(0.0, 1.0, 4096)
     m = TerminalDensity.from_table(x, np.ones_like(x), theta=1.0)
-    with pytest.raises(errors.CompatibilityError):
-        validate_compatibility(m, strict=True)
+    path = tmp_path / "flat.csv"
+    save_csv(m, path)
+    assert not load_csv(path, theta=1.0).report.passed
+    with pytest.raises(errors.CompatibilityError, match="envelope ratio"):
+        load_csv(path, theta=1.0, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,7 @@ def test_beta_export_reload_is_renormalized(tmp_path):
     # beta bumps exported to CSV are reinterpreted through the table
     # quadrature; mass snaps back to one and samples shift only by the
     # interpolation-level edge deficit
-    m = power_bump(-1.0, 1.0, 2.0, n=256)
+    m = power_bump(-1.0, 1.0, 2.0)
     path = tmp_path / "bump.csv"
     save_csv(m, path)
     m2 = load_csv(path, theta=2.0)
@@ -197,7 +200,7 @@ def test_invalid_bump_parameters():
 @given(a=st.floats(-3.0, 1.0), width=st.floats(0.1, 5.0),
        theta=st.floats(0.4, 5.0))
 def test_power_bump_properties(a, width, theta):
-    m = power_bump(a, a + width, theta, n=512)
+    m = power_bump(a, a + width, theta)
     assert m.mass == pytest.approx(1.0, abs=1e-8)
     u = np.linspace(0.0, 1.0, 64)
     q = m.quantile(u)
