@@ -16,9 +16,10 @@ and a linear-in-x state beyond the last tangent otherwise; mirrored on
 the right.  The continued field solves -u_t + u_x^2/2 = 0 away from the
 support and matches value and slope at the free boundary.
 
-Residual diagnostics keep the asymmetry of the solution concept: the
-continuity equation is tested weakly against smooth bumps, the HJ
-equation pointwise by nonuniform finite differences at fixed x.
+Residual diagnostics: the continuity equation is tested weakly against
+smooth bumps carried along the labels, which every monotone flow passes
+up to quadrature; the HJ equation pointwise at fixed x, by the chain rule
+along the labels on the support and by finite differences outside.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     CompatibilityError,
@@ -228,10 +228,11 @@ def _fan_invert(h: _SideHistory, idx: np.ndarray, s: float,
     return ul + (tl - s) * 0.5 * dl * dl, -dl
 
 
-def _degenerate_region(h: _SideHistory, i: int, x: np.ndarray) -> np.ndarray:
-    """True where the continuation is not a tangent fan: the constant
-    state below the turning level, or the linear state beyond the last
-    tangent.  The continued value is merely C^1 across the interface."""
+def _degenerate_region(h: _SideHistory, i, x: np.ndarray) -> np.ndarray:
+    """True where the continuation at row(s) ``i`` (broadcast against
+    ``x``) is not a tangent fan: the constant state below the turning
+    level, or the linear state beyond the last tangent.  The continued
+    value is merely C^1 across the interface."""
     if h.has_turn:
         return x <= h.g[h.k_min]
     lT = h.g[-1] + (h.t[i] - h.t[-1]) * h.d[-1]
@@ -269,11 +270,11 @@ def _extend_one_side(h: _SideHistory, i: int,
     return u, ux
 
 
-def _histories(fb: FreeBoundaries, u_left: np.ndarray,
-               u_right: np.ndarray) -> tuple[_SideHistory, _SideHistory]:
+def _histories(f: FlowField) -> tuple[_SideHistory, _SideHistory]:
     """Side histories of the two boundary labels, the right one reflected."""
-    return (_side_history(fb.t, fb.gamma_L, fb.dgL, u_left),
-            _side_history(fb.t, -fb.gamma_R, -fb.dgR, u_right))
+    fb, ubar = f.boundaries, f.value
+    return (_side_history(fb.t, fb.gamma_L, fb.dgL, ubar[:, 0]),
+            _side_history(fb.t, -fb.gamma_R, -fb.dgR, ubar[:, -1]))
 
 
 def _extend(hL: _SideHistory, hR: _SideHistory, i: int,
@@ -345,7 +346,7 @@ def snapshot(f: FlowField, rows, *,
                             gR + h * np.arange(1, n_pad + 1)], axis=1)
     u_ext = np.empty_like(x_ext)
     ux_ext = np.empty_like(x_ext)
-    hL, hR = _histories(f.boundaries, ubar[:, 0], ubar[:, -1])
+    hL, hR = _histories(f)
     for k, i in enumerate(rows):
         u_ext[k], ux_ext[k] = _extend(hL, hR, int(i), x_ext[k])
 
@@ -411,11 +412,13 @@ _WEAK_N_SPACE = 5
 def weak_continuity_residuals(f: FlowField) -> np.ndarray:
     """Continuity-equation residuals against a grid of smooth bumps.
 
-    Each test function is a product of compactly supported bumps in t
-    (`_WEAK_N_TIME` centers) and x (`_WEAK_N_SPACE`); the weak form
-    int int m (psi_t - u_x psi_x) dx dt is evaluated with exact node masses
-    in x and trapezoid weights in t, so the numbers measure how well the
-    discrete flow transports mass, not the quadrature of phi.
+    Each test function psi is a product of compactly supported bumps in t
+    (`_WEAK_N_TIME` centers) and x (`_WEAK_N_SPACE`).  The velocity is
+    gamma_t, so the integrand psi_t + gamma_t psi_x at x = gamma(t, y) is
+    d/dt psi(t, gamma(t, y)) along each label: with exact node masses in y
+    and trapezoid weights in t, its integral vanishes for every monotone
+    flow, solved or not, and the numbers are the quadrature error of the
+    bumps along the labels.
     """
     g = f.grid
     gt = f.gamma_t
@@ -442,41 +445,19 @@ def weak_continuity_residuals(f: FlowField) -> np.ndarray:
     return res
 
 
-def _time_derivative(f: FlowField, hL: _SideHistory, hR: _SideHistory,
-                     rows: np.ndarray, x: np.ndarray,
-                     u: np.ndarray) -> np.ndarray:
-    """u_t at the time rows ``rows`` on the nodes ``x`` (one row of nodes
-    each), where the value is ``u``: the nonuniform three-point stencil of
-    `_row_gradient` over the rows i-1, i, i+1.  The neighbor slices are
-    evaluated at ``x`` by cubic-spline interpolation on their support
-    (linear would pollute the stencil at O(dy^2/dtau)) and by the
-    continuation on the side histories ``hL``, ``hR`` outside it."""
-    ubar = f.value
-    splines = {k: CubicSpline(f.gamma[k], ubar[k])
-               for k in range(rows[0] - 1, rows[-1] + 2)}
-
-    def value(k: int, xk: np.ndarray) -> np.ndarray:
-        row = f.gamma[k]
-        out = splines[k](xk)
-        beyond = (xk < row[0]) | (xk > row[-1])
-        if np.any(beyond):
-            out[beyond] = _extend(hL, hR, k, xk[beyond])[0]
-        return out
-
-    around = np.stack([[value(i - 1, xk) for i, xk in zip(rows, x)], u,
-                       [value(i + 1, xk) for i, xk in zip(rows, x)]], axis=-1)
-    t = f.grid.t[rows[:, None, None] + np.arange(-1, 2)]
-    return _row_gradient(around, np.broadcast_to(t, around.shape))[..., 1]
-
-
-def _off_interfaces(h: _SideHistory, i: int, x: np.ndarray) -> np.ndarray:
-    """False at the exterior nodes ``x`` of row ``i`` (left frame) whose
-    space or time stencil straddles a region interface of the
-    construction (see `_degenerate_region`); u is C^1 but not C^2 there."""
-    flags = [_degenerate_region(h, j, x) for j in (i - 1, i, i + 1)]
-    same_t = (flags[0] == flags[1]) & (flags[1] == flags[2])
-    jump = flags[1][1:] != flags[1][:-1]       # between neighboring nodes
-    return same_t & ~(np.r_[False, jump] | np.r_[jump, False])
+def _off_interfaces(h: _SideHistory, rows: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """False at the exterior nodes ``x`` (left frame, one row of nodes per
+    time row ``rows``) whose space or time stencil straddles a region
+    interface of the construction (see `_degenerate_region`); u is C^1
+    but not C^2 there."""
+    i = rows[:, None]
+    before, now, after = (_degenerate_region(h, i + j, x) for j in (-1, 0, 1))
+    jump = now[:, 1:] != now[:, :-1]           # between neighboring nodes
+    near = np.zeros_like(now)
+    near[:, 1:] |= jump
+    near[:, :-1] |= jump
+    return (before == now) & (now == after) & ~near
 
 
 # pad cells next to the boundary where `hj_residuals` tests no exterior node
@@ -488,61 +469,65 @@ def hj_residuals(f: FlowField) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(interior, exterior)``: the residual on the image nodes,
     shape (nt+1, ny+1), and on the exterior pads of a snapshot with its
-    default padding, shape (nt+1, 2 n_pad), where m = 0.  u_t is the
-    three-point stencil of `_time_derivative`, u_x differentiates the
-    value row in x (one-sided on [pads, boundary node] outside, so the
-    stencil stays on one side of the C^1 glue point); nothing is reused
-    from the construction of ubar, so this is a genuine consistency check
-    of all reconstructed fields.
+    default padding, shape (nt+1, 2 n_pad), where m = 0.  On the image
+    nodes the chain rule along the labels gives u_x = ubar_y / gamma_y and
+    u_t = ubar_t - u_x gamma_t, from the `np.gradient` stencils of
+    `FlowField.gamma_y` and `FlowField.gamma_t` applied to the value; as
+    the value integrates m^theta + gamma_t^2/2 along each label, the
+    residual there is (gamma_t + u_x)^2/2 up to the time stencil.  On the
+    pads u_t is the three-point stencil of `_row_gradient` over the rows
+    i-1, i, i+1, whose values the continuation gives (the tested nodes lie
+    outside the neighbor rows' supports), and u_x the row gradient of the
+    value, one-sided on [pads, boundary node] so that it stays on one side
+    of the C^1 glue point.
 
-    NaN marks nodes where the pointwise statement does not apply: rows
-    before `SpaceTimeGrid.t_resolved` (the end of the initial layer), the
-    boundary columns, and nodes the moving boundary crosses within the
-    time stencil.  The value is merely C^1 across the free boundary, so
-    finite differences across it test the smoothness of the exact
-    solution, not the reconstruction.  Outside, NaN also marks nodes
-    within `_HJ_STANDOFF` pad cells of the boundary and nodes whose
-    stencil straddles a region interface of the continuation: the
-    tangency time satisfies dt_hat/ds ~ 1/(s - t_hat), so second time
-    derivatives of the exact continued value blow up like
-    distance^(-1/2) at the contact line and pointwise finite differences
-    are meaningless there no matter how the field was produced.
+    NaN marks rows before `SpaceTimeGrid.t_resolved` (the end of the
+    initial layer), the end rows and the boundary columns.  On the pads it
+    also marks nodes the moving boundary reaches within the time stencil
+    or within `_HJ_STANDOFF` pad cells, and nodes whose stencil straddles
+    a region interface of the continuation: the tangency time satisfies
+    dt_hat/ds ~ 1/(s - t_hat), so second time derivatives of the exact
+    continued value blow up like distance^(-1/2) at the contact line and
+    pointwise finite differences are meaningless there.
     """
     g = f.grid
     rows = np.arange(1, g.nt)[g.t[1:-1] >= g.t_resolved]
     snap = snapshot(f, rows)
-    x, u, n_pad, sup = snap.x_nodes, snap.u, snap.n_pad, snap.support
+    x, u, n_pad = snap.x_nodes, snap.u, snap.n_pad
     interior = np.full((g.nt + 1, g.ny + 1), np.nan)
     exterior = np.full((g.nt + 1, 2 * n_pad), np.nan)
     if rows.size == 0:
         return interior, exterior
 
-    hL, hR = _histories(f.boundaries, f.value[:, 0], f.value[:, -1])
-    side = n_pad + 1
-    u_x = np.concatenate(
-        [_row_gradient(u[:, :side], x[:, :side])[:, :-1],
-         _row_gradient(u[:, sup], x[:, sup]),
-         _row_gradient(u[:, -side:], x[:, -side:])[:, 1:]], axis=1)
-    res = (-_time_derivative(f, hL, hR, rows, x, u) + 0.5 * u_x * u_x
-           - snap.m ** f.profile.theta)
+    ubar = f.value
+    u_x = np.gradient(ubar, g.dy, axis=-1, edge_order=2) / f.gamma_y
+    u_t = np.gradient(ubar, g.t, axis=0, edge_order=2) - u_x * f.gamma_t
+    res = -u_t + 0.5 * u_x * u_x - f.density ** f.profile.theta
+    interior[rows, 1:-1] = res[rows, 1:-1]
 
+    hL, hR = _histories(f)
     before, after = f.gamma[rows - 1], f.gamma[rows + 1]
-    xs = x[:, sup]
-    inside = ((xs > before[:, :1]) & (xs < before[:, -1:])
-              & (xs > after[:, :1]) & (xs < after[:, -1:]))
-    inside[:, [0, -1]] = False
-    interior[rows] = np.where(inside, res[:, sup], np.nan)
-
+    gap = _HJ_STANDOFF * ((f.gamma[rows, -1:] - f.gamma[rows, :1]) / g.ny)
     xl, xr = x[:, :n_pad], x[:, -n_pad:]
-    gap = _HJ_STANDOFF * ((xs[:, -1:] - xs[:, :1]) / g.ny)
     ok = np.concatenate([
         (xl < before[:, :1] - gap) & (xl < after[:, :1] - gap)
-        & np.array([_off_interfaces(hL, i, xk) for i, xk in zip(rows, xl)]),
+        & _off_interfaces(hL, rows, xl),
         (xr > before[:, -1:] + gap) & (xr > after[:, -1:] + gap)
-        & np.array([_off_interfaces(hR, i, -xk) for i, xk in zip(rows, xr)]),
+        & _off_interfaces(hR, rows, -xr),
     ], axis=1)
+    side = n_pad + 1
+    u_x = np.hstack([_row_gradient(u[:, :side], x[:, :side])[:, :-1],
+                     _row_gradient(u[:, -side:], x[:, -side:])[:, 1:]])
     pads = np.r_[:n_pad, -n_pad:0]
-    exterior[rows] = np.where(ok, res[:, pads], np.nan)
+    xp = x[:, pads]
+    around = np.full(xp.shape + (3,), np.nan)
+    around[..., 1] = u[:, pads]
+    for k, i in enumerate(rows):
+        for j in (0, 2):
+            around[k, ok[k], j] = _extend(hL, hR, i + j - 1, xp[k, ok[k]])[0]
+    t = g.t[rows[:, None, None] + np.arange(-1, 2)]
+    u_t = _row_gradient(around, np.broadcast_to(t, around.shape))[..., 1]
+    exterior[rows] = np.where(ok, -u_t + 0.5 * u_x * u_x, np.nan)
     return interior, exterior
 
 

@@ -15,7 +15,9 @@ from dirac_mfp import errors
 from dirac_mfp import fields as F
 from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import FlowField, make_grid, scaled_gradient_norm, solve
-from dirac_mfp.target import power_bump, self_similar_terminal
+from dirac_mfp.target import load_csv, power_bump, self_similar_terminal
+
+from conftest import write_two_bump_csv
 
 
 def analytic_flow(p, grid):
@@ -278,7 +280,7 @@ def test_extension_case_b_linear_region(theta1, selfsim64):
     s = g.t[i]
     lT = fb.gamma_L[-1] + (s - g.t[-1]) * fb.dgL[-1]
     x = lT - np.array([2.0, 1.5, 1.0, 0.5])
-    u, ux = F._extend(*F._histories(fb, ub[:, 0], ub[:, -1]), i, x)
+    u, ux = F._extend(*F._histories(f), i, x)
     assert np.max(np.abs(ux - (-fb.dgL[-1]))) < 1e-12
     # exactly linear: second differences vanish
     assert np.max(np.abs(np.diff(u, 2))) < 1e-10
@@ -287,12 +289,10 @@ def test_extension_case_b_linear_region(theta1, selfsim64):
     assert np.max(np.abs(u - expected)) < 1e-10
 
 
-def test_extension_rejects_interior_points(theta1, selfsim64):
-    p, f = theta1, selfsim64
-    ub = F.value_on_support(f, p)
-    fb = F.free_boundaries(f)
+def test_extension_rejects_interior_points(selfsim64):
+    f = selfsim64
     with pytest.raises(errors.InvalidParameterError):
-        F._extend(*F._histories(fb, ub[:, 0], ub[:, -1]), 30, np.array([0.0]))
+        F._extend(*F._histories(f), 30, np.array([0.0]))
 
 
 def test_extension_crossing_characteristics_detected():
@@ -321,7 +321,6 @@ def test_exterior_slope_bounded_by_boundary_history(solved64):
 
 def test_snapshot_structure(solved128):
     f, m = solved128
-    p, g = f.profile, f.grid
     snap = F.snapshot(f, 64)
     assert np.all(np.diff(snap.x_nodes) > 0)
     inside = snap.support
@@ -332,9 +331,7 @@ def test_snapshot_structure(solved128):
     assert np.all(snap.m[inside][1:-1] > 0)
     # C0 gluing of the value across the boundary nodes
     jl = inside.start
-    ub = F.value_on_support(f, p)
-    ext_u, _ = F._extend(*F._histories(F.free_boundaries(f), ub[:, 0], ub[:, -1]),
-                         64, snap.x_nodes[jl:jl + 1])
+    ext_u, _ = F._extend(*F._histories(f), 64, snap.x_nodes[jl:jl + 1])
     assert abs(ext_u[0] - snap.u[jl]) < 1e-12
 
 
@@ -432,6 +429,28 @@ def test_hj_residuals_without_a_tested_row(theta1):
     assert interior.shape == (17, 17)
     assert exterior.shape == (17, 2 * F.snapshot(f, 0).n_pad)
     assert np.all(np.isnan(interior)) and np.all(np.isnan(exterior))
+
+
+@pytest.mark.parametrize("kind", ["power_bump", "two_bump_csv"])
+@pytest.mark.parametrize("theta", [0.5, 1.0, 3.0])
+def test_hj_interior_residual_fails_a_perturbed_flow(tmp_path, theta, kind):
+    # a smooth perturbation that keeps both pinned rows moves the flow off
+    # the velocity -u_x of its own value, so the interior residual grows
+    p = make_profile(theta)
+    if kind == "power_bump":
+        m = power_bump(-0.7, 1.2, theta)
+    else:
+        write_two_bump_csv(tmp_path / "two_bump.csv", theta)
+        m = load_csv(tmp_path / "two_bump.csv", theta)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=128, ny=128)
+    f = solve(p, m, g)
+    s = (g.t / g.T)[:, None]
+    gm = f.gamma
+    bend = gm ** 3 - gm * np.mean(gm ** 2, axis=1, keepdims=True)
+    wrong = FlowField(grid=g, profile=p, gamma=gm + 0.05 * s * (1 - s) * bend)
+    solved = np.nanmax(np.abs(F.hj_residuals(f)[0]))
+    perturbed = np.nanmax(np.abs(F.hj_residuals(wrong)[0]))
+    assert perturbed >= 2.0 * solved, (solved, perturbed)
 
 
 def test_second_derivative_exact_on_quadratics():
