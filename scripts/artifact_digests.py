@@ -16,11 +16,12 @@ a ``(1 - x^2)_+`` table that the script writes; the ``--help`` of the program
 and of each subcommand, at a fixed width of 80 columns; and one call down
 each failure path: a malformed ``--config`` file, a bad value inside one, a
 Newton budget too small (exit 2), ``--strict`` at the default horizon (exit
-3), ``rates`` on a missing run directory, ``validate --theta 0``, an
-``--outdir`` that is a file or lies under one, a sweep with a rejected
-value, a flag value that does not parse (``--nt abc``), and ``export`` and
-``rates --write`` on a run directory whose ``export`` is a file and whose
-``rates.json`` is a directory.  Last, ``rates`` on a run directory whose
+3), ``rates`` on a missing run directory, ``validate --theta 0``, ``solve
+--theta 0.005`` (whose profile radius overflows), an ``--outdir`` that is
+a file or lies under one, a sweep with a rejected value, a flag value that
+does not parse (``--nt abc``), and ``export`` and ``rates --write`` on a
+run directory whose ``export`` is a file and whose ``rates.json`` is a
+directory.  Last, ``rates`` on a run directory whose
 ``config.json`` carries the retired keys ``seed``, ``solver.linear_solver``
 and ``solver.gamma_y_floor``.  A set-up step between calls (building such a
 run directory) prints nothing.  The output lists, for each call, its argv,
@@ -197,6 +198,7 @@ def matrix(workloads) -> list:
         ["solve", *GRID64, "--strict", "--outdir", "strict"],
         ["rates", "no-such-run"],
         ["validate", str(table), "--theta", "0"],
+        ["solve", "--theta", "0.005"],
         ["solve", *GRID64, "--outdir", str(a_file)],
         ["solve", *GRID64, "--outdir", str(a_file / "sub")],
         ["sweep", "--axis", "eps", "--values", "1e-2", *GRID64,

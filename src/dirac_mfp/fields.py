@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .errors import (
     CompatibilityError,
@@ -93,6 +92,15 @@ def _second_derivative(values: np.ndarray, t: np.ndarray,
 
 # -- pointwise fields on the support -----------------------------------------
 
+def _running_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of ``y`` along axis 0 on the nodes ``x``, from
+    the first node to each node: a leading zero row, then scipy's
+    ``cumulative_trapezoid`` formula, so the bytes are the same."""
+    d = np.diff(x).reshape((-1,) + (1,) * (np.ndim(y) - 1))
+    steps = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros_like(steps[:1]), steps])
+
+
 def value_on_support(f: FlowField, p: Profile | None = None,
                      m: TerminalDensity | None = None) -> np.ndarray:
     """Value ubar(t_i, y_j) on every slice, shape (nt+1, ny+1).
@@ -117,11 +125,11 @@ def value_on_support(f: FlowField, p: Profile | None = None,
     gt = f.gamma_t
     psi = f.density ** p.theta + 0.5 * gt * gt
 
-    uT = cumulative_trapezoid(-gt[-1], f.gamma[-1], initial=0.0)
+    uT = _running_trapezoid(-gt[-1], f.gamma[-1])
     w = p.node_masses(g.y)
     uT = uT - (w @ uT) / w.sum()
 
-    F = cumulative_trapezoid(psi, g.t, axis=0, initial=0.0)
+    F = _running_trapezoid(psi, g.t)
     return uT[None, :] + (F[-1][None, :] - F)
 
 
@@ -423,6 +431,7 @@ def weak_continuity_residuals(f: FlowField) -> np.ndarray:
     g = f.grid
     gt = f.gamma_t
     w = f.profile.node_masses(g.y)
+    dt = np.diff(g.t)
     T = g.T
     xmin, xmax = float(f.gamma.min()), float(f.gamma.max())
     res = np.empty(_WEAK_N_TIME * _WEAK_N_SPACE)
@@ -440,7 +449,8 @@ def weak_continuity_residuals(f: FlowField) -> np.ndarray:
             bx = _bump(zx)
             bpx = _bump_prime(zx) / hx
             integrand = bpt[:, None] * bx + bt[:, None] * bpx * gt
-            res[k] = abs(trapezoid(integrand @ w, g.t))
+            along = integrand @ w
+            res[k] = abs(np.sum(dt * (along[1:] + along[:-1]) / 2.0))
             k += 1
     return res
 

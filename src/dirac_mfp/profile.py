@@ -9,7 +9,12 @@ compactly supported bump
 with the radius ``R = r_alpha`` fixed by unit mass.  Writing
 ``B(p) = int_{-1}^{1} (1 - s^2)^p ds`` (a beta function), unit mass reads
 ``R^{1 + 2/theta} c^{1/theta} B(1/theta) = 1``, which is solved here in
-closed form and cross-checked against adaptive quadrature on construction.
+closed form and cross-checked on construction by a tanh-sinh quadrature
+(Takahasi & Mori, Publ. RIMS 9, 1974) of ``phi`` itself on ``[-R, R]``.
+The check samples ``phi`` at its own nodes and calls no beta function,
+so it stays independent of `Profile.power_cell_masses`: the total mass
+there is the beta-function identity that fixes the radius, and it would
+read one for a wrong radius formula too.
 
 All integrals of powers of phi reduce to regularized incomplete beta
 functions: `Profile.power_cell_masses` gives the cell masses of phi**p
@@ -23,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import InvalidParameterError, UnsupportedParameterError
 
@@ -31,6 +36,9 @@ __all__ = ["Profile", "make_profile"]
 
 # construction-time agreement between the closed-form radius and quadrature
 _RADIUS_CHECK_TOL = 1e-10
+# tanh-sinh rule of that check: step h, nodes k h for |k h| <= 4
+_TANH_SINH_STEP = 1.0 / 32.0
+_TANH_SINH_HALF = 128
 
 
 @dataclass(frozen=True)
@@ -182,11 +190,26 @@ def _require_positive_time(t: float) -> None:
         raise InvalidParameterError(f"time must be positive, got {t}")
 
 
+def _tanh_sinh_mass(p: Profile) -> float:
+    """``int phi`` over ``[-R, R]`` by the tanh-sinh rule: the substitution
+    ``y = R tanh(pi/2 sinh(s))`` makes the integrand decay double
+    exponentially at both ends, so the algebraic endpoint behaviour of phi
+    costs no accuracy: the trapezoid rule in ``s`` on 257 nodes is within
+    2e-14 of one for theta in [0.05, 200]."""
+    s = _TANH_SINH_STEP * np.arange(-_TANH_SINH_HALF, _TANH_SINH_HALF + 1)
+    u = 0.5 * math.pi * np.sinh(s)
+    dy_ds = p.r_alpha * 0.5 * math.pi * np.cosh(s) / np.cosh(u) ** 2
+    return float(_TANH_SINH_STEP * (dy_ds @ p.phi(p.r_alpha * np.tanh(u))))
+
+
 def make_profile(theta: float) -> Profile:
     """Build the profile for one congestion exponent.
 
-    The closed-form radius is verified against adaptive quadrature of the
-    profile mass before the object is returned.
+    The closed-form radius is verified against a tanh-sinh quadrature of
+    the profile's own ``phi`` before the object is returned.
+    Raises `InvalidParameterError` when the radius overflows (theta below
+    about 0.008), or when the mass is not finite or misses one by more than
+    ``_RADIUS_CHECK_TOL`` (theta below about 0.0086).
     """
     theta = float(theta)
     if not math.isfinite(theta) or theta <= 0.0:
@@ -197,20 +220,23 @@ def make_profile(theta: float) -> Profile:
     c = 0.5 * alpha * (1.0 - alpha)
     e = 1.0 / theta
     beta_int = special.beta(0.5, e + 1.0)  # int (1 - s^2)^{1/theta} ds
-    r_alpha = (c**e * beta_int) ** (-theta / (theta + 2.0))
+    base = c**e * beta_int
+    if not base > 0.0:  # c**e underflows for theta below about 0.008
+        raise InvalidParameterError(
+            f"theta={theta} is too small: the profile radius overflows")
+    r_alpha = base ** (-theta / (theta + 2.0))
 
     if theta == 2.0:
         value_constant = math.nan
     else:
         value_constant = alpha * (1.0 - alpha) * r_alpha**2 / (2.0 * (2.0 * alpha - 1.0))
 
-    # independent route: int phi = c^e int (R-y)^e (R+y)^e dy by quadrature
-    mass, err = integrate.quad(lambda y: c**e, -r_alpha, r_alpha,
-                               weight="alg", wvar=(e, e))
-    if abs(mass - 1.0) > _RADIUS_CHECK_TOL:
+    profile = Profile(theta=theta, alpha=alpha, r_alpha=r_alpha, kappa=kappa,
+                      c=c, value_constant=value_constant)
+    # independent route; written so that a NaN mass fails too
+    mass = _tanh_sinh_mass(profile)
+    if not abs(mass - 1.0) <= _RADIUS_CHECK_TOL:
         raise InvalidParameterError(
             f"profile normalization failed its quadrature cross-check: "
             f"mass({r_alpha}) = {mass}")
-
-    return Profile(theta=theta, alpha=alpha, r_alpha=r_alpha, kappa=kappa,
-                   c=c, value_constant=value_constant)
+    return profile

@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     CompatibilityError,
@@ -78,7 +77,7 @@ class TerminalDensity:
     samples: np.ndarray
     mass: float
     report: CompatibilityReport | None = None
-    _pdf_interp: PchipInterpolator | None = field(default=None, repr=False)
+    _pdf_interp: object | None = field(default=None, repr=False)
     _cdf_interp: object | None = field(default=None, repr=False)
 
     # -- constructors --------------------------------------------------------
@@ -88,6 +87,9 @@ class TerminalDensity:
                    theta: float) -> "TerminalDensity":
         """Build a table-backed density; normalizes total mass to one and
         attaches its compatibility report."""
+        # imported here: beta targets never load scipy.interpolate
+        from scipy.interpolate import PchipInterpolator
+
         x = np.asarray(x, dtype=float)
         pdf = np.asarray(pdf, dtype=float)
         if x.ndim != 1 or x.shape != pdf.shape or x.size < MIN_CSV_ROWS:

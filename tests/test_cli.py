@@ -307,6 +307,17 @@ def test_main_maps_each_error_to_its_exit_code(tmp_path, capsys,
     assert captured.out == ""
 
 
+def test_theta_too_small_for_the_profile_exits_1(tmp_path, capsys):
+    # the profile radius overflows below theta of about 0.008
+    out = tmp_path / "run"
+    assert run_cli("solve", "--theta", "0.005", "--outdir", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("theta=0.005 is too small: the profile radius "
+                            "overflows\n")
+    assert not out.exists()
+
+
 def test_missing_target_csv_exits_1(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     out = tmp_path / "run"

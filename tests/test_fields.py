@@ -477,3 +477,14 @@ def test_row_gradient_matches_numpy_per_row():
         ref = np.gradient(v[k], x[k], edge_order=2)
         assert np.max(np.abs(got[k] - ref)) <= 1e-14 * np.max(np.abs(ref))
     np.testing.assert_array_equal(F._row_gradient(v[2], x[2]), got[2])
+
+
+def test_running_trapezoid_is_scipys_bit_for_bit():
+    # the reference the value on the support was computed with before
+    from scipy.integrate import cumulative_trapezoid
+    rng = np.random.default_rng(7)
+    t = np.cumsum(rng.uniform(0.05, 1.0, size=33))
+    for y in (rng.standard_normal(33), rng.standard_normal((33, 17))):
+        got = F._running_trapezoid(y, t)
+        ref = cumulative_trapezoid(y, t, axis=0, initial=0.0)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

@@ -6,13 +6,18 @@ closed-form CDF against direct quadrature, and the self-similar value
 function against a finite-difference Hamilton-Jacobi residual.
 """
 
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from dirac_mfp import errors
+from dirac_mfp import profile as profile_mod
 from dirac_mfp.profile import Profile, make_profile
 from dirac_mfp.target import self_similar_terminal
 
@@ -90,6 +95,33 @@ def test_unit_mass_against_quadrature(theta):
 def test_radius_against_bisection_oracle(theta):
     p = make_profile(theta)
     assert abs(p.r_alpha - radius_by_bisection(theta)) < 1e-10
+
+
+def test_tanh_sinh_mass_is_one_to_roundoff():
+    # the construction-time cross-check, far inside its 1e-10 tolerance
+    for theta in np.geomspace(0.05, 200.0, 60):
+        mass = profile_mod._tanh_sinh_mass(make_profile(theta))
+        assert abs(mass - 1.0) <= 1e-12, theta
+
+
+def test_radius_check_fails_on_a_wrong_radius(monkeypatch):
+    # a beta function 0.1 % off moves the closed-form radius; the
+    # quadrature of phi on the moved support then misses unit mass
+    wrong = SimpleNamespace(beta=lambda a, b: 1.001 * special.beta(a, b),
+                            betainc=special.betainc)
+    monkeypatch.setattr(profile_mod, "special", wrong)
+    with pytest.raises(errors.InvalidParameterError,
+                       match="quadrature cross-check"):
+        make_profile(3.0)
+
+
+@pytest.mark.parametrize("theta", [0.005, 1e-300])
+def test_tiny_theta_rejected_without_warnings(theta):
+    # c**(1/theta) underflows and the radius would overflow to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InvalidParameterError, match="too small"):
+            make_profile(theta)
 
 
 # ---------------------------------------------------------------------------
