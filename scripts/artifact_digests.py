@@ -10,14 +10,17 @@ through ``dirac_mfp.cli.main`` with ``OUTDIR`` as the working directory and
 relative output paths, so ``config.json`` carries no absolute path.
 
 The matrix: one operation of each benchmark workload at seed 0; ``solve``,
-``export`` and ``rates`` at theta in {0.5, 1, 2, 3, 10} on a 64^2 grid; a
+``export`` and ``rates`` at theta in {0.5, 1, 2, 3, 10} on a 64^2 grid;
+``solve`` and ``export`` of ``--a -0.3 --b 0.3`` at theta 1 on 64^2, whose
+series reads w at labels beyond ny pad nodes of its rows; a
 theta sweep over {1, 3}; one ``--target self_similar`` run; ``validate`` on
 a ``(1 - x^2)_+`` table that the script writes; the ``--help`` of the program
 and of each subcommand, at a fixed width of 80 columns; and one call down
 each failure path: a malformed ``--config`` file, a bad value inside one, a
 Newton budget too small (exit 2), ``--strict`` at the default horizon (exit
 3), ``rates`` on a missing run directory, ``validate --theta 0``, ``solve
---theta 0.005`` (whose profile radius overflows), an ``--outdir`` that is
+--theta 0.005`` (whose profile radius overflows), ``solve --theta 0.009``
+on 64^2 (whose compatibility envelope underflows), an ``--outdir`` that is
 a file or lies under one, a sweep with a rejected value, a flag value that
 does not parse (``--nt abc``), and ``export`` and ``rates --write`` on a
 run directory whose ``export`` is a file and whose ``rates.json`` is a
@@ -174,6 +177,9 @@ def matrix(workloads) -> list:
         calls += [["solve", "--theta", theta, *GRID64, "--outdir", out],
                   ["export", out],
                   ["rates", out]]
+    calls += [["solve", *GRID64, "--a", "-0.3", "--b", "0.3",
+               "--outdir", "narrow"],
+              ["export", "narrow"]]
     calls.append(["sweep", "--axis", "theta", "--values", "1,3", *GRID64,
                   "--outdir", "sweep-theta"])
     calls.append(["solve", "--target", "self_similar", *GRID64,
@@ -199,6 +205,7 @@ def matrix(workloads) -> list:
         ["rates", "no-such-run"],
         ["validate", str(table), "--theta", "0"],
         ["solve", "--theta", "0.005"],
+        ["solve", "--theta", "0.009", *GRID64],
         ["solve", *GRID64, "--outdir", str(a_file)],
         ["solve", *GRID64, "--outdir", str(a_file / "sub")],
         ["sweep", "--axis", "eps", "--values", "1e-2", *GRID64,

@@ -188,16 +188,21 @@ _N_SNAPSHOTS = 8        # persisted slices, fewer on grids with fewer rows
 
 def _write_json(doc, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _write_csv(path, header, columns) -> None:
+    """Every CSV artifact: the names ``header``, then ``columns`` (arrays or
+    blocks of them) side by side, floats to 17 significant digits."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def save_flow_csv(f, path) -> None:
     """Flow map as one row per time node; header carries the label grid."""
     g = f.grid
-    header = "t," + ",".join(f"{v:.17g}" for v in g.y)
-    np.savetxt(path, np.column_stack([g.t, f.gamma]), fmt="%.17g",
-               delimiter=",", header=header, comments="")
+    _write_csv(path, ["t", *(f"{v:.17g}" for v in g.y)], [g.t, f.gamma])
 
 
 def load_flow_csv(path):
@@ -216,6 +221,32 @@ def load_flow_csv(path):
         raise FormatError(f"{path}: header has {len(head)} columns, "
                           f"the rows {data.shape[1]}")
     return data[:, 0], y, data[:, 1:]
+
+
+def _load_series(path, f) -> dict[str, np.ndarray] | None:
+    """Read back a run's ``series.csv``, if it is the
+    `rescale.build_series` of ``f``.
+
+    The file is accepted only when its header is `rescale.SERIES_COLUMNS`,
+    it has one row per series row of ``f`` and its ``tau`` column equals
+    the log-times of those rows bit for bit; ``%.17g`` round-trips
+    exactly, so an accepted series is the one that was saved.  Returns
+    ``None`` otherwise (also for a missing or unreadable file, and for a
+    grid with too few series rows), and the caller rebuilds the series.
+    """
+    from .rescale import SERIES_COLUMNS, series_rows
+    try:
+        _, tau = series_rows(f.grid)    # InvalidParameterError is a ValueError
+        with open(path) as fh:
+            if fh.readline().rstrip("\n") != ",".join(SERIES_COLUMNS):
+                return None
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError):
+        return None
+    if (data.shape != (tau.size, len(SERIES_COLUMNS))
+            or data[:, 0].tobytes() != tau.tobytes()):
+        return None
+    return {k: data[:, j].copy() for j, k in enumerate(SERIES_COLUMNS)}
 
 
 class _MissingArtifact(DiracMfpError):
@@ -292,14 +323,18 @@ def _run_pipeline(cfg: RunConfig):
     _write_json(dataclasses.asdict(cfg), out / RUN_FILES["config"])
     save_flow_csv(f, out / RUN_FILES["flow"])
     for i, name in zip(rows, snapshots):
-        fields_mod.save_snapshot_csv(fields_mod.snapshot(f, int(i)),
-                                     out / name)
+        s = fields_mod.snapshot(f, int(i))
+        _write_csv(out / name, ("t", "x", "m", "u", "ux"),
+                   [np.full_like(s.x_nodes, s.t), s.x_nodes, s.m, s.u, s.u_x])
     fb = f.boundaries
-    fields_mod.save_boundary_csv(fb, out / RUN_FILES["boundary"])
+    _write_csv(out / RUN_FILES["boundary"],
+               ("t", "gammaL", "gammaR", "dgL", "dgR", "ddgL", "ddgR"),
+               dataclasses.astuple(fb))
     series = rescale_mod.build_series(f)
-    rescale_mod.save_series_csv(series, out / RUN_FILES["series"])
+    _write_csv(out / RUN_FILES["series"], rescale_mod.SERIES_COLUMNS,
+               [series[k] for k in rescale_mod.SERIES_COLUMNS])
     report = metrics_mod.rate_report(f, window=cfg.fit_window, series=series)
-    metrics_mod.save_rate_report(report, out / RUN_FILES["rates"])
+    _write_json(report, out / RUN_FILES["rates"])
 
     masses = fields_mod.pushforward_masses(f)
     mass_err = float(np.max(np.abs(masses - 1.0)))
@@ -418,18 +453,18 @@ def _write_cauchy_table(cfg: RunConfig, values, results, out: Path) -> None:
 
     p = make_profile(cfg.theta)
     probes = [cfg.T / 20.0, cfg.T / 10.0, cfg.T / 2.0]
-    with open(out / "cauchy_d1.csv", "w") as fh:
-        fh.write("t,eps_a,eps_b,d1\n")
-        for k in range(len(values) - 1):
-            fa, fb = results[k][0], results[k + 1][0]
-            if fa is None or fb is None:
-                continue
-            for t_star in probes:
-                d1 = wasserstein_maps(p, _gamma_at_time(fa, t_star),
-                                      _gamma_at_time(fb, t_star),
-                                      order=1, y=fa.grid.y)
-                fh.write(f"{t_star:.17g},{values[k]:.17g},"
-                         f"{values[k + 1]:.17g},{d1:.17g}\n")
+    rows = []
+    for k in range(len(values) - 1):
+        fa, fb = results[k][0], results[k + 1][0]
+        if fa is None or fb is None:
+            continue
+        for t_star in probes:
+            d1 = wasserstein_maps(p, _gamma_at_time(fa, t_star),
+                                  _gamma_at_time(fb, t_star),
+                                  order=1, y=fa.grid.y)
+            rows.append((t_star, values[k], values[k + 1], d1))
+    _write_csv(out / "cauchy_d1.csv", ("t", "eps_a", "eps_b", "d1"),
+               [np.reshape(rows, (-1, 4))])
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +472,7 @@ def _write_cauchy_table(cfg: RunConfig, values, results, out: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_rates(args: argparse.Namespace) -> int:
-    from .metrics import rate_report, rate_verdict, save_rate_report
-    from .rescale import load_series_csv
+    from .metrics import rate_report, rate_verdict
 
     rundir = Path(args.rundir)
     cfg, f = _load_run(rundir)
@@ -447,7 +481,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     rates = rundir / RUN_FILES["rates"]
     if args.write and rates.is_dir():
         raise InvalidParameterError(f"cannot write {rates}: it is a directory")
-    series = load_series_csv(rundir / RUN_FILES["series"], f)
+    series = _load_series(rundir / RUN_FILES["series"], f)
     report = rate_report(f, window=cfg.fit_window, series=series)
 
     print(f"theta={report['theta']:g} alpha={report['alpha']:.6f} "
@@ -467,7 +501,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     if unfitted:
         print(f"  {unfitted}")
     if args.write:
-        save_rate_report(report, rates)
+        _write_json(report, rates)
         print(f"wrote {rates}")
     return EXIT_CERTIFICATE if cfg.strict and (failed or unfitted) else EXIT_OK
 
@@ -505,12 +539,12 @@ def cmd_export(args: argparse.Namespace) -> int:
         eta = state.eta_nodes
         rows.append(np.column_stack([
             np.full_like(eta, state.tau), eta, state.mu, p.phi(eta)]))
-    np.savetxt(out / "mu_overlay.csv", np.vstack(rows), fmt="%.17g",
-               delimiter=",", header="tau,eta,mu,phi", comments="")
+    _write_csv(out / "mu_overlay.csv", ("tau", "eta", "mu", "phi"),
+               [np.vstack(rows)])
 
     # Lyapunov series with both dH/dtau columns and the fitted envelope;
     # the run's series.csv when it is the series of this flow
-    series = rescale_mod.load_series_csv(rundir / RUN_FILES["series"], f)
+    series = _load_series(rundir / RUN_FILES["series"], f)
     if series is None:
         series = rescale_mod.build_series(f)
     tau, H = series["tau"], series["H"]
@@ -520,11 +554,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     if np.count_nonzero(keep) >= 4:
         fit = fit_rate(tau[keep], H[keep], kind="exp")
         env = np.exp(fit.log_prefactor + fit.exponent * tau)
-    np.savetxt(out / "lyapunov.csv",
-               np.column_stack([tau, H, series["dH_fd"],
-                                series["dH_identity"], env]),
-               fmt="%.17g", delimiter=",",
-               header="tau,H,dH_fd,dH_identity,envelope", comments="")
+    _write_csv(out / "lyapunov.csv",
+               ("tau", "H", "dH_fd", "dH_identity", "envelope"),
+               [tau, H, series["dH_fd"], series["dH_identity"], env])
 
     # log-log support radius with its fitted power law
     fb = f.boundaries
@@ -536,10 +568,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     if np.count_nonzero(in_win) >= 4:
         fit = fit_rate(t_pos[in_win], radius[in_win], kind="power")
         fitted = np.exp(fit.log_prefactor) * t_pos ** fit.exponent
-    np.savetxt(out / "support_radius.csv",
-               np.column_stack([t_pos, radius, fitted]),
-               fmt="%.17g", delimiter=",", header="t,radius,fitted",
-               comments="")
+    _write_csv(out / "support_radius.csv", ("t", "radius", "fitted"),
+               [t_pos, radius, fitted])
 
     # free-boundary fan: straight characteristics leaving the boundary
     fan = []
@@ -553,8 +583,8 @@ def cmd_export(args: argparse.Namespace) -> int:
             fan.append(np.column_stack([
                 np.full(x.size, side_code), np.full(x.size, s),
                 g.t[ahead], x]))
-    np.savetxt(out / "boundary_fan.csv", np.vstack(fan), fmt="%.17g",
-               delimiter=",", header="side,s,t,x", comments="")
+    _write_csv(out / "boundary_fan.csv", ("side", "s", "t", "x"),
+               [np.vstack(fan)])
 
     print(f"wrote {out}")
     return EXIT_OK

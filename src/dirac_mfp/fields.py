@@ -46,8 +46,6 @@ __all__ = [
     "pushforward_masses",
     "weak_continuity_residuals",
     "hj_residuals",
-    "save_snapshot_csv",
-    "save_boundary_csv",
 ]
 
 # -- derivative stencils -----------------------------------------------------
@@ -138,7 +136,7 @@ def value_on_support(f: FlowField, p: Profile | None = None,
 @dataclass(frozen=True)
 class FreeBoundaries:
     """Boundary curves with discrete first and second time derivatives:
-    the seven columns of `save_boundary_csv`."""
+    the seven columns of a run's ``boundary.csv``, in field order."""
 
     t: np.ndarray
     gamma_L: np.ndarray
@@ -539,22 +537,3 @@ def hj_residuals(f: FlowField) -> tuple[np.ndarray, np.ndarray]:
     u_t = _row_gradient(around, np.broadcast_to(t, around.shape))[..., 1]
     exterior[rows] = np.where(ok, -u_t + 0.5 * u_x * u_x, np.nan)
     return interior, exterior
-
-
-# -- flat-file output ---------------------------------------------------------
-
-def save_snapshot_csv(snap: EulerianSnapshot, path) -> None:
-    data = np.column_stack([
-        np.full_like(snap.x_nodes, snap.t), snap.x_nodes,
-        snap.m, snap.u, snap.u_x,
-    ])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header="t,x,m,u,ux", comments="")
-
-
-def save_boundary_csv(fb: FreeBoundaries, path) -> None:
-    data = np.column_stack([
-        fb.t, fb.gamma_L, fb.gamma_R, fb.dgL, fb.dgR, fb.ddgL, fb.ddgR,
-    ])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header="t,gammaL,gammaR,dgL,dgR,ddgL,ddgR", comments="")

@@ -18,7 +18,6 @@ to reproduce and tabulates fitted against theoretical exponents.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,6 @@ __all__ = [
     "fit_rate",
     "rate_report",
     "rate_verdict",
-    "save_rate_report",
 ]
 
 
@@ -200,8 +198,8 @@ def rate_report(f, *, window: tuple | None = None,
     d2(mu, phi) ~ e^{kappa tau}, |duality pairing| ~ e^{2 kappa tau},
     each fitted over the rows where the series is sign-definite.
     ``series`` may be passed when the caller already holds the
-    `rescale.build_series` of ``f`` (as `rescale.load_series_csv` returns
-    it).  The window defaults to `default_fit_window`.  The per-row laws
+    `rescale.build_series` of ``f`` (as `cli` reads it back from a run's
+    ``series.csv``).  The window defaults to `default_fit_window`.  The per-row laws
     are reductions along the label axis of the (rows x labels) arrays of
     the fit window.
     """
@@ -281,9 +279,3 @@ def rate_verdict(report: dict) -> tuple[list[str], str | None]:
     lo, hi = report["window"]
     return ([r["law"] for r in fitted if not r["pass"]],
             None if fitted else f"no law fitted in window [{lo:g}, {hi:g}]")
-
-
-def save_rate_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, allow_nan=False)
-        fh.write("\n")

@@ -52,8 +52,6 @@ __all__ = [
     "hat_gamma_residual",
     "series_rows",
     "build_series",
-    "save_series_csv",
-    "load_series_csv",
 ]
 
 
@@ -153,9 +151,9 @@ def dissipation(state: RescaledState, p: Profile):
 def _w_on(eta: np.ndarray, w: np.ndarray, w_eta: np.ndarray,
           pts: np.ndarray) -> np.ndarray:
     # piecewise-linear in the resolved eta range, linear continuation with
-    # the edge slopes beyond it (the exact continued value is eventually
-    # linear on each side, so wide padding makes this exact); the nodes
-    # differ per row, so the interpolation runs row by row
+    # the edge slopes beyond it (only approximate: w carries alpha eta^2/2,
+    # so callers pad the snapshot past pts); the nodes differ per row, so
+    # the interpolation runs row by row
     eta, w, w_eta = (np.atleast_2d(a) for a in (eta, w, w_eta))
     out = np.array([np.interp(pts, e, v) for e, v in zip(eta, w)])
     lo, hi = eta[:, :1], eta[:, -1:]
@@ -261,8 +259,9 @@ def build_series(f: FlowField) -> dict[str, np.ndarray]:
     (gamma_hat is the monotone optimal map).  ``dH_fd`` differences the H
     column in tau, ``dH_identity`` is the exact dissipation form;
     comparing the two columns tests the Lyapunov identity with no shared
-    discretization.  The padding is the full support width per side, so
-    the duality pairing never needs to extrapolate w in realistic runs.
+    discretization.  Each side is padded with at least the support width
+    and past the outermost label, so the duality pairing reads w at the
+    labels without extrapolating it.
 
     All slices are rescaled together as one stacked snapshot, and every
     column is one reduction along the nodes; only the exterior
@@ -271,7 +270,12 @@ def build_series(f: FlowField) -> dict[str, np.ndarray]:
     """
     p, g = f.profile, f.grid
     keep, tau = series_rows(g)
-    s = rescale_snapshot(snapshot(f, keep, n_pad=g.ny), p)
+    ta = g.t[keep, None] ** p.alpha
+    gL, gR = f.gamma[keep, :1], f.gamma[keep, -1:]
+    reach = np.max(np.maximum(gL - g.y[0] * ta, g.y[-1] * ta - gR)
+                   / ((gR - gL) / g.ny))    # labels y t^alpha, in pad nodes
+    s = rescale_snapshot(
+        snapshot(f, keep, n_pad=max(g.ny, math.ceil(reach) + 1)), p)
     wq = p.node_masses(g.y)
     gh = s.gamma_hat
     w_sup = s.w[:, s.support]
@@ -291,34 +295,3 @@ def build_series(f: FlowField) -> dict[str, np.ndarray]:
         "recip_integral": reciprocal_integral(s, p),
         "duality_pairing": duality_pairing(s, p),
     }
-
-
-def save_series_csv(series: dict[str, np.ndarray], path) -> None:
-    data = np.column_stack([series[k] for k in SERIES_COLUMNS])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header=",".join(SERIES_COLUMNS), comments="")
-
-
-def load_series_csv(path, f: FlowField) -> dict[str, np.ndarray] | None:
-    """Read back a series written by `save_series_csv`, if it is the
-    `build_series` of ``f``.
-
-    The file is accepted only when its header is `SERIES_COLUMNS`, it has
-    one row per series row of ``f`` and its ``tau`` column equals the
-    log-times of those rows bit for bit; ``%.17g`` round-trips exactly,
-    so an accepted series is the one that was saved.  Returns ``None``
-    otherwise (also for a missing or unreadable file, and for a grid with
-    too few series rows), and the caller rebuilds the series.
-    """
-    try:
-        _, tau = series_rows(f.grid)    # InvalidParameterError is a ValueError
-        with open(path) as fh:
-            if fh.readline().rstrip("\n") != ",".join(SERIES_COLUMNS):
-                return None
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except (OSError, ValueError):
-        return None
-    if (data.shape != (tau.size, len(SERIES_COLUMNS))
-            or data[:, 0].tobytes() != tau.tobytes()):
-        return None
-    return {k: data[:, j].copy() for j, k in enumerate(SERIES_COLUMNS)}

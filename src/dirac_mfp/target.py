@@ -242,7 +242,8 @@ def validate_compatibility(m: TerminalDensity,
     x = m.x_nodes[inner]
     vals = m.samples[inner]
     dist = np.minimum(x - m.a, m.b - x)
-    ratio_vals = vals / dist ** (1.0 / m.theta)
+    with np.errstate(divide="ignore"):  # a power that underflows gives inf
+        ratio_vals = vals / dist ** (1.0 / m.theta)
     c_lower = float(np.min(ratio_vals))
     c_upper = float(np.max(ratio_vals))
     ratio = c_upper / c_lower if c_lower > 0.0 else float("inf")

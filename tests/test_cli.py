@@ -6,6 +6,7 @@ precedence, file layouts, determinism, and the exit-code contract
 (0 ok, 1 bad config, 2 solver/artifact failure, 3 strict certificate).
 """
 
+import ast
 import collections
 import ctypes
 import dataclasses
@@ -13,12 +14,15 @@ import json
 import os
 import re
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dirac_mfp import cli, errors
+from dirac_mfp import cli, errors, fields, rescale
 from dirac_mfp.errors import FormatError, InvalidParameterError
+from dirac_mfp.metrics import rate_report
 from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import SolverConfig, make_grid, solve
 from dirac_mfp.target import power_bump, save_csv
@@ -318,6 +322,19 @@ def test_theta_too_small_for_the_profile_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_small_theta_exits_1_without_warnings(tmp_path, capsys):
+    # dist^(1/theta) underflows in the compatibility envelope; numpy must
+    # not warn before the one-line error
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("solve", "--theta", "0.009", "--nt", "64",
+                       "--ny", "64", "--outdir", out) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_target_csv_exits_1(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     out = tmp_path / "run"
@@ -591,6 +608,126 @@ def test_export_emits_plot_data(solved_run):
     assert read_tree(exp) == first      # idempotent
 
     assert run_cli("export", tmp_path_nonexistent()) == 2
+
+
+# ---------------------------------------------------------------------------
+# run-directory files: `cli` writes and reads every one
+# ---------------------------------------------------------------------------
+
+def test_snapshot_csv_roundtrip(solved_run):
+    _, f = cli._load_run(solved_run)
+    i = int(cli._snapshot_rows(f.grid.nt)[3])
+    snap = fields.snapshot(f, i)
+    path = solved_run / cli.RUN_FILES["snapshots"].format(i=i)
+    with open(path) as fh:
+        assert fh.readline().strip() == "t,x,m,u,ux"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert data.shape == (snap.x_nodes.size, 5)
+    assert np.all(data[:, 0] == snap.t)
+    assert np.array_equal(data[:, 1], snap.x_nodes)
+    assert np.array_equal(data[:, 2], snap.m)
+    assert np.array_equal(data[:, 3], snap.u)
+    assert np.array_equal(data[:, 4], snap.u_x)
+
+
+def test_boundary_csv_roundtrip(solved_run):
+    _, f = cli._load_run(solved_run)
+    fb = fields.free_boundaries(f)
+    path = solved_run / cli.RUN_FILES["boundary"]
+    with open(path) as fh:
+        assert fh.readline().strip() == "t,gammaL,gammaR,dgL,dgR,ddgL,ddgR"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], fb.t)
+    assert np.array_equal(data[:, 1], fb.gamma_L)
+    assert np.array_equal(data[:, 6], fb.ddgR)
+
+
+def test_series_columns_and_csv_roundtrip(solved_run):
+    _, f = cli._load_run(solved_run)
+    series = rescale.build_series(f)
+    assert set(series) == set(rescale.SERIES_COLUMNS)
+    n = series["tau"].size
+    assert all(series[k].size == n for k in rescale.SERIES_COLUMNS)
+    path = solved_run / cli.RUN_FILES["series"]
+    back = np.genfromtxt(path, delimiter=",", names=True)
+    assert list(back.dtype.names) == list(rescale.SERIES_COLUMNS)
+    for k in rescale.SERIES_COLUMNS:
+        assert np.allclose(back[k], series[k], rtol=0, atol=0)
+
+
+def test_series_csv_reads_back_only_its_own_flow(solved_run, tmp_path):
+    _, f = cli._load_run(solved_run)
+    series = rescale.build_series(f)
+    path = solved_run / cli.RUN_FILES["series"]
+    back = cli._load_series(path, f)
+    for k in rescale.SERIES_COLUMNS:
+        assert back[k].tobytes() == series[k].tobytes()
+    assert cli._load_series(tmp_path / "absent.csv", f) is None
+    # the same file against a flow on a different time grid
+    p = f.profile
+    other = solve(p, power_bump(-1.0, 1.0, 1.0),
+                  make_grid(p, eps=2e-3, T=1.0, nt=48, ny=32))
+    assert cli._load_series(path, other) is None
+
+
+def test_report_json_roundtrip(solved_run, tmp_path):
+    _, f = cli._load_run(solved_run)
+    rep = rate_report(f)
+    path = tmp_path / "rates.json"
+    cli._write_json(rep, path)
+    loaded = json.loads(path.read_text())
+    assert loaded["theta"] == pytest.approx(rep["theta"])
+    assert [r["law"] for r in loaded["laws"]] == [r["law"] for r in rep["laws"]]
+    for ra, rb in zip(loaded["laws"], rep["laws"]):
+        assert ra["fitted_exponent"] == pytest.approx(rb["fitted_exponent"])
+        assert ra["pass"] == rb["pass"]
+
+
+def test_report_json_writes_unfitted_laws_as_null(solved_run, tmp_path):
+    # a window of fewer than four time nodes fits no law
+    _, f = cli._load_run(solved_run)
+    rep = rate_report(f, window=(0.2, 0.201))
+    path = tmp_path / "rates.json"
+    cli._write_json(rep, path)
+    assert json.loads(path.read_text())["laws"][0]["fitted_exponent"] is None
+
+
+def test_write_json_rejects_nan(tmp_path):
+    # NaN is no JSON value; a manifest carrying one is refused
+    manifest = {"schema_version": 1, "certificates": {"mass_error": np.nan}}
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli._write_json(manifest, tmp_path / "manifest.json")
+
+
+# modules that compute and return, and leave every file to `cli`
+NO_FILE_IO = ("fields", "rescale", "metrics", "solver", "profile")
+FILE_CALLS = {"open", "savetxt", "loadtxt", "genfromtxt", "dump", "dumps",
+              "load", "loads", "read_text", "write_text"}
+
+
+def file_calls(source):
+    """Names of the file-reading and -writing calls in ``source``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = (fn.id if isinstance(fn, ast.Name) else
+                    fn.attr if isinstance(fn, ast.Attribute) else None)
+            if name in FILE_CALLS:
+                out.add(name)
+    return out
+
+
+def test_file_calls_finds_each_kind():
+    source = ("open(p)\nnp.savetxt(p, a)\njson.dump(d, fh)\n"
+              "Path(p).read_text()\nnp.gradient(a)\n")
+    assert file_calls(source) == {"open", "savetxt", "dump", "read_text"}
+
+
+@pytest.mark.parametrize("module", NO_FILE_IO)
+def test_only_cli_touches_files(module):
+    path = Path(cli.__file__).with_name(f"{module}.py")
+    assert file_calls(path.read_text()) == set()
 
 
 # ---------------------------------------------------------------------------

@@ -352,35 +352,6 @@ def test_stacked_snapshot_is_the_per_row_snapshots(solved64):
                     == getattr(stack, name)[k].tobytes()), (i, name)
 
 
-def test_snapshot_csv_roundtrip(tmp_path, solved128):
-    f, m = solved128
-    snap = F.snapshot(f, 40)
-    path = tmp_path / "snap.csv"
-    F.save_snapshot_csv(snap, path)
-    with open(path) as fh:
-        assert fh.readline().strip() == "t,x,m,u,ux"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (snap.x_nodes.size, 5)
-    assert np.all(data[:, 0] == snap.t)
-    assert np.array_equal(data[:, 1], snap.x_nodes)
-    assert np.array_equal(data[:, 2], snap.m)
-    assert np.array_equal(data[:, 3], snap.u)
-    assert np.array_equal(data[:, 4], snap.u_x)
-
-
-def test_boundary_csv_roundtrip(tmp_path, solved128):
-    f, _ = solved128
-    fb = F.free_boundaries(f)
-    path = tmp_path / "boundary.csv"
-    F.save_boundary_csv(fb, path)
-    with open(path) as fh:
-        assert fh.readline().strip() == "t,gammaL,gammaR,dgL,dgR,ddgL,ddgR"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], fb.t)
-    assert np.array_equal(data[:, 1], fb.gamma_L)
-    assert np.array_equal(data[:, 6], fb.ddgR)
-
-
 # ---------------------------------------------------------------------------
 # conservation and residuals
 # ---------------------------------------------------------------------------

@@ -311,19 +311,6 @@ def test_hat_gamma_residual_truncation_decay(theta1):
 # series assembly
 # ---------------------------------------------------------------------------
 
-def test_series_columns_and_csv_roundtrip(tmp_path, theta1, solved128):
-    series = RS.build_series(solved128)
-    assert set(series) == set(RS.SERIES_COLUMNS)
-    n = series["tau"].size
-    assert all(series[k].size == n for k in RS.SERIES_COLUMNS)
-    path = tmp_path / "series.csv"
-    RS.save_series_csv(series, path)
-    back = np.genfromtxt(path, delimiter=",", names=True)
-    assert list(back.dtype.names) == list(RS.SERIES_COLUMNS)
-    for k in RS.SERIES_COLUMNS:
-        assert np.allclose(back[k], series[k], rtol=0, atol=0)
-
-
 def test_series_certificates_subcritical(theta1, solved128):
     # theta < 2: H decreasing, eventually negative; deviation grows in tau
     s = RS.build_series(solved128)
@@ -403,7 +390,8 @@ def test_series_needs_rows(theta1):
 
 def per_row_series(f, p):
     """The series slice by slice: snapshot -> rescale_snapshot -> the
-    per-slice functionals, with build_series' default rows and padding."""
+    per-slice functionals, on build_series' rows, padded with 8 ny nodes
+    per side: past every label of these flows, as build_series pads."""
     g = f.grid
     keep = np.nonzero((g.t >= 10.0 * g.eps) & (g.t > 0.0))[0]
     wq = p.node_masses(g.y)
@@ -411,7 +399,7 @@ def per_row_series(f, p):
     diss = np.empty(keep.size)
     for n, i in enumerate(keep):
         st = RS.rescale_snapshot(
-            F.snapshot(f, int(i), n_pad=g.ny), p)
+            F.snapshot(f, int(i), n_pad=8 * g.ny), p)
         gap = st.gamma_hat - g.y
         w_sup = st.w[st.support]
         cols["tau"][n] = st.tau
@@ -440,17 +428,24 @@ def test_series_matches_per_row_reference(solved64):
         assert np.max(np.abs(got[k] - ref[k])) <= 1e-13 * scale, k
 
 
-def test_series_csv_reads_back_only_its_own_flow(tmp_path, theta1, solved128):
-    f = solved128
-    series = RS.build_series(f)
-    path = tmp_path / "series.csv"
-    RS.save_series_csv(series, path)
-    back = RS.load_series_csv(path, f)
-    for k in RS.SERIES_COLUMNS:
-        assert back[k].tobytes() == series[k].tobytes()
-    assert RS.load_series_csv(tmp_path / "absent.csv", f) is None
-    # the same file against a flow on a different time grid
-    p = theta1
-    other = solve(p, power_bump(-1.0, 1.0, 1.0),
-                  make_grid(p, eps=2e-3, T=1.0, nt=128, ny=32))
-    assert RS.load_series_csv(path, other) is None
+# (a, b, theta, n): at eps 1e-3 some labels of each of these flows lie past
+# ny pad nodes, where w was extrapolated linearly (up to 14 % off in the
+# duality pairing at theta = 0.25)
+FAR_LABELS = [(-0.3, 0.3, 0.25, 128), (-0.3, 0.3, 1.0, 64),
+              (-0.3, 0.3, 3.0, 128), (-1.0, 1.0, 0.25, 128)]
+
+
+@pytest.mark.parametrize("a, b, theta, n", FAR_LABELS)
+def test_duality_pairing_pads_past_the_labels(a, b, theta, n):
+    p = make_profile(theta)
+    f = solve(p, power_bump(a, b, theta),
+              make_grid(p, eps=1e-3, T=1.0, nt=n, ny=n))
+    keep, _ = RS.series_rows(f.grid)
+
+    def pairing(n_pad):
+        return RS.duality_pairing(
+            RS.rescale_snapshot(F.snapshot(f, keep, n_pad=n_pad), p), p)
+
+    wide = pairing(8 * n)
+    assert pairing(n).tobytes() != wide.tobytes()
+    assert RS.build_series(f)["duality_pairing"].tobytes() == wide.tobytes()
