@@ -11,7 +11,6 @@
 
 import numpy as np
 
-from dirac_mfp import fields
 from dirac_mfp.metrics import rate_report
 from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import make_grid, solve
@@ -33,13 +32,12 @@ print(f"solved: {f.info.iterations} Newton steps, "
       f"scaled gradient {f.info.grad_norm:.2e}")
 
 # free boundary: gamma_R ~ R t^alpha, convex/concave envelopes
-fb = fields.free_boundaries(f)
 print("\n      t        gamma_R     R*t^alpha    ratio")
 for i in range(8, grid.nt + 1, 24):
     t = grid.t[i]
     ref = p.r_alpha * t ** p.alpha
-    print(f"  {t:9.5f}  {fb.gamma_R[i]:10.6f}  {ref:10.6f}  "
-          f"{fb.gamma_R[i] / ref:8.5f}")
+    print(f"  {t:9.5f}  {f.gamma[i, -1]:10.6f}  {ref:10.6f}  "
+          f"{f.gamma[i, -1] / ref:8.5f}")
 
 # density collapse: t^alpha m(t, t^alpha y) -> phi(y)
 print("\nsup |t^alpha m(t, gamma(t,y)) gamma_y(t,y) - phi(y)| is zero by")

@@ -12,9 +12,12 @@ relative output paths, so ``config.json`` carries no absolute path.
 The matrix: one operation of each benchmark workload at seed 0; ``solve``,
 ``export`` and ``rates`` at theta in {0.5, 1, 2, 3, 10} on a 64^2 grid;
 ``solve`` and ``export`` of ``--a -0.3 --b 0.3`` at theta 1 on 64^2, whose
-series reads w at labels beyond ny pad nodes of its rows; a
-theta sweep over {1, 3}; one ``--target self_similar`` run; ``validate`` on
-a ``(1 - x^2)_+`` table that the script writes; the ``--help`` of the program
+series reads w at labels beyond ny pad nodes of its rows; ``solve`` and
+``export`` of ``--theta 0.5 --eps 1e-2 --a -0.7 --b 1.2`` on 64^2
+(``turning``), whose series pads reach the exterior continuation next to
+a turning boundary; a theta sweep over {1, 3}; one ``--target
+self_similar`` run; ``validate`` on a ``(1 - x^2)_+`` table that the script
+writes; the ``--help`` of the program
 and of each subcommand, at a fixed width of 80 columns; and one call down
 each failure path: a malformed ``--config`` file, a bad value inside one, a
 Newton budget too small (exit 2), ``--strict`` at the default horizon (exit
@@ -32,6 +35,12 @@ its exit code (or ``raised <Type>`` for an exception that escapes
 ``main``), its standard output and its standard error, each stderr line
 prefixed ``stderr: ``; then one ``sha256  path`` line for each file
 written, sorted by path.
+
+A boundary turns (its velocity changes sign inside the horizon) in the runs
+``theta=0.5``, ``theta=1``, ``narrow``, ``turning``, ``strict``,
+``sweep-theta/theta=1`` and ``sweep-eps/eps=0.01``.  A change to the turning
+rule of the exterior continuation may move only their snapshots,
+``series.csv`` and ``export/lyapunov.csv``.
 
 ``--against OTHER`` names the ``OUTDIR`` of an earlier run of this script
 (for instance on the parent commit).  After the digests, each file whose
@@ -180,6 +189,9 @@ def matrix(workloads) -> list:
     calls += [["solve", *GRID64, "--a", "-0.3", "--b", "0.3",
                "--outdir", "narrow"],
               ["export", "narrow"]]
+    calls += [["solve", "--theta", "0.5", "--eps", "1e-2", "--a", "-0.7",
+               "--b", "1.2", *GRID64, "--outdir", "turning"],
+              ["export", "turning"]]
     calls.append(["sweep", "--axis", "theta", "--values", "1,3", *GRID64,
                   "--outdir", "sweep-theta"])
     calls.append(["solve", "--target", "self_similar", *GRID64,

@@ -300,8 +300,8 @@ def _build_target(cfg: RunConfig, p):
 def _run_pipeline(cfg: RunConfig):
     """solve -> fields -> rescale -> metrics; returns (field, rate report,
     failed certificates, rate verdict: the laws out of band or the note
-    that none was fitted, else None).  The flow keeps its value and free
-    boundaries, and the rescaled series is built once for the report."""
+    that none was fitted, else None).  The boundary curvature and the
+    rescaled series are built once, for the files and the verdicts."""
     from . import fields as fields_mod
     from . import metrics as metrics_mod
     from . import rescale as rescale_mod
@@ -326,10 +326,10 @@ def _run_pipeline(cfg: RunConfig):
         s = fields_mod.snapshot(f, int(i))
         _write_csv(out / name, ("t", "x", "m", "u", "ux"),
                    [np.full_like(s.x_nodes, s.t), s.x_nodes, s.m, s.u, s.u_x])
-    fb = f.boundaries
+    ddg = fields_mod.boundary_curvature(f)
     _write_csv(out / RUN_FILES["boundary"],
                ("t", "gammaL", "gammaR", "dgL", "dgR", "ddgL", "ddgR"),
-               dataclasses.astuple(fb))
+               [grid.t, f.gamma[:, [0, -1]], f.gamma_t[:, [0, -1]], ddg])
     series = rescale_mod.build_series(f)
     _write_csv(out / RUN_FILES["series"], rescale_mod.SERIES_COLUMNS,
                [series[k] for k in rescale_mod.SERIES_COLUMNS])
@@ -339,8 +339,8 @@ def _run_pipeline(cfg: RunConfig):
     masses = fields_mod.pushforward_masses(f)
     mass_err = float(np.max(np.abs(masses - 1.0)))
     interior = slice(1, grid.nt)
-    curv_ok = bool(np.all(fb.ddgL[interior] > 0.0)
-                   and np.all(fb.ddgR[interior] < 0.0))
+    curv_ok = bool(np.all(ddg[interior, 0] > 0.0)
+                   and np.all(ddg[interior, 1] < 0.0))
     failed, unfitted = metrics_mod.rate_verdict(report)
     certificates = {
         "mass_error": mass_err,
@@ -559,10 +559,9 @@ def cmd_export(args: argparse.Namespace) -> int:
                [tau, H, series["dH_fd"], series["dH_identity"], env])
 
     # log-log support radius with its fitted power law
-    fb = f.boundaries
     pos = g.t > 0.0
     t_pos = g.t[pos]
-    radius = 0.5 * (fb.gamma_R[pos] - fb.gamma_L[pos])
+    radius = 0.5 * (f.gamma[pos, -1] - f.gamma[pos, 0])
     in_win = (t_pos >= lo) & (t_pos <= hi)
     fitted = np.full_like(t_pos, np.nan)
     if np.count_nonzero(in_win) >= 4:
@@ -573,9 +572,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     # free-boundary fan: straight characteristics leaving the boundary
     fan = []
-    for side, gam, dgam in (("L", fb.gamma_L, fb.dgL),
-                            ("R", fb.gamma_R, fb.dgR)):
-        side_code = 0.0 if side == "L" else 1.0
+    for side_code, col in ((0.0, 0), (1.0, -1)):
+        gam, dgam = f.gamma[:, col], f.gamma_t[:, col]
         for i in np.unique(np.linspace(1, g.nt - 1, 24).round().astype(int)):
             s = g.t[i]
             ahead = g.t >= s

@@ -10,8 +10,9 @@ label,
 with the terminal slice obtained by integrating u_x = -gamma_t along the
 terminal row and shifted so that int u(T) m_T = 0.  Outside the support
 the value is continued by tangent characteristics of the boundary curve:
-straight segments carrying the boundary slope, a constant state below the
-level of an interior minimum of gamma_L when its velocity changes sign,
+straight segments carrying the boundary slope; when the velocity of
+gamma_L changes sign at an interior minimum, a constant state beyond the
+level where its linear interpolant between the bracketing nodes vanishes,
 and a linear-in-x state beyond the last tangent otherwise; mirrored on
 the right.  The continued field solves -u_t + u_x^2/2 = 0 away from the
 support and matches value and slope at the free boundary.
@@ -39,9 +40,8 @@ from .target import TerminalDensity
 
 __all__ = [
     "EulerianSnapshot",
-    "FreeBoundaries",
     "value_on_support",
-    "free_boundaries",
+    "boundary_curvature",
     "snapshot",
     "pushforward_masses",
     "weak_continuity_residuals",
@@ -133,34 +133,10 @@ def value_on_support(f: FlowField, p: Profile | None = None,
 
 # -- free boundaries ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeBoundaries:
-    """Boundary curves with discrete first and second time derivatives:
-    the seven columns of a run's ``boundary.csv``, in field order."""
-
-    t: np.ndarray
-    gamma_L: np.ndarray
-    gamma_R: np.ndarray
-    dgL: np.ndarray
-    dgR: np.ndarray
-    ddgL: np.ndarray
-    ddgR: np.ndarray
-
-
-def free_boundaries(f: FlowField) -> FreeBoundaries:
-    """Boundary curves of ``f``; `FlowField.boundaries` keeps them."""
-    g = f.grid
-    gL = f.gamma[:, 0].copy()
-    gR = f.gamma[:, -1].copy()
-    return FreeBoundaries(
-        t=g.t.copy(),
-        gamma_L=gL,
-        gamma_R=gR,
-        dgL=f.gamma_t[:, 0].copy(),
-        dgR=f.gamma_t[:, -1].copy(),
-        ddgL=_second_derivative(gL, g.t),
-        ddgR=_second_derivative(gR, g.t),
-    )
+def boundary_curvature(f: FlowField) -> np.ndarray:
+    """Second time derivative of the two boundary columns of ``f``, shape
+    (nt+1, 2): the left boundary, then the right."""
+    return _second_derivative(f.gamma[:, [0, -1]], f.grid.t)
 
 
 # -- exterior continuation ----------------------------------------------------
@@ -174,15 +150,23 @@ class _SideHistory:
     g: np.ndarray       # boundary positions, convex in t
     d: np.ndarray       # discrete boundary velocity
     ub: np.ndarray      # value along the boundary label
-    k_min: int          # node index of the discrete minimum of g
-    has_turn: bool      # velocity changes sign at an interior minimum
+    k: int              # last node before the turn, when there is one
+    fan: np.ndarray | None  # rows t, g, d, ub; the turn inserted at k + 1
 
 
 def _side_history(t: np.ndarray, g: np.ndarray, d: np.ndarray,
                   ub: np.ndarray) -> _SideHistory:
     k = int(np.argmin(g))
-    turn = (0 < k < g.size - 1) and (d[0] < 0.0 < d[-1])
-    return _SideHistory(t, g, d, ub, k, turn)
+    if not ((0 < k < g.size - 1) and (d[0] < 0.0 < d[-1])):
+        return _SideHistory(t, g, d, ub, k, None)
+    # the velocity changes sign at an interior minimum: the turn is where
+    # its linear interpolant between the bracketing nodes vanishes
+    k = int(np.argmax(d >= 0.0)) - 1
+    lam = d[k] / (d[k] - d[k + 1])
+    nodes = np.stack([t, g, d, ub])
+    turn = nodes[:, k] + lam * (nodes[:, k + 1] - nodes[:, k])
+    turn[2] = 0.0
+    return _SideHistory(t, g, d, ub, k, np.insert(nodes, k + 1, turn, axis=1))
 
 
 def _unit_root(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -198,17 +182,26 @@ def _unit_root(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.clip(lam, 0.0, 1.0)
 
 
-def _fan_invert(h: _SideHistory, idx: np.ndarray, s: float,
-                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the tangent fan over boundary nodes ``idx`` at time s.
+def _fan_nodes(h: _SideHistory, i: int) -> tuple | np.ndarray:
+    """``(t, g, d, ub)`` of the boundary nodes whose tangents make the fan
+    at row ``i``, ordered so the tangent foot at t_i decreases.  With a
+    turn, the fan runs backward from the tangency before the turning time
+    and forward after it, and ends at the turn itself."""
+    if h.fan is None:
+        return h.t[i:], h.g[i:], h.d[i:], h.ub[i:]
+    return h.fan[:, i:h.k + 2] if i <= h.k else h.fan[:, i + 1:h.k:-1]
 
-    ``idx`` orders the branch so the tangent foot l_n(s) decreases; each x
-    is bracketed between consecutive feet and the tangency time is found
-    from the interpolated (g, d) data, which keeps the construction second
-    order in the grid.
+
+def _fan_invert(tn: np.ndarray, gn: np.ndarray, dn: np.ndarray,
+                un: np.ndarray, s: float,
+                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the tangent fan over the nodes of `_fan_nodes` at time s.
+
+    Each x is bracketed between consecutive tangent feet l_n(s) and the
+    tangency time is found from the interpolated (g, d) data, which keeps
+    the construction second order in the grid.
     """
-    tn, gn, dn, un = h.t[idx], h.g[idx], h.d[idx], h.ub[idx]
-    if idx.size == 1:
+    if tn.size == 1:
         return (un[0] + (tn[0] - s) * 0.5 * dn[0] ** 2
                 ) * np.ones_like(x), -dn[0] * np.ones_like(x)
     l = gn + (s - tn) * dn
@@ -239,8 +232,8 @@ def _degenerate_region(h: _SideHistory, i, x: np.ndarray) -> np.ndarray:
     ``x``) is not a tangent fan: the constant state below the turning
     level, or the linear state beyond the last tangent.  The continued
     value is merely C^1 across the interface."""
-    if h.has_turn:
-        return x <= h.g[h.k_min]
+    if h.fan is not None:
+        return x <= h.fan[1, h.k + 1]
     lT = h.g[-1] + (h.t[i] - h.t[-1]) * h.d[-1]
     return x < lT
 
@@ -251,13 +244,9 @@ def _extend_one_side(h: _SideHistory, i: int,
     u = np.empty_like(x)
     ux = np.empty_like(x)
     flat = _degenerate_region(h, i, x)
-    if h.has_turn:
-        k = h.k_min
-        # the constant state below the turning level; before the turning
-        # time the fan runs backward from the tangency, after it forward,
-        # both oriented so the feet decrease along idx
-        u[flat], ux[flat] = h.ub[k], 0.0
-        idx = np.arange(i, k + 1) if i <= k else np.arange(i, k - 1, -1)
+    if h.fan is not None:
+        # the constant state below the turning level
+        u[flat], ux[flat] = h.fan[3, h.k + 1], 0.0
     else:
         lT = h.g[-1] + (s - h.t[-1]) * h.d[-1]
         if lT > h.g[i] + 1e-12 * (1.0 + abs(h.g[i])):
@@ -269,18 +258,17 @@ def _extend_one_side(h: _SideHistory, i: int,
         u_at_lT = h.ub[-1] + (h.t[-1] - s) * 0.5 * h.d[-1] ** 2
         u[flat] = (lT - x[flat]) * h.d[-1] + u_at_lT
         ux[flat] = -h.d[-1]
-        idx = np.arange(i, h.t.size)
     fan = ~flat
     if np.any(fan):
-        u[fan], ux[fan] = _fan_invert(h, idx, s, x[fan])
+        u[fan], ux[fan] = _fan_invert(*_fan_nodes(h, i), s, x[fan])
     return u, ux
 
 
 def _histories(f: FlowField) -> tuple[_SideHistory, _SideHistory]:
     """Side histories of the two boundary labels, the right one reflected."""
-    fb, ubar = f.boundaries, f.value
-    return (_side_history(fb.t, fb.gamma_L, fb.dgL, ubar[:, 0]),
-            _side_history(fb.t, -fb.gamma_R, -fb.dgR, ubar[:, -1]))
+    t, g, d, ubar = f.grid.t, f.gamma, f.gamma_t, f.value
+    return (_side_history(t, g[:, 0], d[:, 0], ubar[:, 0]),
+            _side_history(t, -g[:, -1], -d[:, -1], ubar[:, -1]))
 
 
 def _extend(hL: _SideHistory, hR: _SideHistory, i: int,
@@ -334,8 +322,8 @@ def snapshot(f: FlowField, rows, *,
     ``rows``, an int or an array of them.
 
     Padding uses the mean support spacing of each row, ``n_pad`` nodes per
-    side (default ny // 4, at least 2).  The value and the free boundaries
-    are those the flow keeps, so slicing many snapshots derives them once.
+    side (default ny // 4, at least 2).  The value and gamma_t are those
+    the flow keeps, so slicing many snapshots derives them once.
     The exterior continuation brackets each row separately, so it runs
     once per row, on side histories built once.
     """

@@ -212,12 +212,11 @@ def rate_report(f, *, window: tuple | None = None,
     lo, hi = float(window[0]), float(window[1])
     critical = abs(p.kappa) < 1e-12
 
-    fb = f.boundaries
     wq = p.node_masses(g.y)
 
     rows = np.nonzero((g.t >= lo) & (g.t <= hi))[0]
     t = g.t[rows]
-    radius = 0.5 * (fb.gamma_R[rows] - fb.gamma_L[rows])
+    radius = 0.5 * (f.gamma[rows, -1] - f.gamma[rows, 0])
     m_sup = f.density[rows]
     m_inf = m_sup.max(axis=1)
     # int m^{theta+1} dx pulled back to mass coordinates

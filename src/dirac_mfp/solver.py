@@ -169,12 +169,6 @@ class FlowField:
         from . import fields
         return _read_only(fields.value_on_support(self))
 
-    @functools.cached_property
-    def boundaries(self):
-        """`fields.free_boundaries` of this flow."""
-        from . import fields
-        return fields.free_boundaries(self)
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -211,10 +211,10 @@ def test_criterion_6_eps_self_convergence(eps_family, p1):
 
 
 def test_criterion_7_structural_signs(run_super, p3):
-    fb = F.free_boundaries(run_super)
+    ddg = F.boundary_curvature(run_super)
     inner = slice(1, run_super.grid.nt)
-    assert np.all(fb.ddgL[inner] > 0.0), "left boundary not convex"
-    assert np.all(fb.ddgR[inner] < 0.0), "right boundary not concave"
+    assert np.all(ddg[inner, 0] > 0.0), "left boundary not convex"
+    assert np.all(ddg[inner, 1] < 0.0), "right boundary not concave"
 
     # identity map is an exact steady state of the rescaled flow equation
     g = run_super.grid

@@ -632,14 +632,27 @@ def test_snapshot_csv_roundtrip(solved_run):
 
 def test_boundary_csv_roundtrip(solved_run):
     _, f = cli._load_run(solved_run)
-    fb = fields.free_boundaries(f)
+    ddg = fields.boundary_curvature(f)
     path = solved_run / cli.RUN_FILES["boundary"]
     with open(path) as fh:
         assert fh.readline().strip() == "t,gammaL,gammaR,dgL,dgR,ddgL,ddgR"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], fb.t)
-    assert np.array_equal(data[:, 1], fb.gamma_L)
-    assert np.array_equal(data[:, 6], fb.ddgR)
+    assert np.array_equal(data[:, 0], f.grid.t)
+    assert np.array_equal(data[:, 1], f.gamma[:, 0])
+    assert np.array_equal(data[:, 6], ddg[:, 1])
+
+
+def test_boundary_csv_is_the_flow_columns_and_curvature(solved_run):
+    # every column bit for bit: the time nodes, the two boundary columns of
+    # gamma and of gamma_t, and the curvature of `boundary_curvature`
+    _, f = cli._load_run(solved_run)
+    data = np.loadtxt(solved_run / cli.RUN_FILES["boundary"], delimiter=",",
+                      skiprows=1)
+    expected = np.column_stack([f.grid.t, f.gamma[:, 0], f.gamma[:, -1],
+                                f.gamma_t[:, 0], f.gamma_t[:, -1],
+                                fields.boundary_curvature(f)])
+    assert data.shape == expected.shape
+    assert np.array_equal(data, expected)
 
 
 def test_series_columns_and_csv_roundtrip(solved_run):
@@ -750,10 +763,16 @@ def test_sweep_eps_writes_summary_and_cauchy(tmp_path):
     assert np.all(cauchy[:, 3] > 0.0)
 
 
-def test_sweep_theta_tracks_support_exponent(tmp_path):
-    out = tmp_path / "sw"
+@pytest.fixture(scope="module")
+def theta_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("theta-sweep") / "sw"
     assert run_cli("sweep", "--axis", "theta", "--values", "1,3",
                    "--outdir", out, *FAST) == 0
+    return out
+
+
+def test_sweep_theta_tracks_support_exponent(theta_sweep):
+    out = theta_sweep
     with open(out / "sweep.csv") as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh]
@@ -764,6 +783,22 @@ def test_sweep_theta_tracks_support_exponent(tmp_path):
         assert abs(fitted - expected) <= 0.1 * expected
     # no Cauchy table on a theta sweep
     assert not (out / "cauchy_d1.csv").exists()
+
+
+def test_sweep_csv_matches_rates_json_law_for_law(theta_sweep):
+    # each row holds exactly the fitted exponents of its run's rates.json,
+    # so a law that `rate_report` adds cannot drop out of the summary
+    with open(theta_sweep / "sweep.csv") as fh:
+        laws = fh.readline().strip().split(",")[2:]
+        rows = [line.strip().split(",") for line in fh]
+    assert len(rows) == 2
+    for row, run in zip(rows, ("theta=1", "theta=3")):
+        report = json.loads((theta_sweep / run / "rates.json").read_text())
+        fitted = {r["law"]: r["fitted_exponent"] for r in report["laws"]
+                  if r["fitted_exponent"] is not None}
+        assert fitted and set(fitted) <= set(laws), run
+        assert row[2:] == [f"{fitted.get(law, float('nan')):.17g}"
+                           for law in laws], run
 
 
 def test_sweep_rejects_bad_values(tmp_path, capsys, monkeypatch):
@@ -986,12 +1021,12 @@ def test_rates_write_reproduces_solve(supercritical_run, tmp_path, capsys):
 # derived fields of the flow
 # ---------------------------------------------------------------------------
 
-DERIVATIONS = ("gamma_y", "gamma_t", "value_on_support", "free_boundaries")
+DERIVATIONS = ("gamma_y", "gamma_t", "value_on_support")
 
 
 def count_derivations(monkeypatch):
-    """Calls of the label slopes, gamma_t, the value and the free
-    boundaries of any flow, by name."""
+    """Calls of the label slopes, gamma_t, the value and the boundary
+    curvature of any flow, by name."""
     from dirac_mfp import fields
     from dirac_mfp.solver import FlowField
     calls = collections.Counter()
@@ -1005,7 +1040,7 @@ def count_derivations(monkeypatch):
     for name in ("gamma_y", "gamma_t"):
         prop = FlowField.__dict__[name]
         monkeypatch.setattr(prop, "func", counted(name, prop.func))
-    for name in ("value_on_support", "free_boundaries"):
+    for name in ("value_on_support", "boundary_curvature"):
         monkeypatch.setattr(fields, name, counted(name, getattr(fields, name)))
     return calls
 
@@ -1018,5 +1053,8 @@ def test_each_command_derives_each_field_once(tmp_path, capsys, monkeypatch):
                  ["export", run], ["rates", run]):
         calls.clear()
         assert run_cli(*argv) == 0
-        assert calls == {name: 1 for name in DERIVATIONS}, argv[0]
+        once = {name: 1 for name in DERIVATIONS}
+        if argv[0] == "solve":
+            once["boundary_curvature"] = 1
+        assert calls == once, argv[0]
     capsys.readouterr()

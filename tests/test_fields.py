@@ -180,7 +180,7 @@ def test_another_profile_is_rejected(theta1, selfsim64):
 
 def test_flow_keeps_its_derived_fields(selfsim64):
     f = selfsim64
-    for name in ("gamma_y", "gamma_t", "density", "value", "boundaries"):
+    for name in ("gamma_y", "gamma_t", "density", "value"):
         assert getattr(f, name) is getattr(f, name)
     for name in ("gamma_y", "gamma_t", "density", "value"):
         assert not getattr(f, name).flags.writeable
@@ -193,31 +193,31 @@ def test_flow_keeps_its_derived_fields(selfsim64):
 def test_free_boundaries_self_similar(theta1, selfsim64):
     p, f = theta1, selfsim64
     g = f.grid
-    fb = F.free_boundaries(f)
+    dgR = f.gamma_t[:, -1]
+    ddg = F.boundary_curvature(f)
     sig = g.sigma
     ref = p.alpha * p.r_alpha * sig ** (p.alpha - 1.0)
     win = g.t >= 0.05
-    assert np.max(np.abs(fb.dgR - ref)[win] / ref[win]) < 5e-3
-    assert np.all(fb.ddgR[1:-1] < 0) and np.all(fb.ddgL[1:-1] > 0)
+    assert np.max(np.abs(dgR - ref)[win] / ref[win]) < 5e-3
+    assert np.all(ddg[1:-1, 1] < 0) and np.all(ddg[1:-1, 0] > 0)
     # the envelopes |gamma_dot| sigma^(1-alpha) and gamma_ddot sigma^(2-alpha)
-    vR = np.abs(fb.dgR) * sig ** (1.0 - p.alpha)
+    vR = np.abs(dgR) * sig ** (1.0 - p.alpha)
     assert np.max(np.abs(vR - p.alpha * p.r_alpha)) < 5e-2 * p.alpha * p.r_alpha
-    cR = fb.ddgR * sig ** (2.0 - p.alpha)
+    cR = ddg[:, 1] * sig ** (2.0 - p.alpha)
     exact_c = p.alpha * (1.0 - p.alpha) * p.r_alpha
     assert np.max(np.abs(cR + exact_c))[()] < 0.25 * exact_c
 
 
 def test_free_boundaries_terminal_values(solved128):
     f, m = solved128
-    fb = F.free_boundaries(f)
-    assert fb.gamma_L[-1] == m.a and fb.gamma_R[-1] == m.b
+    assert f.gamma[-1, 0] == m.a and f.gamma[-1, -1] == m.b
 
 
 def test_free_boundary_signs_on_solved_run(solved128):
     f, _ = solved128
-    fb = F.free_boundaries(f)
-    assert np.all(fb.ddgL[1:-1] > 0)
-    assert np.all(fb.ddgR[1:-1] < 0)
+    ddg = F.boundary_curvature(f)
+    assert np.all(ddg[1:-1, 0] > 0)
+    assert np.all(ddg[1:-1, 1] < 0)
 
 
 @pytest.mark.parametrize("theta", [0.5, 3.0])
@@ -225,13 +225,10 @@ def test_boundary_velocities_are_copies_of_gamma_t(theta):
     p = make_profile(theta)
     g = make_grid(p, eps=1e-3, T=1.0, nt=48, ny=48)
     f = solve(p, power_bump(-1.0, 2.0, theta), g)
-    fb = F.free_boundaries(f)
-    for d, col in ((fb.dgL, 0), (fb.dgR, -1)):
+    for col in (0, -1):
         # the same numbers as differentiating the boundary column alone
-        assert np.array_equal(d, np.gradient(f.gamma[:, col], g.t,
-                                             edge_order=2))
-        assert np.array_equal(d, f.gamma_t[:, col])
-        assert d.flags.writeable and not np.shares_memory(d, f.gamma_t)
+        assert np.array_equal(f.gamma_t[:, col],
+                              np.gradient(f.gamma[:, col], g.t, edge_order=2))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +247,14 @@ def _quadratic_histories(tmin=0.0, tmax=1.0, n=81):
 def test_extension_constant_below_turning_level():
     t, g, d, ub = _quadratic_histories()
     h = F._side_history(t, g, d, ub)
-    assert h.has_turn
-    k = h.k_min
+    assert h.fan is not None
+    # the velocity is linear in t, so its interpolant vanishes at t = 0.4
+    tk, gk, dk, uk = h.fan[:, h.k + 1]
+    assert abs(tk - 0.4) < 1e-12 and dk == 0.0
     for i in (10, 40, 70):
-        x = np.array([g[k] - 0.3, g[k] - 1e-9])
+        x = np.array([gk - 0.3, gk - 1e-9])
         u, ux = F._extend_one_side(h, i, x)
-        assert np.all(u == ub[k])
+        assert np.all(u == uk)
         assert np.all(ux == 0.0)
 
 
@@ -275,17 +274,17 @@ def test_extension_case_b_linear_region(theta1, selfsim64):
     p, f = theta1, selfsim64
     g = f.grid
     ub = F.value_on_support(f, p)
-    fb = F.free_boundaries(f)
+    dgL = f.gamma_t[-1, 0]
     i = 30
     s = g.t[i]
-    lT = fb.gamma_L[-1] + (s - g.t[-1]) * fb.dgL[-1]
+    lT = f.gamma[-1, 0] + (s - g.t[-1]) * dgL
     x = lT - np.array([2.0, 1.5, 1.0, 0.5])
     u, ux = F._extend(*F._histories(f), i, x)
-    assert np.max(np.abs(ux - (-fb.dgL[-1]))) < 1e-12
+    assert np.max(np.abs(ux - (-dgL))) < 1e-12
     # exactly linear: second differences vanish
     assert np.max(np.abs(np.diff(u, 2))) < 1e-10
-    expected = (lT - x) * fb.dgL[-1] + ub[-1, 0] \
-        + (g.t[-1] - s) * 0.5 * fb.dgL[-1] ** 2
+    expected = (lT - x) * dgL + ub[-1, 0] \
+        + (g.t[-1] - s) * 0.5 * dgL ** 2
     assert np.max(np.abs(u - expected)) < 1e-10
 
 
@@ -307,8 +306,7 @@ def test_extension_crossing_characteristics_detected():
 def test_exterior_slope_bounded_by_boundary_history(solved64):
     # every row, the last one included, on flows with real label dependence
     p, f = solved64
-    fb = F.free_boundaries(f)
-    bound = max(np.max(np.abs(fb.dgL)), np.max(np.abs(fb.dgR)))
+    bound = np.max(np.abs(f.gamma_t[:, [0, -1]]))
     for i in range(1, f.grid.nt + 1):
         snap = F.snapshot(f, i)
         out = np.r_[:snap.n_pad, -snap.n_pad:0]
@@ -390,6 +388,44 @@ def test_hj_exterior_residual(solved128):
     f, _ = solved128
     _, exterior = F.hj_residuals(f)
     assert np.nanmax(np.abs(exterior)) < 5e-3
+
+
+@pytest.fixture(scope="module", params=[0.5, 1.0],
+                ids=lambda theta: f"theta={theta:g}")
+def turning128(request):
+    # the left boundary turns at both theta, the right one at theta = 0.5
+    p = make_profile(request.param)
+    g = make_grid(p, eps=1e-2, T=1.0, nt=128, ny=128)
+    return solve(p, power_bump(-0.7, 1.2, request.param), g)
+
+
+def test_hj_exterior_residual_on_turning_boundaries(turning128):
+    _, exterior = F.hj_residuals(turning128)
+    assert np.nanmax(np.abs(exterior)) <= 5e-3
+
+
+def test_turning_continuation_covers_the_pads(turning128):
+    # every pad node of a tested row lies in the constant state or between
+    # the first and last tangent feet of the fan, so no tangency time is
+    # clipped to its bracket
+    f = turning128
+    g = f.grid
+    rows = np.arange(1, g.nt)[g.t[1:-1] >= g.t_resolved]
+    snap = F.snapshot(f, rows)
+    n = snap.n_pad
+    pads = (snap.x_nodes[:, :n], -snap.x_nodes[:, -n:])    # left frames
+    turning = [(h, x) for h, x in zip(F._histories(f), pads)
+               if h.fan is not None]
+    assert turning
+    for h, x in turning:
+        in_fan = 0
+        for xi, i in zip(x, rows):
+            tn, gn, dn, _ = F._fan_nodes(h, int(i))
+            feet = gn + (g.t[i] - tn) * dn
+            fan = xi[~F._degenerate_region(h, i, xi)]
+            assert np.all((fan >= feet.min()) & (fan <= feet.max())), i
+            in_fan += fan.size
+        assert 0 < in_fan < x.size
 
 
 def test_hj_residuals_without_a_tested_row(theta1):
