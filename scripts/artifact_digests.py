@@ -47,9 +47,10 @@ rule of the exterior continuation may move only their snapshots,
 bytes differ between the two directories gets one ``differs`` line with the
 largest absolute difference of its numbers: over the numeric fields of a
 CSV file, or the numeric leaves of a JSON file, at the positions both files
-have.  The line also counts the non-numeric fields that differ and the
-positions only one file has; a file present in one directory only, or
-neither CSV nor JSON, is named as such.
+have.  The line also counts the non-numeric fields that differ, and the
+positions only one file has: it counts them in a CSV file, and names their
+dotted key paths in a JSON file, with the run that has them.  A file present
+in one directory only, or neither CSV nor JSON, is named as such.
 """
 
 from __future__ import annotations
@@ -168,7 +169,14 @@ def compare(here: Path, other: Path) -> None:
                    if not (_is_number(na[k]) and _is_number(nb[k])))
         if text:
             note += f"; {text} non-numeric fields differ"
-        if na.keys() != nb.keys():
+        if na.keys() != nb.keys() and rel.suffix == ".json":
+            for where, x, y in (("this run", na, nb),
+                                ("the other run", nb, na)):
+                only = sorted(".".join(map(str, k))
+                              for k in x.keys() - y.keys())
+                if only:
+                    note += f"; only in {where}: {', '.join(only)}"
+        elif na.keys() != nb.keys():
             note += f"; {len(na.keys() ^ nb.keys())} fields in one file only"
         print(f"differs: {rel}  {note}")
 

@@ -145,9 +145,9 @@ def fit_rate(abscissa: np.ndarray, values: np.ndarray,
     a, v = a[keep], v[keep]
     if a.size < 4:
         raise InvalidParameterError(f"fit window too short: {a.size} points")
-    xs = np.log(a) if kind == "power" else a
     if kind == "power" and np.any(a <= 0.0):
         raise InvalidParameterError("power-law fit needs positive abscissa")
+    xs = np.log(a) if kind == "power" else a
     ys = np.log(v)
     slope, intercept = np.polyfit(xs, ys, 1)
     res = ys - (slope * xs + intercept)

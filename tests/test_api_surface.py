@@ -31,7 +31,6 @@ _TABLE_ROUTE = ("the quantile-table route that the tests compare "
 
 # (module, name) -> why a name that no program code calls stays public
 KEPT = {
-    ("fields", "weak_continuity_residuals"): "acceptance criterion 5",
     ("fields", "hj_residuals"): "acceptance criterion 5",
     ("rescale", "hat_gamma_residual"): "acceptance criterion 7",
     ("metrics", "QuantileTable"): _TABLE_ROUTE,

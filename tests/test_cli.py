@@ -232,7 +232,9 @@ def test_solve_writes_run_directory(tmp_path):
     # 48 does not halve to 64: one level, the requested grid
     assert manifest["solver"]["levels"] == [[48, 48,
                                              manifest["solver"]["iterations"]]]
-    assert manifest["certificates"]["mass_conserved"] is True
+    # every certificate key is one that some flow can fail
+    assert set(manifest["certificates"]) == {
+        "boundary_curvature_signs", "rates_all_pass", "laws_out_of_band"}
     assert manifest["certificates"]["boundary_curvature_signs"] is True
     # the manifest alone reconstructs the configuration
     cfg = cli.nested_to_config(manifest["config"])
@@ -559,10 +561,18 @@ def non_numeric_flow_label(run):
     edit_flow(run, edit)
 
 
+def header_only_flow(run):
+    # what a solve killed right after opening the file leaves behind
+    def edit(lines):
+        del lines[1:]
+    edit_flow(run, edit)
+
+
 @pytest.mark.parametrize("command", ["rates", "export"])
 @pytest.mark.parametrize("corrupt", [truncate_config, truncate_last_flow_row,
                                      non_numeric_flow_cell,
-                                     non_numeric_flow_label])
+                                     non_numeric_flow_label,
+                                     header_only_flow])
 def test_corrupt_run_artifacts_exit_1(solved_run, tmp_path, capsys,
                                       command, corrupt):
     run = tmp_path / "run"
@@ -570,10 +580,12 @@ def test_corrupt_run_artifacts_exit_1(solved_run, tmp_path, capsys,
     for name in ("config.json", "flow.csv"):
         (run / name).write_bytes((solved_run / name).read_bytes())
     corrupt(run)
-    assert run_cli(command, run) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, run) == 1
     err = capsys.readouterr().err
     name = "config.json" if corrupt is truncate_config else "flow.csv"
-    assert str(run / name) in err
+    assert str(run / name) in err and err.count("\n") == 1
 
 
 def test_retired_config_keys_still_load(solved_run, tmp_path):
@@ -707,7 +719,7 @@ def test_report_json_writes_unfitted_laws_as_null(solved_run, tmp_path):
 
 def test_write_json_rejects_nan(tmp_path):
     # NaN is no JSON value; a manifest carrying one is refused
-    manifest = {"schema_version": 1, "certificates": {"mass_error": np.nan}}
+    manifest = {"schema_version": 1, "solver": {"grad_norm": np.nan}}
     with pytest.raises(ValueError, match="JSON compliant"):
         cli._write_json(manifest, tmp_path / "manifest.json")
 
@@ -931,13 +943,14 @@ def supercritical_run(tmp_path_factory):
 
 
 def rates_and_export(rundir, capsys):
-    """stdout of `rates`, and the export tree, of a copy of ``rundir``."""
+    """stdout of `rates`, and the export tree, of a copy of ``rundir``;
+    neither command writes to stderr."""
     capsys.readouterr()
     assert run_cli("rates", rundir) == 0
-    stdout = capsys.readouterr().out
+    rates = capsys.readouterr()
     assert run_cli("export", rundir) == 0
-    capsys.readouterr()
-    return stdout, read_tree(rundir / "export")
+    assert rates.err == capsys.readouterr().err == ""
+    return rates.out, read_tree(rundir / "export")
 
 
 def copy_run(src, dst):
@@ -978,6 +991,10 @@ def drop_last_row(text):
     return "".join(text.splitlines(keepends=True)[:-1])
 
 
+def header_only(text):
+    return text.split("\n", 1)[0] + "\n"
+
+
 def foreign_header(text):
     head, rest = text.split("\n", 1)
     return head.replace("duality_pairing", "duality") + "\n" + rest
@@ -991,7 +1008,7 @@ def tau_one_ulp_up(text):
 
 
 @pytest.mark.parametrize("corrupt", [foreign_header, drop_last_row,
-                                     tau_one_ulp_up])
+                                     tau_one_ulp_up, header_only])
 def test_mismatched_series_csv_is_rebuilt(supercritical_run, tmp_path,
                                           capsys, monkeypatch, corrupt):
     expected = rates_and_export(copy_run(supercritical_run, tmp_path / "ok"),
@@ -1001,7 +1018,9 @@ def test_mismatched_series_csv_is_rebuilt(supercritical_run, tmp_path,
     text = (bad / "series.csv").read_text()
     (bad / "series.csv").write_text(corrupt(text))
     assert (bad / "series.csv").read_text() != text
-    assert rates_and_export(bad, capsys) == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rates_and_export(bad, capsys) == expected
     assert len(calls) == 2
 
 

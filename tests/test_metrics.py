@@ -271,7 +271,9 @@ def test_fit_constant_series_r2_clamp():
     assert fit.r_squared == 1.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_fit_rejections():
+    # each input is rejected before numpy could warn about it
     t = np.geomspace(1e-2, 1.0, 10)
     with pytest.raises(InvalidParameterError, match="nonpositive"):
         fit_rate(t, -np.ones(10))
@@ -281,6 +283,8 @@ def test_fit_rejections():
         fit_rate(t, t, kind="loglog")
     with pytest.raises(InvalidParameterError, match="matching"):
         fit_rate(t, t[:-1])
+    with pytest.raises(InvalidParameterError, match="positive abscissa"):
+        fit_rate(np.arange(5.0), np.ones(5), kind="power")
 
 
 # ---------------------------------------------------------------------------
