@@ -21,10 +21,11 @@ writes; the ``--help`` of the program
 and of each subcommand, at a fixed width of 80 columns; and one call down
 each failure path: a malformed ``--config`` file, a bad value inside one, a
 Newton budget too small (exit 2), ``--strict`` at the default horizon (exit
-3), ``rates`` on a missing run directory, ``validate --theta 0``, ``solve
---theta 0.005`` (whose profile radius overflows), ``solve --theta 0.009``
-on 64^2 (whose compatibility envelope underflows), an ``--outdir`` that is
-a file or lies under one, a sweep with a rejected value, a flag value that
+3), ``rates`` on a missing run directory, ``validate --theta 0``,
+``validate`` on a table with a three-field row and on a header-only table,
+``solve --theta 0.005`` (whose profile radius overflows), ``solve --theta
+0.009`` on 64^2 (whose terminal row is not monotone), an ``--outdir`` that
+is a file or lies under one, a sweep with a rejected value, a flag value that
 does not parse (``--nt abc``), and ``export`` and ``rates --write`` on a
 run directory whose ``export`` is a file and whose ``rates.json`` is a
 directory.  Last, ``rates`` on a run directory whose
@@ -214,6 +215,10 @@ def matrix(workloads) -> list:
     malformed.write_text("{ not json\n")
     bad_value = Path("inputs") / "bad-value.json"
     bad_value.write_text('{"theta": -1}\n')
+    three_fields = Path("inputs") / "three-fields.csv"
+    three_fields.write_text("x,density\n0,1\n1,1,1\n")
+    header_only = Path("inputs") / "header-only.csv"
+    header_only.write_text("x,density\n")
     a_file = Path("inputs") / "a-file"
     a_file.write_text("")
     calls += [
@@ -224,6 +229,8 @@ def matrix(workloads) -> list:
         ["solve", *GRID64, "--strict", "--outdir", "strict"],
         ["rates", "no-such-run"],
         ["validate", str(table), "--theta", "0"],
+        ["validate", str(three_fields), "--theta", "1"],
+        ["validate", str(header_only), "--theta", "1"],
         ["solve", "--theta", "0.005"],
         ["solve", "--theta", "0.009", *GRID64],
         ["solve", *GRID64, "--outdir", str(a_file)],

@@ -623,12 +623,6 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
     """Minimize the discrete transport energy by `_newton` on each grid of
     `_ladder`, each from the flow one level coarser; a failure on any level
     ends the solve."""
-    if abs(m.mass - 1.0) > 1e-6:
-        raise InvalidParameterError(
-            f"terminal density mass {m.mass} is not normalized")
-    if not m.b > m.a:
-        raise InvalidParameterError("terminal density support is empty")
-
     levels = []
     gamma = None
     coarse = replace(cfg, residual_tol=max(_COARSE_TOL, cfg.residual_tol))

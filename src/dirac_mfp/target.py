@@ -1,25 +1,26 @@
 """Terminal densities: reference bumps, CSV-loaded tables, compatibility.
 
 A terminal density is the mass-1 target ``m_T`` the flow must reach at the
-horizon.  Two constructions exist:
+horizon.  The solver reads only its support ``[a, b]`` and its quantile,
+which `TerminalDensity` shares between two constructions:
 
-* *beta bumps* ``((x-a)(b-x))_+^p / Z`` whose cdf/quantile are regularized
-  incomplete beta functions (exact; this family contains both `power_bump`
-  and the rescaled self-similar profile used as the analytic oracle), and
-* *tables* loaded from CSV, interpolated by a shape-preserving monotone
-  cubic, with the quantile computed as the bisected inverse of the table
-  cdf.
+* *bumps* ``((x-a)(b-x))_+^p / Z`` whose cdf is a regularized incomplete
+  beta function (exact; `power_bump`, and `self_similar_terminal`, the
+  rescaled self-similar profile used as the analytic oracle), and
+* *tables* (`TerminalDensity.from_table`, `load_csv`) interpolated by a
+  shape-preserving monotone cubic, with the quantile computed as the
+  bisected inverse of the table cdf.
 
-The compatibility certificate checks the growth condition that the density
-vanish like ``dist(x, {a,b})^{1/theta}`` at the support edges, which is what
-the Lagrangian solver's free-boundary rows assume.
+The compatibility certificate checks on a table the growth condition that
+the density vanish like ``dist(x, {a,b})^{1/theta}`` at the support edges,
+which is what the Lagrangian solver's free-boundary rows assume.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,8 @@ __all__ = [
     "self_similar_terminal",
     "validate_compatibility",
     "load_csv",
-    "save_csv",
 ]
 
-N_QUADRATURE_NODES = 2048  # size of the sampled beta tables
 RATIO_BOUND = 1e3          # default edge-growth ratio tolerance
 MIN_CSV_ROWS = 8
 
@@ -60,34 +59,22 @@ class CompatibilityReport:
 
 @dataclass(frozen=True)
 class TerminalDensity:
-    """Sampled terminal density with exact or table-backed transforms.
+    """Mass-one terminal density on its support ``[a, b]``.
 
-    ``kind`` is "beta" for the closed-form bump family and "table" for
-    CSV-backed data.  ``theta`` is the congestion exponent against which
-    edge-growth compatibility is checked, ``power`` the bump exponent of the
-    beta family (nan for tables).
+    The bump (`power_bump`, `self_similar_terminal`) and the table
+    (`from_table`, `load_csv`) each give ``cdf`` and its inverse on
+    ``(0, 1)``; `quantile` is shared.
     """
 
-    kind: str
     a: float
     b: float
-    theta: float
-    power: float
-    x_nodes: np.ndarray
-    samples: np.ndarray
-    mass: float
-    report: CompatibilityReport | None = None
-    _pdf_interp: object | None = field(default=None, repr=False)
-    _cdf_interp: object | None = field(default=None, repr=False)
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_table(cls, x: np.ndarray, pdf: np.ndarray,
-                   theta: float) -> "TerminalDensity":
-        """Build a table-backed density; normalizes total mass to one and
-        attaches its compatibility report."""
-        # imported here: beta targets never load scipy.interpolate
+    @staticmethod
+    def from_table(x: np.ndarray, pdf: np.ndarray,
+                   theta: float) -> _Table:
+        """Build a table-backed density; normalizes total mass to one.
+        ``theta`` is the exponent its compatibility is checked against."""
+        # imported here: bump targets never load scipy.interpolate
         from scipy.interpolate import PchipInterpolator
 
         x = np.asarray(x, dtype=float)
@@ -104,70 +91,60 @@ class TerminalDensity:
         if np.any(pdf[1:-1] <= 0.0):
             raise FormatError("density must be strictly positive between "
                               "the support endpoints")
-        interp = PchipInterpolator(x, pdf)
-        anti = interp.antiderivative()
-        raw_mass = float(anti(x[-1]) - anti(x[0]))
+        # a PCHIP antiderivative is exactly 0.0 at x[0]
+        raw_mass = float(PchipInterpolator(x, pdf).antiderivative()(x[-1]))
         if raw_mass <= 0.0:
             raise FormatError("density table has zero total mass")
         pdf = pdf / raw_mass
-        interp = PchipInterpolator(x, pdf)
-        anti = interp.antiderivative()
-        out = cls(kind="table", a=float(x[0]), b=float(x[-1]),
-                  theta=float(theta), power=float("nan"),
-                  x_nodes=x, samples=pdf, mass=1.0,
-                  _pdf_interp=interp, _cdf_interp=anti)
-        return replace(out, report=validate_compatibility(out))
-
-    # -- pointwise transforms -------------------------------------------------
-
-    def pdf(self, x):
-        """Density value(s); zero outside ``[a, b]``."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "beta":
-            rad = np.clip((x - self.a) * (self.b - x), 0.0, None)
-            out = rad**self.power / self._beta_norm()
-        else:
-            inside = (x >= self.a) & (x <= self.b)
-            out = np.where(inside,
-                           np.clip(self._pdf_interp(np.clip(x, self.a, self.b)),
-                                   0.0, None), 0.0)
-        return out if out.ndim else float(out)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "beta":
-            q = self.power + 1.0
-            z = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
-            out = special.betainc(q, q, z)
-        else:
-            lo = float(self._cdf_interp(self.a))
-            out = np.clip(self._cdf_interp(np.clip(x, self.a, self.b)) - lo,
-                          0.0, 1.0)
-        return out if out.ndim else float(out)
+        return _Table(a=float(x[0]), b=float(x[-1]), theta=float(theta),
+                      x_nodes=x, samples=pdf,
+                      _anti=PchipInterpolator(x, pdf).antiderivative())
 
     def quantile(self, u):
-        """Monotone inverse of `cdf`; maps 0 to ``a`` and 1 to ``b`` exactly."""
+        """Inverse of `cdf`, monotone; maps 0 to ``a`` and 1 to ``b``."""
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)):
+        if not np.all((u >= 0.0) & (u <= 1.0)):
             raise InvalidParameterError("quantile argument outside [0, 1]")
         scalar = not u.ndim
         u = np.atleast_1d(u)
-        if self.kind == "beta":
-            out = self._beta_quantile(u)
-        else:
-            out = self._table_quantile(u)
+        out = self._inverse_cdf(u)
         out[u == 0.0] = self.a
         out[u == 1.0] = self.b
         return float(out[0]) if scalar else out
 
-    # -- internals -------------------------------------------------------------
 
-    def _beta_norm(self) -> float:
+@dataclass(frozen=True)
+class _Bump(TerminalDensity):
+    """Bump ``((x-a)(b-x))_+^power / Z``, whose cdf is a regularized
+    incomplete beta function."""
+
+    power: float
+
+    def __post_init__(self):
+        if not self.b > self.a:
+            raise InvalidParameterError(
+                f"support [{self.a}, {self.b}] is empty")
+        if not self.power > 0.0 or not np.isfinite(self.power):
+            raise InvalidParameterError(
+                f"bump exponent must be positive, got {self.power}")
+
+    def pdf(self, x):
+        """Density value(s); zero outside ``[a, b]``."""
+        x = np.asarray(x, dtype=float)
         p = self.power
-        return float((self.b - self.a) ** (2.0 * p + 1.0)
+        norm = float((self.b - self.a) ** (2.0 * p + 1.0)
                      * special.beta(p + 1.0, p + 1.0))
+        out = np.clip((x - self.a) * (self.b - x), 0.0, None) ** p / norm
+        return out if out.ndim else float(out)
 
-    def _beta_quantile(self, u: np.ndarray) -> np.ndarray:
+    def cdf(self, x):
+        q = self.power + 1.0
+        z = np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a),
+                    0.0, 1.0)
+        out = special.betainc(q, q, z)
+        return out if out.ndim else float(out)
+
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         q = self.power + 1.0
         width = self.b - self.a
         out = self.a + width * special.betaincinv(q, q, u)
@@ -175,8 +152,7 @@ class TerminalDensity:
         # safeguarded Newton corrections on the closed-form cdf restore
         # machine-level inversion
         for _ in range(2):
-            z = np.clip((out - self.a) / width, 0.0, 1.0)
-            miss = special.betainc(q, q, z) - u
+            miss = self.cdf(out) - u
             dens = self.pdf(out)
             out = np.clip(out - np.where(dens > 0.0,
                                          miss / np.where(dens > 0.0, dens, 1.0),
@@ -184,7 +160,25 @@ class TerminalDensity:
                           self.a, self.b)
         return out
 
-    def _table_quantile(self, u: np.ndarray) -> np.ndarray:
+
+@dataclass(frozen=True)
+class _Table(TerminalDensity):
+    """Sampled density: the cdf is the antiderivative of the monotone cubic
+    (PCHIP) through the normalized ``samples`` at ``x_nodes``, the quantile
+    its bisected inverse.  ``theta`` is the exponent of its compatibility
+    check."""
+
+    theta: float
+    x_nodes: np.ndarray
+    samples: np.ndarray
+    _anti: object = field(repr=False)
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.clip(self._anti(np.clip(x, self.a, self.b)), 0.0, 1.0)
+        return out if out.ndim else float(out)
+
+    def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         lo = np.full(u.shape, self.a)
         hi = np.full(u.shape, self.b)
         for _ in range(80):  # bisection: interval shrinks to ~(b-a) * 2^-80
@@ -195,27 +189,12 @@ class TerminalDensity:
         return 0.5 * (lo + hi)
 
 
-def _beta_density(a: float, b: float, power: float,
-                  theta: float) -> TerminalDensity:
-    if not b > a:
-        raise InvalidParameterError(f"support [{a}, {b}] is empty")
-    if not power > 0.0 or not np.isfinite(power):
-        raise InvalidParameterError(f"bump exponent must be positive, got {power}")
-    n = N_QUADRATURE_NODES
-    x = a + (b - a) * np.arange(1, n + 1) / (n + 1.0)
-    out = TerminalDensity(kind="beta", a=float(a), b=float(b),
-                          theta=float(theta), power=float(power),
-                          x_nodes=x, samples=np.empty(0), mass=1.0)
-    out = replace(out, samples=out.pdf(x))
-    return replace(out, report=validate_compatibility(out))
-
-
 def power_bump(a: float, b: float, theta: float) -> TerminalDensity:
     """Reference bump ``((x-a)(b-x))^{1/theta} / Z`` with the edge growth
     matched to the congestion exponent."""
     if not theta > 0.0:
         raise InvalidParameterError(f"theta must be positive, got {theta}")
-    return _beta_density(a, b, 1.0 / theta, theta)
+    return _Bump(float(a), float(b), 1.0 / theta)
 
 
 def self_similar_terminal(p: Profile, T: float,
@@ -229,18 +208,15 @@ def self_similar_terminal(p: Profile, T: float,
     if not T > 0.0 or not eps >= 0.0:
         raise InvalidParameterError("need T > 0 and eps >= 0")
     scale = (T + eps) ** p.alpha
-    return _beta_density(-p.r_alpha * scale, p.r_alpha * scale,
-                         1.0 / p.theta, p.theta)
+    return _Bump(-p.r_alpha * scale, p.r_alpha * scale, 1.0 / p.theta)
 
 
-def validate_compatibility(m: TerminalDensity,
-                           ratio_bound: float = RATIO_BOUND
+def validate_compatibility(m: _Table, ratio_bound: float = RATIO_BOUND
                            ) -> CompatibilityReport:
     """Envelope of ``density / dist(x, {a, b})^{1/theta}`` over the interior
-    sample nodes; advisory, `load_csv` raises on it in strict mode."""
-    inner = (m.x_nodes > m.a) & (m.x_nodes < m.b)
-    x = m.x_nodes[inner]
-    vals = m.samples[inner]
+    nodes of a table; advisory, `load_csv` raises on it in strict mode."""
+    x = m.x_nodes[1:-1]
+    vals = m.samples[1:-1]
     dist = np.minimum(x - m.a, m.b - x)
     with np.errstate(divide="ignore"):  # a power that underflows gives inf
         ratio_vals = vals / dist ** (1.0 / m.theta)
@@ -272,24 +248,19 @@ def load_csv(path, theta: float, strict: bool = False) -> TerminalDensity:
     rows = [row for row in reader if row and any(c.strip() for c in row)]
     if not rows or [c.strip() for c in rows[0]] != ["x", "density"]:
         raise FormatError(f"{path}: expected header 'x,density'")
+    if any(len(row) != 2 for row in rows[1:]):
+        raise FormatError(f"{path}: expected exactly two columns")
     try:
-        data = np.array([[float(c) for c in row] for row in rows[1:]])
+        data = np.array([[float(c) for c in row] for row in rows[1:]],
+                        dtype=float).reshape(-1, 2)
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric entry ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise FormatError(f"{path}: expected exactly two columns")
     out = TerminalDensity.from_table(data[:, 0], data[:, 1], theta=theta)
-    rep = out.report
-    if strict and not rep.passed:
-        raise CompatibilityError(
-            f"terminal density violates the dist^(1/theta) edge growth: "
-            f"envelope ratio {rep.ratio:.3g} exceeds {rep.bound:.3g}")
+    if strict:
+        rep = validate_compatibility(out)
+        if not rep.passed:
+            raise CompatibilityError(
+                f"terminal density violates the dist^(1/theta) edge growth: "
+                f"envelope ratio {rep.ratio:.3g} exceeds {rep.bound:.3g}")
     return out
 
-
-def save_csv(m: TerminalDensity, path) -> None:
-    """Write the sample table as ``x,density`` (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x,density\n")
-        for x, d in zip(m.x_nodes, m.samples):
-            fh.write(f"{x:.17g},{d:.17g}\n")

@@ -21,6 +21,15 @@ def one_blas_thread():
     cli._one_blas_thread()
 
 
+def write_table(path, x, density):
+    """Write the ``x,density`` CSV that `load_csv` reads, at 17 significant
+    digits."""
+    with open(path, "w") as fh:
+        fh.write("x,density\n")
+        for xi, di in zip(x, density):
+            fh.write(f"{xi:.17g},{di:.17g}\n")
+
+
 def write_two_bump_csv(path, theta):
     """Bimodal ``x,density`` table on [-1, 1] whose edges vanish like
     dist^(1/theta), as compatibility asks."""
@@ -28,10 +37,7 @@ def write_two_bump_csv(path, theta):
     edge = np.clip((x + 1.0) * (1.0 - x), 0.0, None) ** (1.0 / theta)
     bumps = (np.exp(-0.5 * ((x + 0.4) / 0.25) ** 2)
              + 0.8 * np.exp(-0.5 * ((x - 0.45) / 0.25) ** 2) + 0.3)
-    with open(path, "w") as fh:
-        fh.write("x,density\n")
-        for xi, di in zip(x, edge * bumps):
-            fh.write(f"{xi:.17g},{di:.17g}\n")
+    write_table(path, x, edge * bumps)
 
 
 @pytest.fixture(scope="session",

@@ -37,7 +37,6 @@ KEPT = {
     ("metrics", "wasserstein"): _TABLE_ROUTE,
     ("solver", "energy"): ("the tests compare the energy of a solved flow "
                            "against that of its initial guess"),
-    ("target", "save_csv"): "writes the tables the tests feed to load_csv",
 }
 
 

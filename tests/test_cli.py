@@ -25,7 +25,9 @@ from dirac_mfp.errors import FormatError, InvalidParameterError
 from dirac_mfp.metrics import rate_report
 from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import SolverConfig, make_grid, solve
-from dirac_mfp.target import power_bump, save_csv
+from dirac_mfp.target import power_bump
+
+from conftest import write_table
 
 FAST = ["--nt", "48", "--ny", "48"]
 # horizon at which power_bump(-1,1) equals the theta=1 self-similar slice
@@ -185,7 +187,8 @@ def test_messages_name_their_source(tmp_path, capsys):
     assert run_cli("solve", "--eps", "0", "--outdir", tmp_path / "r") == 1
     assert capsys.readouterr().err == f"config: {message}.0\n"
     table = tmp_path / "bump.csv"
-    save_csv(power_bump(-1.0, 1.0, 1.0), table)
+    x = np.linspace(-1.0, 1.0, 201)
+    write_table(table, x, 1.0 - x * x)
     for flags in (["--theta", "0"], ["--theta", "1", "--ratio-bound", "nan"]):
         assert run_cli("validate", table, *flags) == 1
         err = capsys.readouterr().err
@@ -325,8 +328,8 @@ def test_theta_too_small_for_the_profile_exits_1(tmp_path, capsys):
 
 
 def test_small_theta_exits_1_without_warnings(tmp_path, capsys):
-    # dist^(1/theta) underflows in the compatibility envelope; numpy must
-    # not warn before the one-line error
+    # the power_bump's terminal row is not monotone at theta 0.009; numpy
+    # must not warn before the one-line error
     out = tmp_path / "run"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -346,6 +349,25 @@ def test_missing_target_csv_exits_1(tmp_path, capsys):
     assert not out.exists()
     assert run_cli("validate", missing, "--theta", "1") == 1
     assert f"{missing}: no such target file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,density\n0,1\n1,1,1\n", "expected exactly two columns"),
+    ("x,density\n", "need >= 8 (x, density) rows, got 0"),
+], ids=["three-fields", "header-only"])
+def test_malformed_target_csv_names_its_fault(tmp_path, capsys, text,
+                                              message):
+    table = tmp_path / "t.csv"
+    table.write_text(text)
+    out = tmp_path / "run"
+    for argv in (["validate", table, "--theta", "1"],
+                 ["solve", "--target", "file", "--target-path", table,
+                  "--outdir", out, "--nt", "32", "--ny", "32"]):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+    assert not out.exists()
 
 
 def test_eps_too_large_for_horizon_rejected_before_solve(tmp_path, capsys):
@@ -505,7 +527,8 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
 
 def test_validate_reports_envelope(tmp_path, capsys):
     path = tmp_path / "bump.csv"
-    save_csv(power_bump(-1.0, 1.0, 1.0), path)
+    x = np.linspace(-1.0, 1.0, 201)
+    write_table(path, x, 1.0 - x * x)
     assert run_cli("validate", path, "--theta", "1") == 0
     out = capsys.readouterr().out
     assert "c_lower=" in out and "c_upper=" in out and "pass" in out
@@ -519,7 +542,8 @@ def test_validate_reports_envelope(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--theta", "--ratio-bound"])
 def test_validate_rejects_nonpositive_flags(tmp_path, capsys, flag, value):
     path = tmp_path / "bump.csv"
-    save_csv(power_bump(-1.0, 1.0, 1.0), path)
+    x = np.linspace(-1.0, 1.0, 201)
+    write_table(path, x, 1.0 - x * x)
     flags = {"--theta": "1", "--ratio-bound": "1000", flag: value}
     assert run_cli("validate", path, *[a for kv in flags.items()
                                        for a in kv]) == 1

@@ -461,13 +461,3 @@ def test_newton_cap_raises():
     cfg = SolverConfig(newton_max_iter=1)
     with pytest.raises(errors.NewtonDivergenceError):
         solve(p, power_bump(-2.0, 2.0, 1.0), g, cfg)
-
-
-def test_invalid_target_rejected():
-    p = make_profile(1.0)
-    g = make_grid(p, eps=1e-3, T=1.0, nt=16, ny=16)
-    m = power_bump(-1.0, 1.0, 1.0)
-    broken = type(m)(kind=m.kind, a=m.a, b=m.b, theta=m.theta, power=m.power,
-                     x_nodes=m.x_nodes, samples=m.samples, mass=0.5)
-    with pytest.raises(errors.InvalidParameterError):
-        solve(p, broken, g)

@@ -1,4 +1,4 @@
-"""Terminal density construction, quantiles, CSV I/O, compatibility."""
+"""Terminal density construction, quantiles, CSV input, compatibility."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,17 @@ from dirac_mfp.target import (
     TerminalDensity,
     load_csv,
     power_bump,
-    save_csv,
     self_similar_terminal,
     validate_compatibility,
 )
+
+from conftest import write_table
+
+
+def sampled(m, theta, n=2048):
+    """Table of the bump ``m`` at ``n`` nodes, its endpoints included."""
+    x = np.linspace(m.a, m.b, n)
+    return TerminalDensity.from_table(x, m.pdf(x), theta=theta)
 
 
 def test_power_bump_frozen_values():
@@ -28,13 +35,11 @@ def test_power_bump_frozen_values():
 
 def test_power_bump_mass_and_support():
     m = power_bump(-0.7, 1.9, 3.0)
-    assert m.mass == pytest.approx(1.0, abs=1e-8)
     ref, _ = quad(m.pdf, m.a, m.b, epsabs=1e-12, limit=300)
     assert ref == pytest.approx(1.0, abs=1e-9)
     assert m.quantile(0.0) == m.a
     assert m.quantile(1.0) == m.b
     assert m.pdf(m.a) == 0.0 and m.pdf(m.b) == 0.0
-    assert np.all(m.samples > 0.0)
 
 
 def test_power_bump_cdf_against_quadrature():
@@ -65,14 +70,15 @@ def test_self_similar_terminal_matches_profile():
     # the terminal row of the self-similar run is the dilation s y
     y = np.linspace(-p.r_alpha, p.r_alpha, 101)
     assert np.max(np.abs(m.quantile(p.cdf(y)) - s * y)) < 1e-11
-    assert m.theta == 1.0
 
 
-def test_sampled_tables_are_consistent():
-    m = power_bump(-1.0, 1.0, 2.0)
-    assert m.x_nodes.shape == m.samples.shape
-    assert np.all(np.diff(m.x_nodes) > 0)
-    assert np.all(np.diff(m.cdf(m.x_nodes)) > 0)
+@pytest.mark.parametrize("u", [np.nan, [0.5, np.nan], -1e-12, 1.0 + 1e-12])
+def test_quantile_rejects_arguments_outside_unit_interval(u):
+    x = np.linspace(-1.0, 1.0, 64)
+    for m in (power_bump(-1.0, 1.0, 1.0),
+              TerminalDensity.from_table(x, 1.0 - x * x, theta=1.0)):
+        with pytest.raises(errors.InvalidParameterError, match=r"\[0, 1\]"):
+            m.quantile(u)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +86,7 @@ def test_sampled_tables_are_consistent():
 # ---------------------------------------------------------------------------
 
 def test_compatibility_matched_bump_passes():
-    m = power_bump(-1.0, 1.0, 2.0)
-    rep = validate_compatibility(m)
+    rep = validate_compatibility(sampled(power_bump(-1.0, 1.0, 2.0), 2.0))
     assert rep.passed
     assert rep.c_lower > 0
     # exact ratio of the matched bump is (1+|x|)^{1/2}/Z, spread sqrt(2)
@@ -101,58 +106,53 @@ def test_compatibility_flat_edges_fail():
 
 def test_compatibility_strict_raises(tmp_path):
     x = np.linspace(0.0, 1.0, 4096)
-    m = TerminalDensity.from_table(x, np.ones_like(x), theta=1.0)
     path = tmp_path / "flat.csv"
-    save_csv(m, path)
-    assert not load_csv(path, theta=1.0).report.passed
+    write_table(path, x, np.ones_like(x))
+    assert not validate_compatibility(load_csv(path, theta=1.0)).passed
     with pytest.raises(errors.CompatibilityError, match="envelope ratio"):
         load_csv(path, theta=1.0, strict=True)
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O
+# CSV input
 # ---------------------------------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
-    # table-backed densities survive export -> load bit-faithfully: their
+    # normalized tables survive write -> load bit-faithfully: their
     # interpolated mass is already exactly one, so renormalization is a no-op
     x = np.linspace(-1.0, 1.0, 200)
-    raw = np.cos(0.5 * np.pi * x) ** 2 + 0.05 * (1 - x * x)
     first = tmp_path / "t0.csv"
-    np.savetxt(first, np.column_stack([x, raw]), delimiter=",",
-               header="x,density", comments="", fmt="%.17g")
+    write_table(first, x, np.cos(0.5 * np.pi * x) ** 2 + 0.05 * (1 - x * x))
     m = load_csv(first, theta=2.0)
-    path = tmp_path / "bump.csv"
-    save_csv(m, path)
+    path = tmp_path / "t1.csv"
+    write_table(path, m.x_nodes, m.samples)
     m2 = load_csv(path, theta=2.0)
     assert np.max(np.abs(m2.x_nodes - m.x_nodes)) < 1e-12
     assert np.max(np.abs(m2.samples - m.samples)) < 1e-12
-    assert m2.mass == pytest.approx(1.0, abs=1e-8)
+    assert m2.cdf(m2.b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_beta_export_reload_is_renormalized(tmp_path):
-    # beta bumps exported to CSV are reinterpreted through the table
+    # a beta bump sampled to CSV is reinterpreted through the table
     # quadrature; mass snaps back to one and samples shift only by the
     # interpolation-level edge deficit
     m = power_bump(-1.0, 1.0, 2.0)
+    x = np.linspace(-1.0, 1.0, 2050)[1:-1]
     path = tmp_path / "bump.csv"
-    save_csv(m, path)
+    write_table(path, x, m.pdf(x))
     m2 = load_csv(path, theta=2.0)
-    assert m2.mass == pytest.approx(1.0, abs=1e-8)
-    assert np.max(np.abs(m2.samples - m.samples)) < 2e-3
+    assert m2.cdf(m2.b) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(m2.samples - m.pdf(x))) < 2e-3
 
 
 def test_loaded_table_round_trip(tmp_path):
     # table-backed quantile must invert the table cdf to high accuracy
     x = np.linspace(-1.0, 1.0, 200)
-    pdf = np.cos(0.5 * np.pi * x) ** 2 + 0.05 * (1 - x * x)
     path = tmp_path / "t.csv"
-    np.savetxt(path, np.column_stack([x, pdf]), delimiter=",",
-               header="x,density", comments="", fmt="%.17g")
+    write_table(path, x, np.cos(0.5 * np.pi * x) ** 2 + 0.05 * (1 - x * x))
     m = load_csv(path, theta=1.0)
     probes = np.linspace(-0.97, 0.97, 101)
     assert np.max(np.abs(m.quantile(m.cdf(probes)) - probes)) < 1e-8
-    assert m.mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_csv_format_errors(tmp_path):
@@ -201,12 +201,10 @@ def test_invalid_bump_parameters():
        theta=st.floats(0.4, 5.0))
 def test_power_bump_properties(a, width, theta):
     m = power_bump(a, a + width, theta)
-    assert m.mass == pytest.approx(1.0, abs=1e-8)
     u = np.linspace(0.0, 1.0, 64)
     q = m.quantile(u)
     assert q[0] == m.a and q[-1] == m.b
     assert np.all(np.diff(q) > 0)
     x = np.linspace(m.a + 0.05 * width, m.b - 0.05 * width, 65)
     assert np.max(np.abs(m.quantile(m.cdf(x)) - x)) < 1e-8
-    rep = validate_compatibility(m)
-    assert rep.passed
+    assert validate_compatibility(sampled(m, theta, n=512)).passed
