@@ -16,8 +16,10 @@ series reads w at labels beyond ny pad nodes of its rows; ``solve`` and
 ``export`` of ``--theta 0.5 --eps 1e-2 --a -0.7 --b 1.2`` on 64^2
 (``turning``), whose series pads reach the exterior continuation next to
 a turning boundary; a theta sweep over {1, 3}; one ``--target
-self_similar`` run; ``validate`` on a ``(1 - x^2)_+`` table that the script
-writes; the ``--help`` of the program
+self_similar`` run; ``validate``, ``solve`` and ``export`` at theta 1 on
+64^2 of a ``(1 - x^2)_+`` table that the script writes (``parabola``), so
+that table targets are checked beyond the one benchmark operation; the
+``--help`` of the program
 and of each subcommand, at a fixed width of 80 columns; and one call down
 each failure path: a malformed ``--config`` file, a bad value inside one, a
 Newton budget too small (exit 2), ``--strict`` at the default horizon (exit
@@ -207,7 +209,10 @@ def matrix(workloads) -> list:
                   "--outdir", "self-similar"])
     table = Path("inputs") / "parabola.csv"
     write_table(table)
-    calls.append(["validate", str(table), "--theta", "1"])
+    calls += [["validate", str(table), "--theta", "1"],
+              ["solve", "--target", "file", "--target-path", str(table),
+               "--theta", "1", *GRID64, "--outdir", "parabola"],
+              ["export", "parabola"]]
     calls.append(["--help"])
     calls += [[name, "--help"] for name in SUBCOMMANDS]
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk, dtrsm, dtrsv
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtpttr, dtrttp
 
 from .errors import (
     DegenerateStateError,
@@ -344,12 +344,12 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 # at most _LEAF x _LEAF nodes.  Each box gives one dense front: its separator
 # nodes followed by its boundary, the outside neighbours of the box, which
 # all lie on enclosing separators.  The fronts are factored by the
-# multifrontal method (Duff & Reid, ACM TOMS 9, 1983).  The factor of an n x n
-# grid holds O(n^2 log n) entries and costs O(n^3) flops, against the band's
-# O(n^3) entries and O(n^4) flops.  Every dense operation goes through
-# scipy's BLAS and LAPACK.  The fronts are too small for BLAS threads: a
-# second one only spin-waits between them and doubles the CPU time, so
-# `cli.main` sets one thread; library callers keep their own setting.
+# multifrontal method (Duff & Reid, ACM TOMS 9, 1983) with the forward
+# substitution; each keeps its b x s block and the packed lower triangle of
+# its s x s block (`dtrttp`), unpacked by `dtpttr` for the back substitution
+# (`dtpsv` rounds differently).  An n x n grid's factor holds O(n^2 log n)
+# entries for O(n^3) flops, the band O(n^3) for O(n^4).  All is scipy's BLAS
+# and LAPACK, on one thread (`cli.main`): a second spin-waits between fronts.
 
 _LEAF = 8
 
@@ -462,6 +462,7 @@ def _cholesky_solve(an: _Analysis, vals: np.ndarray,
     """Solve the stencil system with values ``vals`` (layout of `_analysis`)
     by multifrontal Cholesky; `DegenerateStateError` if it is not positive
     definite.  The numeric factor lives only in this call."""
+    x = rhs[an.perm]
     factors = []
     updates: list = [None] * len(an.fronts)
     for fi, fr in enumerate(an.fronts):
@@ -479,21 +480,20 @@ def _cholesky_solve(an: _Analysis, vals: np.ndarray,
             raise DegenerateStateError(
                 f"Newton matrix not positive definite: dpotrf info {info} "
                 f"in front {fi} of {len(an.fronts)}")
+        x[fr.lo:fr.hi] = xs = dtrsv(L, x[fr.lo:fr.hi], lower=1)
         X = None
         if b:
             X = dtrsm(1.0, L, F[s:, :s], side=1, lower=1, trans_a=1)
             updates[fi] = dsyrk(-1.0, X, 1.0, F[s:, s:], lower=1)
-        factors.append((L, X))
-
-    x = rhs[an.perm]
-    for fr, (L, X) in zip(an.fronts, factors):
-        x[fr.lo:fr.hi] = xs = dtrsv(L, x[fr.lo:fr.hi], lower=1)
-        if X is not None:
             x[fr.bnd] = dgemv(-1.0, X, xs, 1.0, x[fr.bnd])
-    for fr, (L, X) in zip(reversed(an.fronts), reversed(factors)):
+        factors.append((dtrttp(L, uplo="L")[0], X))
+        del F, L
+
+    for fr, (Lp, X) in zip(reversed(an.fronts), reversed(factors)):
         xs = x[fr.lo:fr.hi]
         if X is not None:
             xs = dgemv(-1.0, X, x[fr.bnd], 1.0, xs, trans=1)
+        L = dtpttr(fr.hi - fr.lo, Lp, uplo="L")[0]
         x[fr.lo:fr.hi] = dtrsv(L, xs, lower=1, trans=1)
     out = np.empty_like(x)
     out[an.perm] = x

@@ -8,8 +8,9 @@ which `TerminalDensity` shares between two constructions:
   beta function (exact; `power_bump`, and `self_similar_terminal`, the
   rescaled self-similar profile used as the analytic oracle), and
 * *tables* (`TerminalDensity.from_table`, `load_csv`) interpolated by a
-  shape-preserving monotone cubic, with the quantile computed as the
-  bisected inverse of the table cdf.
+  shape-preserving monotone cubic (PCHIP, built in numpy with scipy's
+  arithmetic), with the quantile computed as the bisected inverse of the
+  table cdf.
 
 The compatibility certificate checks on a table the growth condition that
 the density vanish like ``dist(x, {a,b})^{1/theta}`` at the support edges,
@@ -74,9 +75,6 @@ class TerminalDensity:
                    theta: float) -> _Table:
         """Build a table-backed density; normalizes total mass to one.
         ``theta`` is the exponent its compatibility is checked against."""
-        # imported here: bump targets never load scipy.interpolate
-        from scipy.interpolate import PchipInterpolator
-
         x = np.asarray(x, dtype=float)
         pdf = np.asarray(pdf, dtype=float)
         if x.ndim != 1 or x.shape != pdf.shape or x.size < MIN_CSV_ROWS:
@@ -91,14 +89,13 @@ class TerminalDensity:
         if np.any(pdf[1:-1] <= 0.0):
             raise FormatError("density must be strictly positive between "
                               "the support endpoints")
-        # a PCHIP antiderivative is exactly 0.0 at x[0]
-        raw_mass = float(PchipInterpolator(x, pdf).antiderivative()(x[-1]))
+        raw_mass = _pchip_antiderivative(x, pdf)[1]
         if raw_mass <= 0.0:
             raise FormatError("density table has zero total mass")
         pdf = pdf / raw_mass
         return _Table(a=float(x[0]), b=float(x[-1]), theta=float(theta),
                       x_nodes=x, samples=pdf,
-                      _anti=PchipInterpolator(x, pdf).antiderivative())
+                      _coef=_pchip_antiderivative(x, pdf)[0])
 
     def quantile(self, u):
         """Inverse of `cdf`, monotone; maps 0 to ``a`` and 1 to ``b``."""
@@ -164,18 +161,23 @@ class _Bump(TerminalDensity):
 @dataclass(frozen=True)
 class _Table(TerminalDensity):
     """Sampled density: the cdf is the antiderivative of the monotone cubic
-    (PCHIP) through the normalized ``samples`` at ``x_nodes``, the quantile
-    its bisected inverse.  ``theta`` is the exponent of its compatibility
+    (PCHIP) through the normalized ``samples`` at ``x_nodes``, held as the
+    quartic pieces ``_coef`` of `_pchip_antiderivative`; the quantile is its
+    bisected inverse.  ``theta`` is the exponent of its compatibility
     check."""
 
     theta: float
     x_nodes: np.ndarray
     samples: np.ndarray
-    _anti: object = field(repr=False)
+    _coef: np.ndarray = field(repr=False)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip(self._anti(np.clip(x, self.a, self.b)), 0.0, 1.0)
+        x = np.clip(np.asarray(x, dtype=float), self.a, self.b)
+        # piece i holds x_nodes[i] <= x < x_nodes[i+1]; x = b takes the last
+        i = np.clip(np.searchsorted(self.x_nodes, x, side="right") - 1,
+                    0, self.x_nodes.size - 2)
+        out = np.clip(_piece_value(self._coef[:, i], x - self.x_nodes[i]),
+                      0.0, 1.0)
         return out if out.ndim else float(out)
 
     def _inverse_cdf(self, u: np.ndarray) -> np.ndarray:
@@ -187,6 +189,64 @@ class _Table(TerminalDensity):
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
+
+
+def _pchip_antiderivative(x: np.ndarray,
+                          y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Antiderivative, zero at ``x[0]``, of the monotone cubic through
+    ``(x, y)`` (PCHIP; Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980):
+    its coefficients, shape (5, n-1), highest degree first on each piece
+    ``[x[i], x[i+1]]`` in the offset ``x - x[i]``, and its value at ``x[-1]``.
+
+    The arithmetic is that of scipy's
+    ``PchipInterpolator(x, y).antiderivative()``, so both agree to the last
+    bit: the same node slopes (weighted harmonic means, zero at an extremum,
+    one-sided at the ends), the cubic Hermite coefficients divided by 4, 3,
+    2 and 1, and each piece's constant the previous piece's value at its
+    right end.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    sign = np.sign(m)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    mean = ~((sign[1:] != sign[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0))
+    d = np.zeros_like(y)
+    d[1:-1][mean] = 1.0 / whmean[mean]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    coef = np.stack([t / h / 4.0, ((m - d[:-1]) / h - t) / 3.0,
+                     d[:-1] / 2.0, y[:-1], np.zeros_like(h)])
+    ends = [0.0]
+    for piece, width in zip(coef[:4].T.tolist(), h.tolist()):
+        ends.append(_piece_value([*piece, ends[-1]], width))
+    coef[4] = ends[:-1]
+    return coef, ends[-1]
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end, set to 0 where its sign
+    differs from the end interval's and to 3 m0 where it overshoots a
+    turn (Moler, Numerical Computing with MATLAB, 3.6)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _piece_value(c, s):
+    """``sum_k c[k] s^(4-k)``, added from the constant ``c[4]`` up, the
+    order of scipy's piecewise polynomial evaluation."""
+    out, power = 0.0, 1.0
+    for ck in c[::-1]:
+        out = out + ck * power
+        power = power * s
+    return out
 
 
 def power_bump(a: float, b: float, theta: float) -> TerminalDensity:
@@ -255,7 +315,10 @@ def load_csv(path, theta: float, strict: bool = False) -> TerminalDensity:
                         dtype=float).reshape(-1, 2)
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric entry ({exc})") from exc
-    out = TerminalDensity.from_table(data[:, 0], data[:, 1], theta=theta)
+    try:
+        out = TerminalDensity.from_table(data[:, 0], data[:, 1], theta=theta)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if strict:
         rep = validate_compatibility(out)
         if not rep.passed:

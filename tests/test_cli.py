@@ -354,7 +354,9 @@ def test_missing_target_csv_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("x,density\n0,1\n1,1,1\n", "expected exactly two columns"),
     ("x,density\n", "need >= 8 (x, density) rows, got 0"),
-], ids=["three-fields", "header-only"])
+    ("x,density\n" + "".join(f"{v},1\n" for v in (0, 1, 2, 1.5, 4, 5, 6, 7)),
+     "x column must be strictly increasing"),
+], ids=["three-fields", "header-only", "non-increasing-x"])
 def test_malformed_target_csv_names_its_fault(tmp_path, capsys, text,
                                               message):
     table = tmp_path / "t.csv"
@@ -366,7 +368,7 @@ def test_malformed_target_csv_names_its_fault(tmp_path, capsys, text,
         assert run_cli(*argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1 and message in captured.err
+        assert captured.err == f"{table}: {message}\n"
     assert not out.exists()
 
 

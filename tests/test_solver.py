@@ -6,6 +6,7 @@ slice.  Everything else is checked through refinement rates and invariants.
 """
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -283,14 +284,37 @@ def test_concurrent_solves_share_the_analysis():
 
 def test_factor_needs_under_a_quarter_of_the_band_at_512():
     # symbolic analysis only: no numeric factor is formed.  The factor keeps
-    # an s x s diagonal block and a b x s boundary block per front.
+    # the packed lower triangle of each front's s x s diagonal block,
+    # s (s + 1) / 2 entries, and its b x s boundary block.
     R, M = 511, 513                       # nt = ny = 512
     try:
-        entries = sum((f.hi - f.lo) * (f.hi - f.lo + f.bnd.size)
+        entries = sum((f.hi - f.lo) * (f.hi - f.lo + 1) // 2
+                      + (f.hi - f.lo) * f.bnd.size
                       for f in _analysis(R, M).fronts)
     finally:
         _analysis.cache_clear()
     assert entries <= (M + 1) * R * M / 4
+
+
+def test_newton_solve_at_256_stores_packed_diagonal_blocks():
+    # one 256^2 Newton system, its analysis built beforehand: with each
+    # front's diagonal block kept whole, the factor and solve peak at
+    # 50.2 MiB; packed, at 40.0 MiB
+    p = make_profile(3.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=256, ny=256)
+    ws = _Workspace(p, g)
+    gamma = initial_guess(p, power_bump(-0.7, 1.2, 3.0), g)
+    D, UY, UT = _newton_matrix(ws, gamma)
+    G = ws.gradient(gamma)[0]
+    try:
+        _analysis(*D.shape)
+        tracemalloc.start()
+        _solve_newton_system(D, UY, UT, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _analysis.cache_clear()
+    assert peak < 45 * 2**20
 
 
 @pytest.fixture

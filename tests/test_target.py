@@ -15,7 +15,7 @@ from dirac_mfp.target import (
     validate_compatibility,
 )
 
-from conftest import write_table
+from conftest import write_table, write_two_bump_csv
 
 
 def sampled(m, theta, n=2048):
@@ -153,6 +153,40 @@ def test_loaded_table_round_trip(tmp_path):
     m = load_csv(path, theta=1.0)
     probes = np.linspace(-0.97, 0.97, 101)
     assert np.max(np.abs(m.quantile(m.cdf(probes)) - probes)) < 1e-8
+
+
+# 8 rows, the fewest a table may have: a flat interval [1.1, 2], slopes that
+# change sign at x = 1 and x = 4, a left end slope clamped to 3 m0 = 3 and a
+# right end slope zeroed (its one-sided estimate is +1 against m = -1)
+EDGE_CASES = (np.array([0.0, 1.0, 1.1, 2.0, 3.0, 4.0, 5.0, 6.0]),
+              np.array([0.0, 1.0, 0.5, 0.5, 3.0, 7.0, 2.0, 1.0]))
+
+
+@pytest.mark.parametrize("table", ["edge-cases", "two-bump"])
+def test_table_cdf_is_scipys_pchip_antiderivative(tmp_path, table):
+    # the package builds its PCHIP in numpy; scipy's is the reference
+    from scipy.interpolate import PchipInterpolator
+
+    if table == "edge-cases":
+        x, pdf = EDGE_CASES
+        m = TerminalDensity.from_table(x, pdf, theta=1.0)
+        slope = PchipInterpolator(x, pdf).derivative()
+        assert slope(x[0]) == 3.0 and abs(slope(x[-1])) < 1e-12
+        assert slope(x[2]) == 0.0 and slope(x[3]) == 0.0
+    else:
+        path = tmp_path / "two_bump.csv"
+        write_two_bump_csv(path, 3.0)
+        x, pdf = np.loadtxt(path, delimiter=",", skiprows=1).T
+        m = load_csv(path, theta=3.0)
+    assert np.array_equal(
+        m.samples, pdf / PchipInterpolator(x, pdf).antiderivative()(x[-1]))
+    ref = PchipInterpolator(x, m.samples).antiderivative()
+    assert np.array_equal(m._coef, ref.c)
+    # the nodes, both ends, points between and beyond them
+    v = np.concatenate([x, np.linspace(x[0] - 1.0, x[-1] + 1.0, 1001)])
+    assert np.array_equal(m.cdf(v), np.clip(ref(np.clip(v, x[0], x[-1])),
+                                            0.0, 1.0))
+    assert m.cdf(x[0]) == 0.0 and m.cdf(x[-1]) == min(ref(x[-1]), 1.0)
 
 
 def test_csv_format_errors(tmp_path):
