@@ -53,7 +53,8 @@ CSV file, or the numeric leaves of a JSON file, at the positions both files
 have.  The line also counts the non-numeric fields that differ, and the
 positions only one file has: it counts them in a CSV file, and names their
 dotted key paths in a JSON file, with the run that has them.  A file present
-in one directory only, or neither CSV nor JSON, is named as such.
+in one directory only, or neither CSV nor JSON, is named as such.  The
+script exits 1 when it prints any ``differs`` line, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -147,18 +148,20 @@ def _gap(x: float, y: float) -> float:
     return d if d == d else math.inf
 
 
-def compare(here: Path, other: Path) -> None:
+def compare(here: Path, other: Path) -> bool:
     """Print one line for each file whose bytes differ between the two
-    directories."""
+    directories; True when there is any."""
     files = {p.relative_to(d) for d in (here, other)
              for p in d.rglob("*") if p.is_file()}
+    differs = False
     for rel in sorted(files):
         a, b = here / rel, other / rel
+        if a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes():
+            continue
+        differs = True
         if not (a.is_file() and b.is_file()):
             where = "this run" if a.is_file() else "the other run"
             print(f"differs: {rel}  only in {where}")
-            continue
-        if a.read_bytes() == b.read_bytes():
             continue
         na, nb = numbers(a), numbers(b)
         if na is None:
@@ -182,6 +185,7 @@ def compare(here: Path, other: Path) -> None:
         elif na.keys() != nb.keys():
             note += f"; {len(na.keys() ^ nb.keys())} fields in one file only"
         print(f"differs: {rel}  {note}")
+    return differs
 
 
 def matrix(workloads) -> list:
@@ -290,8 +294,8 @@ def main() -> int:
                       for line in err.getvalue().splitlines()), end="")
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path}")
-    if against is not None:
-        compare(Path("."), against)
+    if against is not None and compare(Path("."), against):
+        return 1
     return 0
 
 

@@ -9,13 +9,13 @@ label,
 
 with the terminal slice obtained by integrating u_x = -gamma_t along the
 terminal row and shifted so that int u(T) m_T = 0.  Outside the support
-the value is continued by tangent characteristics of the boundary curve:
-straight segments carrying the boundary slope; when the velocity of
-gamma_L changes sign at an interior minimum, a constant state beyond the
-level where its linear interpolant between the bracketing nodes vanishes,
-and a linear-in-x state beyond the last tangent otherwise; mirrored on
-the right.  The continued field solves -u_t + u_x^2/2 = 0 away from the
-support and matches value and slope at the free boundary.
+the value is continued by tangent characteristics of the boundary curve,
+straight segments carrying the boundary slope, and past the foot of the
+last tangent by that tangent's linear state.  The last tangent is the
+terminal one, or that of the turn where the velocity of gamma_L, linearly
+interpolated, vanishes at an interior minimum; its state is then constant.
+Mirrored on the right.  The continued field solves -u_t + u_x^2/2 = 0 away
+from the support and matches value and slope at the free boundary.
 
 Residual diagnostic: the HJ equation pointwise at fixed x, by the chain
 rule along the labels on the support and by finite differences outside.
@@ -146,25 +146,24 @@ def boundary_curvature(f: FlowField) -> np.ndarray:
 class _SideHistory:
     t: np.ndarray
     g: np.ndarray       # boundary positions, convex in t
-    d: np.ndarray       # discrete boundary velocity
-    ub: np.ndarray      # value along the boundary label
-    k: int              # last node before the turn, when there is one
-    fan: np.ndarray | None  # rows t, g, d, ub; the turn inserted at k + 1
+    k: int              # last node before the turn; node nt without one
+    end: int            # column of the last tangent in ``fan``
+    fan: np.ndarray     # rows t, g, d, ub; the turn inserted at k + 1
 
 
 def _side_history(t: np.ndarray, g: np.ndarray, d: np.ndarray,
                   ub: np.ndarray) -> _SideHistory:
+    nodes = np.stack([t, g, d, ub])
     k = int(np.argmin(g))
     if not ((0 < k < g.size - 1) and (d[0] < 0.0 < d[-1])):
-        return _SideHistory(t, g, d, ub, k, None)
+        return _SideHistory(t, g, g.size - 1, g.size - 1, nodes)
     # the velocity changes sign at an interior minimum: the turn is where
     # its linear interpolant between the bracketing nodes vanishes
     k = int(np.argmax(d >= 0.0)) - 1
     lam = d[k] / (d[k] - d[k + 1])
-    nodes = np.stack([t, g, d, ub])
     turn = nodes[:, k] + lam * (nodes[:, k + 1] - nodes[:, k])
     turn[2] = 0.0
-    return _SideHistory(t, g, d, ub, k, np.insert(nodes, k + 1, turn, axis=1))
+    return _SideHistory(t, g, k, k + 1, np.insert(nodes, k + 1, turn, axis=1))
 
 
 def _unit_root(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -180,14 +179,13 @@ def _unit_root(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.clip(lam, 0.0, 1.0)
 
 
-def _fan_nodes(h: _SideHistory, i: int) -> tuple | np.ndarray:
+def _fan_nodes(h: _SideHistory, i: int) -> np.ndarray:
     """``(t, g, d, ub)`` of the boundary nodes whose tangents make the fan
-    at row ``i``, ordered so the tangent foot at t_i decreases.  With a
-    turn, the fan runs backward from the tangency before the turning time
-    and forward after it, and ends at the turn itself."""
-    if h.fan is None:
-        return h.t[i:], h.g[i:], h.d[i:], h.ub[i:]
-    return h.fan[:, i:h.k + 2] if i <= h.k else h.fan[:, i + 1:h.k:-1]
+    at row ``i``: the columns from node i to the last tangent, backward
+    when row i comes after the turn, so the tangent foot at t_i decreases."""
+    j = i + (i > h.k)
+    step = 1 if j <= h.end else -1
+    return h.fan[:, j:h.end + step:step]
 
 
 def _fan_invert(tn: np.ndarray, gn: np.ndarray, dn: np.ndarray,
@@ -227,35 +225,29 @@ def _fan_invert(tn: np.ndarray, gn: np.ndarray, dn: np.ndarray,
 
 def _degenerate_region(h: _SideHistory, i, x: np.ndarray) -> np.ndarray:
     """True where the continuation at row(s) ``i`` (broadcast against
-    ``x``) is not a tangent fan: the constant state below the turning
-    level, or the linear state beyond the last tangent.  The continued
-    value is merely C^1 across the interface."""
-    if h.fan is not None:
-        return x <= h.fan[1, h.k + 1]
-    lT = h.g[-1] + (h.t[i] - h.t[-1]) * h.d[-1]
-    return x < lT
+    ``x``) lies past the foot of the last tangent, in the linear state of
+    that tangent (a constant at a turn) rather than in the fan.  The
+    continued value is merely C^1 across the interface."""
+    te, ge, de = h.fan[:3, h.end]
+    return x < ge + (h.t[i] - te) * de
 
 
 def _extend_one_side(h: _SideHistory, i: int,
                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = h.t[i]
+    te, ge, de, ue = h.fan[:, h.end]
+    le = ge + (s - te) * de
+    if h.k == h.t.size - 1 and le > h.g[i] + 1e-12 * (1.0 + abs(h.g[i])):
+        # without a turn the last tangent must fall below a convex
+        # boundary curve; landing above it means the tangent lines fold
+        raise CrossingCharacteristicsError(
+            "tangent characteristics cross; boundary curve not convex")
     u = np.empty_like(x)
     ux = np.empty_like(x)
     flat = _degenerate_region(h, i, x)
-    if h.fan is not None:
-        # the constant state below the turning level
-        u[flat], ux[flat] = h.fan[3, h.k + 1], 0.0
-    else:
-        lT = h.g[-1] + (s - h.t[-1]) * h.d[-1]
-        if lT > h.g[i] + 1e-12 * (1.0 + abs(h.g[i])):
-            # the last tangent must fall below a convex boundary curve;
-            # landing above it means the tangent lines fold
-            raise CrossingCharacteristicsError(
-                "tangent characteristics cross; boundary curve not convex")
-        # the linear state beyond the last tangent
-        u_at_lT = h.ub[-1] + (h.t[-1] - s) * 0.5 * h.d[-1] ** 2
-        u[flat] = (lT - x[flat]) * h.d[-1] + u_at_lT
-        ux[flat] = -h.d[-1]
+    # 0.0 - de: a turn's slope is +0, not -0
+    u[flat] = (le - x[flat]) * de + (ue + (te - s) * 0.5 * de ** 2)
+    ux[flat] = 0.0 - de
     fan = ~flat
     if np.any(fan):
         u[fan], ux[fan] = _fan_invert(*_fan_nodes(h, i), s, x[fan])

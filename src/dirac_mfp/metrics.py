@@ -97,16 +97,14 @@ def wasserstein(pu: QuantileTable, pv: QuantileTable, order: int = 1) -> float:
 
 
 def wasserstein_maps(p: Profile, g: np.ndarray, h: np.ndarray,
-                     order: int = 1, y: np.ndarray | None = None) -> float:
-    """d_p between pushforwards of phi by monotone maps on one y grid."""
+                     order: int = 1, *, y: np.ndarray) -> float:
+    """d_p between pushforwards of phi by monotone maps on the labels ``y``."""
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     if g.shape != h.shape:
         raise InvalidParameterError("maps must share the sample grid")
     if np.any(np.diff(g) < 0.0) or np.any(np.diff(h) < 0.0):
         raise InvalidParameterError("pushforward maps must be nondecreasing")
-    if y is None:
-        y = np.linspace(-p.r_alpha, p.r_alpha, g.size)
     wq = p.node_masses(y)
     gap = np.abs(g - h)
     if order == 1:

@@ -12,13 +12,13 @@ with the radius ``R = r_alpha`` fixed by unit mass.  Writing
 closed form and cross-checked on construction by a tanh-sinh quadrature
 (Takahasi & Mori, Publ. RIMS 9, 1974) of ``phi`` itself on ``[-R, R]``.
 The check samples ``phi`` at its own nodes and calls no beta function,
-so it stays independent of `Profile.power_cell_masses`: the total mass
+so it stays independent of `Profile.cell_masses`: the total mass
 there is the beta-function identity that fixes the radius, and it would
 read one for a wrong radius formula too.
 
 All integrals of powers of phi reduce to regularized incomplete beta
-functions: `Profile.power_cell_masses` gives the cell masses of phi**p
-(p = 1 for the masses of phi itself, L^p norms, reciprocal integrals),
+functions: `Profile.cell_masses` gives the cell masses of phi**power
+(1 for the masses of phi itself, L^p norms, reciprocal integrals),
 so degenerate-endpoint quadrature error never enters.
 """
 
@@ -98,43 +98,35 @@ class Profile:
         R = self.r_alpha
         lo = -R if lo is None else lo
         hi = R if hi is None else hi
-        return float(self.power_cell_masses(p, [lo, hi])[0])
+        return float(self.cell_masses([lo, hi], p)[0])
 
-    def cell_masses(self, edges: np.ndarray) -> np.ndarray:
-        """Exact masses ``int phi`` between consecutive edges."""
-        return self.power_cell_masses(1.0, edges)
+    def cell_masses(self, edges: np.ndarray, power: float = 1.0) -> np.ndarray:
+        """Exact ``int phi**power`` between consecutive edges.
 
-    def power_cell_masses(self, p: float, edges: np.ndarray) -> np.ndarray:
-        """Exact ``int phi**p`` between consecutive edges.
-
-        Requires ``p / theta > -1``, as `power_mass`.  For p < 0 the
-        endpoint cells absorb the (integrable) singularity of phi**p
-        exactly, so integrands of the form f * phi**p can be handled with
-        plain nodal values of f.
+        Requires ``power / theta > -1``, as `power_mass`.  For a negative
+        power the endpoint cells absorb the (integrable) singularity
+        exactly, so integrands of the form f * phi**power can be handled
+        with plain nodal values of f.
         """
-        e = p / self.theta
+        e = power / self.theta
         if not e > -1.0:
             raise InvalidParameterError(
-                f"phi**{p} is not integrable for theta={self.theta}")
+                f"phi**{power} is not integrable for theta={self.theta}")
         R = self.r_alpha
         z = np.clip(0.5 * (np.asarray(edges, dtype=float) / R + 1.0), 0.0, 1.0)
         total = (self.c**e * R ** (2.0 * e + 1.0) * 2.0 * 4.0**e
                  * special.beta(e + 1.0, e + 1.0))
         return total * np.diff(special.betainc(e + 1.0, e + 1.0, z))
 
-    def power_node_masses(self, p: float, y: np.ndarray) -> np.ndarray:
-        """Dual-cell quadrature weights for integrals against phi**p dy."""
-        y = np.asarray(y, dtype=float)
-        half = np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]])
-        return self.power_cell_masses(p, half)
-
-    def node_masses(self, y: np.ndarray) -> np.ndarray:
-        """Dual-cell quadrature weights for integrals against phi dy.
+    def node_masses(self, y: np.ndarray, power: float = 1.0) -> np.ndarray:
+        """Dual-cell quadrature weights for integrals against phi**power dy.
 
         ``sum(node_masses(y) * f(y))`` integrates ``f phi`` exactly for
         piecewise constants on the dual mesh; second order for smooth f.
         """
-        return self.power_node_masses(1.0, y)
+        y = np.asarray(y, dtype=float)
+        half = np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]])
+        return self.cell_masses(half, power)
 
     def second_moment(self) -> float:
         """Exact ``int y^2 phi(y) dy``."""

@@ -148,18 +148,15 @@ def dissipation(state: RescaledState, p: Profile):
     return np.sum(p.node_masses(state.y_nodes) * weta * weta, axis=-1)
 
 
-def _w_on(eta: np.ndarray, w: np.ndarray, w_eta: np.ndarray,
-          pts: np.ndarray) -> np.ndarray:
-    # piecewise-linear in the resolved eta range, linear continuation with
-    # the edge slopes beyond it (only approximate: w carries alpha eta^2/2,
-    # so callers pad the snapshot past pts); the nodes differ per row, so
-    # the interpolation runs row by row
-    eta, w, w_eta = (np.atleast_2d(a) for a in (eta, w, w_eta))
-    out = np.array([np.interp(pts, e, v) for e, v in zip(eta, w)])
-    lo, hi = eta[:, :1], eta[:, -1:]
-    out = np.where(pts < lo, w[:, :1] + w_eta[:, :1] * (pts - lo), out)
-    out = np.where(pts > hi, w[:, -1:] + w_eta[:, -1:] * (pts - hi), out)
-    return out
+def _w_on(eta: np.ndarray, w: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    # piecewise-linear between the nodes, which must reach past pts: w
+    # carries alpha eta^2/2 and is not extrapolated; the nodes differ per
+    # row, so the interpolation runs row by row
+    eta, w = np.atleast_2d(eta), np.atleast_2d(w)
+    if np.any(eta[:, 0] > pts[0]) or np.any(eta[:, -1] < pts[-1]):
+        raise InvalidParameterError(
+            "w is read beyond the nodes of a slice; pad it past the labels")
+    return np.array([np.interp(pts, e, v) for e, v in zip(eta, w)])
 
 
 def duality_pairing(state: RescaledState, p: Profile):
@@ -167,12 +164,13 @@ def duality_pairing(state: RescaledState, p: Profile):
 
     Both pieces are pulled back to mass coordinates: int w mu uses w at
     the stored image nodes, int w phi samples w at the labels themselves
-    (interpolated, since phi's support need not match mu's).  Inherits
-    the terminal normalization of the reconstructed value.
+    (interpolated, since phi's support need not match mu's).  The nodes
+    must reach past the labels (`InvalidParameterError` otherwise).
+    Inherits the terminal normalization of the reconstructed value.
     """
     y = state.y_nodes
     w_sup = state.w[..., state.support]
-    w_phi = _w_on(state.eta_nodes, state.w, state.w_eta, y).reshape(w_sup.shape)
+    w_phi = _w_on(state.eta_nodes, state.w, y).reshape(w_sup.shape)
     return np.sum(p.node_masses(y) * (w_sup - w_phi), axis=-1)
 
 
@@ -190,8 +188,7 @@ def reciprocal_integral(state: RescaledState, p: Profile):
     ghy = np.gradient(gh, y, axis=-1, edge_order=2)
     if np.min(ghy) <= 0.0:
         raise DegenerateStateError("rescaled flow map is not increasing")
-    return np.sum(p.power_node_masses(1.0 - p.theta, y) * ghy ** p.theta,
-                  axis=-1)
+    return np.sum(p.node_masses(y, 1.0 - p.theta) * ghy ** p.theta, axis=-1)
 
 
 def hat_gamma_residual(f: FlowField) -> tuple[np.ndarray, np.ndarray]:
@@ -259,9 +256,9 @@ def build_series(f: FlowField) -> dict[str, np.ndarray]:
     (gamma_hat is the monotone optimal map).  ``dH_fd`` differences the H
     column in tau, ``dH_identity`` is the exact dissipation form;
     comparing the two columns tests the Lyapunov identity with no shared
-    discretization.  Each side is padded with at least the support width
-    and past the outermost label, so the duality pairing reads w at the
-    labels without extrapolating it.
+    discretization.  Each side is padded just past the outermost label
+    (two nodes at least), so the duality pairing reads w at the labels
+    between nodes; no column reads a pad beyond them.
 
     All slices are rescaled together as one stacked snapshot, and every
     column is one reduction along the nodes; only the exterior
@@ -275,7 +272,7 @@ def build_series(f: FlowField) -> dict[str, np.ndarray]:
     reach = np.max(np.maximum(gL - g.y[0] * ta, g.y[-1] * ta - gR)
                    / ((gR - gL) / g.ny))    # labels y t^alpha, in pad nodes
     s = rescale_snapshot(
-        snapshot(f, keep, n_pad=max(g.ny, math.ceil(reach) + 1)), p)
+        snapshot(f, keep, n_pad=max(2, math.ceil(reach) + 1)), p)
     wq = p.node_masses(g.y)
     gh = s.gamma_hat
     w_sup = s.w[:, s.support]

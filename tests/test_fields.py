@@ -241,27 +241,52 @@ def test_boundary_velocities_are_copies_of_gamma_t(theta):
 # exterior continuation
 # ---------------------------------------------------------------------------
 
-def _quadratic_histories(tmin=0.0, tmax=1.0, n=81):
+def _quadratic_histories(turn=0.4, n=81):
     # manufactured convex boundary with an interior turning point
-    t = np.linspace(tmin, tmax, n)
-    g = 0.3 * (t - 0.4) ** 2 - 0.5
-    d = 0.6 * (t - 0.4)
+    t = np.linspace(0.0, 1.0, n)
+    g = 0.3 * (t - turn) ** 2 - 0.5
+    d = 0.6 * (t - turn)
     ub = 0.1 + 0.05 * t                  # any smooth boundary value works
     return t, g, d, ub
+
+
+def _turns(h):
+    return h.k < h.t.size - 1
 
 
 def test_extension_constant_below_turning_level():
     t, g, d, ub = _quadratic_histories()
     h = F._side_history(t, g, d, ub)
-    assert h.fan is not None
+    assert _turns(h) and h.end == h.k + 1
     # the velocity is linear in t, so its interpolant vanishes at t = 0.4
-    tk, gk, dk, uk = h.fan[:, h.k + 1]
+    tk, gk, dk, uk = h.fan[:, h.end]
     assert abs(tk - 0.4) < 1e-12 and dk == 0.0
     for i in (10, 40, 70):
         x = np.array([gk - 0.3, gk - 1e-9])
         u, ux = F._extend_one_side(h, i, x)
         assert np.all(u == uk)
         assert np.all(ux == 0.0)
+        # the turn's slope is +0: a -0 would print "-0" into snapshots
+        assert not np.any(np.signbit(ux))
+
+
+def test_extension_turning_in_the_last_interval():
+    # the velocity changes sign between the last two nodes (k = nt - 1), so
+    # the turn is the last column of the fan, as the terminal tangent is
+    # without a turn; it still gives the constant state, and the fold check
+    # of a boundary without a turn (which the interpolated turning level,
+    # above node k, would fail at row k) does not apply
+    t, g, d, ub = _quadratic_histories(turn=0.99)
+    h = F._side_history(t, g, d, ub)
+    assert h.k == t.size - 2 and h.end == t.size - 1
+    tk, gk, dk, uk = h.fan[:, h.end]
+    assert abs(tk - 0.99) < 1e-12 and dk == 0.0 and gk > g[h.k]
+    for i in range(t.size):
+        x = np.array([gk - 0.3, gk - 1e-9, g[i]])
+        u, ux = F._extend_one_side(h, i, x)
+        assert np.all(u[:2] == uk) and np.all(ux[:2] == 0.0), i
+        assert not np.any(np.signbit(ux[:2])), i
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(ux)), i
 
 
 def test_extension_matches_boundary_data():
@@ -430,8 +455,7 @@ def test_turning_continuation_covers_the_pads(turning128):
     snap = F.snapshot(f, rows)
     n = snap.n_pad
     pads = (snap.x_nodes[:, :n], -snap.x_nodes[:, -n:])    # left frames
-    turning = [(h, x) for h, x in zip(F._histories(f), pads)
-               if h.fan is not None]
+    turning = [(h, x) for h, x in zip(F._histories(f), pads) if _turns(h)]
     assert turning
     for h, x in turning:
         in_fan = 0

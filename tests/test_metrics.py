@@ -151,16 +151,17 @@ def test_wasserstein_rejects_bad_order(theta1):
     with pytest.raises(InvalidParameterError, match="order"):
         wasserstein(tab, tab, order=3)
     with pytest.raises(InvalidParameterError, match="order"):
-        wasserstein_maps(p, np.linspace(0, 1, 8), np.linspace(0, 1, 8), order=0)
+        wasserstein_maps(p, np.linspace(0, 1, 8), np.linspace(0, 1, 8),
+                         order=0, y=np.linspace(-p.r_alpha, p.r_alpha, 8))
 
 
 def test_maps_route_dilation_oracle(theta1):
     # pushforwards by y and (1+s)y differ by s*y, so d_2^2 = s^2 M2
     p = theta1
     y = np.linspace(-p.r_alpha, p.r_alpha, 4096)
-    d2 = wasserstein_maps(p, y, 1.1 * y, order=2)
+    d2 = wasserstein_maps(p, y, 1.1 * y, order=2, y=y)
     assert d2 == approx(0.1 * math.sqrt(M2_THETA1), rel=1e-6)
-    d1 = wasserstein_maps(p, y, 1.1 * y, order=1)
+    d1 = wasserstein_maps(p, y, 1.1 * y, order=1, y=y)
     # int |y| phi dy by high-resolution quadrature
     yy = np.linspace(-p.r_alpha, p.r_alpha, 200001)
     e_abs = np.trapezoid(np.abs(yy) * p.phi(yy), yy)
@@ -171,13 +172,13 @@ def test_maps_route_validation(theta1):
     p = theta1
     y = np.linspace(-1.0, 1.0, 32)
     with pytest.raises(InvalidParameterError, match="share"):
-        wasserstein_maps(p, y, y[:-1])
+        wasserstein_maps(p, y, y[:-1], y=y)
     bad = y.copy()
     bad[10] = bad[12]
     bad[11] = bad[12] + 1.0   # jump down afterwards
     bad[12] = bad[10]
     with pytest.raises(InvalidParameterError, match="nondecreasing"):
-        wasserstein_maps(p, y, bad)
+        wasserstein_maps(p, y, bad, y=y)
 
 
 def test_two_routes_agree_dilation(theta1):
@@ -185,7 +186,7 @@ def test_two_routes_agree_dilation(theta1):
     y = np.linspace(-p.r_alpha, p.r_alpha, 4096)
     g, h = y, 1.1 * y
     for order, tol in ((1, 1e-12), (2, 1e-7)):
-        wm = wasserstein_maps(p, g, h, order=order)
+        wm = wasserstein_maps(p, g, h, order=order, y=y)
         wt = wasserstein(pushforward_table(p, g), pushforward_table(p, h),
                          order=order)
         assert abs(wm - wt) <= tol * (1.0 + wm)
@@ -203,7 +204,7 @@ def test_two_routes_agree_property(a1, c1, b1, a2, c2, b2):
     h = b2 + a2 * y + c2 * y ** 3
     tu, tv = pushforward_table(p, g), pushforward_table(p, h)
     for order in (1, 2):
-        wm = wasserstein_maps(p, g, h, order=order)
+        wm = wasserstein_maps(p, g, h, order=order, y=y)
         wt = wasserstein(tu, tv, order=order)
         assert abs(wm - wt) <= 1e-6 * (1.0 + wm)
 

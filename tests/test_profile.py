@@ -359,7 +359,7 @@ def test_power_cell_masses_total():
         p = make_profile(theta)
         edges = np.linspace(-p.r_alpha, p.r_alpha, 37)
         for pw in (theta + 1.0, 1.0 - theta, 1.0, 0.0):
-            cells = p.power_cell_masses(pw, edges)
+            cells = p.cell_masses(edges, pw)
             assert cells.sum() == pytest.approx(p.power_mass(pw), rel=1e-13)
             assert np.all(cells >= 0.0)
 
@@ -370,7 +370,7 @@ def test_power_cell_masses_interior_cell():
     e = -2.0 / 3.0  # exponent of phi^{1-theta} in the radicand
     ref, err = quad(lambda y: (p.c * (p.r_alpha**2 - y**2)) ** e, lo, hi)
     assert err < 1e-10
-    got = p.power_cell_masses(-2.0, np.array([lo, hi]))[0]
+    got = p.cell_masses(np.array([lo, hi]), -2.0)[0]
     assert got == pytest.approx(ref, rel=1e-11)
 
 
@@ -382,12 +382,12 @@ def test_power_cell_masses_singular_endpoint_cell():
     ref, err = quad(lambda y: p.c**e * (p.r_alpha - y) ** e,
                     -p.r_alpha, m, weight="alg", wvar=(e, 0.0))
     assert err < 1e-9
-    got = p.power_cell_masses(-2.0, np.array([-p.r_alpha, m]))[0]
+    got = p.cell_masses(np.array([-p.r_alpha, m]), -2.0)[0]
     assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_power_node_masses_reduce_to_plain_masses():
-    # node_masses is power_node_masses at p = 1; against the cdf route the
+    # node_masses at its default power 1; against the cdf route the
     # two differ only by the rounding of the closed-form total (4 ulp)
     for theta in (0.25, 1.0, 3.0, 10.0):
         p = make_profile(theta)
@@ -400,4 +400,4 @@ def test_power_node_masses_reduce_to_plain_masses():
 def test_power_cell_masses_not_integrable():
     p = make_profile(2.0)
     with pytest.raises(errors.InvalidParameterError):
-        p.power_cell_masses(-2.0, np.array([-1.0, 1.0]))  # e = -1 diverges
+        p.cell_masses(np.array([-1.0, 1.0]), -2.0)  # e = -1 diverges
