@@ -15,7 +15,10 @@ The matrix: one operation of each benchmark workload at seed 0; ``solve``,
 series reads w at labels beyond ny pad nodes of its rows; ``solve`` and
 ``export`` of ``--theta 0.5 --eps 1e-2 --a -0.7 --b 1.2`` on 64^2
 (``turning``), whose series pads reach the exterior continuation next to
-a turning boundary; a theta sweep over {1, 3}; one ``--target
+a turning boundary; ``solve --theta 3 --nt 192 --ny 128`` (``nonsquare``),
+whose grid ladder has the two non-square levels 96x64 and 192x128, so that
+the solver's per-shape analysis is checked off the square; a theta sweep
+over {1, 3}; one ``--target
 self_similar`` run; ``validate``, ``solve`` and ``export`` at theta 1 on
 64^2 of a ``(1 - x^2)_+`` table that the script writes (``parabola``), so
 that table targets are checked beyond the one benchmark operation; the
@@ -207,6 +210,8 @@ def matrix(workloads) -> list:
     calls += [["solve", "--theta", "0.5", "--eps", "1e-2", "--a", "-0.7",
                "--b", "1.2", *GRID64, "--outdir", "turning"],
               ["export", "turning"]]
+    calls.append(["solve", "--theta", "3", "--nt", "192", "--ny", "128",
+                  "--outdir", "nonsquare"])
     calls.append(["sweep", "--axis", "theta", "--values", "1,3", *GRID64,
                   "--outdir", "sweep-theta"])
     calls.append(["solve", "--target", "self_similar", *GRID64,

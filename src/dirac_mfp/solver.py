@@ -345,24 +345,42 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 # nodes followed by its boundary, the outside neighbours of the box, which
 # all lie on enclosing separators.  The fronts are factored by the
 # multifrontal method (Duff & Reid, ACM TOMS 9, 1983) with the forward
-# substitution; each keeps its b x s block and the packed lower triangle of
-# its s x s block (`dtrttp`), unpacked by `dtpttr` for the back substitution
-# (`dtpsv` rounds differently).  An n x n grid's factor holds O(n^2 log n)
-# entries for O(n^3) flops, the band O(n^3) for O(n^4).  All is scipy's BLAS
-# and LAPACK, on one thread (`cli.main`): a second spin-waits between fronts.
+# substitution, the children's updates on a stack.  Each front keeps the packed
+# lower triangle of its s x s block (`dtrttp`), unpacked by `dtpttr` for the
+# back substitution (`dtpsv` rounds differently), and its b x s block
+# X = B L^-T, except a leaf front (one without children): its B is the
+# stencil's own, one coupling per boundary node, and its back substitution
+# forms L^-1 B^T x_b from the stencil values.  An n x n grid's factor holds
+# O(n^2 log n) entries for O(n^3) flops, the band O(n^3) for O(n^4).  All is
+# scipy's BLAS and LAPACK, on one thread (`cli.main`): a second spin-waits
+# between fronts.
+#
+# The stencil values are three (R, C) planes: the diagonal, the label
+# couplings (i, j)-(i, j+1) padded by a last column, and the time couplings
+# (i, j)-(i+1, j) padded by a last row.  A box moved by r0 rows and c0 columns
+# moves every stencil source by r0 * C + c0, so boxes of one shape whose
+# boundaries agree relative to their origins form one front class, with one
+# symbolic analysis: 173 classes for the 2047 fronts of a 255 x 257 grid.
 
 _LEAF = 8
 
 
 @dataclass(frozen=True)
-class _Front:
-    lo: int              # separator: elimination positions lo .. hi-1
-    hi: int
-    bnd: np.ndarray      # elimination positions of the boundary nodes
+class _FrontClass:
+    sep: np.ndarray      # separator nodes, row-major, relative to the box origin
+    bnd: np.ndarray      # boundary nodes in front order, relative to the origin
     dst: np.ndarray      # flat lower-triangle positions of its stencil entries
-    src: np.ndarray      # their indices in the stencil value vector
-    children: tuple      # (front index, increasing positions of the child's
-                         #  boundary in this front)
+    src: np.ndarray      # their stencil sources, relative to the origin
+    children: tuple      # (class, relative origin, positions of its boundary here)
+    leaf: tuple | None   # a leaf's (column, source) of each boundary row's coupling
+
+
+@dataclass(frozen=True)
+class _Front:
+    cls: _FrontClass
+    lo: int              # separator: elimination positions lo .. lo+s-1
+    off: int             # box origin r0 * C + c0
+    bnd: np.ndarray      # elimination positions of the boundary nodes
 
 
 @dataclass(frozen=True)
@@ -371,153 +389,155 @@ class _Analysis:
     fronts: tuple        # _Front in postorder
 
 
-def _dissect(r0: int, r1: int, c0: int, c1: int, out: list) -> int:
-    """Append the fronts of the box rows r0:r1, columns c0:c1 to ``out``
-    in postorder as (box, separator box, child indices); return the index of
-    the box's own front."""
-    h, w = r1 - r0, c1 - c0
-    if h <= _LEAF and w <= _LEAF:
-        sep, kids = (r0, r1, c0, c1), ()
-    elif w >= h:
-        mid = c0 + w // 2
-        kids = (_dissect(r0, r1, c0, mid, out), _dissect(r0, r1, mid + 1, c1, out))
-        sep = (r0, r1, mid, mid + 1)
-    else:
-        mid = r0 + h // 2
-        kids = (_dissect(r0, mid, c0, c1, out), _dissect(mid + 1, r1, c0, c1, out))
-        sep = (mid, mid + 1, c0, c1)
-    out.append(((r0, r1, c0, c1), sep, kids))
-    return len(out) - 1
-
-
 @functools.lru_cache(maxsize=8)   # a whole ladder up to 8192^2
 def _analysis(R: int, C: int) -> _Analysis:
-    """Symbolic analysis of the 5-point stencil on an R x C grid.
+    """Symbolic analysis of the 5-point stencil on an R x C grid, for values
+    in the plane layout above.
 
-    The stencil values are one vector: the diagonal (R*C, row-major), the
-    label couplings (i, j)-(i, j+1) (R*(C-1)), then the time couplings
-    (i, j)-(i+1, j) ((R-1)*C).  A front holds its separator, then its
-    boundary ordered by position in the parent front, so that each child
-    update lands lower triangle on lower triangle and only lower triangles
-    are ever read.  The analysis depends only on the grid shape, is cached
-    and is shared between threads; nothing in it is written after it is
-    built.
+    A front holds its separator, then its boundary ordered by position in
+    the parent front, so that each child update lands lower triangle on
+    lower triangle and only lower triangles are ever read.  A box's shape
+    and its boundary relative to its origin give its class, and the class
+    gives its children's; each class is built once.  The analysis depends
+    only on the grid shape, is cached and is shared between threads; nothing
+    in it is written after it is built.
     """
-    raw: list = []
-    _dissect(0, R, 0, C, raw)
-    n, ncc = R * C, R * (C - 1)
-    node = np.arange(n).reshape(R, C)
-    seps = [node[a:b, c:d].ravel() for _, (a, b, c, d), _ in raw]
-    perm = np.concatenate(seps)
+    n = R * C
+    classes: dict = {}   # (h, w, boundary coordinates) -> _FrontClass
+
+    def front_class(h: int, w: int, brc: np.ndarray) -> _FrontClass:
+        key = (h, w, brc.tobytes())
+        if key in classes:
+            return classes[key]
+        if h <= _LEAF and w <= _LEAF:
+            sep, boxes = (0, h, 0, w), ()
+        elif w >= h:
+            m = w // 2
+            sep, boxes = (0, h, m, m + 1), ((0, 0, h, m), (0, m + 1, h, w - m - 1))
+        else:
+            m = h // 2
+            sep, boxes = (m, m + 1, 0, w), ((0, 0, m, w), (m + 1, 0, h - m - 1, w))
+        r, c = (a.ravel() for a in np.mgrid[sep[0]:sep[1], sep[2]:sep[3]])
+        nodes = np.concatenate([np.stack([r, c], axis=1), brc])
+        s, k = r.size, len(nodes)
+        where = np.full((h + 2, w + 2), -1)      # (row + 1, col + 1) -> position
+        where[nodes[:, 0] + 1, nodes[:, 1] + 1] = np.arange(k)
+        # entries coupling a separator node to a node not eliminated before it:
+        # itself, then its right, left, lower and upper neighbours
+        rel = r * C + c
+        v = np.concatenate([np.arange(s), where[r + 1, c + 2], where[r + 1, c],
+                            where[r + 2, c + 1], where[r, c + 1]])
+        live = v >= 0
+        pu, pv = np.tile(np.arange(s), 5)[live], v[live]
+        src = np.concatenate([rel, n + rel, n + rel - 1, 2 * n + rel,
+                              2 * n + rel - C])[live]
+        children = []
+        for r0, c0, ch, cw in boxes:             # each child's outside neighbours
+            ring = np.zeros((h + 2, w + 2), dtype=bool)
+            ring[r0:r0 + ch + 2, c0 + 1:c0 + cw + 1] = True
+            ring[r0 + 1:r0 + ch + 1, c0:c0 + cw + 2] = True
+            ring[r0 + 1:r0 + ch + 1, c0 + 1:c0 + cw + 1] = False
+            pos = np.sort(where[ring][where[ring] >= 0])
+            kid = front_class(ch, cw, nodes[pos] - (r0, c0))
+            children.append((kid, r0 * C + c0, pos))
+        o = np.argsort(pv)[len(pv) - (k - s):]   # a leaf's B: one entry per row
+        fc = _FrontClass(sep=rel, bnd=brc[:, 0] * C + brc[:, 1], src=src,
+                         dst=np.maximum(pu, pv) * k + np.minimum(pu, pv),
+                         children=tuple(children),
+                         leaf=None if boxes else (pu[o], src[o]))
+        for arr in (fc.sep, fc.bnd, fc.dst, fc.src, *(fc.leaf or ()),
+                    *(pos for _, _, pos in children)):
+            arr.flags.writeable = False
+        classes[key] = fc
+        return fc
+
+    order: list = []                             # (class, box origin) in postorder
+
+    def visit(fc: _FrontClass, off: int) -> None:
+        for kid, rel, _ in fc.children:
+            visit(kid, off + rel)
+        order.append((fc, off))
+
+    visit(front_class(R, C, np.empty((0, 2), dtype=np.intp)), 0)
+    perm = np.concatenate([off + fc.sep for fc, off in order])
     inv = np.empty(n, dtype=np.intp)
     inv[perm] = np.arange(n)
-    his = np.cumsum([s.size for s in seps])
-    # the boundary of a box is the set of its outside neighbours
-    bnds = [inv[np.concatenate([node[max(r0 - 1, 0):r0, c0:c1].ravel(),
-                                node[r1:r1 + 1, c0:c1].ravel(),
-                                node[r0:r1, max(c0 - 1, 0):c0].ravel(),
-                                node[r0:r1, c1:c1 + 1].ravel()])]
-            for (r0, r1, c0, c1), _, _ in raw]
-    where = np.empty(n, dtype=np.intp)   # elimination position -> front position
-    fronts: list = [None] * len(raw)
-    for f in reversed(range(len(raw))):  # parents first: they order the children
-        sep, bnd, kids = seps[f], bnds[f], raw[f][2]
-        hi = int(his[f])
-        lo = hi - sep.size
-        k = sep.size + bnd.size
-        where[lo:hi] = np.arange(sep.size)
-        where[bnd] = np.arange(sep.size, k)
-        children = []
-        for c in kids:
-            pos = where[bnds[c]]
-            order = np.argsort(pos)
-            bnds[c] = bnds[c][order]
-            children.append((c, pos[order]))
-        # entries coupling a separator node to a node not eliminated before it
-        i, j = np.divmod(sep, C)
-        us, vs, srcs = [sep], [sep], [sep]
-        for ok, v, s in ((j < C - 1, sep + 1, n + sep - i),
-                         (j > 0, sep - 1, n + sep - i - 1),
-                         (i < R - 1, sep + C, n + ncc + sep),
-                         (i > 0, sep - C, n + ncc + sep - C)):
-            u, v, s = sep[ok], v[ok], s[ok]
-            live = inv[v] >= lo
-            us.append(u[live])
-            vs.append(v[live])
-            srcs.append(s[live])
-        pu = where[inv[np.concatenate(us)]]
-        pv = where[inv[np.concatenate(vs)]]
-        fronts[f] = _Front(lo=lo, hi=hi, bnd=bnd,
-                           dst=np.maximum(pu, pv) * k + np.minimum(pu, pv),
-                           src=np.concatenate(srcs), children=tuple(children))
-    for fr in fronts:
-        for arr in (fr.bnd, fr.dst, fr.src, *(pos for _, pos in fr.children)):
-            arr.flags.writeable = False
     perm.flags.writeable = False
+    fronts, lo = [], 0
+    for fc, off in order:
+        bnd = inv[off + fc.bnd]
+        bnd.flags.writeable = False
+        fronts.append(_Front(cls=fc, lo=lo, off=off, bnd=bnd))
+        lo += fc.sep.size
     return _Analysis(perm=perm, fronts=tuple(fronts))
 
 
 def _cholesky_solve(an: _Analysis, vals: np.ndarray,
                     rhs: np.ndarray) -> np.ndarray:
-    """Solve the stencil system with values ``vals`` (layout of `_analysis`)
-    by multifrontal Cholesky; `DegenerateStateError` if it is not positive
-    definite.  The numeric factor lives only in this call."""
+    """Solve the stencil system with values ``vals`` (the planes of
+    `_analysis`, flat) by multifrontal Cholesky; `DegenerateStateError` if it
+    is not positive definite.  The numeric factor lives only in this call."""
     x = rhs[an.perm]
     factors = []
-    updates: list = [None] * len(an.fronts)
+    updates: list = []   # of the fronts whose parent is still to come
     for fi, fr in enumerate(an.fronts):
-        s, b = fr.hi - fr.lo, fr.bnd.size
+        fc, lo, bnd = fr.cls, fr.lo, fr.bnd
+        s, b = fc.sep.size, bnd.size
         F = np.zeros((s + b, s + b))
-        F.flat[fr.dst] = vals[fr.src]
-        for c, pos in fr.children:
+        F.flat[fc.dst] = vals[fr.off + fc.src]
+        first = len(updates) - len(fc.children)
+        for _, _, pos in fc.children:
             # extend-add: gather whole rows, add into their columns, scatter
             rows = F[pos]
-            rows[:, pos] += updates[c]
+            rows[:, pos] += updates.pop(first)
             F[pos] = rows
-            updates[c] = None
         L, info = dpotrf(F[:s, :s], lower=1)
         if info != 0:
             raise DegenerateStateError(
                 f"Newton matrix not positive definite: dpotrf info {info} "
                 f"in front {fi} of {len(an.fronts)}")
-        x[fr.lo:fr.hi] = xs = dtrsv(L, x[fr.lo:fr.hi], lower=1)
+        x[lo:lo + s] = xs = dtrsv(L, x[lo:lo + s], lower=1)
         X = None
         if b:
             X = dtrsm(1.0, L, F[s:, :s], side=1, lower=1, trans_a=1)
-            updates[fi] = dsyrk(-1.0, X, 1.0, F[s:, s:], lower=1)
-            x[fr.bnd] = dgemv(-1.0, X, xs, 1.0, x[fr.bnd])
-        factors.append((dtrttp(L, uplo="L")[0], X))
-        del F, L
+            updates.append(dsyrk(-1.0, X, 1.0, F[s:, s:], lower=1))
+            x[bnd] = dgemv(-1.0, X, xs, 1.0, x[bnd])
+        factors.append((dtrttp(L, uplo="L")[0], None if fc.leaf else X))
+        del F, L, X
 
     for fr, (Lp, X) in zip(reversed(an.fronts), reversed(factors)):
-        xs = x[fr.lo:fr.hi]
+        fc, lo, s = fr.cls, fr.lo, fr.cls.sep.size
+        L = dtpttr(s, Lp, uplo="L")[0]
+        xs = x[lo:lo + s]
         if X is not None:
             xs = dgemv(-1.0, X, x[fr.bnd], 1.0, xs, trans=1)
-        L = dtpttr(fr.hi - fr.lo, Lp, uplo="L")[0]
-        x[fr.lo:fr.hi] = dtrsv(L, xs, lower=1, trans=1)
+        elif fr.bnd.size:                        # L^-1 B^T x_b of a leaf
+            col, src = fc.leaf
+            bx = np.bincount(col, vals[fr.off + src] * x[fr.bnd], minlength=s)
+            xs = xs - dtrsv(L, bx, lower=1)
+        x[lo:lo + s] = dtrsv(L, xs, lower=1, trans=1)
     out = np.empty_like(x)
     out[an.perm] = x
     return out
 
 
-def _newton_matrix(ws: _Workspace,
-                   gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energy Hessian at the interior rows as a 5-point stencil: diagonal
-    (nt-1, ny+1), label couplings (nt-1, ny), time couplings (nt-2, ny+1)."""
+def _newton_matrix(ws: _Workspace, gamma: np.ndarray) -> np.ndarray:
+    """Energy Hessian at the interior rows as a 5-point stencil in the planes
+    of `_analysis`, shape (3, nt-1, ny+1): the diagonal, the label couplings
+    (last column 0) and the time couplings (last row 0)."""
     cc = ws.cell_curvature(gamma)                       # (nt-1, ny)
-    D = np.outer(1.0 / ws.dt[:-1] + 1.0 / ws.dt[1:], ws.W)
-    D[:, :-1] += cc
-    D[:, 1:] += cc
-    return D, -cc, -np.outer(1.0 / ws.dt[1:-1], ws.W)
+    A = np.zeros((3, len(cc), cc.shape[1] + 1))
+    A[0] = np.outer(1.0 / ws.dt[:-1] + 1.0 / ws.dt[1:], ws.W)
+    A[0, :, :-1] += cc
+    A[0, :, 1:] += cc
+    A[1, :, :-1] = -cc
+    A[2, :-1] = -np.outer(1.0 / ws.dt[1:-1], ws.W)
+    return A
 
 
-def _solve_newton_system(D: np.ndarray, UY: np.ndarray, UT: np.ndarray,
-                         G: np.ndarray) -> np.ndarray:
-    """Newton step for the stencil matrix (D, UY, UT) and gradient G."""
-    d = _cholesky_solve(_analysis(*D.shape),
-                        np.concatenate([D.ravel(), UY.ravel(), UT.ravel()]),
-                        -G.ravel())
-    return d.reshape(D.shape)
+def _solve_newton_system(A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Newton step for the stencil planes ``A`` and gradient G."""
+    return _cholesky_solve(_analysis(*G.shape), A.ravel(), -G.ravel()).reshape(G.shape)
 
 
 # Rounding of an energy difference, in units in the last place of the
@@ -558,7 +578,7 @@ def _newton(ws: _Workspace, gamma: np.ndarray,
         G, gn = ws.gradient(gamma)
         if gn <= cfg.residual_tol:
             return gamma, it - 1, gn, E0
-        d = _solve_newton_system(*_newton_matrix(ws, gamma), G)
+        d = _solve_newton_system(_newton_matrix(ws, gamma), G)
 
         # largest step keeping all interior slopes above the floor
         s = ws.slopes(gamma)[1:-1]

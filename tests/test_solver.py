@@ -226,11 +226,16 @@ def newton_system(theta, nt, ny):
     g = make_grid(p, eps=1e-3, T=1.0, nt=nt, ny=ny)
     ws = _Workspace(p, g)
     gamma = initial_guess(p, two_bump(theta), g)
-    return _newton_matrix(ws, gamma), ws.gradient(gamma)[0]
+    A = _newton_matrix(ws, gamma)
+    return (A[0], A[1, :, :-1], A[2, :-1]), ws.gradient(gamma)[0]
 
 
 def stencil_values(D, UY, UT):
-    return np.concatenate([D.ravel(), UY.ravel(), UT.ravel()])
+    """The planes of `_analysis`, flat: the diagonal, the label couplings
+    padded by a last column and the time couplings padded by a last row."""
+    A = np.zeros((3, *D.shape))
+    A[0], A[1, :, :-1], A[2, :-1] = D, UY, UT
+    return A.ravel()
 
 
 def upper_band(D, UY, UT):
@@ -246,7 +251,8 @@ def upper_band(D, UY, UT):
 
 
 @pytest.mark.parametrize("theta", [0.5, 3.0])
-@pytest.mark.parametrize("nt,ny", [(4, 4), (5, 9), (16, 16), (33, 20), (64, 64)])
+@pytest.mark.parametrize("nt,ny", [(4, 4), (5, 9), (16, 16), (33, 20), (64, 64),
+                                   (100, 37), (37, 100), (128, 128)])
 def test_multifrontal_matches_banded_cholesky(theta, nt, ny):
     (D, UY, UT), G = newton_system(theta, nt, ny)
     d = _cholesky_solve(_analysis(*D.shape), stencil_values(D, UY, UT), -G.ravel())
@@ -259,7 +265,7 @@ def test_indefinite_system_raises_degenerate_state():
     D = D.copy()
     D[7, 8] = -D[7, 8]                    # e_k^T A e_k < 0: indefinite
     with pytest.raises(errors.DegenerateStateError, match="dpotrf info"):
-        _solve_newton_system(D, UY, UT, G)
+        _solve_newton_system(stencil_values(D, UY, UT).reshape(3, *D.shape), G)
 
 
 def test_concurrent_solves_share_the_analysis():
@@ -285,36 +291,47 @@ def test_concurrent_solves_share_the_analysis():
 def test_factor_needs_under_a_quarter_of_the_band_at_512():
     # symbolic analysis only: no numeric factor is formed.  The factor keeps
     # the packed lower triangle of each front's s x s diagonal block,
-    # s (s + 1) / 2 entries, and its b x s boundary block.
+    # s (s + 1) / 2 entries, and the b x s boundary block of each front that
+    # is not a leaf.  The analysis holds one set of index arrays per front
+    # class (221 classes for 8191 fronts), 6.0 MiB in all; with the arrays
+    # of every front it held 26.2 MiB.
     R, M = 511, 513                       # nt = ny = 512
     try:
-        entries = sum((f.hi - f.lo) * (f.hi - f.lo + 1) // 2
-                      + (f.hi - f.lo) * f.bnd.size
-                      for f in _analysis(R, M).fronts)
+        an = _analysis(R, M)
     finally:
         _analysis.cache_clear()
+    sizes = [(f.cls.sep.size, f.bnd.size, f.cls.leaf) for f in an.fronts]
+    entries = sum(s * (s + 1) // 2 + (0 if leaf else s * b) for s, b, leaf in sizes)
     assert entries <= (M + 1) * R * M / 4
+    classes = {id(f.cls): f.cls for f in an.fronts}.values()
+    assert len(classes) <= 300
+    index_bytes = (an.perm.nbytes + sum(f.bnd.nbytes for f in an.fronts)
+                   + sum(a.nbytes for c in classes
+                         for a in (c.sep, c.bnd, c.dst, c.src, *(c.leaf or ()),
+                                   *(pos for _, _, pos in c.children))))
+    assert index_bytes < 8 * 2**20
 
 
 def test_newton_solve_at_256_stores_packed_diagonal_blocks():
     # one 256^2 Newton system, its analysis built beforehand: with each
     # front's diagonal block kept whole, the factor and solve peak at
-    # 50.2 MiB; packed, at 40.0 MiB
+    # 50.2 MiB; packed, at 40.0 MiB; with no boundary block kept for the
+    # leaf fronts and the stencil planes passed without a copy, at 27.8 MiB
     p = make_profile(3.0)
     g = make_grid(p, eps=1e-3, T=1.0, nt=256, ny=256)
     ws = _Workspace(p, g)
     gamma = initial_guess(p, power_bump(-0.7, 1.2, 3.0), g)
-    D, UY, UT = _newton_matrix(ws, gamma)
+    A = _newton_matrix(ws, gamma)
     G = ws.gradient(gamma)[0]
     try:
-        _analysis(*D.shape)
+        _analysis(*G.shape)
         tracemalloc.start()
-        _solve_newton_system(D, UY, UT, G)
+        _solve_newton_system(A, G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         _analysis.cache_clear()
-    assert peak < 45 * 2**20
+    assert peak < 33 * 2**20
 
 
 @pytest.fixture
