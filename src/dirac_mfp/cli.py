@@ -376,8 +376,9 @@ def _run_pipeline(cfg: RunConfig):
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     f, _, bad, detail = _run_pipeline(cfg)
-    levels = ", ".join(f"{nt}x{ny}: {k}" for nt, ny, k in f.info.levels)
-    print(f"wrote {cfg.outdir} ({f.info.iterations} Newton steps"
+    levels = ", ".join(f"{nt}x{ny}: {k}/{nf}" for nt, ny, k, nf in f.info.levels)
+    print(f"wrote {cfg.outdir} ({f.info.iterations} Newton steps, "
+          f"{f.info.levels[-1][3]} factored"
           + (f" ({levels})" if len(f.info.levels) > 1 else "")
           + f", scaled gradient {f.info.grad_norm:.3g})")
     if bad:

@@ -35,7 +35,8 @@ while nt and ny are even with halves of at least 64, the grid of every second
 node is solved first, the coarsest from `initial_guess`, and each finer grid
 starts from the coarser flow prolonged bilinearly in (log(t+eps), y), with
 its own pinned rows.  Coarse levels stop at a scaled gradient of 1e-4 (or a
-looser ``residual_tol``), and ``newton_max_iter`` caps each level.
+looser ``residual_tol``), and ``newton_max_iter`` caps each level.  Near
+convergence a step may reuse the last factor (a chord step, Kelley 1995).
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ class SolveInfo:
     iterations: int      # Newton steps on the requested grid
     grad_norm: float
     energy: float
-    # (nt, ny, Newton steps) of each grid solved, coarsest first
-    levels: tuple[tuple[int, int, int], ...]
+    # (nt, ny, Newton steps, factorizations) of each grid, coarsest first
+    levels: tuple[tuple[int, int, int, int], ...]
 
 
 # smallest label slope for which the density phi / gamma_y is defined
@@ -194,8 +195,6 @@ def make_grid(p: Profile, eps: float, T: float, nt: int, ny: int) -> SpaceTimeGr
     t[0] = 0.0
     t[-1] = T
     y = np.linspace(-p.r_alpha, p.r_alpha, ny + 1)
-    y[0] = -p.r_alpha
-    y[-1] = p.r_alpha
     return SpaceTimeGrid(eps=float(eps), T=float(T), t=t, y=y)
 
 
@@ -239,7 +238,6 @@ class _Workspace:
     """
 
     def __init__(self, p: Profile, grid: SpaceTimeGrid):
-        self.p = p
         self.grid = grid
         y, dy = grid.y, grid.dy
         half = np.concatenate([[y[0]], 0.5 * (y[:-1] + y[1:]), [y[-1]]])
@@ -344,16 +342,15 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 # at most _LEAF x _LEAF nodes.  Each box gives one dense front: its separator
 # nodes followed by its boundary, the outside neighbours of the box, which
 # all lie on enclosing separators.  The fronts are factored by the
-# multifrontal method (Duff & Reid, ACM TOMS 9, 1983) with the forward
-# substitution, the children's updates on a stack.  Each front keeps the packed
-# lower triangle of its s x s block (`dtrttp`), unpacked by `dtpttr` for the
-# back substitution (`dtpsv` rounds differently), and its b x s block
+# multifrontal method (Duff & Reid, ACM TOMS 9, 1983), the children's updates
+# on a stack, a Newton step's forward substitution alongside.  Each front keeps
+# the packed lower triangle of its s x s block (`dtrttp`), unpacked by `dtpttr`
+# for later solves (`dtpsv` rounds differently), and its b x s block
 # X = B L^-T, except a leaf front (one without children): its B is the
-# stencil's own, one coupling per boundary node, and its back substitution
-# forms L^-1 B^T x_b from the stencil values.  An n x n grid's factor holds
-# O(n^2 log n) entries for O(n^3) flops, the band O(n^3) for O(n^4).  All is
-# scipy's BLAS and LAPACK, on one thread (`cli.main`): a second spin-waits
-# between fronts.
+# stencil's own, one coupling per boundary node, read from the stencil values.
+# An n x n grid's factor holds O(n^2 log n) entries for O(n^3) flops, the band
+# O(n^3) for O(n^4).  All is scipy's BLAS and LAPACK, on one thread
+# (`cli.main`): a second spin-waits between fronts.
 #
 # The stencil values are three (R, C) planes: the diagonal, the label
 # couplings (i, j)-(i, j+1) padded by a last column, and the time couplings
@@ -472,12 +469,10 @@ def _analysis(R: int, C: int) -> _Analysis:
     return _Analysis(perm=perm, fronts=tuple(fronts))
 
 
-def _cholesky_solve(an: _Analysis, vals: np.ndarray,
-                    rhs: np.ndarray) -> np.ndarray:
-    """Solve the stencil system with values ``vals`` (the planes of
-    `_analysis`, flat) by multifrontal Cholesky; `DegenerateStateError` if it
-    is not positive definite.  The numeric factor lives only in this call."""
-    x = rhs[an.perm]
+def _cholesky(an: _Analysis, vals: np.ndarray, x: np.ndarray | None = None):
+    """Factor of the stencil matrix with values ``vals`` (the planes of
+    `_analysis`, flat); `DegenerateStateError` if it is not positive definite.
+    With ``x`` (in elimination order) it also forward substitutes ``x``."""
     factors = []
     updates: list = []   # of the fronts whose parent is still to come
     for fi, fr in enumerate(an.fronts):
@@ -496,15 +491,38 @@ def _cholesky_solve(an: _Analysis, vals: np.ndarray,
             raise DegenerateStateError(
                 f"Newton matrix not positive definite: dpotrf info {info} "
                 f"in front {fi} of {len(an.fronts)}")
-        x[lo:lo + s] = xs = dtrsv(L, x[lo:lo + s], lower=1)
         X = None
         if b:
             X = dtrsm(1.0, L, F[s:, :s], side=1, lower=1, trans_a=1)
             updates.append(dsyrk(-1.0, X, 1.0, F[s:, s:], lower=1))
-            x[bnd] = dgemv(-1.0, X, xs, 1.0, x[bnd])
+        if x is not None:
+            x[lo:lo + s] = xs = dtrsv(L, x[lo:lo + s], lower=1)
+            if b:
+                x[bnd] = dgemv(-1.0, X, xs, 1.0, x[bnd])
         factors.append((dtrttp(L, uplo="L")[0], None if fc.leaf else X))
         del F, L, X
+    return an, vals, factors
 
+
+def _substitute(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a `_cholesky` factor; a leaf's B is the stencil's own."""
+    an, vals, factors = factor
+    x = rhs[an.perm]
+    for fr, (Lp, X) in zip(an.fronts, factors):
+        fc, lo, s = fr.cls, fr.lo, fr.cls.sep.size
+        L = dtpttr(s, Lp, uplo="L")[0]
+        x[lo:lo + s] = xs = dtrsv(L, x[lo:lo + s], lower=1)
+        if X is not None:
+            x[fr.bnd] = dgemv(-1.0, X, xs, 1.0, x[fr.bnd])
+        elif fr.bnd.size:
+            col, src = fc.leaf
+            x[fr.bnd] -= vals[fr.off + src] * dtrsv(L, xs, lower=1, trans=1)[col]
+    return _back(factor, x)
+
+
+def _back(factor: tuple, x: np.ndarray) -> np.ndarray:
+    """Back substitution on the forward-substituted ``x`` (overwritten)."""
+    an, vals, factors = factor
     for fr, (Lp, X) in zip(reversed(an.fronts), reversed(factors)):
         fc, lo, s = fr.cls, fr.lo, fr.cls.sep.size
         L = dtpttr(s, Lp, uplo="L")[0]
@@ -535,11 +553,6 @@ def _newton_matrix(ws: _Workspace, gamma: np.ndarray) -> np.ndarray:
     return A
 
 
-def _solve_newton_system(A: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Newton step for the stencil planes ``A`` and gradient G."""
-    return _cholesky_solve(_analysis(*G.shape), A.ravel(), -G.ravel()).reshape(G.shape)
-
-
 # Rounding of an energy difference, in units in the last place of the
 # energy.  Measured against an 80-bit long double evaluation of the same
 # formula, the difference of two evaluations is off by at most 3.9 ulp for
@@ -551,6 +564,12 @@ _ENERGY_ROUNDING_ULPS = 16
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 
+# Chord steps (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+# SIAM 1995, ch. 5): below a scaled gradient of _CHORD_SWITCH, a step that cut
+# it by at least _CHORD_RATIO leaves its factor to the next.  They converge
+# linearly, so one that ends above _CHORD_END * residual_tol takes one more.
+_CHORD_SWITCH, _CHORD_RATIO, _CHORD_END = 1e-5, 0.01, 0.25
+
 
 def _rounding_accepts(ws: _Workspace, candidate: np.ndarray, E0: float,
                       E1: float, gn: float) -> bool:
@@ -561,24 +580,36 @@ def _rounding_accepts(ws: _Workspace, candidate: np.ndarray, E0: float,
 
 
 def _newton(ws: _Workspace, gamma: np.ndarray,
-            cfg: SolverConfig) -> tuple[np.ndarray, int, float, float]:
+            cfg: SolverConfig) -> tuple[np.ndarray, int, int, float, float]:
     """Damped Newton on the grid of ``ws`` from ``gamma``; returns the flow,
-    its step count, its scaled gradient norm and its energy.
+    its steps, its factorizations, its scaled gradient norm and its energy.
 
-    Steps are clipped to keep every label slope above `_GAMMA_Y_FLOOR`
-    and accepted under the Armijo condition, so the energy decreases
-    strictly until the scaled gradient norm meets ``residual_tol``.  A step
-    whose energy change is within rounding of the energy is accepted when
-    it lowers the scaled gradient norm.
+    Steps, chord steps too, are clipped to keep every label slope above
+    `_GAMMA_Y_FLOOR` and accepted under the Armijo condition, so the energy
+    decreases strictly until the scaled gradient norm meets ``residual_tol``.
+    A step whose energy change is within rounding of the energy is accepted
+    when it lowers the scaled gradient norm.
     """
     where = f"on the {ws.grid.nt}x{ws.grid.ny} grid"
+    tol = cfg.residual_tol
     E0 = ws.energy(gamma)
-    gn = math.inf
+    gn, factor, chord, factorizations = math.inf, None, False, 0
     for it in range(1, cfg.newton_max_iter + 1):
-        G, gn = ws.gradient(gamma)
-        if gn <= cfg.residual_tol:
-            return gamma, it - 1, gn, E0
-        d = _solve_newton_system(_newton_matrix(ws, gamma), G)
+        prev, (G, gn) = gn, ws.gradient(gamma)
+        if gn <= tol and not (chord and prev > tol and gn > _CHORD_END * tol):
+            return gamma, it - 1, factorizations, gn, E0
+        if gn >= _CHORD_SWITCH or gn > max(tol, _CHORD_RATIO * prev):
+            factor = None                        # dropped before refactoring
+        chord = factor is not None
+        if chord:
+            d = _substitute(factor, -G.ravel())
+        else:
+            an = _analysis(*G.shape)
+            x = -G.ravel()[an.perm]
+            factor = _cholesky(an, _newton_matrix(ws, gamma).ravel(), x)
+            factorizations += 1
+            d = _back(factor, x)
+        d = d.reshape(G.shape)
 
         # largest step keeping all interior slopes above the floor
         s = ws.slopes(gamma)[1:-1]
@@ -643,16 +674,15 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
     """Minimize the discrete transport energy by `_newton` on each grid of
     `_ladder`, each from the flow one level coarser; a failure on any level
     ends the solve."""
-    levels = []
-    gamma = None
+    levels, gamma = [], None
     coarse = replace(cfg, residual_tol=max(_COARSE_TOL, cfg.residual_tol))
     for g in _ladder(grid):
         start = initial_guess(p, m, g)
         if gamma is not None:
             start[1:-1] = _prolong(gamma)[1:-1]
-        gamma, steps, gn, E = _newton(_Workspace(p, g), start,
-                                      cfg if g is grid else coarse)
-        levels.append((g.nt, g.ny, steps))
+        gamma, steps, factored, gn, E = _newton(_Workspace(p, g), start,
+                                                cfg if g is grid else coarse)
+        levels.append((g.nt, g.ny, steps, factored))
     return FlowField(grid=grid, profile=p, gamma=gamma,
                      info=SolveInfo(iterations=steps, grad_norm=gn, energy=E,
                                     levels=tuple(levels)))

@@ -232,9 +232,11 @@ def test_solve_writes_run_directory(tmp_path):
                for k in cli.RUN_FILES if k != "snapshots")
     assert manifest["solver"]["iterations"] >= 1
     assert manifest["solver"]["grad_norm"] <= 1e-10
-    # 48 does not halve to 64: one level, the requested grid
-    assert manifest["solver"]["levels"] == [[48, 48,
-                                             manifest["solver"]["iterations"]]]
+    # 48 does not halve to 64: one level, the requested grid, whose
+    # factorizations number at least one and at most its steps
+    (level,) = manifest["solver"]["levels"]
+    assert level[:3] == [48, 48, manifest["solver"]["iterations"]]
+    assert 1 <= level[3] <= level[2]
     # every certificate key is one that some flow can fail
     assert set(manifest["certificates"]) == {
         "boundary_curvature_signs", "rates_all_pass", "laws_out_of_band"}
@@ -253,10 +255,13 @@ def test_solve_reports_newton_steps_per_level(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("solve", "--outdir", out, "--nt", "128", "--ny", "128") == 0
     solver_doc = json.loads((out / "manifest.json").read_text())["solver"]
-    (nt0, ny0, k0), (nt1, ny1, k1) = solver_doc["levels"]
+    (nt0, ny0, k0, f0), (nt1, ny1, k1, f1) = solver_doc["levels"]
     assert (nt0, ny0, nt1, ny1) == (64, 64, 128, 128)
     assert k1 == solver_doc["iterations"]
-    assert (f"({k1} Newton steps (64x64: {k0}, 128x128: {k1}), "
+    # the coarse level factors at every step; the fine one takes chord steps
+    assert f0 == k0 and 1 <= f1 < k1
+    assert (f"({k1} Newton steps, {f1} factored "
+            f"(64x64: {k0}/{f0}, 128x128: {k1}/{f1}), "
             in capsys.readouterr().out)
 
 
