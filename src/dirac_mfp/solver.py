@@ -46,8 +46,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsyrk, dtrsm, dtrsv
-from scipy.linalg.lapack import dpotrf, dtpttr, dtrttp
+from scipy.linalg.blas import dgemv, dsyrk, dtpsv, dtrsm
+from scipy.linalg.lapack import dpotrf, dtrttp
 
 from .errors import (
     DegenerateStateError,
@@ -67,7 +67,6 @@ __all__ = [
     "make_grid",
     "terminal_row",
     "initial_guess",
-    "energy",
     "scaled_gradient_norm",
     "solve",
 ]
@@ -121,7 +120,7 @@ class SolveInfo:
 
 # smallest label slope for which the density phi / gamma_y is defined
 _SLOPE_FLOOR = 1e-12
-# smallest label slope that a Newton step may reach and `energy` accepts
+# smallest label slope that Newton steps and `_Workspace.energy` allow
 _GAMMA_Y_FLOOR = 1e-8
 
 
@@ -309,12 +308,6 @@ class _Workspace:
                 * self.theta * s ** (-self.theta - 2.0) / self.dy)
 
 
-def energy(f: FlowField) -> float:
-    """Discrete transport energy of a flow field; `DegenerateStateError`
-    when a slope is below `_GAMMA_Y_FLOOR`."""
-    return _Workspace(f.profile, f.grid).energy(f.gamma)
-
-
 def _own_profile(f: FlowField, p: Profile | None) -> Profile:
     """The profile of ``f``; ``p`` may name it again, but no other one."""
     if p not in (None, f.profile):
@@ -343,10 +336,9 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 # nodes followed by its boundary, the outside neighbours of the box, which
 # all lie on enclosing separators.  The fronts are factored by the
 # multifrontal method (Duff & Reid, ACM TOMS 9, 1983), the children's updates
-# on a stack, a Newton step's forward substitution alongside.  Each front keeps
-# the packed lower triangle of its s x s block (`dtrttp`), unpacked by `dtpttr`
-# for later solves (`dtpsv` rounds differently), and its b x s block
-# X = B L^-T, except a leaf front (one without children): its B is the
+# on a stack.  Each front keeps the packed lower triangle of its s x s block
+# (`dtrttp`), which the substitutions read in place (`dtpsv`), and its b x s
+# block X = B L^-T, except a leaf front (one without children): its B is the
 # stencil's own, one coupling per boundary node, read from the stencil values.
 # An n x n grid's factor holds O(n^2 log n) entries for O(n^3) flops, the band
 # O(n^3) for O(n^4).  All is scipy's BLAS and LAPACK, on one thread
@@ -469,15 +461,13 @@ def _analysis(R: int, C: int) -> _Analysis:
     return _Analysis(perm=perm, fronts=tuple(fronts))
 
 
-def _cholesky(an: _Analysis, vals: np.ndarray, x: np.ndarray | None = None):
+def _cholesky(an: _Analysis, vals: np.ndarray):
     """Factor of the stencil matrix with values ``vals`` (the planes of
-    `_analysis`, flat); `DegenerateStateError` if it is not positive definite.
-    With ``x`` (in elimination order) it also forward substitutes ``x``."""
+    `_analysis`, flat); `DegenerateStateError` if it is not positive definite."""
     factors = []
     updates: list = []   # of the fronts whose parent is still to come
     for fi, fr in enumerate(an.fronts):
-        fc, lo, bnd = fr.cls, fr.lo, fr.bnd
-        s, b = fc.sep.size, bnd.size
+        fc, s, b = fr.cls, fr.cls.sep.size, fr.bnd.size
         F = np.zeros((s + b, s + b))
         F.flat[fc.dst] = vals[fr.off + fc.src]
         first = len(updates) - len(fc.children)
@@ -495,45 +485,34 @@ def _cholesky(an: _Analysis, vals: np.ndarray, x: np.ndarray | None = None):
         if b:
             X = dtrsm(1.0, L, F[s:, :s], side=1, lower=1, trans_a=1)
             updates.append(dsyrk(-1.0, X, 1.0, F[s:, s:], lower=1))
-        if x is not None:
-            x[lo:lo + s] = xs = dtrsv(L, x[lo:lo + s], lower=1)
-            if b:
-                x[bnd] = dgemv(-1.0, X, xs, 1.0, x[bnd])
         factors.append((dtrttp(L, uplo="L")[0], None if fc.leaf else X))
         del F, L, X
     return an, vals, factors
 
 
-def _substitute(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a `_cholesky` factor; a leaf's B is the stencil's own."""
+def _solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a `_cholesky` factor: forward, then back substitution on
+    each front's packed L; a leaf's B is the stencil's own."""
     an, vals, factors = factor
     x = rhs[an.perm]
     for fr, (Lp, X) in zip(an.fronts, factors):
         fc, lo, s = fr.cls, fr.lo, fr.cls.sep.size
-        L = dtpttr(s, Lp, uplo="L")[0]
-        x[lo:lo + s] = xs = dtrsv(L, x[lo:lo + s], lower=1)
+        x[lo:lo + s] = xs = dtpsv(s, Lp, x[lo:lo + s], lower=1)
         if X is not None:
             x[fr.bnd] = dgemv(-1.0, X, xs, 1.0, x[fr.bnd])
-        elif fr.bnd.size:
+        elif fr.bnd.size:                        # B L^-T x_s of a leaf
             col, src = fc.leaf
-            x[fr.bnd] -= vals[fr.off + src] * dtrsv(L, xs, lower=1, trans=1)[col]
-    return _back(factor, x)
-
-
-def _back(factor: tuple, x: np.ndarray) -> np.ndarray:
-    """Back substitution on the forward-substituted ``x`` (overwritten)."""
-    an, vals, factors = factor
+            x[fr.bnd] -= vals[fr.off + src] * dtpsv(s, Lp, xs, lower=1, trans=1)[col]
     for fr, (Lp, X) in zip(reversed(an.fronts), reversed(factors)):
         fc, lo, s = fr.cls, fr.lo, fr.cls.sep.size
-        L = dtpttr(s, Lp, uplo="L")[0]
         xs = x[lo:lo + s]
         if X is not None:
             xs = dgemv(-1.0, X, x[fr.bnd], 1.0, xs, trans=1)
         elif fr.bnd.size:                        # L^-1 B^T x_b of a leaf
             col, src = fc.leaf
             bx = np.bincount(col, vals[fr.off + src] * x[fr.bnd], minlength=s)
-            xs = xs - dtrsv(L, bx, lower=1)
-        x[lo:lo + s] = dtrsv(L, xs, lower=1, trans=1)
+            xs = xs - dtpsv(s, Lp, bx, lower=1)
+        x[lo:lo + s] = dtpsv(s, Lp, xs, lower=1, trans=1)
     out = np.empty_like(x)
     out[an.perm] = x
     return out
@@ -601,15 +580,11 @@ def _newton(ws: _Workspace, gamma: np.ndarray,
         if gn >= _CHORD_SWITCH or gn > max(tol, _CHORD_RATIO * prev):
             factor = None                        # dropped before refactoring
         chord = factor is not None
-        if chord:
-            d = _substitute(factor, -G.ravel())
-        else:
-            an = _analysis(*G.shape)
-            x = -G.ravel()[an.perm]
-            factor = _cholesky(an, _newton_matrix(ws, gamma).ravel(), x)
+        if not chord:
+            factor = _cholesky(_analysis(*G.shape),
+                               _newton_matrix(ws, gamma).ravel())
             factorizations += 1
-            d = _back(factor, x)
-        d = d.reshape(G.shape)
+        d = _solve(factor, -G.ravel()).reshape(G.shape)
 
         # largest step keeping all interior slopes above the floor
         s = ws.slopes(gamma)[1:-1]

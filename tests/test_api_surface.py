@@ -35,8 +35,6 @@ KEPT = {
     ("rescale", "hat_gamma_residual"): "acceptance criterion 7",
     ("metrics", "QuantileTable"): _TABLE_ROUTE,
     ("metrics", "wasserstein"): _TABLE_ROUTE,
-    ("solver", "energy"): ("the tests compare the energy of a solved flow "
-                           "against that of its initial guess"),
 }
 
 

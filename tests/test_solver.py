@@ -20,13 +20,11 @@ from dirac_mfp.solver import (
     FlowField,
     SolverConfig,
     _analysis,
-    _back,
     _cholesky,
     _newton,
     _newton_matrix,
-    _substitute,
+    _solve,
     _Workspace,
-    energy,
     initial_guess,
     make_grid,
     scaled_gradient_norm,
@@ -125,7 +123,7 @@ def test_energy_matches_closed_form(theta):
     errs = []
     for n in (32, 64, 128):
         g = make_grid(p, eps=eps, T=T, nt=n, ny=n)
-        e = energy(analytic_flow(p, g))
+        e = _Workspace(p, g).energy(analytic_flow(p, g).gamma)
         errs.append(abs(e - ref))
     assert errs[0] / errs[1] > 3.0          # second-order quadrature
     assert errs[1] / errs[2] > 3.0
@@ -139,7 +137,7 @@ def test_energy_rejects_degenerate_slopes():
     bad = f.gamma.copy()
     bad[3, 4] = bad[3, 5] + 1.0  # crossing trajectories
     with pytest.raises(errors.DegenerateStateError):
-        energy(FlowField(grid=g, profile=p, gamma=bad))
+        _Workspace(p, g).energy(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +176,9 @@ def test_energy_not_above_initial_guess():
         / ((g.T + g.eps) ** p.alpha - g.eps**p.alpha)
     init = (g.eps**p.alpha * g.y[None, :]
             + blend * (terminal_row(p, m, g)[None, :] - g.eps**p.alpha * g.y[None, :]))
-    assert energy(f) <= energy(FlowField(grid=g, profile=p, gamma=init)) + 1e-12
+    ws = _Workspace(p, g)
+    assert f.info.energy == ws.energy(f.gamma)
+    assert f.info.energy <= ws.energy(init) + 1e-12
 
 
 def test_mass_conservation_pushforward():
@@ -263,14 +263,9 @@ def test_multifrontal_matches_banded_cholesky(theta, nt, ny):
     ab = upper_band(D, UY, UT)
     rng = np.random.default_rng(nt * ny)
     for rhs in (-G.ravel(), rng.standard_normal(G.size)):
-        d = _substitute(factor, rhs)
+        d = _solve(factor, rhs)
         ref = solveh_banded(ab, rhs)
         assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # a Newton step runs the forward substitution inside the factor
-    x = -G.ravel()[an.perm]
-    d = _back(_cholesky(an, vals, x), x)
-    ref = solveh_banded(ab, -G.ravel())
-    assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_indefinite_system_raises_degenerate_state():
@@ -330,8 +325,7 @@ def test_newton_solve_at_256_stores_packed_diagonal_blocks():
     # front's diagonal block kept whole, the factor and solve peak at
     # 50.2 MiB; packed, at 40.0 MiB; with no boundary block kept for the
     # leaf fronts and the stencil planes passed without a copy, at 27.8 MiB.
-    # A Newton step (the forward substitution inside the factor) peaks at
-    # 27.4 MiB, a factor and then a substitution with it at 26.8 MiB
+    # A factor and then a substitution on its packed blocks peak at 26.9 MiB
     p = make_profile(3.0)
     g = make_grid(p, eps=1e-3, T=1.0, nt=256, ny=256)
     ws = _Workspace(p, g)
@@ -339,21 +333,12 @@ def test_newton_solve_at_256_stores_packed_diagonal_blocks():
     A = _newton_matrix(ws, gamma)
     G = ws.gradient(gamma)[0]
     an = _analysis(*G.shape)
-    x = -G.ravel()[an.perm]
-
-    def newton_step():
-        return _back(_cholesky(an, A.ravel(), x), x)
-
-    def factor_then_substitute():
-        return _substitute(_cholesky(an, A.ravel()), -G.ravel())
-
     try:
-        for solve_once in (newton_step, factor_then_substitute):
-            tracemalloc.start()
-            solve_once()
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            assert peak < 33 * 2**20
+        tracemalloc.start()
+        _solve(_cholesky(an, A.ravel()), -G.ravel())
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 33 * 2**20
     finally:
         tracemalloc.stop()
         _analysis.cache_clear()
