@@ -26,9 +26,10 @@ natural stationarity condition of the boundary columns.
 
 The Newton system is solved by a multifrontal Cholesky over a nested
 dissection of the (time, label) grid: O(n^2 log n) memory and O(n^3) flops
-on an n x n grid.  While every slope stays above the floor the matrix is
-positive definite by construction; a pivot that is not positive ends the
-solve with `DegenerateStateError`.
+on an n x n grid; its leaf fronts keep only the band of their factor.  While
+every slope stays above the floor the matrix is positive definite by
+construction; a pivot that is not positive ends the solve with
+`DegenerateStateError`.
 
 Newton is grid-sequenced (nested iteration, Brandt, Math. Comp. 31, 1977):
 while nt and ny are even with halves of at least 64, the grid of every second
@@ -47,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk, dtpsv, dtrsm
-from scipy.linalg.lapack import dpotrf, dtrttp
+from scipy.linalg.lapack import dpbtrs, dpotrf, dtrttp
 
 from .errors import (
     DegenerateStateError,
@@ -338,8 +339,11 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 # multifrontal method (Duff & Reid, ACM TOMS 9, 1983), the children's updates
 # on a stack.  Each front keeps the packed lower triangle of its s x s block
 # (`dtrttp`), which the substitutions read in place (`dtpsv`), and its b x s
-# block X = B L^-T, except a leaf front (one without children): its B is the
-# stencil's own, one coupling per boundary node, read from the stencil values.
+# block X = B L^-T, except a leaf front (one without children).  A leaf box w
+# nodes wide, in row-major order, couples no two nodes more than w apart, so
+# its L is zero more than w rows below the diagonal: the leaf keeps the
+# (w + 1) x s band of L, which `dpbtrs` reads, and the b values of its B, the
+# stencil's own, one coupling per boundary node.
 # An n x n grid's factor holds O(n^2 log n) entries for O(n^3) flops, the band
 # O(n^3) for O(n^4).  All is scipy's BLAS and LAPACK, on one thread
 # (`cli.main`): a second spin-waits between fronts.
@@ -361,7 +365,9 @@ class _FrontClass:
     dst: np.ndarray      # flat lower-triangle positions of its stencil entries
     src: np.ndarray      # their stencil sources, relative to the origin
     children: tuple      # (class, relative origin, positions of its boundary here)
-    leaf: tuple | None   # a leaf's (column, source) of each boundary row's coupling
+    # a leaf's (column, source) of each boundary row's coupling, and the
+    # positions in its Fortran-ordered L of its lower band, (s, width + 1)
+    leaf: tuple | None
 
 
 @dataclass(frozen=True)
@@ -429,11 +435,14 @@ def _analysis(R: int, C: int) -> _Analysis:
             pos = np.sort(where[ring][where[ring] >= 0])
             kid = front_class(ch, cw, nodes[pos] - (r0, c0))
             children.append((kid, r0 * C + c0, pos))
-        o = np.argsort(pv)[len(pv) - (k - s):]   # a leaf's B: one entry per row
+        leaf = None
+        if not boxes:    # B: one entry per row; band: L[j + d, j], past row s a zero
+            o = np.argsort(pv)[len(pv) - (k - s):]
+            j, d = np.arange(s)[:, None], np.arange(w + 1)
+            leaf = (pu[o], src[o], j * (s + 1) + d - s * (j + d >= s))
         fc = _FrontClass(sep=rel, bnd=brc[:, 0] * C + brc[:, 1], src=src,
                          dst=np.maximum(pu, pv) * k + np.minimum(pu, pv),
-                         children=tuple(children),
-                         leaf=None if boxes else (pu[o], src[o]))
+                         children=tuple(children), leaf=leaf)
         for arr in (fc.sep, fc.bnd, fc.dst, fc.src, *(fc.leaf or ()),
                     *(pos for _, _, pos in children)):
             arr.flags.writeable = False
@@ -463,13 +472,17 @@ def _analysis(R: int, C: int) -> _Analysis:
 
 def _cholesky(an: _Analysis, vals: np.ndarray):
     """Factor of the stencil matrix with values ``vals`` (the planes of
-    `_analysis`, flat); `DegenerateStateError` if it is not positive definite."""
+    `_analysis`, flat), ``(an, factors)``; `DegenerateStateError` if it is not
+    positive definite.  Every front is factored whole (`dpotrf`, `dtrsm`,
+    `dsyrk`), so a leaf's update is as exact as any; then a leaf keeps the
+    band of its L and the values v of its B, and any other front its packed
+    L and X."""
     factors = []
     updates: list = []   # of the fronts whose parent is still to come
     for fi, fr in enumerate(an.fronts):
         fc, s, b = fr.cls, fr.cls.sep.size, fr.bnd.size
         F = np.zeros((s + b, s + b))
-        F.flat[fc.dst] = vals[fr.off + fc.src]
+        F.ravel()[fc.dst] = vals[fr.off + fc.src]   # a view: F.flat is slower
         first = len(updates) - len(fc.children)
         for _, _, pos in fc.children:
             # extend-add: gather whole rows, add into their columns, scatter
@@ -485,33 +498,39 @@ def _cholesky(an: _Analysis, vals: np.ndarray):
         if b:
             X = dtrsm(1.0, L, F[s:, :s], side=1, lower=1, trans_a=1)
             updates.append(dsyrk(-1.0, X, 1.0, F[s:, s:], lower=1))
-        factors.append((dtrttp(L, uplo="L")[0], None if fc.leaf else X))
+        if fc.leaf:                              # (band, v)
+            _, src, band = fc.leaf
+            factors.append((L.reshape(-1, order="F")[band].T, vals[fr.off + src]))
+        else:
+            factors.append((dtrttp(L, uplo="L")[0], X))
         del F, L, X
-    return an, vals, factors
+    return an, factors
 
 
 def _solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve with a `_cholesky` factor: forward, then back substitution on
-    each front's packed L; a leaf's B is the stencil's own."""
-    an, vals, factors = factor
+    each front's packed L.  A leaf takes one `dpbtrs` on its band in each
+    pass: forward, x_b -= v (A_ss^-1 r_s)[col], so its x_s holds r_s between
+    the passes; back, x_s = A_ss^-1 (r_s - B^T x_b)."""
+    an, factors = factor
     x = rhs[an.perm]
     for fr, (Lp, X) in zip(an.fronts, factors):
         fc, lo, s = fr.cls, fr.lo, fr.cls.sep.size
+        if fc.leaf:                              # Lp is its band, X its v
+            x[fr.bnd] -= X * dpbtrs(Lp, x[lo:lo + s], lower=1)[0][fc.leaf[0]]
+            continue
         x[lo:lo + s] = xs = dtpsv(s, Lp, x[lo:lo + s], lower=1)
         if X is not None:
             x[fr.bnd] = dgemv(-1.0, X, xs, 1.0, x[fr.bnd])
-        elif fr.bnd.size:                        # B L^-T x_s of a leaf
-            col, src = fc.leaf
-            x[fr.bnd] -= vals[fr.off + src] * dtpsv(s, Lp, xs, lower=1, trans=1)[col]
     for fr, (Lp, X) in zip(reversed(an.fronts), reversed(factors)):
         fc, lo, s = fr.cls, fr.lo, fr.cls.sep.size
         xs = x[lo:lo + s]
+        if fc.leaf:
+            bx = np.bincount(fc.leaf[0], X * x[fr.bnd], minlength=s)
+            x[lo:lo + s] = dpbtrs(Lp, xs - bx, lower=1)[0]
+            continue
         if X is not None:
             xs = dgemv(-1.0, X, x[fr.bnd], 1.0, xs, trans=1)
-        elif fr.bnd.size:                        # L^-1 B^T x_b of a leaf
-            col, src = fc.leaf
-            bx = np.bincount(col, vals[fr.off + src] * x[fr.bnd], minlength=s)
-            xs = xs - dtpsv(s, Lp, bx, lower=1)
         x[lo:lo + s] = dtpsv(s, Lp, xs, lower=1, trans=1)
     out = np.empty_like(x)
     out[an.perm] = x

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import solveh_banded
+from scipy.linalg import cholesky, solveh_banded
 
 from dirac_mfp import errors, solver
 from dirac_mfp.profile import make_profile
@@ -268,6 +268,32 @@ def test_multifrontal_matches_banded_cholesky(theta, nt, ny):
         assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("nt,ny", [(16, 16), (100, 37), (37, 100), (128, 128)])
+def test_leaf_factor_is_zero_below_its_band(nt, ny):
+    # a leaf box w nodes wide, in row-major order, couples no two nodes more
+    # than w apart, so the Cholesky factor of its block is exactly zero more
+    # than w rows below the diagonal: the leaf keeps its w + 1 lower diagonals
+    (D, UY, UT), _ = newton_system(3.0, nt, ny)
+    an, vals = _analysis(*D.shape), stencil_values(D, UY, UT)
+    _, factors = _cholesky(an, vals)
+    seen = set()
+    for fr, (band, _) in zip(an.fronts, factors):
+        fc = fr.cls
+        if fc.leaf is None or id(fc) in seen:
+            continue
+        seen.add(id(fc))
+        s, k = fc.sep.size, fc.sep.size + fc.bnd.size
+        w = int(np.max(fc.sep % D.shape[1])) + 1
+        F = np.zeros(k * k)
+        F[fc.dst] = vals[fr.off + fc.src]        # a leaf front has no children
+        L = cholesky(F.reshape(k, k)[:s, :s], lower=True)
+        assert np.all(np.tril(L, -w - 1) == 0.0)
+        assert band.shape == (w + 1, s)
+        for d in range(w + 1):
+            assert np.array_equal(band[d, :s - d], np.diagonal(L, -d))
+    assert seen
+
+
 def test_indefinite_system_raises_degenerate_state():
     (D, UY, UT), G = newton_system(1.0, 16, 16)
     D = D.copy()
@@ -298,34 +324,39 @@ def test_concurrent_solves_share_the_analysis():
 
 def test_factor_needs_under_a_quarter_of_the_band_at_512():
     # symbolic analysis only: no numeric factor is formed.  The factor keeps
-    # the packed lower triangle of each front's s x s diagonal block,
-    # s (s + 1) / 2 entries, and the b x s boundary block of each front that
-    # is not a leaf.  The analysis holds one set of index arrays per front
-    # class (221 classes for 8191 fronts), 6.0 MiB in all; with the arrays
-    # of every front it held 26.2 MiB.
+    # the (w + 1) x s lower band of each leaf front's L, w the width of its
+    # box, and of every other front the packed lower triangle of its s x s
+    # diagonal block, s (s + 1) / 2 entries, and its b x s boundary block:
+    # 10.2 M entries, against 13.6 M with packed leaf blocks.  The analysis
+    # holds one set of index arrays per front class (221 classes for 8191
+    # fronts); with the arrays of every front it held 26.2 MiB.  Threads share
+    # the cached analysis, so none of its arrays may be written.
     R, M = 511, 513                       # nt = ny = 512
     try:
         an = _analysis(R, M)
     finally:
         _analysis.cache_clear()
-    sizes = [(f.cls.sep.size, f.bnd.size, f.cls.leaf) for f in an.fronts]
-    entries = sum(s * (s + 1) // 2 + (0 if leaf else s * b) for s, b, leaf in sizes)
+    entries = sum(f.cls.leaf[2].size if f.cls.leaf
+                  else s * (s + 1) // 2 + s * f.bnd.size
+                  for f in an.fronts for s in [f.cls.sep.size])
     assert entries <= (M + 1) * R * M / 4
     classes = {id(f.cls): f.cls for f in an.fronts}.values()
     assert len(classes) <= 300
-    index_bytes = (an.perm.nbytes + sum(f.bnd.nbytes for f in an.fronts)
-                   + sum(a.nbytes for c in classes
-                         for a in (c.sep, c.bnd, c.dst, c.src, *(c.leaf or ()),
-                                   *(pos for _, _, pos in c.children))))
-    assert index_bytes < 8 * 2**20
+    index = [an.perm, *(f.bnd for f in an.fronts),
+             *(a for c in classes
+               for a in (c.sep, c.bnd, c.dst, c.src, *(c.leaf or ()),
+                         *(pos for _, _, pos in c.children)))]
+    assert not any(a.flags.writeable for a in index)
+    assert sum(a.nbytes for a in index) < 8 * 2**20
 
 
 def test_newton_solve_at_256_stores_packed_diagonal_blocks():
     # one 256^2 Newton system, its analysis built beforehand: with each
     # front's diagonal block kept whole, the factor and solve peak at
     # 50.2 MiB; packed, at 40.0 MiB; with no boundary block kept for the
-    # leaf fronts and the stencil planes passed without a copy, at 27.8 MiB.
-    # A factor and then a substitution on its packed blocks peak at 26.9 MiB
+    # leaf fronts and the stencil planes passed without a copy, at 27.8 MiB;
+    # a factor and then a substitution on its packed blocks, at 26.9 MiB.
+    # With only the band of each leaf's L kept, they peak at 20.7 MiB
     p = make_profile(3.0)
     g = make_grid(p, eps=1e-3, T=1.0, nt=256, ny=256)
     ws = _Workspace(p, g)
@@ -338,7 +369,7 @@ def test_newton_solve_at_256_stores_packed_diagonal_blocks():
         _solve(_cholesky(an, A.ravel()), -G.ravel())
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 33 * 2**20
+        assert peak < 24 * 2**20
     finally:
         tracemalloc.stop()
         _analysis.cache_clear()
