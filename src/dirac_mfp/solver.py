@@ -26,10 +26,10 @@ natural stationarity condition of the boundary columns.
 
 The Newton system is solved by a multifrontal Cholesky over a nested
 dissection of the (time, label) grid: O(n^2 log n) memory and O(n^3) flops
-on an n x n grid; its leaf fronts keep only the band of their factor.  While
-every slope stays above the floor the matrix is positive definite by
-construction; a pivot that is not positive ends the solve with
-`DegenerateStateError`.
+on an n x n grid.  Its leaves, boxes of at most 8 x 17 nodes, are numbered
+first and factored on one shared band.  While every slope stays above the
+floor the matrix is positive definite by construction; a pivot that is not
+positive ends the solve with `DegenerateStateError`.
 
 Newton is grid-sequenced (nested iteration, Brandt, Math. Comp. 31, 1977):
 while nt and ny are even with halves of at least 64, the grid of every second
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk, dtpsv, dtrsm
-from scipy.linalg.lapack import dpbtrs, dpotrf, dtrttp
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dtbtrs, dtrttp
 
 from .errors import (
     DegenerateStateError,
@@ -332,42 +332,45 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 # grid of interior time rows and labels.  Its unknowns are eliminated in a
 # geometric nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973):
 # each box is cut by one grid line across its longer side, the two halves are
-# eliminated first and the line (the separator) last, down to leaf boxes of
-# at most _LEAF x _LEAF nodes.  Each box gives one dense front: its separator
+# eliminated first and the line (the separator) last, down to leaf boxes with
+# a short side of at most _LEAF nodes and a long side of at most 2 _LEAF + 1,
+# which absorb the separator of one more cut (amalgamation, Ashcraft & Grimes,
+# ACM TOMS 15, 1989).  Every other box gives one dense front: its separator
 # nodes followed by its boundary, the outside neighbours of the box, which
 # all lie on enclosing separators.  The fronts are factored by the
 # multifrontal method (Duff & Reid, ACM TOMS 9, 1983), the children's updates
-# on a stack.  Each front keeps the packed lower triangle of its s x s block
+# on a stack.  Each keeps the packed lower triangle of its s x s block
 # (`dtrttp`), which the substitutions read in place (`dtpsv`), and its b x s
-# block X = B L^-T, except a leaf front (one without children).  A leaf box w
-# nodes wide, in row-major order, couples no two nodes more than w apart, so
-# its L is zero more than w rows below the diagonal: the leaf keeps the
-# (w + 1) x s band of L, which `dpbtrs` reads, and the b values of its B, the
-# stencil's own, one coupling per boundary node.
-# An n x n grid's factor holds O(n^2 log n) entries for O(n^3) flops, the band
-# O(n^3) for O(n^4).  All is scipy's BLAS and LAPACK, on one thread
-# (`cli.main`): a second spin-waits between fronts.
+# block X = B L^-T.  The leaves' nodes are numbered first, each leaf's along
+# its short side, so its L is zero more than _LEAF rows below the diagonal.
+# The leaves share one (_LEAF + 1) x nleaf band: each writes its stencil
+# entries into its own columns, factors them in place (`dpbtrf`) and forms
+# its update -X X^T from X^T = L^-1 B^T (`dtbtrs`, `dsyrk`); its B holds one
+# stencil value per boundary node.  Leaves do not couple, so a substitution
+# solves with all of them at once (`dpbtrs`) and moves their couplings by one
+# `np.bincount`.  An n x n grid's factor holds O(n^2 log n) entries for O(n^3)
+# flops, a band Cholesky of the whole grid O(n^3) for O(n^4).  All is scipy's
+# BLAS and LAPACK, on one thread (`cli.main`): a second spin-waits between
+# fronts.
 #
 # The stencil values are three (R, C) planes: the diagonal, the label
 # couplings (i, j)-(i, j+1) padded by a last column, and the time couplings
 # (i, j)-(i+1, j) padded by a last row.  A box moved by r0 rows and c0 columns
 # moves every stencil source by r0 * C + c0, so boxes of one shape whose
 # boundaries agree relative to their origins form one front class, with one
-# symbolic analysis: 173 classes for the 2047 fronts of a 255 x 257 grid.
+# symbolic analysis: 149 classes for the 1023 fronts of a 255 x 257 grid.
 
 _LEAF = 8
 
 
 @dataclass(frozen=True)
 class _FrontClass:
-    sep: np.ndarray      # separator nodes, row-major, relative to the box origin
+    sep: np.ndarray      # separator nodes (a leaf's: all), relative to the origin
     bnd: np.ndarray      # boundary nodes in front order, relative to the origin
-    dst: np.ndarray      # flat lower-triangle positions of its stencil entries
+    dst: np.ndarray      # flat lower-triangle (leaf: band) positions of its entries
     src: np.ndarray      # their stencil sources, relative to the origin
     children: tuple      # (class, relative origin, positions of its boundary here)
-    # a leaf's (column, source) of each boundary row's coupling, and the
-    # positions in its Fortran-ordered L of its lower band, (s, width + 1)
-    leaf: tuple | None
+    leaf: tuple | None   # a leaf's couplings: flat positions in its b x s B, sources
 
 
 @dataclass(frozen=True)
@@ -375,13 +378,16 @@ class _Front:
     cls: _FrontClass
     lo: int              # separator: elimination positions lo .. lo+s-1
     off: int             # box origin r0 * C + c0
-    bnd: np.ndarray      # elimination positions of the boundary nodes
+    bnd: np.ndarray | None   # elimination positions of its boundary; a leaf's: None
 
 
 @dataclass(frozen=True)
 class _Analysis:
     perm: np.ndarray     # elimination position -> grid node i * C + j
     fronts: tuple        # _Front in postorder
+    nleaf: int           # the leaves' nodes take positions 0 .. nleaf-1
+    cbnd: np.ndarray     # boundary position of each leaf coupling, leaf by leaf
+    cnode: np.ndarray    # position of the leaf node it couples
 
 
 @functools.lru_cache(maxsize=8)   # a whole ladder up to 8192^2
@@ -391,7 +397,8 @@ def _analysis(R: int, C: int) -> _Analysis:
 
     A front holds its separator, then its boundary ordered by position in
     the parent front, so that each child update lands lower triangle on
-    lower triangle and only lower triangles are ever read.  A box's shape
+    lower triangle and only lower triangles are ever read; a leaf holds all
+    its nodes, numbered before any other front's.  A box's shape
     and its boundary relative to its origin give its class, and the class
     gives its children's; each class is built once.  The analysis depends
     only on the grid shape, is cached and is shared between threads; nothing
@@ -404,7 +411,7 @@ def _analysis(R: int, C: int) -> _Analysis:
         key = (h, w, brc.tobytes())
         if key in classes:
             return classes[key]
-        if h <= _LEAF and w <= _LEAF:
+        if min(h, w) <= _LEAF and max(h, w) <= 2 * _LEAF + 1:
             sep, boxes = (0, h, 0, w), ()
         elif w >= h:
             m = w // 2
@@ -412,7 +419,9 @@ def _analysis(R: int, C: int) -> _Analysis:
         else:
             m = h // 2
             sep, boxes = (m, m + 1, 0, w), ((0, 0, m, w), (m + 1, 0, h - m - 1, w))
-        r, c = (a.ravel() for a in np.mgrid[sep[0]:sep[1], sep[2]:sep[3]])
+        # along the short side (a separator is one line: either order)
+        r, c = ((a.T if w > h else a).ravel()
+                for a in np.mgrid[sep[0]:sep[1], sep[2]:sep[3]])
         nodes = np.concatenate([np.stack([r, c], axis=1), brc])
         s, k = r.size, len(nodes)
         where = np.full((h + 2, w + 2), -1)      # (row + 1, col + 1) -> position
@@ -435,14 +444,15 @@ def _analysis(R: int, C: int) -> _Analysis:
             pos = np.sort(where[ring][where[ring] >= 0])
             kid = front_class(ch, cw, nodes[pos] - (r0, c0))
             children.append((kid, r0 * C + c0, pos))
-        leaf = None
-        if not boxes:    # B: one entry per row; band: L[j + d, j], past row s a zero
-            o = np.argsort(pv)[len(pv) - (k - s):]
-            j, d = np.arange(s)[:, None], np.arange(w + 1)
-            leaf = (pu[o], src[o], j * (s + 1) + d - s * (j + d >= s))
-        fc = _FrontClass(sep=rel, bnd=brc[:, 0] * C + brc[:, 1], src=src,
-                         dst=np.maximum(pu, pv) * k + np.minimum(pu, pv),
-                         children=tuple(children), leaf=leaf)
+        if boxes:
+            dst, leaf = np.maximum(pu, pv) * k + np.minimum(pu, pv), None
+        else:            # B: one coupling per boundary row, the last k - s by pv
+            o, inner = np.argsort(pv)[len(pv) - (k - s):], pv < s
+            leaf = (np.arange(k - s) * s + pu[o], src[o])
+            dst = (np.minimum(pu, pv) * (_LEAF + 1) + np.abs(pu - pv))[inner]
+            src = src[inner]
+        fc = _FrontClass(sep=rel, bnd=brc[:, 0] * C + brc[:, 1], dst=dst,
+                         src=src, children=tuple(children), leaf=leaf)
         for arr in (fc.sep, fc.bnd, fc.dst, fc.src, *(fc.leaf or ()),
                     *(pos for _, _, pos in children)):
             arr.flags.writeable = False
@@ -457,81 +467,97 @@ def _analysis(R: int, C: int) -> _Analysis:
         order.append((fc, off))
 
     visit(front_class(R, C, np.empty((0, 2), dtype=np.intp)), 0)
-    perm = np.concatenate([off + fc.sep for fc, off in order])
+    nleaf = sum(fc.sep.size for fc, _ in order if fc.leaf)
+    perm = np.empty(n, dtype=np.intp)
+    los, at = [], [nleaf, 0]     # next position of another front, of a leaf
+    for fc, off in order:
+        lo = at[fc.leaf is not None]
+        at[fc.leaf is not None] = lo + fc.sep.size
+        perm[lo:lo + fc.sep.size] = off + fc.sep
+        los.append(lo)
     inv = np.empty(n, dtype=np.intp)
     inv[perm] = np.arange(n)
-    perm.flags.writeable = False
-    fronts, lo = [], 0
-    for fc, off in order:
-        bnd = inv[off + fc.bnd]
-        bnd.flags.writeable = False
-        fronts.append(_Front(cls=fc, lo=lo, off=off, bnd=bnd))
-        lo += fc.sep.size
-    return _Analysis(perm=perm, fronts=tuple(fronts))
+    leaves = [(fc, off, lo) for (fc, off), lo in zip(order, los) if fc.leaf]
+    cbnd = inv[np.concatenate([off + fc.bnd for fc, off, _ in leaves])]
+    cnode = np.concatenate([lo + fc.leaf[0] % fc.sep.size for fc, _, lo in leaves])
+    for a in (perm, cbnd, cnode):
+        a.flags.writeable = False
+    fronts = tuple(_Front(cls=fc, lo=lo, off=off, bnd=None if fc.leaf else
+                          _read_only(inv[off + fc.bnd]))
+                   for (fc, off), lo in zip(order, los))
+    return _Analysis(perm=perm, fronts=fronts, nleaf=nleaf, cbnd=cbnd,
+                     cnode=cnode)
 
 
 def _cholesky(an: _Analysis, vals: np.ndarray):
     """Factor of the stencil matrix with values ``vals`` (the planes of
-    `_analysis`, flat), ``(an, factors)``; `DegenerateStateError` if it is not
-    positive definite.  Every front is factored whole (`dpotrf`, `dtrsm`,
-    `dsyrk`), so a leaf's update is as exact as any; then a leaf keeps the
-    band of its L and the values v of its B, and any other front its packed
-    L and X."""
-    factors = []
+    `_analysis`, flat), ``(an, band, v, fronts)``; `DegenerateStateError` if
+    it is not positive definite: the leaves' L in `dpbtrs` storage, their
+    couplings' values, and each other front in postorder with its packed L
+    and its X (None at the root)."""
+    band = np.zeros((an.nleaf, _LEAF + 1))       # row j: L[j + d, j], d <= _LEAF
+    v = np.empty(an.cbnd.size)
+    factors, c = [], 0
     updates: list = []   # of the fronts whose parent is still to come
     for fi, fr in enumerate(an.fronts):
-        fc, s, b = fr.cls, fr.cls.sep.size, fr.bnd.size
-        F = np.zeros((s + b, s + b))
-        F.ravel()[fc.dst] = vals[fr.off + fc.src]   # a view: F.flat is slower
-        first = len(updates) - len(fc.children)
-        for _, _, pos in fc.children:
-            # extend-add: gather whole rows, add into their columns, scatter
-            rows = F[pos]
-            rows[:, pos] += updates.pop(first)
-            F[pos] = rows
-        L, info = dpotrf(F[:s, :s], lower=1)
+        fc, s, b = fr.cls, fr.cls.sep.size, fr.cls.bnd.size
+        if fc.leaf:
+            ab = band[fr.lo:fr.lo + s]
+            ab.ravel()[fc.dst] = vals[fr.off + fc.src]
+            name, info = "dpbtrf", dpbtrf(ab.T, lower=1, overwrite_ab=1)[1]
+        else:
+            F = np.zeros((s + b, s + b))
+            F.ravel()[fc.dst] = vals[fr.off + fc.src]   # a view: F.flat is slower
+            first = len(updates) - len(fc.children)
+            for _, _, pos in fc.children:
+                # extend-add: gather whole rows, add into their columns, scatter
+                rows = F[pos]
+                rows[:, pos] += updates.pop(first)
+                F[pos] = rows
+            name, (L, info) = "dpotrf", dpotrf(F[:s, :s], lower=1)
         if info != 0:
             raise DegenerateStateError(
-                f"Newton matrix not positive definite: dpotrf info {info} "
+                f"Newton matrix not positive definite: {name} info {info} "
                 f"in front {fi} of {len(an.fronts)}")
+        if fc.leaf:
+            if b:
+                B = np.zeros((b, s))
+                B.ravel()[fc.leaf[0]] = v[c:c + b] = vals[fr.off + fc.leaf[1]]
+                Xt, c = dtbtrs(ab.T, B.T, uplo="L", overwrite_b=1)[0], c + b
+                updates.append(dsyrk(-1.0, Xt, trans=1, lower=1))
+            continue
         X = None
         if b:
             X = dtrsm(1.0, L, F[s:, :s], side=1, lower=1, trans_a=1)
             updates.append(dsyrk(-1.0, X, 1.0, F[s:, s:], lower=1))
-        if fc.leaf:                              # (band, v)
-            _, src, band = fc.leaf
-            factors.append((L.reshape(-1, order="F")[band].T, vals[fr.off + src]))
-        else:
-            factors.append((dtrttp(L, uplo="L")[0], X))
+        factors.append((fr, dtrttp(L, uplo="L")[0], X))
         del F, L, X
-    return an, factors
+    return an, band.T, v, factors
 
 
 def _solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a `_cholesky` factor: forward, then back substitution on
-    each front's packed L.  A leaf takes one `dpbtrs` on its band in each
-    pass: forward, x_b -= v (A_ss^-1 r_s)[col], so its x_s holds r_s between
-    the passes; back, x_s = A_ss^-1 (r_s - B^T x_b)."""
-    an, factors = factor
-    x = rhs[an.perm]
-    for fr, (Lp, X) in zip(an.fronts, factors):
-        fc, lo, s = fr.cls, fr.lo, fr.cls.sep.size
-        if fc.leaf:                              # Lp is its band, X its v
-            x[fr.bnd] -= X * dpbtrs(Lp, x[lo:lo + s], lower=1)[0][fc.leaf[0]]
-            continue
+    """Solve with a `_cholesky` factor: the leaves, then forward and back
+    substitution on each other front's packed L, then the leaves again.  The
+    leaves take one `dpbtrs` on their band in each pass: forward,
+    x_b -= v (A_LL^-1 r_L)[node], so their x_L holds r_L between the passes;
+    back, x_L = A_LL^-1 (r_L - B^T x_b), each sum one `np.bincount`."""
+    an, band, v, factors = factor
+    x, nl = rhs[an.perm], an.nleaf
+    y = dpbtrs(band, x[:nl], lower=1)[0]
+    x -= np.bincount(an.cbnd, v * y[an.cnode], minlength=x.size)
+    for fr, Lp, X in factors:
+        lo, s = fr.lo, fr.cls.sep.size
         x[lo:lo + s] = xs = dtpsv(s, Lp, x[lo:lo + s], lower=1)
         if X is not None:
             x[fr.bnd] = dgemv(-1.0, X, xs, 1.0, x[fr.bnd])
-    for fr, (Lp, X) in zip(reversed(an.fronts), reversed(factors)):
-        fc, lo, s = fr.cls, fr.lo, fr.cls.sep.size
+    for fr, Lp, X in reversed(factors):
+        lo, s = fr.lo, fr.cls.sep.size
         xs = x[lo:lo + s]
-        if fc.leaf:
-            bx = np.bincount(fc.leaf[0], X * x[fr.bnd], minlength=s)
-            x[lo:lo + s] = dpbtrs(Lp, xs - bx, lower=1)[0]
-            continue
         if X is not None:
             xs = dgemv(-1.0, X, x[fr.bnd], 1.0, xs, trans=1)
         x[lo:lo + s] = dtpsv(s, Lp, xs, lower=1, trans=1)
+    bx = np.bincount(an.cnode, v * x[an.cbnd], minlength=nl)
+    x[:nl] = dpbtrs(band, x[:nl] - bx, lower=1)[0]
     out = np.empty_like(x)
     out[an.perm] = x
     return out
@@ -570,11 +596,14 @@ _CHORD_SWITCH, _CHORD_RATIO, _CHORD_END = 1e-5, 0.01, 0.25
 
 
 def _rounding_accepts(ws: _Workspace, candidate: np.ndarray, E0: float,
-                      E1: float, gn: float) -> bool:
+                      E1: float, gn: float) -> tuple | None:
     """Near the minimum the energy drop falls below the rounding of the energy
-    sum, where Armijo cannot see it; there the scaled gradient decides."""
-    return (abs(E1 - E0) <= _ENERGY_ROUNDING_ULPS * math.ulp(E0)
-            and ws.gradient(candidate)[1] < gn)
+    sum, where Armijo cannot see it; there the scaled gradient decides.  The
+    candidate's `_Workspace.gradient` if it is accepted, else None."""
+    if abs(E1 - E0) > _ENERGY_ROUNDING_ULPS * math.ulp(E0):
+        return None
+    grad = ws.gradient(candidate)
+    return grad if grad[1] < gn else None
 
 
 def _newton(ws: _Workspace, gamma: np.ndarray,
@@ -591,9 +620,9 @@ def _newton(ws: _Workspace, gamma: np.ndarray,
     where = f"on the {ws.grid.nt}x{ws.grid.ny} grid"
     tol = cfg.residual_tol
     E0 = ws.energy(gamma)
-    gn, factor, chord, factorizations = math.inf, None, False, 0
+    gn, grad, factor, chord, factorizations = math.inf, None, None, False, 0
     for it in range(1, cfg.newton_max_iter + 1):
-        prev, (G, gn) = gn, ws.gradient(gamma)
+        prev, (G, gn) = gn, ws.gradient(gamma) if grad is None else grad
         if gn <= tol and not (chord and prev > tol and gn > _CHORD_END * tol):
             return gamma, it - 1, factorizations, gn, E0
         if gn >= _CHORD_SWITCH or gn > max(tol, _CHORD_RATIO * prev):
@@ -623,8 +652,9 @@ def _newton(ws: _Workspace, gamma: np.ndarray,
         while True:
             candidate[1:-1] = gamma[1:-1] + a * d
             E1 = ws.energy(candidate)
-            if (E1 <= E0 + _ARMIJO_C * a * descent
-                    or _rounding_accepts(ws, candidate, E0, E1, gn)):
+            armijo = E1 <= E0 + _ARMIJO_C * a * descent
+            grad = None if armijo else _rounding_accepts(ws, candidate, E0, E1, gn)
+            if armijo or grad is not None:       # grad: the next step's
                 break
             a *= _ARMIJO_SHRINK
             if a < 1e-14:

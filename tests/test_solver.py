@@ -12,7 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import cholesky, solveh_banded
+from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpotrf
 
 from dirac_mfp import errors, solver
 from dirac_mfp.profile import make_profile
@@ -21,6 +22,7 @@ from dirac_mfp.solver import (
     SolverConfig,
     _analysis,
     _cholesky,
+    _LEAF,
     _newton,
     _newton_matrix,
     _solve,
@@ -254,7 +256,8 @@ def upper_band(D, UY, UT):
 
 @pytest.mark.parametrize("theta", [0.5, 3.0])
 @pytest.mark.parametrize("nt,ny", [(4, 4), (5, 9), (16, 16), (33, 20), (64, 64),
-                                   (100, 37), (37, 100), (128, 128)])
+                                   (100, 37), (37, 100), (128, 128),
+                                   (4, 40), (40, 4), (9, 18), (6, 300)])
 def test_multifrontal_matches_banded_cholesky(theta, nt, ny):
     # one factor, two right-hand sides: the factor is not changed by a solve
     (D, UY, UT), G = newton_system(theta, nt, ny)
@@ -268,29 +271,44 @@ def test_multifrontal_matches_banded_cholesky(theta, nt, ny):
         assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def dense_block(D, UY, UT, nodes):
+    """The stencil matrix on the grid nodes ``nodes`` (flat i * C + j), dense."""
+    i, j = np.divmod(nodes, D.shape[1])
+    A = np.diag(D[i, j])
+    for a, b in zip(*np.nonzero(np.abs(i[:, None] - i) + np.abs(j[:, None] - j) == 1)):
+        A[a, b] = (UY[i[a], min(j[a], j[b])] if i[a] == i[b]
+                   else UT[min(i[a], i[b]), j[a]])
+    return A
+
+
 @pytest.mark.parametrize("nt,ny", [(16, 16), (100, 37), (37, 100), (128, 128)])
 def test_leaf_factor_is_zero_below_its_band(nt, ny):
-    # a leaf box w nodes wide, in row-major order, couples no two nodes more
-    # than w apart, so the Cholesky factor of its block is exactly zero more
-    # than w rows below the diagonal: the leaf keeps its w + 1 lower diagonals
+    # an h x w leaf box, its nodes along its short side, couples no two nodes
+    # more than min(h, w) apart, so the Cholesky factor of its block is
+    # exactly zero more than min(h, w) rows below the diagonal, and the band
+    # `_cholesky` keeps is that of L (dpbtrf rounds otherwise than dpotrf)
     (D, UY, UT), _ = newton_system(3.0, nt, ny)
-    an, vals = _analysis(*D.shape), stencil_values(D, UY, UT)
-    _, factors = _cholesky(an, vals)
+    an = _analysis(*D.shape)
+    _, band, _, _ = _cholesky(an, stencil_values(D, UY, UT))
+    assert band.shape == (_LEAF + 1, an.nleaf)
     seen = set()
-    for fr, (band, _) in zip(an.fronts, factors):
+    for fr in an.fronts:
         fc = fr.cls
         if fc.leaf is None or id(fc) in seen:
             continue
         seen.add(id(fc))
-        s, k = fc.sep.size, fc.sep.size + fc.bnd.size
-        w = int(np.max(fc.sep % D.shape[1])) + 1
-        F = np.zeros(k * k)
-        F[fc.dst] = vals[fr.off + fc.src]        # a leaf front has no children
-        L = cholesky(F.reshape(k, k)[:s, :s], lower=True)
-        assert np.all(np.tril(L, -w - 1) == 0.0)
-        assert band.shape == (w + 1, s)
-        for d in range(w + 1):
-            assert np.array_equal(band[d, :s - d], np.diagonal(L, -d))
+        s = fc.sep.size
+        h, w = np.max(np.divmod(fc.sep, D.shape[1]), axis=1) + 1
+        m = min(h, w)
+        assert m <= _LEAF and max(h, w) <= 2 * _LEAF + 1
+        L, info = dpotrf(dense_block(D, UY, UT, an.perm[fr.lo:fr.lo + s]), lower=1)
+        assert info == 0
+        assert np.all(np.tril(L, -m - 1) == 0.0)
+        ab = band[:, fr.lo:fr.lo + s]
+        for d in range(_LEAF + 1):
+            assert (np.max(np.abs(ab[d, :s - d] - np.diagonal(L, -d)))
+                    <= 1e-13 * np.max(np.abs(L)))
+            assert np.all(ab[d, s - d:] == 0.0)  # no coupling between leaves
     assert seen
 
 
@@ -299,6 +317,15 @@ def test_indefinite_system_raises_degenerate_state():
     D = D.copy()
     D[7, 8] = -D[7, 8]                    # e_k^T A e_k < 0: indefinite
     with pytest.raises(errors.DegenerateStateError, match="dpotrf info"):
+        _cholesky(_analysis(*D.shape), stencil_values(D, UY, UT))
+
+
+def test_indefinite_leaf_raises_degenerate_state():
+    # column 8 of the 15 x 17 grid is its one separator; column 3 is a leaf's
+    (D, UY, UT), G = newton_system(1.0, 16, 16)
+    D = D.copy()
+    D[7, 3] = -D[7, 3]
+    with pytest.raises(errors.DegenerateStateError, match="dpbtrf info"):
         _cholesky(_analysis(*D.shape), stencil_values(D, UY, UT))
 
 
@@ -324,29 +351,32 @@ def test_concurrent_solves_share_the_analysis():
 
 def test_factor_needs_under_a_quarter_of_the_band_at_512():
     # symbolic analysis only: no numeric factor is formed.  The factor keeps
-    # the (w + 1) x s lower band of each leaf front's L, w the width of its
-    # box, and of every other front the packed lower triangle of its s x s
-    # diagonal block, s (s + 1) / 2 entries, and its b x s boundary block:
-    # 10.2 M entries, against 13.6 M with packed leaf blocks.  The analysis
-    # holds one set of index arrays per front class (221 classes for 8191
-    # fronts); with the arrays of every front it held 26.2 MiB.  Threads share
-    # the cached analysis, so none of its arrays may be written.
+    # the leaves' L in one (_LEAF + 1) x nleaf band, and of every other front
+    # the packed lower triangle of its s x s diagonal block, s (s + 1) / 2
+    # entries, and its b x s boundary block: 9.8 M entries, against 10.2 M
+    # with a band per leaf of at most 8 x 8 nodes and 13.6 M with packed leaf
+    # blocks.  The analysis holds one set of index arrays per front class
+    # (197 classes for 4095 fronts); with the arrays of every front it held
+    # 26.2 MiB.  Threads share the cached analysis, so none of its arrays may
+    # be written.
     R, M = 511, 513                       # nt = ny = 512
     try:
         an = _analysis(R, M)
     finally:
         _analysis.cache_clear()
-    entries = sum(f.cls.leaf[2].size if f.cls.leaf
-                  else s * (s + 1) // 2 + s * f.bnd.size
-                  for f in an.fronts for s in [f.cls.sep.size])
+    entries = (_LEAF + 1) * an.nleaf + sum(
+        s * (s + 1) // 2 + s * f.bnd.size
+        for f in an.fronts if not f.cls.leaf for s in [f.cls.sep.size])
     assert entries <= (M + 1) * R * M / 4
     classes = {id(f.cls): f.cls for f in an.fronts}.values()
     assert len(classes) <= 300
-    index = [an.perm, *(f.bnd for f in an.fronts),
+    index = [an.perm, an.cbnd, an.cnode,
+             *(f.bnd for f in an.fronts if not f.cls.leaf),
              *(a for c in classes
                for a in (c.sep, c.bnd, c.dst, c.src, *(c.leaf or ()),
                          *(pos for _, _, pos in c.children)))]
     assert not any(a.flags.writeable for a in index)
+    assert all(f.bnd is None for f in an.fronts if f.cls.leaf)
     assert sum(a.nbytes for a in index) < 8 * 2**20
 
 
@@ -355,8 +385,9 @@ def test_newton_solve_at_256_stores_packed_diagonal_blocks():
     # front's diagonal block kept whole, the factor and solve peak at
     # 50.2 MiB; packed, at 40.0 MiB; with no boundary block kept for the
     # leaf fronts and the stencil planes passed without a copy, at 27.8 MiB;
-    # a factor and then a substitution on its packed blocks, at 26.9 MiB.
-    # With only the band of each leaf's L kept, they peak at 20.7 MiB
+    # a factor and then a substitution on its packed blocks, at 26.9 MiB;
+    # with only the band of each leaf's L kept, at 20.7 MiB.  With leaves
+    # that absorb their last separator, on one band, they peak at 19.4 MiB
     p = make_profile(3.0)
     g = make_grid(p, eps=1e-3, T=1.0, nt=256, ny=256)
     ws = _Workspace(p, g)
@@ -369,7 +400,7 @@ def test_newton_solve_at_256_stores_packed_diagonal_blocks():
         _solve(_cholesky(an, A.ravel()), -G.ravel())
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 20 * 2**20
     finally:
         tracemalloc.stop()
         _analysis.cache_clear()
@@ -382,9 +413,9 @@ def rounding_acceptances(monkeypatch):
     original = solver._rounding_accepts
 
     def counting(*args):
-        ok = original(*args)
-        accepted.append(ok)
-        return ok
+        grad = original(*args)
+        accepted.append(grad is not None)
+        return grad
     monkeypatch.setattr(solver, "_rounding_accepts", counting)
     return accepted
 
@@ -407,6 +438,27 @@ def test_newton_converges_when_energy_drop_is_below_rounding(rounding_acceptance
     assert sum(rounding_acceptances) >= 1
     assert steps <= 5
     assert gn <= SolverConfig().residual_tol
+
+
+def test_rounding_acceptance_keeps_the_gradient(monkeypatch,
+                                               rounding_acceptances):
+    # a step accepted by rounding has had its gradient evaluated, and the next
+    # step starts from it: no flow's gradient is evaluated twice
+    flows = []
+    gradient = _Workspace.gradient
+
+    def counting(self, gamma):
+        flows.append(hash(gamma.tobytes()))
+        return gradient(self, gamma)
+    monkeypatch.setattr(_Workspace, "gradient", counting)
+    p = make_profile(3.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=128, ny=128)
+    m = power_bump(-0.9911619890570785, 0.9254716943843342, 3.0)
+    gamma, steps, _, gn, _ = cold_newton(p, m, g)
+    assert sum(rounding_acceptances) >= 1
+    assert len(set(flows)) == len(flows)
+    assert hash(gamma.tobytes()) in flows
+    assert gradient(_Workspace(p, g), gamma)[1] == gn
 
 
 def test_newton_converges_on_two_bump_table_near_rounding(rounding_acceptances):
