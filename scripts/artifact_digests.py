@@ -35,8 +35,10 @@ does not parse (``--nt abc``), and ``export`` and ``rates --write`` on a
 run directory whose ``export`` is a file and whose ``rates.json`` is a
 directory.  Last, ``rates`` on a run directory whose
 ``config.json`` carries the retired keys ``seed``, ``solver.linear_solver``
-and ``solver.gamma_y_floor``.  A set-up step between calls (building such a
-run directory) prints nothing.  The output lists, for each call, its argv,
+and ``solver.gamma_y_floor``, and ``rates`` on one (``mismatched``) whose
+``config.json`` says theta 3 beside the ``flow.csv`` of ``theta=1``, which
+exits 1.  A set-up step between calls (building such a run directory)
+prints nothing.  The output lists, for each call, its argv,
 its exit code (or ``raised <Type>`` for an exception that escapes
 ``main``), its standard output and its standard error, each stderr line
 prefixed ``stderr: ``; then one ``sha256  path`` line for each file
@@ -96,16 +98,21 @@ def wrong_kinds(run: Path, copy_of: Path) -> None:
     (run / "rates.json").mkdir()
 
 
-def retired_keys(run: Path, copy_of: Path) -> None:
+def edited_config(run: Path, copy_of: Path, edit) -> None:
     """A run directory holding the ``flow.csv`` of ``copy_of`` and its
-    ``config.json`` with the retired keys added, as older versions wrote
-    them."""
+    ``config.json`` as changed in place by ``edit``."""
     run.mkdir()
     shutil.copyfile(copy_of / "flow.csv", run / "flow.csv")
     doc = json.loads((copy_of / "config.json").read_text())
+    edit(doc)
+    (run / "config.json").write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def retired_keys(doc: dict) -> None:
+    """Add the retired keys to a ``config.json``, as older versions wrote
+    them."""
     doc["seed"] = 0
     doc["solver"].update(linear_solver="banded-direct", gamma_y_floor=1e-8)
-    (run / "config.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def numbers(path: Path) -> dict | None:
@@ -257,8 +264,12 @@ def matrix(workloads) -> list:
         lambda: wrong_kinds(Path("wrong-kind"), Path("theta=1")),
         ["export", "wrong-kind"],
         ["rates", "wrong-kind", "--write"],
-        lambda: retired_keys(Path("retired-keys"), Path("theta=1")),
+        lambda: edited_config(Path("retired-keys"), Path("theta=1"),
+                              retired_keys),
         ["rates", "retired-keys"],
+        lambda: edited_config(Path("mismatched"), Path("theta=1"),
+                              lambda doc: doc.update(theta=3.0)),
+        ["rates", "mismatched"],
     ]
     return calls
 

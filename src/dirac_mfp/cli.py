@@ -217,7 +217,8 @@ def _csv_rows(fh) -> np.ndarray | None:
 
 def load_flow_csv(path):
     """``(t, y, gamma)`` of a file written by `save_flow_csv`;
-    `FormatError` naming ``path`` when the file does not parse."""
+    `FormatError` naming ``path`` when the file does not parse or holds a
+    non-finite number."""
     with open(path) as fh:
         head = fh.readline().rstrip("\n").split(",")
         if head[0] != "t" or len(head) < 3:
@@ -232,6 +233,8 @@ def load_flow_csv(path):
     if data.shape[1] != len(head):
         raise FormatError(f"{path}: header has {len(head)} columns, "
                           f"the rows {data.shape[1]}")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(data))):
+        raise FormatError(f"{path}: holds a non-finite number")
     return data[:, 0], y, data[:, 1:]
 
 
@@ -266,9 +269,15 @@ class _MissingArtifact(DiracMfpError):
 
 
 def _load_run(rundir: Path):
-    """Rebuild the flow field of a finished run from its artifacts."""
+    """Rebuild the flow field of a finished run from its artifacts.
+
+    ``flow.csv`` must lie on the grid that ``config.json`` describes
+    (`FormatError` otherwise): its times and labels must match those of
+    `solver.make_grid` to 1e-12 of T and of r_alpha.  They are used as
+    read, so a file written under another numpy still loads.
+    """
     from .profile import make_profile
-    from .solver import FlowField, SpaceTimeGrid
+    from .solver import FlowField, SpaceTimeGrid, make_grid
 
     config, flow = rundir / RUN_FILES["config"], rundir / RUN_FILES["flow"]
     for path in (config, flow):
@@ -276,9 +285,15 @@ def _load_run(rundir: Path):
             raise _MissingArtifact(f"missing run artifact: {path}")
     cfg = load_config(config)
     t, y, gamma = load_flow_csv(flow)
+    p = make_profile(cfg.theta)
+    expected = make_grid(p, cfg.eps, cfg.T, cfg.nt, cfg.ny)
+    if not ((t.size, y.size) == (expected.t.size, expected.y.size)
+            and np.max(np.abs(t - expected.t)) <= 1e-12 * cfg.T
+            and np.max(np.abs(y - expected.y)) <= 1e-12 * p.r_alpha):
+        raise FormatError(f"{flow}: its {t.size} times and {y.size} labels "
+                          f"are not the grid of {config}")
     grid = SpaceTimeGrid(eps=cfg.eps, T=cfg.T, t=t, y=y)
-    return cfg, FlowField(grid=grid, profile=make_profile(cfg.theta),
-                          gamma=gamma)
+    return cfg, FlowField(grid=grid, profile=p, gamma=gamma)
 
 
 def _snapshot_rows(nt: int) -> np.ndarray:

@@ -16,11 +16,6 @@ terminal one, or that of the turn where the velocity of gamma_L, linearly
 interpolated, vanishes at an interior minimum; its state is then constant.
 Mirrored on the right.  The continued field solves -u_t + u_x^2/2 = 0 away
 from the support and matches value and slope at the free boundary.
-
-Residual diagnostic: the HJ equation pointwise at fixed x, by the chain
-rule along the labels on the support and by finite differences outside.
-The continuity equation needs no check: every monotone gamma with its two
-end rows pinned transports phi exactly, solved or not.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ __all__ = [
     "value_on_support",
     "boundary_curvature",
     "snapshot",
-    "hj_residuals",
 ]
 
 # -- derivative stencils -----------------------------------------------------
@@ -347,95 +341,3 @@ def snapshot(f: FlowField, rows, *,
         y_nodes=g.y.copy(),
         n_pad=n_pad,
     )
-
-
-# -- Hamilton-Jacobi residuals ------------------------------------------------
-
-def _off_interfaces(h: _SideHistory, rows: np.ndarray,
-                    x: np.ndarray) -> np.ndarray:
-    """False at the exterior nodes ``x`` (left frame, one row of nodes per
-    time row ``rows``) whose space or time stencil straddles a region
-    interface of the construction (see `_degenerate_region`); u is C^1
-    but not C^2 there."""
-    i = rows[:, None]
-    before, now, after = (_degenerate_region(h, i + j, x) for j in (-1, 0, 1))
-    jump = now[:, 1:] != now[:, :-1]           # between neighboring nodes
-    near = np.zeros_like(now)
-    near[:, 1:] |= jump
-    near[:, :-1] |= jump
-    return (before == now) & (now == after) & ~near
-
-
-# pad cells next to the boundary where `hj_residuals` tests no exterior node
-_HJ_STANDOFF = 4
-
-
-def hj_residuals(f: FlowField) -> tuple[np.ndarray, np.ndarray]:
-    """-u_t + u_x^2/2 - m^theta at fixed x, on the nodes of a snapshot.
-
-    Returns ``(interior, exterior)``: the residual on the image nodes,
-    shape (nt+1, ny+1), and on the exterior pads of a snapshot with its
-    default padding, shape (nt+1, 2 n_pad), where m = 0.  On the image
-    nodes the chain rule along the labels gives u_x = ubar_y / gamma_y and
-    u_t = ubar_t - u_x gamma_t, from the `np.gradient` stencils of
-    `FlowField.gamma_y` and `FlowField.gamma_t` applied to the value; as
-    the value integrates m^theta + gamma_t^2/2 along each label, the
-    residual there is (gamma_t + u_x)^2/2 up to the time stencil.  On the
-    pads u_t is the three-point stencil of `_row_gradient` over the rows
-    i-1, i, i+1, whose values the continuation gives (the tested nodes lie
-    outside the neighbor rows' supports), and u_x the row gradient of the
-    value, one-sided on [pads, boundary node] so that it stays on one side
-    of the C^1 glue point.
-
-    NaN marks rows before `SpaceTimeGrid.t_resolved` (the end of the
-    initial layer), the end rows and the boundary columns.  On the pads it
-    also marks nodes the moving boundary reaches within the time stencil
-    or within `_HJ_STANDOFF` pad cells, and nodes whose stencil straddles
-    a region interface of the continuation: the tangency time satisfies
-    dt_hat/ds ~ 1/(s - t_hat), so second time derivatives of the exact
-    continued value blow up like distance^(-1/2) at the contact line and
-    pointwise finite differences are meaningless there.  The tail of that
-    blow-up is what the pads keep: at eps 1e-3 the first tested column of
-    the first tested rows reads up to 0.025 on 128^2, falling away from the
-    boundary and in time, and with the standoff fixed in cells it does not
-    converge (0.022 on 256^2, 0.018 on 512^2).
-    """
-    g = f.grid
-    rows = np.arange(1, g.nt)[g.t[1:-1] >= g.t_resolved]
-    snap = snapshot(f, rows)
-    x, u, n_pad = snap.x_nodes, snap.u, snap.n_pad
-    interior = np.full((g.nt + 1, g.ny + 1), np.nan)
-    exterior = np.full((g.nt + 1, 2 * n_pad), np.nan)
-    if rows.size == 0:
-        return interior, exterior
-
-    ubar = f.value
-    u_x = np.gradient(ubar, g.dy, axis=-1, edge_order=2) / f.gamma_y
-    u_t = np.gradient(ubar, g.t, axis=0, edge_order=2) - u_x * f.gamma_t
-    res = -u_t + 0.5 * u_x * u_x - f.density ** f.profile.theta
-    interior[rows, 1:-1] = res[rows, 1:-1]
-
-    hL, hR = _histories(f)
-    before, after = f.gamma[rows - 1], f.gamma[rows + 1]
-    gap = _HJ_STANDOFF * ((f.gamma[rows, -1:] - f.gamma[rows, :1]) / g.ny)
-    xl, xr = x[:, :n_pad], x[:, -n_pad:]
-    ok = np.concatenate([
-        (xl < before[:, :1] - gap) & (xl < after[:, :1] - gap)
-        & _off_interfaces(hL, rows, xl),
-        (xr > before[:, -1:] + gap) & (xr > after[:, -1:] + gap)
-        & _off_interfaces(hR, rows, -xr),
-    ], axis=1)
-    side = n_pad + 1
-    u_x = np.hstack([_row_gradient(u[:, :side], x[:, :side])[:, :-1],
-                     _row_gradient(u[:, -side:], x[:, -side:])[:, 1:]])
-    pads = np.r_[:n_pad, -n_pad:0]
-    xp = x[:, pads]
-    around = np.full(xp.shape + (3,), np.nan)
-    around[..., 1] = u[:, pads]
-    for k, i in enumerate(rows):
-        for j in (0, 2):
-            around[k, ok[k], j] = _extend(hL, hR, i + j - 1, xp[k, ok[k]])[0]
-    t = g.t[rows[:, None, None] + np.arange(-1, 2)]
-    u_t = _row_gradient(around, np.broadcast_to(t, around.shape))[..., 1]
-    exterior[rows] = np.where(ok, -u_t + 0.5 * u_x * u_x, np.nan)
-    return interior, exterior

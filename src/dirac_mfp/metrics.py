@@ -1,14 +1,10 @@
-"""Wasserstein distances on quantile tables and scaling-rate fits.
+"""Wasserstein distances between pushforwards of phi, and scaling-rate fits.
 
 One-dimensional optimal transport reduces to quantile calculus: with
 Q_u, Q_v the quantile functions, d_p(u,v)^p = int_0^1 |Q_u - Q_v|^p dq.
-Tables are treated as piecewise-linear quantile functions and the cell
-integrals are evaluated exactly for p in {1, 2} (sign-split linear /
-quadratic pieces), so the only approximation is in the tables
-themselves.  For measures given as pushforwards of the congestion
-profile by monotone maps the same distance is int |g - h|^p phi dy,
-evaluated with the exact dual-cell masses; the two routes agree to
-quadrature accuracy and are cross-checked in the tests.
+For measures given as pushforwards of the congestion profile by monotone
+maps g, h of the labels, Q_u(cdf(y)) = g(y), so the same distance is
+int |g - h|^p phi dy, evaluated with the exact dual-cell masses.
 
 Rate fitting is ordinary least squares in log coordinates, either
 against t (power laws t^s) or against tau = log t (exponential laws
@@ -27,73 +23,12 @@ from .errors import InvalidParameterError
 from .profile import Profile
 
 __all__ = [
-    "QuantileTable",
     "RateFit",
-    "wasserstein",
     "wasserstein_maps",
     "fit_rate",
     "rate_report",
     "rate_verdict",
 ]
-
-
-@dataclass(frozen=True)
-class QuantileTable:
-    """Sampled quantile function of a probability measure.
-
-    ``q`` must increase strictly from 0 to 1; ``x`` (the quantile
-    values) must be nondecreasing.  Piecewise-linear interpolation
-    between samples defines the measure used by `wasserstein`.
-    """
-
-    q: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        x = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "x", x)
-        if q.ndim != 1 or q.shape != x.shape or q.size < 2:
-            raise InvalidParameterError("quantile table needs matching 1d "
-                                        f"arrays, got {q.shape} / {x.shape}")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(x))):
-            raise InvalidParameterError("quantile table has non-finite entries")
-        if abs(q[0]) > 1e-12 or abs(q[-1] - 1.0) > 1e-12:
-            raise InvalidParameterError(
-                "unnormalized input: quantile grid must span [0, 1], got "
-                f"[{q[0]}, {q[-1]}]")
-        if np.any(np.diff(q) <= 0.0):
-            raise InvalidParameterError("quantile grid must increase strictly")
-        if np.any(np.diff(x) < 0.0):
-            raise InvalidParameterError("quantile values must be nondecreasing")
-
-
-def _cell_abs_linear(d0: np.ndarray, d1: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """Exact ``int |l(q)| dq`` for the linear l through (0,d0),(dq,d1)."""
-    same = d0 * d1 >= 0.0
-    out = np.empty_like(dq)
-    out[same] = 0.5 * dq[same] * (np.abs(d0[same]) + np.abs(d1[same]))
-    mixed = ~same
-    # split at the interior root; the two triangles have areas
-    # d0^2 and d1^2 over twice the total slope
-    out[mixed] = 0.5 * dq[mixed] * (d0[mixed] ** 2 + d1[mixed] ** 2) \
-        / np.abs(d0[mixed] - d1[mixed])
-    return out
-
-
-def wasserstein(pu: QuantileTable, pv: QuantileTable, order: int = 1) -> float:
-    """d_p between two tabulated measures, exact for the interpolants."""
-    if order not in (1, 2):
-        raise InvalidParameterError(f"order must be 1 or 2, got {order}")
-    qs = np.union1d(pu.q, pv.q)
-    du = np.interp(qs, pu.q, pu.x) - np.interp(qs, pv.q, pv.x)
-    dq = np.diff(qs)
-    d0, d1 = du[:-1], du[1:]
-    if order == 1:
-        return float(np.sum(_cell_abs_linear(d0, d1, dq)))
-    val = np.sum(dq * (d0 * d0 + d0 * d1 + d1 * d1) / 3.0)
-    return float(np.sqrt(val))
 
 
 def wasserstein_maps(p: Profile, g: np.ndarray, h: np.ndarray,

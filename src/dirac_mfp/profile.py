@@ -88,25 +88,13 @@ class Profile:
         out = special.betainc(q, q, z)
         return out if out.ndim else float(out)
 
-    def power_mass(self, p: float, lo: float | None = None,
-                   hi: float | None = None) -> float:
-        """Exact ``int_lo^hi phi(y)**p dy``.
-
-        Requires ``p / theta > -1`` (otherwise the endpoint singularity is
-        not integrable).  Defaults to the full support.
-        """
-        R = self.r_alpha
-        lo = -R if lo is None else lo
-        hi = R if hi is None else hi
-        return float(self.cell_masses([lo, hi], p)[0])
-
     def cell_masses(self, edges: np.ndarray, power: float = 1.0) -> np.ndarray:
         """Exact ``int phi**power`` between consecutive edges.
 
-        Requires ``power / theta > -1``, as `power_mass`.  For a negative
-        power the endpoint cells absorb the (integrable) singularity
-        exactly, so integrands of the form f * phi**power can be handled
-        with plain nodal values of f.
+        Requires ``power / theta > -1``; otherwise the endpoint singularity
+        is not integrable.  For a negative power the endpoint cells absorb
+        the (integrable) singularity exactly, so integrands of the form
+        f * phi**power can be handled with plain nodal values of f.
         """
         e = power / self.theta
         if not e > -1.0:

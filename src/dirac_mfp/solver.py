@@ -105,8 +105,8 @@ class SpaceTimeGrid:
 
     @property
     def t_resolved(self) -> float:
-        """End of the initial layer, 10 eps: the HJ residuals, the rescaled
-        series and the default fit window start here."""
+        """End of the initial layer, 10 eps: the rescaled series and the
+        default fit window start here."""
         return 10.0 * self.eps
 
 

@@ -27,6 +27,8 @@ from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import FlowField, make_grid, solve
 from dirac_mfp.target import power_bump, self_similar_terminal
 
+from oracles import hj_residuals
+
 
 @pytest.fixture(scope="module")
 def p1():
@@ -183,7 +185,7 @@ def test_criterion_4_lyapunov_identity(run_conserve, run_ident3, p1, p3):
 
 
 def test_criterion_5_conservation_and_residuals(run_conserve, p1):
-    interior, exterior = F.hj_residuals(run_conserve)
+    interior, exterior = hj_residuals(run_conserve)
     hj_in = float(np.nanmax(np.abs(interior)))
     assert hj_in <= 5e-3, f"interior HJ residual {hj_in:.2e}"
     hj_ex = float(np.nanmax(np.abs(exterior)))

@@ -14,6 +14,10 @@ counts only when it resolves to the module that defines the name:
 So the ``f.density`` property of a flow is no reference to a function
 ``fields.density``.  The package ``__init__`` re-exports names for library
 users; a re-export is not a caller.
+
+Each public method (or property) of a public class of ``dirac_mfp`` must
+likewise be read as an attribute, ``.name`` on any object, somewhere in the
+caller directories outside the body of a function of that name.
 """
 
 import ast
@@ -26,15 +30,9 @@ PACKAGE = "dirac_mfp"
 SRC = ROOT / "src" / PACKAGE
 CALLER_DIRS = ("src", "demos", "perfbench")
 
-_TABLE_ROUTE = ("the quantile-table route that the tests compare "
-                "wasserstein_maps (cauchy_d1.csv) against")
-
 # (module, name) -> why a name that no program code calls stays public
 KEPT = {
-    ("fields", "hj_residuals"): "acceptance criterion 5",
     ("rescale", "hat_gamma_residual"): "acceptance criterion 7",
-    ("metrics", "QuantileTable"): _TABLE_ROUTE,
-    ("metrics", "wasserstein"): _TABLE_ROUTE,
 }
 
 
@@ -119,6 +117,40 @@ def references() -> set:
     return found
 
 
+def public_methods() -> set:
+    """``(module, class, method)`` for each function defined in the body of
+    a top-level class of the package, neither of them named with ``_``."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                out |= {(path.stem, node.name, d.name) for d in node.body
+                        if isinstance(d, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                        and not d.name.startswith("_")}
+    return out
+
+
+def attribute_reads() -> set:
+    """Names read as ``.name`` in some caller file, outside the body of a
+    function of the same name."""
+    found = set()
+
+    def visit(node, inside: frozenset):
+        if isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for top in CALLER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path != SRC / "__init__.py":
+                visit(ast.parse(path.read_text()), frozenset())
+    return found
+
+
 def test_every_public_name_has_a_caller():
     called = references()
     missing = [f"{mod}.{name}" for mod, names in public_names().items()
@@ -134,6 +166,13 @@ def test_kept_names_are_public_and_uncalled():
     for mod, name in KEPT:
         assert name in publics.get(mod, ()), f"{mod}.{name} is not public"
         assert (mod, name) not in called, f"{mod}.{name} has a caller"
+
+
+def test_every_public_method_has_a_caller():
+    read = attribute_reads()
+    missing = [f"{mod}.{cls}.{name}" for mod, cls, name in public_methods()
+               if name not in read]
+    assert not missing, f"public methods without a caller: {sorted(missing)}"
 
 
 OWN_MODULE = """__all__ = ["a", "b", "c"]
@@ -174,3 +213,28 @@ def test_reference_rules(tmp_path, monkeypatch, where, source, expected):
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     monkeypatch.setitem(globals(), "SRC", tmp_path / "src" / PACKAGE)
     assert references() == expected
+
+
+def test_method_reference_rule(tmp_path, monkeypatch):
+    # a method counts as called by an attribute read outside its own body,
+    # on any object; a private class or method needs no caller
+    for top in CALLER_DIRS:
+        (tmp_path / top).mkdir()
+    (tmp_path / "src" / PACKAGE).mkdir()
+    (tmp_path / "src" / PACKAGE / "mod.py").write_text(
+        "class A:\n"
+        "    def called(self):\n"
+        "        pass\n"
+        "    def only_itself(self):\n"
+        "        return self.only_itself()\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "class _B:\n"
+        "    def uncalled(self):\n"
+        "        pass\n")
+    (tmp_path / "demos" / "caller.py").write_text("x.called()\n")
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    monkeypatch.setitem(globals(), "SRC", tmp_path / "src" / PACKAGE)
+    assert public_methods() == {("mod", "A", "called"),
+                                ("mod", "A", "only_itself")}
+    assert attribute_reads() == {"called"}

@@ -576,12 +576,16 @@ def truncate_last_flow_row(run):
     edit_flow(run, edit)
 
 
-def non_numeric_flow_cell(run):
+def set_flow_cell(run, text):
     def edit(lines):
         cells = lines[2].split(",")
-        cells[3] = "abc"
+        cells[3] = text
         lines[2] = ",".join(cells)
     edit_flow(run, edit)
+
+
+def non_numeric_flow_cell(run):
+    set_flow_cell(run, "abc")
 
 
 def non_numeric_flow_label(run):
@@ -599,11 +603,32 @@ def header_only_flow(run):
     edit_flow(run, edit)
 
 
+def nan_flow_cell(run):
+    set_flow_cell(run, "nan")
+
+
+def edit_config(run, **changes):
+    doc = json.loads((run / "config.json").read_text())
+    (run / "config.json").write_text(json.dumps({**doc, **changes}, indent=2))
+
+
+def config_of_another_theta(run):
+    # same grid sizes: the labels of the theta = 1 flow are not theta = 3's
+    edit_config(run, theta=3.0)
+
+
+def config_of_another_grid(run):
+    # the flow has the 49 time rows of nt = 48
+    edit_config(run, nt=64)
+
+
 @pytest.mark.parametrize("command", ["rates", "export"])
 @pytest.mark.parametrize("corrupt", [truncate_config, truncate_last_flow_row,
                                      non_numeric_flow_cell,
                                      non_numeric_flow_label,
-                                     header_only_flow])
+                                     header_only_flow, nan_flow_cell,
+                                     config_of_another_theta,
+                                     config_of_another_grid])
 def test_corrupt_run_artifacts_exit_1(solved_run, tmp_path, capsys,
                                       command, corrupt):
     run = tmp_path / "run"

@@ -24,6 +24,7 @@ from dirac_mfp.solver import (
 from dirac_mfp.target import load_csv, power_bump, self_similar_terminal
 
 from conftest import write_two_bump_csv
+from oracles import hj_residuals
 
 
 def analytic_flow(p, grid):
@@ -387,7 +388,7 @@ def test_stacked_snapshot_is_the_per_row_snapshots(solved64):
 
 def test_hj_interior_residual(solved128):
     f, _ = solved128
-    interior, _ = F.hj_residuals(f)
+    interior, _ = hj_residuals(f)
     assert np.nanmax(np.abs(interior)) < 5e-3
 
 
@@ -409,7 +410,7 @@ def test_hj_interior_residual_fails_wrong_flows_of_criterion_5(solved128):
     start = FlowField(grid=f.grid, profile=f.profile,
                       gamma=initial_guess(f.profile, m, f.grid))
     for name, wrong in (("bent", bent(f)), ("initial guess", start)):
-        interior, _ = F.hj_residuals(wrong)
+        interior, _ = hj_residuals(wrong)
         assert np.nanmax(np.abs(interior)) > 5e-3, name
 
 
@@ -419,7 +420,7 @@ def test_hj_interior_second_order(theta1):
         g = make_grid(theta1, eps=1e-2, T=1.0, nt=n, ny=n)
         m = self_similar_terminal(theta1, 1.0, 1e-2)
         f = solve(theta1, m, g)
-        interior, _ = F.hj_residuals(f)
+        interior, _ = hj_residuals(f)
         rows = g.t >= 0.25
         sups[n] = np.nanmax(np.abs(interior[rows]))
     assert sups[64] / sups[128] > 2.5
@@ -427,7 +428,7 @@ def test_hj_interior_second_order(theta1):
 
 def test_hj_exterior_residual(solved128):
     f, _ = solved128
-    _, exterior = F.hj_residuals(f)
+    _, exterior = hj_residuals(f)
     assert np.nanmax(np.abs(exterior)) < 5e-3
 
 
@@ -441,7 +442,7 @@ def turning128(request):
 
 
 def test_hj_exterior_residual_on_turning_boundaries(turning128):
-    _, exterior = F.hj_residuals(turning128)
+    _, exterior = hj_residuals(turning128)
     assert np.nanmax(np.abs(exterior)) <= 5e-3
 
 
@@ -472,7 +473,7 @@ def test_hj_residuals_without_a_tested_row(theta1):
     # t_resolved = 10 eps lies beyond T, so no interior row is tested
     g = make_grid(theta1, eps=0.2, T=1.0, nt=16, ny=16)
     f = solve(theta1, power_bump(-1.0, 1.0, 1.0), g)
-    interior, exterior = F.hj_residuals(f)
+    interior, exterior = hj_residuals(f)
     assert interior.shape == (17, 17)
     assert exterior.shape == (17, 2 * F.snapshot(f, 0).n_pad)
     assert np.all(np.isnan(interior)) and np.all(np.isnan(exterior))
@@ -491,8 +492,8 @@ def test_hj_interior_residual_fails_a_perturbed_flow(tmp_path, theta, kind):
         m = load_csv(tmp_path / "two_bump.csv", theta)
     g = make_grid(p, eps=1e-3, T=1.0, nt=128, ny=128)
     f = solve(p, m, g)
-    solved = np.nanmax(np.abs(F.hj_residuals(f)[0]))
-    perturbed = np.nanmax(np.abs(F.hj_residuals(bent(f))[0]))
+    solved = np.nanmax(np.abs(hj_residuals(f)[0]))
+    perturbed = np.nanmax(np.abs(hj_residuals(bent(f))[0]))
     assert perturbed >= 2.0 * solved, (solved, perturbed)
 
 

@@ -17,21 +17,15 @@ from pytest import approx
 from dirac_mfp import fields as F
 from dirac_mfp import metrics
 from dirac_mfp.errors import InvalidParameterError
-from dirac_mfp.metrics import (QuantileTable, fit_rate, rate_report,
-                               wasserstein, wasserstein_maps)
+from dirac_mfp.metrics import fit_rate, rate_report, wasserstein_maps
 from dirac_mfp.profile import make_profile
 from dirac_mfp.rescale import build_series
 from dirac_mfp.solver import make_grid, solve
 from dirac_mfp.target import power_bump
 
+from oracles import QuantileTable, pushforward_table, wasserstein
+
 M2_THETA1 = 0.71433047338569   # int y^2 phi dy, oracle-pinned in test_profile
-
-
-def pushforward_table(p, g):
-    """Quantile table of the pushforward of phi by the monotone map ``g``,
-    sampled on the symmetric label grid of its length."""
-    y = np.linspace(-p.r_alpha, p.r_alpha, np.asarray(g).size)
-    return QuantileTable(q=p.cdf(y), x=g)
 
 
 @pytest.fixture(scope="module")

@@ -173,19 +173,21 @@ def test_quantile_round_trip(theta):
 @pytest.mark.parametrize("theta", THETAS)
 def test_power_mass_against_quadrature(theta):
     p = make_profile(theta)
+    support = [-p.r_alpha, p.r_alpha]
     for pw in [1.0, theta, theta + 1.0]:
         ref = power_mass_by_quadrature(theta, p.r_alpha, pw)
-        assert p.power_mass(pw) == pytest.approx(ref, rel=1e-9)
+        assert p.cell_masses(support, pw)[0] == pytest.approx(ref, rel=1e-9)
     if theta > 1.0:  # reciprocal power, integrable iff (1-theta)/theta > -1
         ref = power_mass_by_quadrature(theta, p.r_alpha, 1.0 - theta)
-        assert p.power_mass(1.0 - theta) == pytest.approx(ref, rel=1e-8)
+        assert (p.cell_masses(support, 1.0 - theta)[0]
+                == pytest.approx(ref, rel=1e-8))
 
 
 def test_power_mass_partial_interval():
     p = make_profile(2.0)
     lo, hi = -0.3, 0.9
     ref, err = quad(lambda y: p.phi(y) ** 3.0, lo, hi, epsabs=1e-13)
-    assert p.power_mass(3.0, lo, hi) == pytest.approx(ref, abs=1e-11)
+    assert p.cell_masses([lo, hi], 3.0)[0] == pytest.approx(ref, abs=1e-11)
     # cell masses telescope to the cdf
     edges = np.linspace(-p.r_alpha, p.r_alpha, 65)
     cells = p.cell_masses(edges)
@@ -312,7 +314,8 @@ def test_nonpositive_time_rejected():
 def test_power_mass_not_integrable():
     p = make_profile(3.0)
     with pytest.raises(errors.InvalidParameterError):
-        p.power_mass(-3.0)  # exponent -1 in the radicand, diverges
+        # exponent -1 in the radicand, diverges
+        p.cell_masses([-p.r_alpha, p.r_alpha], -3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +363,8 @@ def test_power_cell_masses_total():
         edges = np.linspace(-p.r_alpha, p.r_alpha, 37)
         for pw in (theta + 1.0, 1.0 - theta, 1.0, 0.0):
             cells = p.cell_masses(edges, pw)
-            assert cells.sum() == pytest.approx(p.power_mass(pw), rel=1e-13)
+            whole = p.cell_masses([-p.r_alpha, p.r_alpha], pw)[0]
+            assert cells.sum() == pytest.approx(whole, rel=1e-13)
             assert np.all(cells >= 0.0)
 
 

@@ -34,7 +34,7 @@ def closed_form_H(p, t, eps):
     lam = (1.0 + q) ** p.alpha
     b = p.alpha * q / (1.0 + q)
     m2 = p.second_moment()
-    iphi = p.power_mass(p.theta + 1.0)
+    iphi = p.cell_masses([-p.r_alpha, p.r_alpha], p.theta + 1.0)[0]
     return (0.5 * b * b * lam * lam * m2
             - lam ** (-p.theta) * iphi / (p.theta + 1.0)
             - p.c * lam * lam * m2
@@ -256,7 +256,7 @@ def test_duality_dilated_state_quadrature_bound(theta1):
 
 def test_reciprocal_identity_state(theta3):
     p = theta3
-    ref = p.power_mass(1.0 - p.theta)
+    ref = p.cell_masses([-p.r_alpha, p.r_alpha], 1.0 - p.theta)[0]
     got = RS.reciprocal_integral(identity_state(p, 96), p)
     assert got == pytest.approx(ref, rel=1e-12)
 
@@ -266,7 +266,8 @@ def test_reciprocal_dilated_state(theta3):
     p = theta3
     lam = 1.17
     st = shifted_state(p, 96, t=1.0, eps=lam ** (1.0 / p.alpha) - 1.0)
-    ref = lam ** p.theta * p.power_mass(1.0 - p.theta)
+    ref = lam ** p.theta * p.cell_masses([-p.r_alpha, p.r_alpha],
+                                         1.0 - p.theta)[0]
     assert RS.reciprocal_integral(st, p) == pytest.approx(ref, rel=1e-12)
 
 

@@ -114,7 +114,7 @@ def test_energy_matches_closed_form(theta):
     p = make_profile(theta)
     eps, T = 1e-2, 1.0
     m2 = p.second_moment()
-    pth = p.power_mass(theta + 1.0)
+    pth = p.cell_masses([-p.r_alpha, p.r_alpha], theta + 1.0)[0]
     a = p.alpha
 
     def integrand(s):
