@@ -349,10 +349,11 @@ def _run_pipeline(cfg: RunConfig):
 
     _write_json(dataclasses.asdict(cfg), out / RUN_FILES["config"])
     save_flow_csv(f, out / RUN_FILES["flow"])
-    for i, name in zip(rows, snapshots):
-        s = fields_mod.snapshot(f, int(i))
+    s = fields_mod.snapshot(f, rows)
+    for k, name in enumerate(snapshots):
         _write_csv(out / name, ("t", "x", "m", "u", "ux"),
-                   [np.full_like(s.x_nodes, s.t), s.x_nodes, s.m, s.u, s.u_x])
+                   [np.full_like(s.x_nodes[k], s.t[k]), s.x_nodes[k], s.m[k],
+                    s.u[k], s.u_x[k]])
     ddg = fields_mod.boundary_curvature(f)
     _write_csv(out / RUN_FILES["boundary"],
                ("t", "gammaL", "gammaR", "dgL", "dgR", "ddgL", "ddgR"),
@@ -556,10 +557,14 @@ def cmd_export(args: argparse.Namespace) -> int:
     _check_outdir(str(out))
     out.mkdir(exist_ok=True)
 
-    # rescaled density overlays with the stationary reference column
+    # rescaled density overlays with the stationary reference column; each
+    # row rescaled on its own, so that its t takes the scalar powers
+    stack = fields_mod.snapshot(f, _snapshot_rows(g.nt))
     rows = []
-    for i in _snapshot_rows(g.nt):
-        state = rescale_mod.rescale_snapshot(fields_mod.snapshot(f, int(i)), p)
+    for k, t in enumerate(stack.t):
+        state = rescale_mod.rescale_snapshot(dataclasses.replace(
+            stack, t=t, x_nodes=stack.x_nodes[k], m=stack.m[k], u=stack.u[k],
+            u_x=stack.u_x[k]), p)
         eta = state.eta_nodes
         rows.append(np.column_stack([
             np.full_like(eta, state.tau), eta, state.mu, p.phi(eta)]))
@@ -665,7 +670,12 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The program's parser, built once per process.  It holds no command
+    function: `main` looks ``cmd_<command>`` up in this module when the
+    command runs, so a function replaced here after the first call is the
+    one that runs.  ``--help`` reads the terminal width when it prints."""
     ap = _Parser(
         prog="dirac-mfp",
         description="Lagrangian laboratory for the congested planning "
@@ -674,14 +684,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="run the full pipeline once")
     _add_config_flags(sp)
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="independent runs along one axis")
     _add_config_flags(sp)
     sp.add_argument("--axis", choices=("eps", "theta"), required=True)
     sp.add_argument("--values", required=True,
                     help="comma-separated axis values")
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("rates", help="refit scaling laws of a finished run")
     sp.add_argument("rundir")
@@ -690,7 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--write", action="store_true",
                     help="rewrite rates.json with the refit")
     _add_flag(sp, flags["strict"], None)
-    sp.set_defaults(func=cmd_rates)
 
     sp = sub.add_parser("validate", help="terminal-density compatibility")
     sp.add_argument("path", help="x,density CSV")
@@ -698,11 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ratio-bound", type=float, default=1e3,
                     dest="ratio_bound")
     sp.add_argument("--strict", action="store_true")
-    sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("export", help="plot-ready CSVs from a run directory")
     sp.add_argument("rundir")
-    sp.set_defaults(func=cmd_export)
 
     return ap
 
@@ -736,7 +741,7 @@ def main(argv=None) -> int:
     _one_blas_thread()
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except DiracMfpError as exc:
         print(exc, file=sys.stderr)
         return exc.exit_code

@@ -173,50 +173,6 @@ def _unit_root(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.clip(lam, 0.0, 1.0)
 
 
-def _fan_nodes(h: _SideHistory, i: int) -> np.ndarray:
-    """``(t, g, d, ub)`` of the boundary nodes whose tangents make the fan
-    at row ``i``: the columns from node i to the last tangent, backward
-    when row i comes after the turn, so the tangent foot at t_i decreases."""
-    j = i + (i > h.k)
-    step = 1 if j <= h.end else -1
-    return h.fan[:, j:h.end + step:step]
-
-
-def _fan_invert(tn: np.ndarray, gn: np.ndarray, dn: np.ndarray,
-                un: np.ndarray, s: float,
-                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the tangent fan over the nodes of `_fan_nodes` at time s.
-
-    Each x is bracketed between consecutive tangent feet l_n(s) and the
-    tangency time is found from the interpolated (g, d) data, which keeps
-    the construction second order in the grid.
-    """
-    if tn.size == 1:
-        return (un[0] + (tn[0] - s) * 0.5 * dn[0] ** 2
-                ) * np.ones_like(x), -dn[0] * np.ones_like(x)
-    l = gn + (s - tn) * dn
-    span = abs(l[0] - l[-1]) + np.max(np.abs(l)) + 1e-30
-    if np.max(np.diff(l)) > 1e-9 * span:
-        # tangents of a convex curve cannot fold; a genuine fold means the
-        # characteristics cross and the continuation is invalid
-        raise CrossingCharacteristicsError(
-            "tangent characteristics cross; boundary curve not convex")
-    lm = np.minimum.accumulate(l)
-    kk = np.clip(np.searchsorted(-lm, -x, side="right") - 1, 0, l.size - 2)
-
-    t0, dt = tn[kk], tn[kk + 1] - tn[kk]
-    g0, dg = gn[kk], gn[kk + 1] - gn[kk]
-    d0, dd = dn[kk], dn[kk + 1] - dn[kk]
-    u0, du = un[kk], un[kk + 1] - un[kk]
-    lam = _unit_root(-dt * dd, dg + (s - t0) * dd - dt * d0,
-                     g0 + (s - t0) * d0 - x)
-    tl = t0 + lam * dt
-    dl = d0 + lam * dd
-    ul = u0 + lam * du
-    # transport along the segment: du/ds = -gamma_dot^2 / 2
-    return ul + (tl - s) * 0.5 * dl * dl, -dl
-
-
 def _degenerate_region(h: _SideHistory, i, x: np.ndarray) -> np.ndarray:
     """True where the continuation at row(s) ``i`` (broadcast against
     ``x``) lies past the foot of the last tangent, in the linear state of
@@ -226,25 +182,83 @@ def _degenerate_region(h: _SideHistory, i, x: np.ndarray) -> np.ndarray:
     return x < ge + (h.t[i] - te) * de
 
 
-def _extend_one_side(h: _SideHistory, i: int,
-                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = h.t[i]
+def _fans(h: _SideHistory, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, g, d, ub)`` of the boundary nodes whose tangents make the fan
+    at each time row of ``rows``, shape (4, rows, width), and the number of
+    those nodes in each row.  Row i's fan runs from node i + (i > k) to the
+    last tangent, backward when row i comes after the turn, so the tangent
+    foot at t_i decreases; it is padded to the common width (two at least)
+    with its last tangent."""
+    j = rows + (rows > h.k)
+    n = np.abs(h.end - j) + 1
+    step = np.where(j <= h.end, 1, -1)[:, None]
+    c = np.minimum(np.arange(np.max(n, initial=2)), n[:, None] - 1)
+    return h.fan[:, j[:, None] + step * c], n
+
+
+def _continuation(h: _SideHistory, rows: np.ndarray,
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, u_x)`` of the continuation at the exterior points ``x``, one
+    row of points per time row of ``rows``: shape (rows, points).
+
+    A point past the foot of the last tangent takes that tangent's linear
+    state (`_degenerate_region`).  Any other must lie outside the support
+    (`InvalidParameterError`); it is bracketed between consecutive tangent
+    feet of its row's fan (`_fans`), every point of every row in one
+    bisection, and its tangency time is found from the interpolated (g, d)
+    data, which keeps the construction second order in the grid.
+    """
+    s, g = h.t[rows][:, None], h.g[rows][:, None]
     te, ge, de, ue = h.fan[:, h.end]
     le = ge + (s - te) * de
-    if h.k == h.t.size - 1 and le > h.g[i] + 1e-12 * (1.0 + abs(h.g[i])):
+    flat = x < le
+    if np.any(~flat & (x > g)):
+        raise InvalidParameterError("extension requested inside the support")
+    fan, n = _fans(h, rows)
+    l = fan[1] + (s - fan[0]) * fan[2]
+    span = np.abs(l[:, 0] - l[:, -1]) + np.max(np.abs(l), axis=1) + 1e-30
+    # tangents of a convex curve cannot fold; a genuine fold means the
+    # characteristics cross and the continuation is invalid (the padding
+    # adds steps of zero, so it folds nowhere)
+    crossed = np.any((np.max(np.diff(l, axis=1), axis=1) > 1e-9 * span)
+                     & ~np.all(flat, axis=1))
+    if h.k == h.t.size - 1:
         # without a turn the last tangent must fall below a convex
         # boundary curve; landing above it means the tangent lines fold
+        crossed |= np.any(le > g + 1e-12 * (1.0 + np.abs(g)))
+    if crossed:
         raise CrossingCharacteristicsError(
             "tangent characteristics cross; boundary curve not convex")
-    u = np.empty_like(x)
-    ux = np.empty_like(x)
-    flat = _degenerate_region(h, i, x)
+
+    # the number of leading feet at or right of each point, by bisection
+    # over the running minimum of the feet, which decreases along each row
+    lm = np.minimum.accumulate(l, axis=1)
+    width = lm.shape[1]
+    r = np.arange(rows.size)[:, None]
+    above = np.zeros(x.shape, dtype=int)
+    bit = 1 << (width.bit_length() - 1)
+    while bit:
+        nxt = above + bit
+        ok = (nxt <= width) & (lm[r, np.minimum(nxt, width) - 1] >= x)
+        above = np.where(ok, nxt, above)
+        bit >>= 1
+    kk = np.clip(above - 1, 0, np.maximum(n - 2, 0)[:, None])
+
+    lo = fan[:, r, kk]
+    t0, g0, d0, u0 = lo
+    dt, dg, dd, du = fan[:, r, kk + 1] - lo
+    lam = _unit_root(-dt * dd, dg + (s - t0) * dd - dt * d0,
+                     g0 + (s - t0) * d0 - x)
+    tl = t0 + lam * dt
+    dl = d0 + lam * dd
+    ul = u0 + lam * du
+    # transport along the segment: du/ds = -gamma_dot^2 / 2.  The fan of
+    # one tangent (row nt without a turn) is padded to two copies of it,
+    # which give lam = 0 at t_i = te: that tangent's own state.
     # 0.0 - de: a turn's slope is +0, not -0
-    u[flat] = (le - x[flat]) * de + (ue + (te - s) * 0.5 * de ** 2)
-    ux[flat] = 0.0 - de
-    fan = ~flat
-    if np.any(fan):
-        u[fan], ux[fan] = _fan_invert(*_fan_nodes(h, i), s, x[fan])
+    u = np.where(flat, (le - x) * de + (ue + (te - s) * 0.5 * de ** 2),
+                 ul + (tl - s) * 0.5 * dl * dl)
+    ux = np.where(flat, 0.0 - de, -dl)
     return u, ux
 
 
@@ -253,26 +267,6 @@ def _histories(f: FlowField) -> tuple[_SideHistory, _SideHistory]:
     t, g, d, ubar = f.grid.t, f.gamma, f.gamma_t, f.value
     return (_side_history(t, g[:, 0], d[:, 0], ubar[:, 0]),
             _side_history(t, -g[:, -1], -d[:, -1], ubar[:, -1]))
-
-
-def _extend(hL: _SideHistory, hR: _SideHistory, i: int,
-            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(u, u_x)`` of the continuation at exterior points ``x`` of time row
-    ``i``: points left of the support on the left history, the others on
-    the reflected right one."""
-    left = x <= hL.g[i]
-    right = -x <= hR.g[i]
-    if not np.all(left | right):
-        raise InvalidParameterError("extension requested inside the support")
-    u = np.empty_like(x)
-    ux = np.empty_like(x)
-    if np.any(left):
-        u[left], ux[left] = _extend_one_side(hL, i, x[left])
-    if np.any(right):
-        ur, uxr = _extend_one_side(hR, i, -x[right])
-        u[right] = ur
-        ux[right] = -uxr
-    return u, ux
 
 
 # -- snapshots ----------------------------------------------------------------
@@ -308,36 +302,34 @@ def snapshot(f: FlowField, rows, *,
     Padding uses the mean support spacing of each row, ``n_pad`` nodes per
     side (default ny // 4, at least 2).  The value and gamma_t are those
     the flow keeps, so slicing many snapshots derives them once.
-    The exterior continuation brackets each row separately, so it runs
-    once per row, on side histories built once.
+    The exterior continuation of all rows is one array pass per side, on
+    side histories built once.
     """
     g = f.grid
     if n_pad is None:
         n_pad = max(2, g.ny // 4)
     shape = np.shape(rows)
     rows = np.reshape(rows, -1)
-    ubar = f.value
     x_sup = f.gamma[rows]
     gL, gR = x_sup[:, :1], x_sup[:, -1:]
     h = (gR - gL) / g.ny
-    x_ext = np.concatenate([gL - h * np.arange(n_pad, 0, -1),
-                            gR + h * np.arange(1, n_pad + 1)], axis=1)
-    u_ext = np.empty_like(x_ext)
-    ux_ext = np.empty_like(x_ext)
+    xL = gL - h * np.arange(n_pad, 0, -1)
+    xR = gR + h * np.arange(1, n_pad + 1)
     hL, hR = _histories(f)
-    for k, i in enumerate(rows):
-        u_ext[k], ux_ext[k] = _extend(hL, hR, int(i), x_ext[k])
+    uL, uxL = _continuation(hL, rows, xL)
+    uR, uxR = _continuation(hR, rows, -xR)
 
-    def glue(ext, sup):
-        out = np.concatenate([ext[:, :n_pad], sup, ext[:, n_pad:]], axis=1)
+    def glue(left, sup, right):
+        out = np.concatenate([left, sup, right], axis=1)
         return out.reshape(shape + out.shape[-1:])
 
+    pad = np.zeros_like(xL)
     return EulerianSnapshot(
         t=g.t[rows].reshape(shape)[()],
-        x_nodes=glue(x_ext, x_sup),
-        m=glue(np.zeros_like(x_ext), f.density[rows]),
-        u=glue(u_ext, ubar[rows]),
-        u_x=glue(ux_ext, -f.gamma_t[rows]),
+        x_nodes=glue(xL, x_sup, xR),
+        m=glue(pad, f.density[rows], pad),
+        u=glue(uL, f.value[rows], uR),
+        u_x=glue(uxL, -f.gamma_t[rows], -uxR),
         y_nodes=g.y.copy(),
         n_pad=n_pad,
     )

@@ -260,10 +260,10 @@ def build_series(f: FlowField) -> dict[str, np.ndarray]:
     (two nodes at least), so the duality pairing reads w at the labels
     between nodes; no column reads a pad beyond them.
 
-    All slices are rescaled together as one stacked snapshot, and every
-    column is one reduction along the nodes; only the exterior
-    continuation of the value and the interpolation inside the duality
-    pairing run per row.
+    All slices are rescaled together as one stacked snapshot, whose
+    exterior continuation is one array pass per side, and every column is
+    one reduction along the nodes; only the interpolation inside the
+    duality pairing runs per row.
     """
     p, g = f.profile, f.grid
     keep, tau = series_rows(g)

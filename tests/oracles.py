@@ -1,12 +1,17 @@
 """Test oracles: code that only the tests call.
 
+- `_extend` is the per-row exterior continuation that `fields.snapshot`
+  ran before it continued every row in one array pass
+  (`fields._continuation`): for each time row, each side bracketed by a
+  `searchsorted` over that row's own fan.  ``test_fields.py`` checks that
+  the array pass gives its bytes on every row, and raises where it raises.
 - `hj_residuals` evaluates the Hamilton-Jacobi equation pointwise at fixed
   x on the nodes of a `fields.snapshot`, by the chain rule along the labels
   on the support and by finite differences on the exterior pads.
   Acceptance criterion 5 and the HJ tests of ``test_fields.py`` compare its
   two arrays against fixed bounds, on solved flows and on flows moved off
   their optimum.  It reads the continuation through the private helpers of
-  `dirac_mfp.fields`.
+  `dirac_mfp.fields`, the neighbor rows through `fields._continuation`.
 - `QuantileTable` and `wasserstein` are the quantile-table route of the
   one-dimensional Wasserstein distance, exact for piecewise-linear quantile
   interpolants.  ``test_metrics.py`` compares `metrics.wasserstein_maps`,
@@ -22,10 +27,100 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dirac_mfp.errors import InvalidParameterError
-from dirac_mfp.fields import (_degenerate_region, _extend, _histories,
-                              _row_gradient, _SideHistory, snapshot)
+from dirac_mfp.errors import (CrossingCharacteristicsError,
+                              InvalidParameterError)
+from dirac_mfp.fields import (_continuation, _degenerate_region, _histories,
+                              _row_gradient, _SideHistory, _unit_root,
+                              snapshot)
 from dirac_mfp.solver import FlowField
+
+# -- the per-row exterior continuation ---------------------------------------
+
+def _fan_nodes(h: _SideHistory, i: int) -> np.ndarray:
+    """``(t, g, d, ub)`` of the boundary nodes whose tangents make the fan
+    at row ``i``: the columns from node i to the last tangent, backward
+    when row i comes after the turn, so the tangent foot at t_i decreases."""
+    j = i + (i > h.k)
+    step = 1 if j <= h.end else -1
+    return h.fan[:, j:h.end + step:step]
+
+
+def _fan_invert(tn: np.ndarray, gn: np.ndarray, dn: np.ndarray,
+                un: np.ndarray, s: float,
+                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the tangent fan over the nodes of `_fan_nodes` at time s.
+
+    Each x is bracketed between consecutive tangent feet l_n(s) and the
+    tangency time is found from the interpolated (g, d) data, which keeps
+    the construction second order in the grid.
+    """
+    if tn.size == 1:
+        return (un[0] + (tn[0] - s) * 0.5 * dn[0] ** 2
+                ) * np.ones_like(x), -dn[0] * np.ones_like(x)
+    l = gn + (s - tn) * dn
+    span = abs(l[0] - l[-1]) + np.max(np.abs(l)) + 1e-30
+    if np.max(np.diff(l)) > 1e-9 * span:
+        # tangents of a convex curve cannot fold; a genuine fold means the
+        # characteristics cross and the continuation is invalid
+        raise CrossingCharacteristicsError(
+            "tangent characteristics cross; boundary curve not convex")
+    lm = np.minimum.accumulate(l)
+    kk = np.clip(np.searchsorted(-lm, -x, side="right") - 1, 0, l.size - 2)
+
+    t0, dt = tn[kk], tn[kk + 1] - tn[kk]
+    g0, dg = gn[kk], gn[kk + 1] - gn[kk]
+    d0, dd = dn[kk], dn[kk + 1] - dn[kk]
+    u0, du = un[kk], un[kk + 1] - un[kk]
+    lam = _unit_root(-dt * dd, dg + (s - t0) * dd - dt * d0,
+                     g0 + (s - t0) * d0 - x)
+    tl = t0 + lam * dt
+    dl = d0 + lam * dd
+    ul = u0 + lam * du
+    # transport along the segment: du/ds = -gamma_dot^2 / 2
+    return ul + (tl - s) * 0.5 * dl * dl, -dl
+
+
+def _extend_one_side(h: _SideHistory, i: int,
+                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s = h.t[i]
+    te, ge, de, ue = h.fan[:, h.end]
+    le = ge + (s - te) * de
+    if h.k == h.t.size - 1 and le > h.g[i] + 1e-12 * (1.0 + abs(h.g[i])):
+        # without a turn the last tangent must fall below a convex
+        # boundary curve; landing above it means the tangent lines fold
+        raise CrossingCharacteristicsError(
+            "tangent characteristics cross; boundary curve not convex")
+    u = np.empty_like(x)
+    ux = np.empty_like(x)
+    flat = _degenerate_region(h, i, x)
+    # 0.0 - de: a turn's slope is +0, not -0
+    u[flat] = (le - x[flat]) * de + (ue + (te - s) * 0.5 * de ** 2)
+    ux[flat] = 0.0 - de
+    fan = ~flat
+    if np.any(fan):
+        u[fan], ux[fan] = _fan_invert(*_fan_nodes(h, i), s, x[fan])
+    return u, ux
+
+
+def _extend(hL: _SideHistory, hR: _SideHistory, i: int,
+            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(u, u_x)`` of the continuation at exterior points ``x`` of time row
+    ``i``: points left of the support on the left history, the others on
+    the reflected right one."""
+    left = x <= hL.g[i]
+    right = -x <= hR.g[i]
+    if not np.all(left | right):
+        raise InvalidParameterError("extension requested inside the support")
+    u = np.empty_like(x)
+    ux = np.empty_like(x)
+    if np.any(left):
+        u[left], ux[left] = _extend_one_side(hL, i, x[left])
+    if np.any(right):
+        ur, uxr = _extend_one_side(hR, i, -x[right])
+        u[right] = ur
+        ux[right] = -uxr
+    return u, ux
+
 
 # -- Hamilton-Jacobi residuals ------------------------------------------------
 
@@ -108,11 +203,17 @@ def hj_residuals(f: FlowField) -> tuple[np.ndarray, np.ndarray]:
                      _row_gradient(u[:, -side:], x[:, -side:])[:, 1:]])
     pads = np.r_[:n_pad, -n_pad:0]
     xp = x[:, pads]
-    around = np.full(xp.shape + (3,), np.nan)
+    around = np.empty(xp.shape + (3,))
     around[..., 1] = u[:, pads]
-    for k, i in enumerate(rows):
-        for j in (0, 2):
-            around[k, ok[k], j] = _extend(hL, hR, i + j - 1, xp[k, ok[k]])[0]
+    okl, okr = ok[:, :n_pad], ok[:, n_pad:]
+    for j in (0, 2):
+        # the untested nodes move to the boundary of the neighbor row, where
+        # the continuation is defined; the mask below drops them
+        near = rows + j - 1
+        around[..., j] = np.hstack([
+            _continuation(hL, near, np.where(okl, xl, f.gamma[near, :1]))[0],
+            _continuation(hR, near, -np.where(okr, xr, f.gamma[near, -1:]))[0],
+        ])
     t = g.t[rows[:, None, None] + np.arange(-1, 2)]
     u_t = _row_gradient(around, np.broadcast_to(t, around.shape))[..., 1]
     exterior[rows] = np.where(ok, -u_t + 0.5 * u_x * u_x, np.nan)

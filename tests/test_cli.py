@@ -532,6 +532,27 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
     assert exc.value.code == 0
 
 
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    errs = []
+    for _ in range(3):
+        assert run_cli("solve", "--nt", "abc") == 1
+        errs.append(capsys.readouterr().err)
+    assert errs == 3 * ["dirac-mfp solve: argument --nt: invalid int value: "
+                        "'abc'\n"]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # --help of that one parser reads the terminal width when it prints
+    widths = []
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            run_cli("solve", "--help")
+        widths.append(max(map(len, capsys.readouterr().out.splitlines())))
+    assert widths[0] < widths[1]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_validate_reports_envelope(tmp_path, capsys):
     path = tmp_path / "bump.csv"
     x = np.linspace(-1.0, 1.0, 201)
@@ -1089,6 +1110,29 @@ def test_rates_write_reproduces_solve(supercritical_run, tmp_path, capsys):
     assert run_cli("rates", run, "--write") == 0
     assert (run / "rates.json").read_bytes() \
         == (supercritical_run / "rates.json").read_bytes()
+    capsys.readouterr()
+
+
+def test_each_command_takes_its_snapshots_in_one_call(tmp_path, capsys,
+                                                     monkeypatch):
+    # solve: one stacked snapshot for the slices and one for the series;
+    # export: one for its overlays (the series is the run's series.csv);
+    # rates: none
+    calls = []
+    take = fields.snapshot
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "snapshot", counted)
+    monkeypatch.setattr(rescale, "snapshot", counted)
+    run = tmp_path / "run"
+    for argv, expected in ((["solve", "--outdir", run, "--theta", "3", *FAST],
+                            2), (["export", run], 1), (["rates", run], 0)):
+        calls.clear()
+        assert run_cli(*argv) == 0
+        assert len(calls) == expected, argv[0]
     capsys.readouterr()
 
 

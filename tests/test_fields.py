@@ -24,7 +24,7 @@ from dirac_mfp.solver import (
 from dirac_mfp.target import load_csv, power_bump, self_similar_terminal
 
 from conftest import write_two_bump_csv
-from oracles import hj_residuals
+from oracles import _extend, _extend_one_side, hj_residuals
 
 
 def analytic_flow(p, grid):
@@ -262,13 +262,13 @@ def test_extension_constant_below_turning_level():
     # the velocity is linear in t, so its interpolant vanishes at t = 0.4
     tk, gk, dk, uk = h.fan[:, h.end]
     assert abs(tk - 0.4) < 1e-12 and dk == 0.0
-    for i in (10, 40, 70):
-        x = np.array([gk - 0.3, gk - 1e-9])
-        u, ux = F._extend_one_side(h, i, x)
-        assert np.all(u == uk)
-        assert np.all(ux == 0.0)
-        # the turn's slope is +0: a -0 would print "-0" into snapshots
-        assert not np.any(np.signbit(ux))
+    rows = np.array([10, 40, 70])
+    x = np.tile([gk - 0.3, gk - 1e-9], (rows.size, 1))
+    u, ux = F._continuation(h, rows, x)
+    assert np.all(u == uk)
+    assert np.all(ux == 0.0)
+    # the turn's slope is +0: a -0 would print "-0" into snapshots
+    assert not np.any(np.signbit(ux))
 
 
 def test_extension_turning_in_the_last_interval():
@@ -282,9 +282,11 @@ def test_extension_turning_in_the_last_interval():
     assert h.k == t.size - 2 and h.end == t.size - 1
     tk, gk, dk, uk = h.fan[:, h.end]
     assert abs(tk - 0.99) < 1e-12 and dk == 0.0 and gk > g[h.k]
-    for i in range(t.size):
-        x = np.array([gk - 0.3, gk - 1e-9, g[i]])
-        u, ux = F._extend_one_side(h, i, x)
+    rows = np.arange(t.size)
+    x = np.column_stack([np.full(t.size, gk - 0.3),
+                         np.full(t.size, gk - 1e-9), g])
+    every_u, every_ux = F._continuation(h, rows, x)
+    for i, u, ux in zip(rows, every_u, every_ux):
         assert np.all(u[:2] == uk) and np.all(ux[:2] == 0.0), i
         assert not np.any(np.signbit(ux[:2])), i
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(ux)), i
@@ -296,10 +298,11 @@ def test_extension_matches_boundary_data():
     # the last row has a single tangent
     for g, d in ((g, d), (g + 0.3 * t - 0.03, d + 0.3)):
         h = F._side_history(t, g, d, ub)
-        for i in (5, 40, 75, t.size - 1):
-            u, ux = F._extend_one_side(h, i, np.array([g[i]]))
-            assert abs(u[0] - ub[i]) < 1e-12
-            assert abs(ux[0] + d[i]) < 1e-12
+        rows = np.array([5, 40, 75, t.size - 1])
+        u, ux = F._continuation(h, rows, g[rows, None])
+        for k, i in enumerate(rows):
+            assert abs(u[k, 0] - ub[i]) < 1e-12
+            assert abs(ux[k, 0] + d[i]) < 1e-12
 
 
 def test_extension_case_b_linear_region(theta1, selfsim64):
@@ -311,7 +314,7 @@ def test_extension_case_b_linear_region(theta1, selfsim64):
     s = g.t[i]
     lT = f.gamma[-1, 0] + (s - g.t[-1]) * dgL
     x = lT - np.array([2.0, 1.5, 1.0, 0.5])
-    u, ux = F._extend(*F._histories(f), i, x)
+    (u,), (ux,) = F._continuation(F._histories(f)[0], np.array([i]), x[None])
     assert np.max(np.abs(ux - (-dgL))) < 1e-12
     # exactly linear: second differences vanish
     assert np.max(np.abs(np.diff(u, 2))) < 1e-10
@@ -322,8 +325,9 @@ def test_extension_case_b_linear_region(theta1, selfsim64):
 
 def test_extension_rejects_interior_points(selfsim64):
     f = selfsim64
-    with pytest.raises(errors.InvalidParameterError):
-        F._extend(*F._histories(f), 30, np.array([0.0]))
+    for h in F._histories(f):
+        with pytest.raises(errors.InvalidParameterError):
+            F._continuation(h, np.array([30]), np.array([[0.0]]))
 
 
 def test_extension_crossing_characteristics_detected():
@@ -332,7 +336,7 @@ def test_extension_crossing_characteristics_detected():
     d = -0.6 * (t - 0.4)
     h = F._side_history(t, g, d, 0.0 * t)
     with pytest.raises(errors.CrossingCharacteristicsError):
-        F._extend_one_side(h, 10, np.array([g[10] - 1e-3]))
+        F._continuation(h, np.array([10]), np.array([[g[10] - 1e-3]]))
 
 
 def test_exterior_slope_bounded_by_boundary_history(solved64):
@@ -359,27 +363,145 @@ def test_snapshot_structure(solved128):
     pads = np.r_[:snap.n_pad, -snap.n_pad:0]
     assert np.all(snap.m[pads] == 0.0)
     assert np.all(snap.m[inside][1:-1] > 0)
-    # C0 gluing of the value across the boundary nodes
-    jl = inside.start
-    ext_u, _ = F._extend(*F._histories(f), 64, snap.x_nodes[jl:jl + 1])
-    assert abs(ext_u[0] - snap.u[jl]) < 1e-12
+    # C0 gluing of the value across the boundary nodes, in each side's frame
+    for h, j, frame in zip(F._histories(f), (inside.start, inside.stop - 1),
+                           (1.0, -1.0)):
+        ext_u, _ = F._continuation(h, np.array([64]),
+                                   frame * snap.x_nodes[None, j:j + 1])
+        assert abs(ext_u[0, 0] - snap.u[j]) < 1e-12
 
 
-def test_stacked_snapshot_is_the_per_row_snapshots(solved64):
+def assert_stack_is_the_rows(f):
     # rows stacked in one call give every row's snapshot bit for bit
-    p, f = solved64
-    rows = [1, 5, 40, f.grid.nt]
+    rows = np.arange(1, f.grid.nt + 1)
     stack = F.snapshot(f, rows)
     assert stack.t.shape == (len(rows),)
     assert stack.x_nodes.shape == (len(rows), f.grid.ny + 1 + 2 * stack.n_pad)
     for k, i in enumerate(rows):
-        one = F.snapshot(f, i)
+        one = F.snapshot(f, int(i))
         assert np.ndim(one.t) == 0 and one.t == stack.t[k]
         assert one.n_pad == stack.n_pad
         assert one.y_nodes.tobytes() == stack.y_nodes.tobytes()
         for name in ("x_nodes", "m", "u", "u_x"):
             assert (getattr(one, name).tobytes()
                     == getattr(stack, name)[k].tobytes()), (i, name)
+
+
+def test_stacked_snapshot_is_the_per_row_snapshots(solved64):
+    assert_stack_is_the_rows(solved64[1])
+
+
+def test_stacked_snapshot_is_the_per_row_snapshots_when_boundaries_turn(
+        turning128):
+    assert_stack_is_the_rows(turning128)
+
+
+# ---------------------------------------------------------------------------
+# the array continuation against the per-row reference
+# ---------------------------------------------------------------------------
+
+def series_padding(f, monkeypatch):
+    """The ``n_pad`` that `rescale.build_series` asks of the snapshot of
+    ``f``."""
+    from dirac_mfp import rescale
+    asked = []
+
+    def spy(f, rows, *, n_pad=None):
+        asked.append(n_pad)
+        return F.snapshot(f, rows, n_pad=n_pad)
+
+    monkeypatch.setattr(rescale, "snapshot", spy)
+    rescale.build_series(f)
+    monkeypatch.undo()
+    return asked[0]
+
+
+def assert_snapshot_is_the_reference(f, padding, monkeypatch):
+    # every row of one stacked snapshot carries the bytes of the per-row
+    # continuation on its pads
+    n_pad = None if padding == "default" else series_padding(f, monkeypatch)
+    snap = F.snapshot(f, np.arange(f.grid.nt + 1), n_pad=n_pad)
+    pads = np.r_[:snap.n_pad, -snap.n_pad:0]
+    hL, hR = F._histories(f)
+    for i in range(f.grid.nt + 1):
+        u, ux = _extend(hL, hR, i, snap.x_nodes[i, pads])
+        assert u.tobytes() == snap.u[i, pads].tobytes(), i
+        assert ux.tobytes() == snap.u_x[i, pads].tobytes(), i
+    return hL, hR
+
+
+PADDINGS = pytest.mark.parametrize("padding", ["default", "series"])
+
+
+@pytest.fixture(scope="module")
+def supercritical128():
+    # the benchmark session's flow: neither boundary turns at theta = 3
+    p = make_profile(3.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=128, ny=128)
+    return solve(p, power_bump(-1.0, 1.0, 3.0), g)
+
+
+@PADDINGS
+def test_continuation_is_the_reference_without_a_turn(supercritical128,
+                                                      padding, monkeypatch):
+    hL, hR = assert_snapshot_is_the_reference(supercritical128, padding,
+                                              monkeypatch)
+    assert not _turns(hL) and not _turns(hR)
+
+
+@PADDINGS
+def test_continuation_is_the_reference_when_boundaries_turn(turning128,
+                                                            padding,
+                                                            monkeypatch):
+    hL, _ = assert_snapshot_is_the_reference(turning128, padding, monkeypatch)
+    assert _turns(hL)
+
+
+@PADDINGS
+def test_continuation_is_the_reference_on_the_fixture_flows(solved64,
+                                                            padding,
+                                                            monkeypatch):
+    assert_snapshot_is_the_reference(solved64[1], padding, monkeypatch)
+
+
+def manufactured_history(case):
+    t, g, d, ub = _quadratic_histories(
+        turn=0.99 if case == "last-interval turn" else 0.4)
+    if case == "no turn":
+        g, d = g + 0.3 * t - 0.03, d + 0.3
+    elif case == "concave":
+        g, d = -0.3 * (t - 0.4) ** 2 - 0.5, -0.6 * (t - 0.4)
+    return F._side_history(t, g, d, ub)
+
+
+@pytest.mark.parametrize("case", ["turn", "last-interval turn", "no turn",
+                                  "concave"])
+def test_continuation_raises_where_the_reference_raises(case):
+    h = manufactured_history(case)
+    rows = np.arange(h.t.size)
+    # points from the boundary into the fan, and points past every
+    # tangent's foot, where the reference tests no fold
+    for x in (h.g[:, None] - np.linspace(0.0, 0.2, 9),
+              h.g[:, None] - np.linspace(2.0, 3.0, 3)):
+        raised = []
+        for i in rows:
+            try:
+                ref = _extend_one_side(h, int(i), x[i])
+            except errors.CrossingCharacteristicsError:
+                raised.append(i)
+                with pytest.raises(errors.CrossingCharacteristicsError):
+                    F._continuation(h, rows[i:i + 1], x[i:i + 1])
+                continue
+            u, ux = F._continuation(h, rows[i:i + 1], x[i:i + 1])
+            assert u.tobytes() == ref[0].tobytes(), i
+            assert ux.tobytes() == ref[1].tobytes(), i
+        if raised:
+            with pytest.raises(errors.CrossingCharacteristicsError):
+                F._continuation(h, rows, x)
+        else:
+            F._continuation(h, rows, x)
+        assert bool(raised) == (case == "concave")
+        assert len(raised) < rows.size
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +581,13 @@ def test_turning_continuation_covers_the_pads(turning128):
     turning = [(h, x) for h, x in zip(F._histories(f), pads) if _turns(h)]
     assert turning
     for h, x in turning:
-        in_fan = 0
-        for xi, i in zip(x, rows):
-            tn, gn, dn, _ = F._fan_nodes(h, int(i))
-            feet = gn + (g.t[i] - tn) * dn
-            fan = xi[~F._degenerate_region(h, i, xi)]
-            assert np.all((fan >= feet.min()) & (fan <= feet.max())), i
-            in_fan += fan.size
-        assert 0 < in_fan < x.size
+        (tn, gn, dn, _), _ = F._fans(h, rows)
+        feet = gn + (g.t[rows, None] - tn) * dn
+        fan = ~F._degenerate_region(h, rows[:, None], x)
+        covered = ((x >= feet.min(axis=1, keepdims=True))
+                   & (x <= feet.max(axis=1, keepdims=True)))
+        assert not np.any(fan & ~covered), rows[np.any(fan & ~covered, 1)]
+        assert 0 < np.count_nonzero(fan) < x.size
 
 
 def test_hj_residuals_without_a_tested_row(theta1):
