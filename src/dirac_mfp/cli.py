@@ -392,9 +392,9 @@ def _run_pipeline(cfg: RunConfig):
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     f, _, bad, detail = _run_pipeline(cfg)
-    levels = ", ".join(f"{nt}x{ny}: {k}/{nf}" for nt, ny, k, nf in f.info.levels)
+    levels = ", ".join(f"{nt}x{ny}: {k}/{n}" for nt, ny, k, n in f.info.levels)
     print(f"wrote {cfg.outdir} ({f.info.iterations} Newton steps, "
-          f"{f.info.levels[-1][3]} factored"
+          f"{f.info.levels[-1][3]} CG iterations"
           + (f" ({levels})" if len(f.info.levels) > 1 else "")
           + f", scaled gradient {f.info.grad_norm:.3g})")
     if bad:
@@ -557,19 +557,13 @@ def cmd_export(args: argparse.Namespace) -> int:
     _check_outdir(str(out))
     out.mkdir(exist_ok=True)
 
-    # rescaled density overlays with the stationary reference column; each
-    # row rescaled on its own, so that its t takes the scalar powers
-    stack = fields_mod.snapshot(f, _snapshot_rows(g.nt))
-    rows = []
-    for k, t in enumerate(stack.t):
-        state = rescale_mod.rescale_snapshot(dataclasses.replace(
-            stack, t=t, x_nodes=stack.x_nodes[k], m=stack.m[k], u=stack.u[k],
-            u_x=stack.u_x[k]), p)
-        eta = state.eta_nodes
-        rows.append(np.column_stack([
-            np.full_like(eta, state.tau), eta, state.mu, p.phi(eta)]))
+    # rescaled density overlays with the stationary reference column
+    state = rescale_mod.rescale_snapshot(
+        fields_mod.snapshot(f, _snapshot_rows(g.nt)), p)
+    eta = state.eta_nodes
     _write_csv(out / "mu_overlay.csv", ("tau", "eta", "mu", "phi"),
-               [np.vstack(rows)])
+               [np.broadcast_to(state.tau[:, None], eta.shape).ravel(),
+                eta.ravel(), state.mu.ravel(), p.phi(eta).ravel()])
 
     # Lyapunov series with both dH/dtau columns and the fitted envelope;
     # the run's series.csv when it is the series of this flow
@@ -719,8 +713,12 @@ _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
 
 @functools.cache
 def _one_blas_thread() -> None:
-    """Set every loaded OpenBLAS to one thread, once per process (see the
-    factor's notes in `solver`).  Without OpenBLAS this does nothing."""
+    """Set every loaded OpenBLAS to one thread, once per process: a run
+    makes many small BLAS and LAPACK calls (CG's dot products, line and
+    band solves), between which a second thread only spin-waits.  On 2
+    cores two threads took 2.2 to 5 times the CPU time and 1.1 to 2.6
+    times the wall time of one on the benchmark's three workloads.
+    Without OpenBLAS this does nothing."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {ln.split()[-1] for ln in fh}

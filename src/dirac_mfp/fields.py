@@ -211,7 +211,7 @@ def _continuation(h: _SideHistory, rows: np.ndarray,
     s, g = h.t[rows][:, None], h.g[rows][:, None]
     te, ge, de, ue = h.fan[:, h.end]
     le = ge + (s - te) * de
-    flat = x < le
+    flat = _degenerate_region(h, rows[:, None], x)
     if np.any(~flat & (x > g)):
         raise InvalidParameterError("extension requested inside the support")
     fan, n = _fans(h, rows)

@@ -83,11 +83,6 @@ class RescaledState:
         return self.eta_nodes[..., self.support]
 
 
-# libm's log element by element: the one-slice tau keeps the bits that
-# `math.log` gives it, which numpy's vectorized log does not always match
-_log = np.vectorize(math.log, otypes=[float])
-
-
 def rescale_snapshot(s: EulerianSnapshot, p: Profile) -> RescaledState:
     """Map Eulerian slices into the self-similar frame.
 
@@ -98,14 +93,12 @@ def rescale_snapshot(s: EulerianSnapshot, p: Profile) -> RescaledState:
     if not np.all(s.t > 0.0):
         raise InvalidParameterError(
             f"rescaling needs t > 0, got t={np.min(s.t)}")
-    # the powers of t are taken before t is broadcast over the nodes, so
-    # that one slice raises a scalar, with the scalar pow
     ta = np.expand_dims(s.t ** p.alpha, -1)
     tv = np.expand_dims(s.t ** (1.0 - 2.0 * p.alpha), -1)
     eta = s.x_nodes / ta
     w = tv * s.u + 0.5 * p.alpha * eta * eta
     return RescaledState(
-        tau=_log(s.t)[()],
+        tau=np.log(s.t),
         eta_nodes=eta,
         mu=ta * s.m,
         w=w,

@@ -24,20 +24,21 @@ the semi-discretization exact on y-linear flows, and reproduce the
 free-boundary law gamma_tt = (phi^theta)_y gamma_y^{-theta-1} as the
 natural stationarity condition of the boundary columns.
 
-The Newton system is solved by a multifrontal Cholesky over a nested
-dissection of the (time, label) grid: O(n^2 log n) memory and O(n^3) flops
-on an n x n grid.  Its leaves, boxes of at most 8 x 17 nodes, are numbered
-first and factored on one shared band.  While every slope stays above the
-floor the matrix is positive definite by construction; a pivot that is not
-positive ends the solve with `DegenerateStateError`.
-
 Newton is grid-sequenced (nested iteration, Brandt, Math. Comp. 31, 1977):
-while nt and ny are even with halves of at least 64, the grid of every second
-node is solved first, the coarsest from `initial_guess`, and each finer grid
-starts from the coarser flow prolonged bilinearly in (log(t+eps), y), with
-its own pinned rows.  Coarse levels stop at a scaled gradient of 1e-4 (or a
-looser ``residual_tol``), and ``newton_max_iter`` caps each level.  Near
-convergence a step may reuse the last factor (a chord step, Kelley 1995).
+every axis with more than 64 intervals is halved, rounding up, down to the
+coarsest grid, which starts from `initial_guess`; each finer grid starts
+from the coarser flow interpolated linearly in (log(t+eps), y), with its own
+pinned rows.  Coarse levels stop at a scaled gradient of 1e-4 (or a looser
+``residual_tol``), and ``newton_max_iter`` caps each level.
+
+The coarsest grid solves its Newton systems by a band Cholesky.  Every finer
+grid solves them by CG to a relative residual of 1e-6, preconditioned by one
+multigrid V-cycle over the grids below it in the same ladder: O(n^2) memory
+and work per iteration on an n x n grid, and iterations per step that do not
+grow with n (1 to 6 from 128^2 to 512^2).  While every slope stays above the
+floor the matrix is positive definite by construction; a pivot that is not
+positive, or a CG direction of no positive curvature, ends the solve with
+`DegenerateStateError`.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsyrk, dtpsv, dtrsm
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dtbtrs, dtrttp
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from .errors import (
     DegenerateStateError,
@@ -115,7 +115,7 @@ class SolveInfo:
     iterations: int      # Newton steps on the requested grid
     grad_norm: float
     energy: float
-    # (nt, ny, Newton steps, factorizations) of each grid, coarsest first
+    # (nt, ny, Newton steps, CG iterations) of each grid, coarsest first
     levels: tuple[tuple[int, int, int, int], ...]
 
 
@@ -325,248 +325,84 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Newton system: nested-dissection multifrontal Cholesky
+# Newton system: CG preconditioned by a multigrid V-cycle over the ladder
 # ---------------------------------------------------------------------------
 #
 # The Newton matrix is a symmetric 5-point stencil on the (nt-1) x (ny+1)
-# grid of interior time rows and labels.  Its unknowns are eliminated in a
-# geometric nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973):
-# each box is cut by one grid line across its longer side, the two halves are
-# eliminated first and the line (the separator) last, down to leaf boxes with
-# a short side of at most _LEAF nodes and a long side of at most 2 _LEAF + 1,
-# which absorb the separator of one more cut (amalgamation, Ashcraft & Grimes,
-# ACM TOMS 15, 1989).  Every other box gives one dense front: its separator
-# nodes followed by its boundary, the outside neighbours of the box, which
-# all lie on enclosing separators.  The fronts are factored by the
-# multifrontal method (Duff & Reid, ACM TOMS 9, 1983), the children's updates
-# on a stack.  Each keeps the packed lower triangle of its s x s block
-# (`dtrttp`), which the substitutions read in place (`dtpsv`), and its b x s
-# block X = B L^-T.  The leaves' nodes are numbered first, each leaf's along
-# its short side, so its L is zero more than _LEAF rows below the diagonal.
-# The leaves share one (_LEAF + 1) x nleaf band: each writes its stencil
-# entries into its own columns, factors them in place (`dpbtrf`) and forms
-# its update -X X^T from X^T = L^-1 B^T (`dtbtrs`, `dsyrk`); its B holds one
-# stencil value per boundary node.  Leaves do not couple, so a substitution
-# solves with all of them at once (`dpbtrs`) and moves their couplings by one
-# `np.bincount`.  An n x n grid's factor holds O(n^2 log n) entries for O(n^3)
-# flops, a band Cholesky of the whole grid O(n^3) for O(n^4).  All is scipy's
-# BLAS and LAPACK, on one thread (`cli.main`): a second spin-waits between
-# fronts.
-#
-# The stencil values are three (R, C) planes: the diagonal, the label
-# couplings (i, j)-(i, j+1) padded by a last column, and the time couplings
-# (i, j)-(i+1, j) padded by a last row.  A box moved by r0 rows and c0 columns
-# moves every stencil source by r0 * C + c0, so boxes of one shape whose
-# boundaries agree relative to their origins form one front class, with one
-# symbolic analysis: 149 classes for the 1023 fronts of a 255 x 257 grid.
+# grid of interior time rows and labels, kept as three (R, C) planes: the
+# diagonal, the label couplings (i, j)-(i, j+1) padded by a last column, and
+# the time couplings (i, j)-(i+1, j) padded by a last row.  Each grid of the
+# ladder below the requested one keeps the matrix of its last Newton step.
+# The coarsest grid, at most _COARSEST intervals on either axis, solves its
+# own steps by a band Cholesky (`dpbtrf`, band ny+1 in row order), whose last
+# factor is the V-cycle's coarse solve.  Every finer grid solves its steps by
+# CG preconditioned with one symmetric V(1,1)-cycle over the grids below it
+# (Brandt, Math. Comp. 31, 1977; Trottenberg, Oosterlee & Schueller,
+# *Multigrid*, 2001).  The smoother is zebra line Gauss-Seidel in both
+# directions, for the anisotropy of the graded time steps: the even, then the
+# odd label lines (grid rows), then the even, then the odd time lines
+# (columns); the post-smoother runs them in reverse order, so the cycle is
+# symmetric.  Each colour's lines are laid end to end and factored once per
+# matrix (`dpttrf`): the padding of the planes is exactly the zero coupling
+# between consecutive lines.  Prolongation is `_prolong`, and restriction its
+# transpose `_restrict`.
 
-_LEAF = 8
+_COARSEST = 64      # most intervals on either axis of the coarsest grid
+_COARSE_TOL = 1e-4  # a coarse flow only starts the next level (Brandt 1977)
+_CG_TOL = 1e-6      # relative residual of each Newton step's CG
+_CG_MAX_ITER = 100  # the V-cycle takes CG to 1e-10 in 8-9 iterations
 
 
-@dataclass(frozen=True)
-class _FrontClass:
-    sep: np.ndarray      # separator nodes (a leaf's: all), relative to the origin
-    bnd: np.ndarray      # boundary nodes in front order, relative to the origin
-    dst: np.ndarray      # flat lower-triangle (leaf: band) positions of its entries
-    src: np.ndarray      # their stencil sources, relative to the origin
-    children: tuple      # (class, relative origin, positions of its boundary here)
-    leaf: tuple | None   # a leaf's couplings: flat positions in its b x s B, sources
+def _ladder(p: Profile, grid: SpaceTimeGrid) -> list[SpaceTimeGrid]:
+    """``grid`` and its coarsenings, coarsest first: every axis with more than
+    `_COARSEST` intervals is halved, rounding up, by `make_grid`.  On an axis
+    with an even number of intervals that gives every second node."""
+    ladder = [grid]
+    while max(ladder[-1].nt, ladder[-1].ny) > _COARSEST:
+        g = ladder[-1]
+        ladder.append(make_grid(p, g.eps, g.T, *(n - n // 2 if n > _COARSEST
+                                                 else n for n in (g.nt, g.ny))))
+    return ladder[::-1]
 
 
-@dataclass(frozen=True)
-class _Front:
-    cls: _FrontClass
-    lo: int              # separator: elimination positions lo .. lo+s-1
-    off: int             # box origin r0 * C + c0
-    bnd: np.ndarray | None   # elimination positions of its boundary; a leaf's: None
+def _axis_map(n_coarse: int, n_fine: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fine node i of an axis sits at coarse position i n_coarse / n_fine:
+    its left coarse node and the weight of the right one."""
+    x = np.arange(n_fine + 1) * n_coarse / n_fine
+    j = np.minimum(x.astype(np.intp), n_coarse - 1)
+    return j, x - j
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    perm: np.ndarray     # elimination position -> grid node i * C + j
-    fronts: tuple        # _Front in postorder
-    nleaf: int           # the leaves' nodes take positions 0 .. nleaf-1
-    cbnd: np.ndarray     # boundary position of each leaf coupling, leaf by leaf
-    cnode: np.ndarray    # position of the leaf node it couples
+def _prolong(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Linear interpolation of the node values ``a`` along each axis, time
+    first, onto the grid of ``shape`` nodes (`_axis_map`): linear in
+    (log(t+eps), y), where the nodes are uniform.  Where an axis doubles, its
+    even nodes copy the coarse ones and its odd nodes average two."""
+    j, w = _axis_map(a.shape[0] - 1, shape[0] - 1)
+    a = (1.0 - w)[:, None] * a[j] + w[:, None] * a[j + 1]
+    j, w = _axis_map(a.shape[1] - 1, shape[1] - 1)
+    return (1.0 - w) * a[:, j] + w * a[:, j + 1]
 
 
-@functools.lru_cache(maxsize=8)   # a whole ladder up to 8192^2
-def _analysis(R: int, C: int) -> _Analysis:
-    """Symbolic analysis of the 5-point stencil on an R x C grid, for values
-    in the plane layout above.
-
-    A front holds its separator, then its boundary ordered by position in
-    the parent front, so that each child update lands lower triangle on
-    lower triangle and only lower triangles are ever read; a leaf holds all
-    its nodes, numbered before any other front's.  A box's shape
-    and its boundary relative to its origin give its class, and the class
-    gives its children's; each class is built once.  The analysis depends
-    only on the grid shape, is cached and is shared between threads; nothing
-    in it is written after it is built.
-    """
-    n = R * C
-    classes: dict = {}   # (h, w, boundary coordinates) -> _FrontClass
-
-    def front_class(h: int, w: int, brc: np.ndarray) -> _FrontClass:
-        key = (h, w, brc.tobytes())
-        if key in classes:
-            return classes[key]
-        if min(h, w) <= _LEAF and max(h, w) <= 2 * _LEAF + 1:
-            sep, boxes = (0, h, 0, w), ()
-        elif w >= h:
-            m = w // 2
-            sep, boxes = (0, h, m, m + 1), ((0, 0, h, m), (0, m + 1, h, w - m - 1))
-        else:
-            m = h // 2
-            sep, boxes = (m, m + 1, 0, w), ((0, 0, m, w), (m + 1, 0, h - m - 1, w))
-        # along the short side (a separator is one line: either order)
-        r, c = ((a.T if w > h else a).ravel()
-                for a in np.mgrid[sep[0]:sep[1], sep[2]:sep[3]])
-        nodes = np.concatenate([np.stack([r, c], axis=1), brc])
-        s, k = r.size, len(nodes)
-        where = np.full((h + 2, w + 2), -1)      # (row + 1, col + 1) -> position
-        where[nodes[:, 0] + 1, nodes[:, 1] + 1] = np.arange(k)
-        # entries coupling a separator node to a node not eliminated before it:
-        # itself, then its right, left, lower and upper neighbours
-        rel = r * C + c
-        v = np.concatenate([np.arange(s), where[r + 1, c + 2], where[r + 1, c],
-                            where[r + 2, c + 1], where[r, c + 1]])
-        live = v >= 0
-        pu, pv = np.tile(np.arange(s), 5)[live], v[live]
-        src = np.concatenate([rel, n + rel, n + rel - 1, 2 * n + rel,
-                              2 * n + rel - C])[live]
-        children = []
-        for r0, c0, ch, cw in boxes:             # each child's outside neighbours
-            ring = np.zeros((h + 2, w + 2), dtype=bool)
-            ring[r0:r0 + ch + 2, c0 + 1:c0 + cw + 1] = True
-            ring[r0 + 1:r0 + ch + 1, c0:c0 + cw + 2] = True
-            ring[r0 + 1:r0 + ch + 1, c0 + 1:c0 + cw + 1] = False
-            pos = np.sort(where[ring][where[ring] >= 0])
-            kid = front_class(ch, cw, nodes[pos] - (r0, c0))
-            children.append((kid, r0 * C + c0, pos))
-        if boxes:
-            dst, leaf = np.maximum(pu, pv) * k + np.minimum(pu, pv), None
-        else:            # B: one coupling per boundary row, the last k - s by pv
-            o, inner = np.argsort(pv)[len(pv) - (k - s):], pv < s
-            leaf = (np.arange(k - s) * s + pu[o], src[o])
-            dst = (np.minimum(pu, pv) * (_LEAF + 1) + np.abs(pu - pv))[inner]
-            src = src[inner]
-        fc = _FrontClass(sep=rel, bnd=brc[:, 0] * C + brc[:, 1], dst=dst,
-                         src=src, children=tuple(children), leaf=leaf)
-        for arr in (fc.sep, fc.bnd, fc.dst, fc.src, *(fc.leaf or ()),
-                    *(pos for _, _, pos in children)):
-            arr.flags.writeable = False
-        classes[key] = fc
-        return fc
-
-    order: list = []                             # (class, box origin) in postorder
-
-    def visit(fc: _FrontClass, off: int) -> None:
-        for kid, rel, _ in fc.children:
-            visit(kid, off + rel)
-        order.append((fc, off))
-
-    visit(front_class(R, C, np.empty((0, 2), dtype=np.intp)), 0)
-    nleaf = sum(fc.sep.size for fc, _ in order if fc.leaf)
-    perm = np.empty(n, dtype=np.intp)
-    los, at = [], [nleaf, 0]     # next position of another front, of a leaf
-    for fc, off in order:
-        lo = at[fc.leaf is not None]
-        at[fc.leaf is not None] = lo + fc.sep.size
-        perm[lo:lo + fc.sep.size] = off + fc.sep
-        los.append(lo)
-    inv = np.empty(n, dtype=np.intp)
-    inv[perm] = np.arange(n)
-    leaves = [(fc, off, lo) for (fc, off), lo in zip(order, los) if fc.leaf]
-    cbnd = inv[np.concatenate([off + fc.bnd for fc, off, _ in leaves])]
-    cnode = np.concatenate([lo + fc.leaf[0] % fc.sep.size for fc, _, lo in leaves])
-    for a in (perm, cbnd, cnode):
-        a.flags.writeable = False
-    fronts = tuple(_Front(cls=fc, lo=lo, off=off, bnd=None if fc.leaf else
-                          _read_only(inv[off + fc.bnd]))
-                   for (fc, off), lo in zip(order, los))
-    return _Analysis(perm=perm, fronts=fronts, nleaf=nleaf, cbnd=cbnd,
-                     cnode=cnode)
-
-
-def _cholesky(an: _Analysis, vals: np.ndarray):
-    """Factor of the stencil matrix with values ``vals`` (the planes of
-    `_analysis`, flat), ``(an, band, v, fronts)``; `DegenerateStateError` if
-    it is not positive definite: the leaves' L in `dpbtrs` storage, their
-    couplings' values, and each other front in postorder with its packed L
-    and its X (None at the root)."""
-    band = np.zeros((an.nleaf, _LEAF + 1))       # row j: L[j + d, j], d <= _LEAF
-    v = np.empty(an.cbnd.size)
-    factors, c = [], 0
-    updates: list = []   # of the fronts whose parent is still to come
-    for fi, fr in enumerate(an.fronts):
-        fc, s, b = fr.cls, fr.cls.sep.size, fr.cls.bnd.size
-        if fc.leaf:
-            ab = band[fr.lo:fr.lo + s]
-            ab.ravel()[fc.dst] = vals[fr.off + fc.src]
-            name, info = "dpbtrf", dpbtrf(ab.T, lower=1, overwrite_ab=1)[1]
-        else:
-            F = np.zeros((s + b, s + b))
-            F.ravel()[fc.dst] = vals[fr.off + fc.src]   # a view: F.flat is slower
-            first = len(updates) - len(fc.children)
-            for _, _, pos in fc.children:
-                # extend-add: gather whole rows, add into their columns, scatter
-                rows = F[pos]
-                rows[:, pos] += updates.pop(first)
-                F[pos] = rows
-            name, (L, info) = "dpotrf", dpotrf(F[:s, :s], lower=1)
-        if info != 0:
-            raise DegenerateStateError(
-                f"Newton matrix not positive definite: {name} info {info} "
-                f"in front {fi} of {len(an.fronts)}")
-        if fc.leaf:
-            if b:
-                B = np.zeros((b, s))
-                B.ravel()[fc.leaf[0]] = v[c:c + b] = vals[fr.off + fc.leaf[1]]
-                Xt, c = dtbtrs(ab.T, B.T, uplo="L", overwrite_b=1)[0], c + b
-                updates.append(dsyrk(-1.0, Xt, trans=1, lower=1))
-            continue
-        X = None
-        if b:
-            X = dtrsm(1.0, L, F[s:, :s], side=1, lower=1, trans_a=1)
-            updates.append(dsyrk(-1.0, X, 1.0, F[s:, s:], lower=1))
-        factors.append((fr, dtrttp(L, uplo="L")[0], X))
-        del F, L, X
-    return an, band.T, v, factors
-
-
-def _solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a `_cholesky` factor: the leaves, then forward and back
-    substitution on each other front's packed L, then the leaves again.  The
-    leaves take one `dpbtrs` on their band in each pass: forward,
-    x_b -= v (A_LL^-1 r_L)[node], so their x_L holds r_L between the passes;
-    back, x_L = A_LL^-1 (r_L - B^T x_b), each sum one `np.bincount`."""
-    an, band, v, factors = factor
-    x, nl = rhs[an.perm], an.nleaf
-    y = dpbtrs(band, x[:nl], lower=1)[0]
-    x -= np.bincount(an.cbnd, v * y[an.cnode], minlength=x.size)
-    for fr, Lp, X in factors:
-        lo, s = fr.lo, fr.cls.sep.size
-        x[lo:lo + s] = xs = dtpsv(s, Lp, x[lo:lo + s], lower=1)
-        if X is not None:
-            x[fr.bnd] = dgemv(-1.0, X, xs, 1.0, x[fr.bnd])
-    for fr, Lp, X in reversed(factors):
-        lo, s = fr.lo, fr.cls.sep.size
-        xs = x[lo:lo + s]
-        if X is not None:
-            xs = dgemv(-1.0, X, x[fr.bnd], 1.0, xs, trans=1)
-        x[lo:lo + s] = dtpsv(s, Lp, xs, lower=1, trans=1)
-    bx = np.bincount(an.cnode, v * x[an.cbnd], minlength=nl)
-    x[:nl] = dpbtrs(band, x[:nl] - bx, lower=1)[0]
-    out = np.empty_like(x)
-    out[an.perm] = x
-    return out
+def _restrict(r: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The transpose of `_prolong` onto the ``shape`` nodes: along each axis,
+    coarse node j sums the weights of the fine nodes that read it.  The fine
+    nodes of one left node j are consecutive, and every j has some."""
+    for axis in (0, 1):
+        r = np.moveaxis(r, axis, 0)
+        j, w = _axis_map(shape[axis] - 1, len(r) - 1)
+        first = np.flatnonzero(np.diff(j, prepend=-1))
+        out = np.zeros((shape[axis], r.shape[1]))
+        out[:-1] = np.add.reduceat((1.0 - w)[:, None] * r, first)
+        out[1:] += np.add.reduceat(w[:, None] * r, first)
+        r = np.moveaxis(out, 0, axis)
+    return r
 
 
 def _newton_matrix(ws: _Workspace, gamma: np.ndarray) -> np.ndarray:
-    """Energy Hessian at the interior rows as a 5-point stencil in the planes
-    of `_analysis`, shape (3, nt-1, ny+1): the diagonal, the label couplings
-    (last column 0) and the time couplings (last row 0)."""
+    """Energy Hessian at the interior rows as a 5-point stencil in three
+    planes, shape (3, nt-1, ny+1): the diagonal, the label couplings (last
+    column 0) and the time couplings (last row 0)."""
     cc = ws.cell_curvature(gamma)                       # (nt-1, ny)
     A = np.zeros((3, len(cc), cc.shape[1] + 1))
     A[0] = np.outer(1.0 / ws.dt[:-1] + 1.0 / ws.dt[1:], ws.W)
@@ -575,6 +411,108 @@ def _newton_matrix(ws: _Workspace, gamma: np.ndarray) -> np.ndarray:
     A[1, :, :-1] = -cc
     A[2, :-1] = -np.outer(1.0 / ws.dt[1:-1], ws.W)
     return A
+
+
+def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The stencil matrix with planes ``A`` times ``x``, shape (R, C)."""
+    y = A[0] * x
+    y[:, :-1] += A[1, :, :-1] * x[:, 1:]
+    y[:, 1:] += A[1, :, :-1] * x[:, :-1]
+    y[:-1] += A[2, :-1] * x[1:]
+    y[1:] += A[2, :-1] * x[:-1]
+    return y
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The Newton matrix ``A`` of one ladder grid as the V-cycle uses it:
+    ``factors`` is the coarsest grid's band factor, or on a finer grid the
+    `dpttrf` factors of its even and odd label lines, then of its even and
+    odd time lines."""
+
+    A: np.ndarray
+    factors: object
+
+
+def _level(A: np.ndarray, coarsest: bool) -> _Level:
+    """`DegenerateStateError` when a factor meets a pivot that is not
+    positive: ``A`` is not positive definite."""
+    if coarsest:
+        R, C = A.shape[1:]
+        ab = np.zeros((C + 1, R * C))                # row d: A[k + d, k]
+        ab[[0, 1, C]] = A.reshape(3, -1)
+        factors, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        name = "dpbtrf"
+    else:            # each colour's lines end to end, U along each line
+        out = [dpttrf(D[p::2].ravel(), U[p::2].ravel()[:-1])
+               for D, U in ((A[0], A[1]), (A[0].T, A[2].T)) for p in (0, 1)]
+        factors = [(d, e) for d, e, _ in out]
+        info, name = next((i for *_, i in out if i), 0), "dpttrf"
+    if info != 0:
+        raise DegenerateStateError(
+            f"Newton matrix not positive definite: {name} info {info}")
+    return _Level(A, factors)
+
+
+def _relax(x: np.ndarray, b: np.ndarray, V: np.ndarray, factor: tuple,
+           p: int) -> None:
+    """Solve the lines p, p+2, ... of ``x`` (along its last axis) for ``b``,
+    their neighbours held; ``V[i]`` couples line i to line i+1."""
+    r = b[p::2].copy()
+    n, q = len(r), 1 - p                 # q: the first line below one of p's
+    r[q:] -= V[q::2][:n - q] * x[q::2][:n - q]
+    above = x[p + 1::2]
+    r[:len(above)] -= V[p::2][:len(above)] * above
+    x[p::2] = dpttrs(*factor, r.ravel())[0].reshape(r.shape)
+
+
+def _smooth(lv: _Level, x: np.ndarray, b: np.ndarray, colours) -> None:
+    """Zebra line Gauss-Seidel over ``colours``, indices of ``lv.factors``."""
+    lines = ((x, b, lv.A[2]), (x.T, b.T, lv.A[1].T))
+    for k in colours:
+        _relax(*lines[k // 2], lv.factors[k], k % 2)
+
+
+def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
+    """One V(1,1)-cycle for ``levels[-1]`` from zero: the preconditioner."""
+    *coarse, lv = levels
+    if not coarse:
+        return dpbtrs(lv.factors, b.ravel(), lower=1)[0].reshape(b.shape)
+    x = np.zeros_like(b)
+    _smooth(lv, x, b, (0, 1, 2, 3))
+    pad = ((1, 1), (0, 0))                       # the pinned rows
+    R, C = coarse[-1].A.shape[1:]
+    r = _restrict(np.pad(b - _apply(lv.A, x), pad), (R + 2, C))[1:-1]
+    e = _prolong(np.pad(_vcycle(coarse, r), pad), (len(x) + 2, x.shape[1]))
+    x += e[1:-1]
+    _smooth(lv, x, b, (3, 2, 1, 0))
+    return x
+
+
+def _pcg(levels: list[_Level], b: np.ndarray, tol: float,
+         where: str) -> tuple[np.ndarray, int]:
+    """Solve ``levels[-1].A x = b`` by CG preconditioned with `_vcycle`, to a
+    residual of ``tol`` relative to ``b``; x and the iterations."""
+    A = levels[-1].A
+    x, r = np.zeros_like(b), b.copy()
+    z = _vcycle(levels, r)
+    d, rz, stop = z, float(np.vdot(r, z)), tol * np.linalg.norm(b)
+    for it in range(1, _CG_MAX_ITER + 1):
+        q = _apply(A, d)
+        dq = float(np.vdot(d, q))
+        if not dq > 0.0:
+            raise DegenerateStateError(f"Newton matrix not positive definite: "
+                                       f"p.Ap = {dq:.3e} in CG {where}")
+        a = rz / dq
+        x += a * d
+        r -= a * q
+        if np.linalg.norm(r) <= stop:
+            return x, it
+        z = _vcycle(levels, r)
+        rz, prev = float(np.vdot(r, z)), rz
+        d = z + (rz / prev) * d
+    raise NewtonDivergenceError(f"CG missed its tolerance {tol:.0e} in "
+                                f"{_CG_MAX_ITER} iterations {where}")
 
 
 # Rounding of an energy difference, in units in the last place of the
@@ -588,12 +526,6 @@ _ENERGY_ROUNDING_ULPS = 16
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 
-# Chord steps (Kelley, Iterative Methods for Linear and Nonlinear Equations,
-# SIAM 1995, ch. 5): below a scaled gradient of _CHORD_SWITCH, a step that cut
-# it by at least _CHORD_RATIO leaves its factor to the next.  They converge
-# linearly, so one that ends above _CHORD_END * residual_tol takes one more.
-_CHORD_SWITCH, _CHORD_RATIO, _CHORD_END = 1e-5, 0.01, 0.25
-
 
 def _rounding_accepts(ws: _Workspace, candidate: np.ndarray, E0: float,
                       E1: float, gn: float) -> tuple | None:
@@ -606,33 +538,34 @@ def _rounding_accepts(ws: _Workspace, candidate: np.ndarray, E0: float,
     return grad if grad[1] < gn else None
 
 
-def _newton(ws: _Workspace, gamma: np.ndarray,
-            cfg: SolverConfig) -> tuple[np.ndarray, int, int, float, float]:
-    """Damped Newton on the grid of ``ws`` from ``gamma``; returns the flow,
-    its steps, its factorizations, its scaled gradient norm and its energy.
+def _newton(ws: _Workspace, gamma: np.ndarray, cfg: SolverConfig,
+            coarse: list[_Level]) -> tuple:
+    """Damped Newton on the grid of ``ws`` from ``gamma``, over the `_Level`s
+    of the coarser grids; returns the flow, its steps, its CG iterations, its
+    scaled gradient norm, its energy and the `_Level` of its last step (None
+    without a step).
 
-    Steps, chord steps too, are clipped to keep every label slope above
-    `_GAMMA_Y_FLOOR` and accepted under the Armijo condition, so the energy
-    decreases strictly until the scaled gradient norm meets ``residual_tol``.
-    A step whose energy change is within rounding of the energy is accepted
-    when it lowers the scaled gradient norm.
+    Each step solves the Newton system by `_pcg` to `_CG_TOL` (with no
+    coarser level, by the band factor).  Steps are clipped to keep every
+    label slope above `_GAMMA_Y_FLOOR` and accepted under the Armijo
+    condition, so the energy decreases strictly until the scaled gradient
+    norm meets ``residual_tol``.  A step whose energy change is within
+    rounding of the energy is accepted when it lowers the scaled gradient
+    norm.
     """
     where = f"on the {ws.grid.nt}x{ws.grid.ny} grid"
-    tol = cfg.residual_tol
     E0 = ws.energy(gamma)
-    gn, grad, factor, chord, factorizations = math.inf, None, None, False, 0
+    gn, grad, level, iterations = math.inf, None, None, 0
     for it in range(1, cfg.newton_max_iter + 1):
-        prev, (G, gn) = gn, ws.gradient(gamma) if grad is None else grad
-        if gn <= tol and not (chord and prev > tol and gn > _CHORD_END * tol):
-            return gamma, it - 1, factorizations, gn, E0
-        if gn >= _CHORD_SWITCH or gn > max(tol, _CHORD_RATIO * prev):
-            factor = None                        # dropped before refactoring
-        chord = factor is not None
-        if not chord:
-            factor = _cholesky(_analysis(*G.shape),
-                               _newton_matrix(ws, gamma).ravel())
-            factorizations += 1
-        d = _solve(factor, -G.ravel()).reshape(G.shape)
+        G, gn = ws.gradient(gamma) if grad is None else grad
+        if gn <= cfg.residual_tol:
+            return gamma, it - 1, iterations, gn, E0, level
+        level = _level(_newton_matrix(ws, gamma), not coarse)
+        if coarse:
+            d, k = _pcg([*coarse, level], -G, _CG_TOL, where)
+            iterations += k
+        else:
+            d = _vcycle([level], -G)
 
         # largest step keeping all interior slopes above the floor
         s = ws.slopes(gamma)[1:-1]
@@ -668,45 +601,22 @@ def _newton(ws: _Workspace, gamma: np.ndarray,
         f"(scaled gradient norm {gn:.3e}, tol {cfg.residual_tol:.1e})")
 
 
-_COARSEST = 64      # fewest intervals on either axis of a coarsened grid
-_COARSE_TOL = 1e-4  # a coarse flow only starts the next level (Brandt 1977)
-
-
-def _ladder(grid: SpaceTimeGrid) -> list[SpaceTimeGrid]:
-    """``grid`` and its halvings to every second node, coarsest first."""
-    ladder = [grid]
-    g = grid
-    while g.nt % 2 == 0 and g.ny % 2 == 0 and min(g.nt, g.ny) >= 2 * _COARSEST:
-        g = SpaceTimeGrid(eps=g.eps, T=g.T, t=g.t[::2], y=g.y[::2])
-        ladder.append(g)
-    return ladder[::-1]
-
-
-def _prolong(gamma: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation in (log(t+eps), y), where the nodes are uniform,
-    onto the grid with twice the intervals."""
-    R, C = gamma.shape
-    out = np.empty((2 * R - 1, 2 * C - 1))
-    out[::2, ::2] = gamma
-    out[1::2, ::2] = 0.5 * (gamma[:-1] + gamma[1:])
-    out[:, 1::2] = 0.5 * (out[:, :-1:2] + out[:, 2::2])
-    return out
-
-
 def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
           cfg: SolverConfig = SolverConfig()) -> FlowField:
     """Minimize the discrete transport energy by `_newton` on each grid of
-    `_ladder`, each from the flow one level coarser; a failure on any level
-    ends the solve."""
-    levels, gamma = [], None
+    `_ladder`, each from the flow one level coarser and over the `_Level`s of
+    the grids below it; a failure on any level ends the solve."""
+    levels, info, gamma = [], [], None
     coarse = replace(cfg, residual_tol=max(_COARSE_TOL, cfg.residual_tol))
-    for g in _ladder(grid):
+    for g in _ladder(p, grid):
+        ws = _Workspace(p, g)
         start = initial_guess(p, m, g)
         if gamma is not None:
-            start[1:-1] = _prolong(gamma)[1:-1]
-        gamma, steps, factored, gn, E = _newton(_Workspace(p, g), start,
-                                                cfg if g is grid else coarse)
-        levels.append((g.nt, g.ny, steps, factored))
+            start[1:-1] = _prolong(gamma, start.shape)[1:-1]
+        gamma, steps, iterations, gn, E, level = _newton(
+            ws, start, cfg if g is grid else coarse, levels)
+        levels.append(level or _level(_newton_matrix(ws, gamma), not levels))
+        info.append((g.nt, g.ny, steps, iterations))
     return FlowField(grid=grid, profile=p, gamma=gamma,
                      info=SolveInfo(iterations=steps, grad_norm=gn, energy=E,
-                                    levels=tuple(levels)))
+                                    levels=tuple(info)))

@@ -17,6 +17,10 @@
   interpolants.  ``test_metrics.py`` compares `metrics.wasserstein_maps`,
   the route that runs, against it on pushforwards of phi
   (`pushforward_table`) and against hand-computed integrals.
+- `prolong_by_halves` is the grid sequencing's prolongation onto the grid
+  with twice the intervals, as the nested ladder computed it.
+  ``test_solver.py`` checks that `solver._prolong` gives its bits wherever
+  an axis doubles.
 
 Nothing under ``src/`` imports this module.
 """
@@ -286,3 +290,17 @@ def pushforward_table(p, g):
     sampled on the symmetric label grid of its length."""
     y = np.linspace(-p.r_alpha, p.r_alpha, np.asarray(g).size)
     return QuantileTable(q=p.cdf(y), x=g)
+
+
+# -- prolongation onto twice the intervals -----------------------------------
+
+def prolong_by_halves(gamma: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation in (log(t+eps), y), where the nodes are uniform,
+    onto the grid with twice the intervals: the time midpoints first, then
+    the label midpoints of every row."""
+    R, C = gamma.shape
+    out = np.empty((2 * R - 1, 2 * C - 1))
+    out[::2, ::2] = gamma
+    out[1::2, ::2] = 0.5 * (gamma[:-1] + gamma[1:])
+    out[:, 1::2] = 0.5 * (out[:, :-1:2] + out[:, 2::2])
+    return out
