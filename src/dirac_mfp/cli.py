@@ -194,9 +194,13 @@ def _write_json(doc, path) -> None:
 
 def _write_csv(path, header, columns) -> None:
     """Every CSV artifact: the names ``header``, then ``columns`` (arrays or
-    blocks of them) side by side, floats to 17 significant digits."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    blocks of them) side by side, floats to 17 significant digits, written
+    one row at a time."""
+    data = np.column_stack(columns)
+    line = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row.tolist()) for row in data)
 
 
 def save_flow_csv(f, path) -> None:

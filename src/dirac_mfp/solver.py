@@ -201,18 +201,29 @@ def make_grid(p: Profile, eps: float, T: float, nt: int, ny: int) -> SpaceTimeGr
 def terminal_row(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid) -> np.ndarray:
     """Terminal boundary row: label y is sent to the m_T-quantile of the
     phi-mass to the left of y.  Endpoints map to the support ends exactly."""
-    row = m.quantile(p.cdf(grid.y))
-    if not np.all(np.isfinite(row)) or np.any(np.diff(row) <= 0.0):
+    return _terminal_rows(p, m, [grid])[0]
+
+
+def _terminal_rows(p: Profile, m: TerminalDensity, grids: list) -> list:
+    """`terminal_row` of each of ``grids``, from one quantile call over their
+    labels laid end to end: the quantile works label by label."""
+    rows = np.split(m.quantile(p.cdf(np.concatenate([g.y for g in grids]))),
+                    np.cumsum([g.y.size for g in grids[:-1]]))
+    if not all(np.all(np.isfinite(r)) and np.all(np.diff(r) > 0.0) for r in rows):
         raise InvalidParameterError(
             "terminal density produced a non-monotone terminal row")
-    return row
+    return rows
 
 
 def initial_guess(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid) -> np.ndarray:
     """Interpolate between the pinned rows along the self-similar schedule
     ``(t+eps)^alpha``: exact for self-similar data, monotone always."""
+    return _blend(p, grid, terminal_row(p, m, grid))
+
+
+def _blend(p: Profile, grid: SpaceTimeGrid, rowT: np.ndarray) -> np.ndarray:
+    """`initial_guess` with the terminal row ``rowT``."""
     base = grid.eps**p.alpha * grid.y
-    rowT = terminal_row(p, m, grid)
     blend = ((grid.sigma ** p.alpha - grid.eps**p.alpha)
              / ((grid.T + grid.eps) ** p.alpha - grid.eps**p.alpha))
     return base[None, :] + blend[:, None] * (rowT - base)[None, :]
@@ -344,8 +355,8 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 # (columns); the post-smoother runs them in reverse order, so the cycle is
 # symmetric.  Each colour's lines are laid end to end and factored once per
 # matrix (`dpttrf`): the padding of the planes is exactly the zero coupling
-# between consecutive lines.  Prolongation is `_prolong`, and restriction its
-# transpose `_restrict`.
+# between consecutive lines, and the time lines relax as rows of one transposed
+# copy.  Prolongation is `_prolong`, and restriction its transpose `_restrict`.
 
 _COARSEST = 64      # most intervals on either axis of the coarsest grid
 _COARSE_TOL = 1e-4  # a coarse flow only starts the next level (Brandt 1977)
@@ -385,17 +396,22 @@ def _prolong(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _restrict(r: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The transpose of `_prolong` onto the ``shape`` nodes: along each axis,
-    coarse node j sums the weights of the fine nodes that read it.  The fine
-    nodes of one left node j are consecutive, and every j has some."""
+    """The transpose of `_prolong` onto the ``shape`` nodes, time axis first.
+    Unclamped at the last fine node, `_axis_map` makes each coarse node j the
+    left node of one fine node i or two, i and i2 = i + 1 (one: i2 = i with
+    weight 0).  Node j adds the 1 - w parts of i and i2, then the w parts of
+    the fine nodes of j - 1: a reduction over its fine nodes, in order."""
     for axis in (0, 1):
-        r = np.moveaxis(r, axis, 0)
-        j, w = _axis_map(shape[axis] - 1, len(r) - 1)
-        first = np.flatnonzero(np.diff(j, prepend=-1))
-        out = np.zeros((shape[axis], r.shape[1]))
-        out[:-1] = np.add.reduceat((1.0 - w)[:, None] * r, first)
-        out[1:] += np.add.reduceat(w[:, None] * r, first)
-        r = np.moveaxis(out, 0, axis)
+        j, w = _axis_map(shape[axis] - 1, r.shape[axis] - 1)
+        j[-1], w[-1] = shape[axis] - 1, 0.0
+        i = np.flatnonzero(np.diff(j, prepend=-1))
+        i2 = np.append(i[1:], len(j)) - 1
+        a1, a2, b1, b2 = (np.expand_dims(c, 1 - axis) for c in (
+            1.0 - w[i], (1.0 - w[i2]) * (i2 > i), w[i], w[i2] * (i2 > i)))
+        r1, r2 = np.take(r, i, axis), np.take(r, i2, axis)
+        r = a1 * r1 + a2 * r2
+        np.moveaxis(r, axis, 0)[1:] += np.moveaxis(b1 * r1 + b2 * r2,
+                                                    axis, 0)[:-1]
     return r
 
 
@@ -456,35 +472,44 @@ def _level(A: np.ndarray, coarsest: bool) -> _Level:
 
 def _relax(x: np.ndarray, b: np.ndarray, V: np.ndarray, factor: tuple,
            p: int) -> None:
-    """Solve the lines p, p+2, ... of ``x`` (along its last axis) for ``b``,
-    their neighbours held; ``V[i]`` couples line i to line i+1."""
+    """Solve the lines p, p+2, ... of ``x`` (its rows) for ``b``, their
+    neighbours held; ``V[i]`` couples line i to line i+1."""
     r = b[p::2].copy()
     n, q = len(r), 1 - p                 # q: the first line below one of p's
     r[q:] -= V[q::2][:n - q] * x[q::2][:n - q]
     above = x[p + 1::2]
     r[:len(above)] -= V[p::2][:len(above)] * above
-    x[p::2] = dpttrs(*factor, r.ravel())[0].reshape(r.shape)
+    x[p::2] = dpttrs(*factor, r.ravel(), overwrite_b=1)[0].reshape(r.shape)
 
 
 def _smooth(lv: _Level, x: np.ndarray, b: np.ndarray, colours) -> None:
-    """Zebra line Gauss-Seidel over ``colours``, indices of ``lv.factors``."""
-    lines = ((x, b, lv.A[2]), (x.T, b.T, lv.A[1].T))
-    for k in colours:
-        _relax(*lines[k // 2], lv.factors[k], k % 2)
+    """Zebra line Gauss-Seidel over ``colours``, indices of ``lv.factors``:
+    (0, 1, 2, 3) or (3, 2, 1, 0).  The time lines (2, 3) relax as the rows
+    of one contiguous transposed copy of x, b and the label couplings."""
+    for run in (colours[:2], colours[2:]):
+        time = run[0] >= 2
+        xs, bs, V = ((a.T.copy() for a in (x, b, lv.A[1])) if time
+                     else (x, b, lv.A[2]))
+        for k in run:
+            _relax(xs, bs, V, lv.factors[k], k % 2)
+        if time:
+            x[...] = xs.T
 
 
 def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
-    """One V(1,1)-cycle for ``levels[-1]`` from zero: the preconditioner."""
+    """One V(1,1)-cycle for ``levels[-1]`` from zero: the preconditioner, in
+    the interior rows of a buffer whose pinned first and last rows are 0."""
     *coarse, lv = levels
+    x = np.zeros((len(b) + 2, b.shape[1]))[1:-1]
     if not coarse:
-        return dpbtrs(lv.factors, b.ravel(), lower=1)[0].reshape(b.shape)
-    x = np.zeros_like(b)
+        x[...] = dpbtrs(lv.factors, b.ravel(), lower=1)[0].reshape(b.shape)
+        return x
     _smooth(lv, x, b, (0, 1, 2, 3))
-    pad = ((1, 1), (0, 0))                       # the pinned rows
+    r = np.zeros_like(x.base)                    # b - A x, the pinned rows 0
+    np.subtract(b, _apply(lv.A, x), out=r[1:-1])
     R, C = coarse[-1].A.shape[1:]
-    r = _restrict(np.pad(b - _apply(lv.A, x), pad), (R + 2, C))[1:-1]
-    e = _prolong(np.pad(_vcycle(coarse, r), pad), (len(x) + 2, x.shape[1]))
-    x += e[1:-1]
+    r = _restrict(r, (R + 2, C))                 # frees the fine residual
+    x += _prolong(_vcycle(coarse, r[1:-1]).base, x.base.shape)[1:-1]
     _smooth(lv, x, b, (3, 2, 1, 0))
     return x
 
@@ -510,7 +535,7 @@ def _pcg(levels: list[_Level], b: np.ndarray, tol: float,
             return x, it
         z = _vcycle(levels, r)
         rz, prev = float(np.vdot(r, z)), rz
-        d = z + (rz / prev) * d
+        d = np.add(z, (rz / prev) * d, out=z)    # z's buffer, not a new one
     raise NewtonDivergenceError(f"CG missed its tolerance {tol:.0e} in "
                                 f"{_CG_MAX_ITER} iterations {where}")
 
@@ -608,9 +633,10 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
     the grids below it; a failure on any level ends the solve."""
     levels, info, gamma = [], [], None
     coarse = replace(cfg, residual_tol=max(_COARSE_TOL, cfg.residual_tol))
-    for g in _ladder(p, grid):
+    ladder = _ladder(p, grid)
+    for g, rowT in zip(ladder, _terminal_rows(p, m, ladder)):
         ws = _Workspace(p, g)
-        start = initial_guess(p, m, g)
+        start = _blend(p, g, rowT)
         if gamma is not None:
             start[1:-1] = _prolong(gamma, start.shape)[1:-1]
         gamma, steps, iterations, gn, E, level = _newton(

@@ -21,6 +21,13 @@
   with twice the intervals, as the nested ladder computed it.
   ``test_solver.py`` checks that `solver._prolong` gives its bits wherever
   an axis doubles.
+- `_restrict`, `_relax`, `_smooth`, `_vcycle` and `_pcg` are the multigrid
+  V-cycle and its CG as they first ran: restriction by `np.add.reduceat`
+  over the fine nodes of each coarse node, the time lines relaxed on
+  strided views, the pinned rows padded on by `np.pad`, and a new array for
+  each CG direction.  ``test_solver.py`` checks that `solver._restrict`,
+  `solver._vcycle` and `solver._pcg` give their bits on the ladders of
+  square, odd, unequal and one-level grids.
 
 Nothing under ``src/`` imports this module.
 """
@@ -30,13 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrs, dpttrs
 
 from dirac_mfp.errors import (CrossingCharacteristicsError,
-                              InvalidParameterError)
+                              DegenerateStateError, InvalidParameterError,
+                              NewtonDivergenceError)
 from dirac_mfp.fields import (_continuation, _degenerate_region, _histories,
                               _row_gradient, _SideHistory, _unit_root,
                               snapshot)
-from dirac_mfp.solver import FlowField
+from dirac_mfp.solver import (_CG_MAX_ITER, FlowField, _apply, _axis_map,
+                              _Level, _prolong)
 
 # -- the per-row exterior continuation ---------------------------------------
 
@@ -304,3 +314,82 @@ def prolong_by_halves(gamma: np.ndarray) -> np.ndarray:
     out[1::2, ::2] = 0.5 * (gamma[:-1] + gamma[1:])
     out[:, 1::2] = 0.5 * (out[:, :-1:2] + out[:, 2::2])
     return out
+
+
+# -- the V-cycle with reduceat restriction and strided time lines ------------
+
+def _restrict(r: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The transpose of `_prolong` onto the ``shape`` nodes: along each axis,
+    coarse node j sums the weights of the fine nodes that read it.  The fine
+    nodes of one left node j are consecutive, and every j has some."""
+    for axis in (0, 1):
+        r = np.moveaxis(r, axis, 0)
+        j, w = _axis_map(shape[axis] - 1, len(r) - 1)
+        first = np.flatnonzero(np.diff(j, prepend=-1))
+        out = np.zeros((shape[axis], r.shape[1]))
+        out[:-1] = np.add.reduceat((1.0 - w)[:, None] * r, first)
+        out[1:] += np.add.reduceat(w[:, None] * r, first)
+        r = np.moveaxis(out, 0, axis)
+    return r
+
+
+def _relax(x: np.ndarray, b: np.ndarray, V: np.ndarray, factor: tuple,
+           p: int) -> None:
+    """Solve the lines p, p+2, ... of ``x`` (along its last axis) for ``b``,
+    their neighbours held; ``V[i]`` couples line i to line i+1."""
+    r = b[p::2].copy()
+    n, q = len(r), 1 - p                 # q: the first line below one of p's
+    r[q:] -= V[q::2][:n - q] * x[q::2][:n - q]
+    above = x[p + 1::2]
+    r[:len(above)] -= V[p::2][:len(above)] * above
+    x[p::2] = dpttrs(*factor, r.ravel())[0].reshape(r.shape)
+
+
+def _smooth(lv: _Level, x: np.ndarray, b: np.ndarray, colours) -> None:
+    """Zebra line Gauss-Seidel over ``colours``, indices of ``lv.factors``."""
+    lines = ((x, b, lv.A[2]), (x.T, b.T, lv.A[1].T))
+    for k in colours:
+        _relax(*lines[k // 2], lv.factors[k], k % 2)
+
+
+def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
+    """One V(1,1)-cycle for ``levels[-1]`` from zero: the preconditioner."""
+    *coarse, lv = levels
+    if not coarse:
+        return dpbtrs(lv.factors, b.ravel(), lower=1)[0].reshape(b.shape)
+    x = np.zeros_like(b)
+    _smooth(lv, x, b, (0, 1, 2, 3))
+    pad = ((1, 1), (0, 0))                       # the pinned rows
+    R, C = coarse[-1].A.shape[1:]
+    r = _restrict(np.pad(b - _apply(lv.A, x), pad), (R + 2, C))[1:-1]
+    e = _prolong(np.pad(_vcycle(coarse, r), pad), (len(x) + 2, x.shape[1]))
+    x += e[1:-1]
+    _smooth(lv, x, b, (3, 2, 1, 0))
+    return x
+
+
+def _pcg(levels: list[_Level], b: np.ndarray, tol: float,
+         where: str) -> tuple[np.ndarray, int]:
+    """Solve ``levels[-1].A x = b`` by CG preconditioned with `_vcycle`, to a
+    residual of ``tol`` relative to ``b``; x and the iterations."""
+    A = levels[-1].A
+    x, r = np.zeros_like(b), b.copy()
+    z = _vcycle(levels, r)
+    d, rz, stop = z, float(np.vdot(r, z)), tol * np.linalg.norm(b)
+    for it in range(1, _CG_MAX_ITER + 1):
+        q = _apply(A, d)
+        dq = float(np.vdot(d, q))
+        if not dq > 0.0:
+            raise DegenerateStateError(f"Newton matrix not positive definite: "
+                                       f"p.Ap = {dq:.3e} in CG {where}")
+        a = rz / dq
+        x += a * d
+        r -= a * q
+        if np.linalg.norm(r) <= stop:
+            return x, it
+        z = _vcycle(levels, r)
+        rz, prev = float(np.vdot(r, z)), rz
+        d = z + (rz / prev) * d
+    raise NewtonDivergenceError(f"CG missed its tolerance {tol:.0e} in "
+                                f"{_CG_MAX_ITER} iterations {where}")
+

@@ -833,6 +833,40 @@ def test_only_cli_touches_files(module):
     assert file_calls(path.read_text()) == set()
 
 
+def test_no_module_calls_savetxt():
+    # every CSV artifact goes through `cli._write_csv`, one row at a time
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        assert "savetxt" not in file_calls(path.read_text()), path.name
+
+
+@pytest.mark.parametrize("header,columns", [
+    (("t", "a", "b", "c"), [np.geomspace(1e-3, 1.0, 5) - 1e-3,
+                            np.linspace(-1.0, 1.0, 15).reshape(5, 3) ** 3]),
+    (("t", "x", "y"), [np.array([0.5]), np.array([[1.0 / 3.0, 2.0e-17]])]),
+    (("side", "s"), [np.array([0, 1, 1]), np.array([0.1, 0.2, 0.3])]),
+    (("i",), [np.arange(4)]),
+    (("x", "y"), [np.array([-0.0, 0.0]), np.array([np.nan, -np.inf])]),
+])
+def test_write_csv_gives_the_bytes_of_savetxt(tmp_path, header, columns):
+    cli._write_csv(tmp_path / "rows.csv", header, columns)
+    np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), fmt="%.17g",
+               delimiter=",", header=",".join(header), comments="")
+    assert ((tmp_path / "rows.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_write_csv_gives_the_bytes_of_savetxt_on_a_flow(tmp_path):
+    p = make_profile(3.0)
+    f = solve(p, power_bump(-1.0, 1.0, 3.0),
+              make_grid(p, eps=1e-3, T=1.0, nt=16, ny=16))
+    cli.save_flow_csv(f, tmp_path / "flow.csv")
+    np.savetxt(tmp_path / "ref.csv", np.column_stack([f.grid.t, f.gamma]),
+               fmt="%.17g", delimiter=",", comments="",
+               header=",".join(["t", *(f"{v:.17g}" for v in f.grid.y)]))
+    assert ((tmp_path / "flow.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

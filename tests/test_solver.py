@@ -29,6 +29,8 @@ from dirac_mfp.solver import (
     _pcg,
     _prolong,
     _restrict,
+    _terminal_rows,
+    _vcycle,
     _Workspace,
     initial_guess,
     make_grid,
@@ -587,6 +589,30 @@ def test_sequencing_with_unequal_axes():
     assert f.gamma[-1].tolist() == terminal_row(p, m, g).tolist()
 
 
+@pytest.mark.parametrize("nt,ny,depth", [(256, 256, 3), (100, 75, 2)])
+def test_solve_takes_one_quantile_call(monkeypatch, nt, ny, depth):
+    # the terminal rows of every ladder grid come from one quantile call over
+    # their labels laid end to end, each the bits of its own `terminal_row`
+    p, m = make_profile(3.0), two_bump(3.0)
+    g = make_grid(p, eps=1e-3, T=1.0, nt=nt, ny=ny)
+    ladder = _ladder(p, g)
+    own = [terminal_row(p, m, lg) for lg in ladder]
+    assert all(same_bytes(row, ref)
+               for row, ref in zip(_terminal_rows(p, m, ladder), own))
+    sizes = []
+    quantile = TerminalDensity.quantile
+
+    def counting(self, u):
+        sizes.append(np.size(u))
+        return quantile(self, u)
+    monkeypatch.setattr(TerminalDensity, "quantile", counting)
+    f = solve(p, m, g)
+    assert len(f.info.levels) == depth
+    assert sizes == [sum(lg.ny + 1 for lg in ladder)]
+    # the pinned rows are those of `initial_guess`, which blends the same way
+    assert same_bytes(f.gamma[[0, -1]], initial_guess(p, m, g)[[0, -1]])
+
+
 def test_coarse_levels_stop_at_the_coarse_tolerance(monkeypatch):
     p = make_profile(3.0)
     g = make_grid(p, eps=1e-3, T=1.0, nt=256, ny=256)
@@ -644,17 +670,50 @@ def test_transfer_is_the_halving_prolongation_on_even_axes():
                           oracles.prolong_by_halves(gamma))
 
 
-@pytest.mark.parametrize("coarse,fine", [((129, 52), (256, 102)),
-                                         ((52, 129), (102, 256)),
-                                         ((65, 65), (129, 129)),
-                                         ((51, 39), (101, 76)),
-                                         ((33, 20), (33, 39))])
+TRANSFER_SHAPES = [((129, 52), (256, 102)), ((52, 129), (102, 256)),
+                   ((65, 65), (129, 129)), ((51, 39), (101, 76)),
+                   ((33, 20), (33, 39))]
+
+
+@pytest.mark.parametrize("coarse,fine", TRANSFER_SHAPES)
 def test_restriction_is_the_transpose_of_prolongation(coarse, fine):
     rng = np.random.default_rng(sum(fine))
     x, r = rng.standard_normal(coarse), rng.standard_normal(fine)
     Px = _prolong(x, fine)
     lhs, rhs = np.vdot(Px, r), np.vdot(x, _restrict(r, coarse))
     assert abs(lhs - rhs) <= 1e-13 * np.vdot(np.abs(Px), np.abs(r))
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("coarse,fine", TRANSFER_SHAPES)
+def test_restriction_gives_the_reference_bits(coarse, fine):
+    # two gathers per coarse node and axis add what `np.add.reduceat` added,
+    # in its order
+    r = np.random.default_rng(sum(coarse)).standard_normal(fine)
+    assert same_bytes(_restrict(r, coarse), oracles._restrict(r, coarse))
+
+
+@pytest.mark.parametrize("nt,ny,shapes", [
+    (256, 256, [(64, 64), (128, 128), (256, 256)]),
+    (100, 75, [(50, 38), (100, 75)]),
+    (192, 128, [(48, 64), (96, 64), (192, 128)]),
+    (64, 64, [(64, 64)]),
+])
+def test_vcycle_and_cg_give_the_reference_bits(nt, ny, shapes):
+    # the table's ladder at 256^2, the odd ladder, the unequal one, and a
+    # grid that is its own coarsest level
+    A, G, coarse = newton_system(3.0, nt, ny)
+    levels = [*coarse, _level(A, not coarse)]
+    assert [lv.A.shape[1:] for lv in levels] == [(r - 1, c + 1)
+                                                 for r, c in shapes]
+    for b in (-G, np.random.default_rng(nt + ny).standard_normal(G.shape)):
+        assert same_bytes(_vcycle(levels, b), oracles._vcycle(levels, b))
+        x, k = _pcg(levels, b, _CG_TOL, "")
+        ref, k_ref = oracles._pcg(levels, b, _CG_TOL, "")
+        assert k == k_ref and same_bytes(x, ref)
 
 
 def test_coarse_level_failure_names_its_grid():
