@@ -637,6 +637,7 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
     for g, rowT in zip(ladder, _terminal_rows(p, m, ladder)):
         ws = _Workspace(p, g)
         start = _blend(p, g, rowT)
+        start[-1] = rowT
         if gamma is not None:
             start[1:-1] = _prolong(gamma, start.shape)[1:-1]
         gamma, steps, iterations, gn, E, level = _newton(

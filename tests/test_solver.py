@@ -609,8 +609,10 @@ def test_solve_takes_one_quantile_call(monkeypatch, nt, ny, depth):
     f = solve(p, m, g)
     assert len(f.info.levels) == depth
     assert sizes == [sum(lg.ny + 1 for lg in ladder)]
-    # the pinned rows are those of `initial_guess`, which blends the same way
-    assert same_bytes(f.gamma[[0, -1]], initial_guess(p, m, g)[[0, -1]])
+    # the pinned rows are set exactly: the regularized Dirac slice and the
+    # grid's own quantile row
+    assert same_bytes(f.gamma[0], g.eps**p.alpha * g.y)
+    assert same_bytes(f.gamma[-1], own[-1])
 
 
 def test_coarse_levels_stop_at_the_coarse_tolerance(monkeypatch):
