@@ -38,8 +38,17 @@ directory.  Last, ``rates`` on a run directory whose
 ``config.json`` carries the retired keys ``seed``, ``solver.linear_solver``
 and ``solver.gamma_y_floor``, and ``rates`` on one (``mismatched``) whose
 ``config.json`` says theta 3 beside the ``flow.csv`` of ``theta=1``, which
-exits 1.  A set-up step between calls (building such a run directory)
-prints nothing.  The output lists, for each call, its argv,
+exits 1.  Then the output paths that no call above takes: ``rates --write``
+on a copy of ``theta=1`` (``rewritten``); ``rates theta=3 --window 0.2
+0.201``, which fits no law; ``export`` on a copy of ``theta=3`` without
+``series.csv`` and ``export`` (``no-series``), which rebuilds the series;
+an eps sweep over {1e-3, 0.5} on 64^2 (``failed-sweep``), whose second run
+fails inside its pipeline, so the sweep writes a ``failed`` row and an
+empty Cauchy table and exits 2; and ``solve --strict`` at theta 1 on 64^2
+of a ((1 + x)(1 - x))^3 table on 400 rows that the script writes
+(``steep``), whose envelope ratio 5.5e3 exceeds the bound 1e3 (exit 3).
+A set-up step between calls (building such a run directory) prints
+nothing.  The output lists, for each call, its argv,
 its exit code (or ``raised <Type>`` for an exception that escapes
 ``main``), its standard output and its standard error, each stderr line
 prefixed ``stderr: ``; then one ``sha256  path`` line for each file
@@ -81,11 +90,18 @@ GRID64 = ["--nt", "64", "--ny", "64"]
 SUBCOMMANDS = ("solve", "sweep", "rates", "validate", "export")
 
 
-def write_table(path: Path) -> None:
-    """``x,density`` table of (1 - x^2)_+ on 101 nodes of [-1, 1]."""
-    x = [-1.0 + k / 50.0 for k in range(101)]
+def write_table(path: Path, density, rows: int) -> None:
+    """``x,density`` table of ``density(x)`` on ``rows`` evenly spaced nodes
+    of [-1, 1]."""
+    x = [-1.0 + 2 * k / (rows - 1) for k in range(rows)]
     path.write_text("x,density\n" + "".join(
-        f"{a:.17g},{max(1.0 - a * a, 0.0):.17g}\n" for a in x))
+        f"{a:.17g},{density(a):.17g}\n" for a in x))
+
+
+def copied_run(run: Path, copy_of: Path, *leave_out: str) -> None:
+    """A copy of the run directory ``copy_of`` without the entries named
+    ``leave_out``."""
+    shutil.copytree(copy_of, run, ignore=shutil.ignore_patterns(*leave_out))
 
 
 def wrong_kinds(run: Path, copy_of: Path) -> None:
@@ -227,7 +243,7 @@ def matrix(workloads) -> list:
     calls.append(["solve", "--target", "self_similar", *GRID64,
                   "--outdir", "self-similar"])
     table = Path("inputs") / "parabola.csv"
-    write_table(table)
+    write_table(table, lambda a: max(1.0 - a * a, 0.0), 101)
     calls += [["validate", str(table), "--theta", "1"],
               ["solve", "--target", "file", "--target-path", str(table),
                "--theta", "1", *GRID64, "--outdir", "parabola"],
@@ -245,6 +261,8 @@ def matrix(workloads) -> list:
     header_only.write_text("x,density\n")
     a_file = Path("inputs") / "a-file"
     a_file.write_text("")
+    steep = Path("inputs") / "steep.csv"
+    write_table(steep, lambda a: ((1.0 + a) * (1.0 - a)) ** 3, 400)
     calls += [
         ["solve", "--config", str(malformed)],
         ["solve", "--config", str(bad_value)],
@@ -273,6 +291,16 @@ def matrix(workloads) -> list:
         lambda: edited_config(Path("mismatched"), Path("theta=1"),
                               lambda doc: doc.update(theta=3.0)),
         ["rates", "mismatched"],
+        lambda: copied_run(Path("rewritten"), Path("theta=1")),
+        ["rates", "rewritten", "--write"],
+        ["rates", "theta=3", "--window", "0.2", "0.201"],
+        lambda: copied_run(Path("no-series"), Path("theta=3"), "series.csv",
+                           "export"),
+        ["export", "no-series"],
+        ["sweep", "--axis", "eps", "--values", "1e-3,0.5", *GRID64,
+         "--outdir", "failed-sweep"],
+        ["solve", "--target", "file", "--target-path", str(steep),
+         "--theta", "1", *GRID64, "--strict", "--outdir", "steep"],
     ]
     return calls
 

@@ -28,13 +28,11 @@ import numpy as np
 from .errors import (EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVER, DiracMfpError,
                      FormatError, InvalidParameterError, check_int,
                      check_number, check_type)
+from .metrics import LAWS
 from .solver import SolverConfig
+from .target import RATIO_BOUND
 
 TARGET_KINDS = ("power_bump", "self_similar", "file")
-
-# canonical column order of sweep summaries; runs lacking a law leave nan
-SWEEP_LAWS = ("support_radius", "m_inf", "m_power_norm", "ux_inf",
-              "osc_u", "lyapunov", "d2_profile", "duality_pairing")
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +446,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     summary = out / "sweep.csv"
     with open(summary, "w") as fh:
-        fh.write(f"{axis},status," + ",".join(SWEEP_LAWS) + "\n")
+        fh.write(f"{axis},status," + ",".join(LAWS) + "\n")
         for v, (_, report, err) in zip(values, results):
-            law_fit = dict.fromkeys(SWEEP_LAWS, float("nan"))
+            law_fit = dict.fromkeys(LAWS, float("nan"))
             if err is not None:
                 print(f"{axis}={v:g}: {err}", file=sys.stderr)
             else:
                 law_fit.update((r["law"], r["fitted_exponent"])
                                for r in report["laws"]
                                if r["fitted_exponent"] is not None)
-            vals = ",".join(f"{law_fit[law]:.17g}" for law in SWEEP_LAWS)
+            vals = ",".join(f"{law_fit[law]:.17g}" for law in LAWS)
             fh.write(f"{v:.17g},{'ok' if err is None else 'failed'},{vals}\n")
 
     if axis == "eps":
@@ -700,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="terminal-density compatibility")
     sp.add_argument("path", help="x,density CSV")
     sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--ratio-bound", type=float, default=1e3,
+    sp.add_argument("--ratio-bound", type=float, default=RATIO_BOUND,
                     dest="ratio_bound")
     sp.add_argument("--strict", action="store_true")
 

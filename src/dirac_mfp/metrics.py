@@ -23,12 +23,17 @@ from .errors import InvalidParameterError
 from .profile import Profile
 
 __all__ = [
+    "LAWS",
     "RateFit",
     "wasserstein_maps",
     "fit_rate",
     "rate_report",
     "rate_verdict",
 ]
+
+# the laws of `rate_report` in the order of its rows (sweep.csv's columns)
+LAWS = ("support_radius", "m_inf", "m_power_norm", "ux_inf",
+        "osc_u", "lyapunov", "d2_profile", "duality_pairing")
 
 
 def wasserstein_maps(p: Profile, g: np.ndarray, h: np.ndarray,

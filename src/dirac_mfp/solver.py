@@ -26,10 +26,11 @@ natural stationarity condition of the boundary columns.
 
 Newton is grid-sequenced (nested iteration, Brandt, Math. Comp. 31, 1977):
 every axis with more than 64 intervals is halved, rounding up, down to the
-coarsest grid, which starts from `initial_guess`; each finer grid starts
-from the coarser flow interpolated linearly in (log(t+eps), y), with its own
-pinned rows.  Coarse levels stop at a scaled gradient of 1e-4 (or a looser
-``residual_tol``), and ``newton_max_iter`` caps each level.
+coarsest grid.  Every grid starts from its own pinned rows, set exactly,
+and between them the coarsest grid's blend along (t+eps)^alpha or the
+coarser flow interpolated linearly in (log(t+eps), y) (`_start`).  Coarse
+levels stop at a scaled gradient of 1e-4 (or a looser ``residual_tol``),
+and ``newton_max_iter`` caps each level.
 
 The coarsest grid solves its Newton systems by a band Cholesky.  Every finer
 grid solves them by CG to a relative residual of 1e-6, preconditioned by one
@@ -66,8 +67,6 @@ __all__ = [
     "SolverConfig",
     "SolveInfo",
     "make_grid",
-    "terminal_row",
-    "initial_guess",
     "scaled_gradient_norm",
     "solve",
 ]
@@ -198,15 +197,11 @@ def make_grid(p: Profile, eps: float, T: float, nt: int, ny: int) -> SpaceTimeGr
     return SpaceTimeGrid(eps=float(eps), T=float(T), t=t, y=y)
 
 
-def terminal_row(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid) -> np.ndarray:
-    """Terminal boundary row: label y is sent to the m_T-quantile of the
-    phi-mass to the left of y.  Endpoints map to the support ends exactly."""
-    return _terminal_rows(p, m, [grid])[0]
-
-
 def _terminal_rows(p: Profile, m: TerminalDensity, grids: list) -> list:
-    """`terminal_row` of each of ``grids``, from one quantile call over their
-    labels laid end to end: the quantile works label by label."""
+    """The terminal row of each of ``grids``: label y is sent to the
+    m_T-quantile of the phi-mass to the left of y, and the endpoints to the
+    support ends exactly.  One quantile call over their labels laid end to
+    end: the quantile works label by label."""
     rows = np.split(m.quantile(p.cdf(np.concatenate([g.y for g in grids]))),
                     np.cumsum([g.y.size for g in grids[:-1]]))
     if not all(np.all(np.isfinite(r)) and np.all(np.diff(r) > 0.0) for r in rows):
@@ -215,18 +210,21 @@ def _terminal_rows(p: Profile, m: TerminalDensity, grids: list) -> list:
     return rows
 
 
-def initial_guess(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid) -> np.ndarray:
-    """Interpolate between the pinned rows along the self-similar schedule
-    ``(t+eps)^alpha``: exact for self-similar data, monotone always."""
-    return _blend(p, grid, terminal_row(p, m, grid))
-
-
-def _blend(p: Profile, grid: SpaceTimeGrid, rowT: np.ndarray) -> np.ndarray:
-    """`initial_guess` with the terminal row ``rowT``."""
+def _start(p: Profile, grid: SpaceTimeGrid, rowT: np.ndarray,
+           coarser: np.ndarray | None = None) -> np.ndarray:
+    """The first Newton iterate on ``grid``: row 0 set to ``eps^alpha y``, row
+    nt to ``rowT``, and between them the flow ``coarser`` of the grid below by
+    `_prolong`, or without one the blend of the pinned rows along the
+    schedule ``(t+eps)^alpha``: exact for self-similar data, monotone."""
     base = grid.eps**p.alpha * grid.y
-    blend = ((grid.sigma ** p.alpha - grid.eps**p.alpha)
-             / ((grid.T + grid.eps) ** p.alpha - grid.eps**p.alpha))
-    return base[None, :] + blend[:, None] * (rowT - base)[None, :]
+    if coarser is None:
+        blend = ((grid.sigma ** p.alpha - grid.eps**p.alpha)
+                 / ((grid.T + grid.eps) ** p.alpha - grid.eps**p.alpha))
+        start = base[None, :] + blend[:, None] * (rowT - base)[None, :]
+    else:
+        start = _prolong(coarser, (grid.nt + 1, grid.ny + 1))
+    start[0], start[-1] = base, rowT
+    return start
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +634,9 @@ def solve(p: Profile, m: TerminalDensity, grid: SpaceTimeGrid,
     ladder = _ladder(p, grid)
     for g, rowT in zip(ladder, _terminal_rows(p, m, ladder)):
         ws = _Workspace(p, g)
-        start = _blend(p, g, rowT)
-        start[-1] = rowT
-        if gamma is not None:
-            start[1:-1] = _prolong(gamma, start.shape)[1:-1]
         gamma, steps, iterations, gn, E, level = _newton(
-            ws, start, cfg if g is grid else coarse, levels)
+            ws, _start(p, g, rowT, gamma), cfg if g is grid else coarse,
+            levels)
         levels.append(level or _level(_newton_matrix(ws, gamma), not levels))
         info.append((g.nt, g.ny, steps, iterations))
     return FlowField(grid=grid, profile=p, gamma=gamma,

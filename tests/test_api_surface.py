@@ -33,8 +33,6 @@ CALLER_DIRS = ("src", "demos", "perfbench")
 # (module, name) -> why a name that no program code calls stays public
 KEPT = {
     ("rescale", "hat_gamma_residual"): "acceptance criterion 7",
-    ("solver", "initial_guess"): "the start of one grid; `solve` blends the "
-                                 "same start from its one quantile pass",
 }
 
 

@@ -16,7 +16,8 @@ from dirac_mfp import fields as F
 from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import (
     FlowField,
-    initial_guess,
+    _start,
+    _terminal_rows,
     make_grid,
     scaled_gradient_norm,
     solve,
@@ -529,8 +530,9 @@ def test_hj_interior_residual_fails_wrong_flows_of_criterion_5(solved128):
     # criterion 5's run, bent and replaced by its Newton start: each
     # is over the bound that the solved run passes
     f, m = solved128
-    start = FlowField(grid=f.grid, profile=f.profile,
-                      gamma=initial_guess(f.profile, m, f.grid))
+    p, g = f.profile, f.grid
+    start = FlowField(grid=g, profile=p,
+                      gamma=_start(p, g, _terminal_rows(p, m, [g])[0]))
     for name, wrong in (("bent", bent(f)), ("initial guess", start)):
         interior, _ = hj_residuals(wrong)
         assert np.nanmax(np.abs(interior)) > 5e-3, name

@@ -361,6 +361,15 @@ def test_report_critical_theta2(run_critical, theta2):
         assert rows[law]["pass"] is True
 
 
+@pytest.mark.parametrize("run", ["run_scaling", "run_critical",
+                                 "run_rates3"])
+def test_report_rows_follow_the_law_order(run, request):
+    # at theta 1, 2 and 3 the rows of a report are a subsequence of
+    # `metrics.LAWS`, the column order of a sweep's summary
+    laws = [r["law"] for r in rate_report(request.getfixturevalue(run))["laws"]]
+    assert laws == [law for law in metrics.LAWS if law in laws]
+
+
 def test_report_empty_window_rows_are_null(run_scaling, theta1):
     # a window holding fewer than four time nodes cannot be fitted;
     # the rows stay in the report with null entries and pass=False;
