@@ -34,11 +34,13 @@ and ``newton_max_iter`` caps each level.
 
 The coarsest grid solves its Newton systems by a band Cholesky.  Every finer
 grid solves them by CG to a relative residual of 1e-6, preconditioned by one
-multigrid V-cycle over the grids below it in the same ladder: O(n^2) memory
-and work per iteration on an n x n grid, and iterations per step that do not
-grow with n (1 to 6 from 128^2 to 512^2).  While every slope stays above the
-floor the matrix is positive definite by construction; a pivot that is not
-positive, or a CG direction of no positive curvature, ends the solve with
+multigrid V-cycle in single precision (float32 planes, `spttrf` line factors)
+over the grids below it in the same ladder: O(n^2) memory and work per
+iteration on an n x n grid, and iterations per step that do not grow with n
+(1 to 6 from 128^2 to 512^2).  CG and the band factor run in double
+precision.  While every slope stays above the floor the matrix is positive
+definite by construction; a pivot that is not positive, a CG direction of no
+positive curvature, or a matrix past the float32 range ends the solve with
 `DegenerateStateError`.
 """
 
@@ -49,7 +51,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, spttrf, spttrs
 
 from .errors import (
     DegenerateStateError,
@@ -347,14 +349,18 @@ def scaled_gradient_norm(f: FlowField, p: Profile | None = None) -> float:
 # factor is the V-cycle's coarse solve.  Every finer grid solves its steps by
 # CG preconditioned with one symmetric V(1,1)-cycle over the grids below it
 # (Brandt, Math. Comp. 31, 1977; Trottenberg, Oosterlee & Schueller,
-# *Multigrid*, 2001).  The smoother is zebra line Gauss-Seidel in both
-# directions, for the anisotropy of the graded time steps: the even, then the
-# odd label lines (grid rows), then the even, then the odd time lines
-# (columns); the post-smoother runs them in reverse order, so the cycle is
-# symmetric.  Each colour's lines are laid end to end and factored once per
-# matrix (`dpttrf`): the padding of the planes is exactly the zero coupling
-# between consecutive lines, and the time lines relax as rows of one transposed
-# copy.  Prolongation is `_prolong`, and restriction its transpose `_restrict`.
+# *Multigrid*, 2001).  CG, the band factor and its solves run in double
+# precision, and the rest of the cycle in single precision on float32 copies
+# of the planes: CG resolves its residual to 1e-6, far above the float32
+# rounding of the preconditioned residual (Goeddeke, Strzodka & Turek, IJPEDS
+# 22, 2007).  The smoother is zebra line Gauss-Seidel in both directions, for
+# the anisotropy of the graded time steps: the even, then the odd label lines
+# (grid rows), then the even, then the odd time lines (columns); the
+# post-smoother runs them in reverse order, so the cycle is symmetric.  Each
+# colour's lines are laid end to end and factored once per matrix (`spttrf`):
+# the padding of the planes is exactly the zero coupling between consecutive
+# lines, and the time lines relax as rows of one transposed copy.
+# Prolongation is `_prolong`, and restriction its transpose `_restrict`.
 
 _COARSEST = 64      # most intervals on either axis of the coarsest grid
 _COARSE_TOL = 1e-4  # a coarse flow only starts the next level (Brandt 1977)
@@ -374,33 +380,34 @@ def _ladder(p: Profile, grid: SpaceTimeGrid) -> list[SpaceTimeGrid]:
     return ladder[::-1]
 
 
-def _axis_map(n_coarse: int, n_fine: int) -> tuple[np.ndarray, np.ndarray]:
+def _axis_map(n_coarse: int, n_fine: int,
+              dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """Fine node i of an axis sits at coarse position i n_coarse / n_fine:
-    its left coarse node and the weight of the right one."""
+    its left coarse node and the weight of the right one, in ``dtype``."""
     x = np.arange(n_fine + 1) * n_coarse / n_fine
     j = np.minimum(x.astype(np.intp), n_coarse - 1)
-    return j, x - j
+    return j, (x - j).astype(dtype)
 
 
 def _prolong(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Linear interpolation of the node values ``a`` along each axis, time
-    first, onto the grid of ``shape`` nodes (`_axis_map`): linear in
-    (log(t+eps), y), where the nodes are uniform.  Where an axis doubles, its
-    even nodes copy the coarse ones and its odd nodes average two."""
-    j, w = _axis_map(a.shape[0] - 1, shape[0] - 1)
+    """Linear interpolation of the node values ``a``, in their dtype, along
+    each axis, time first, onto the grid of ``shape`` nodes (`_axis_map`):
+    linear in (log(t+eps), y), where the nodes are uniform.  Where an axis
+    doubles, its even nodes copy the coarse ones and odd ones average two."""
+    j, w = _axis_map(a.shape[0] - 1, shape[0] - 1, a.dtype)
     a = (1.0 - w)[:, None] * a[j] + w[:, None] * a[j + 1]
-    j, w = _axis_map(a.shape[1] - 1, shape[1] - 1)
+    j, w = _axis_map(a.shape[1] - 1, shape[1] - 1, a.dtype)
     return (1.0 - w) * a[:, j] + w * a[:, j + 1]
 
 
 def _restrict(r: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The transpose of `_prolong` onto the ``shape`` nodes, time axis first.
-    Unclamped at the last fine node, `_axis_map` makes each coarse node j the
-    left node of one fine node i or two, i and i2 = i + 1 (one: i2 = i with
-    weight 0).  Node j adds the 1 - w parts of i and i2, then the w parts of
-    the fine nodes of j - 1: a reduction over its fine nodes, in order."""
+    """The transpose of `_prolong` onto the ``shape`` nodes, time axis first,
+    in the dtype of ``r``.  Unclamped at the last fine node, `_axis_map`
+    makes each coarse node j the left node of one fine node i or two, i and
+    i2 = i + 1 (one: i2 = i with weight 0).  Node j adds the 1 - w parts of
+    i and i2, then the w parts of the fine nodes of j - 1, in order."""
     for axis in (0, 1):
-        j, w = _axis_map(shape[axis] - 1, r.shape[axis] - 1)
+        j, w = _axis_map(shape[axis] - 1, r.shape[axis] - 1, r.dtype)
         j[-1], w[-1] = shape[axis] - 1, 0.0
         i = np.flatnonzero(np.diff(j, prepend=-1))
         i2 = np.append(i[1:], len(j)) - 1
@@ -439,10 +446,10 @@ def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Level:
-    """The Newton matrix ``A`` of one ladder grid as the V-cycle uses it:
-    ``factors`` is the coarsest grid's band factor, or on a finer grid the
-    `dpttrf` factors of its even and odd label lines, then of its even and
-    odd time lines."""
+    """The Newton matrix of one ladder grid as the V-cycle uses it: ``A``, its
+    planes in float32; ``factors``, the coarsest grid's float64 band factor,
+    or on a finer grid the `spttrf` factors of its even and odd label lines,
+    then of its even and odd time lines."""
 
     A: np.ndarray
     factors: object
@@ -450,22 +457,28 @@ class _Level:
 
 def _level(A: np.ndarray, coarsest: bool) -> _Level:
     """`DegenerateStateError` when a factor meets a pivot that is not
-    positive: ``A`` is not positive definite."""
+    positive (``A`` is not positive definite), or when on a grid above the
+    coarsest a float32 plane or factor is not finite."""
+    R, C = A.shape[1:]
+    with np.errstate(over="ignore"):
+        A32 = A.astype(np.float32)
     if coarsest:
-        R, C = A.shape[1:]
         ab = np.zeros((C + 1, R * C))                # row d: A[k + d, k]
         ab[[0, 1, C]] = A.reshape(3, -1)
         factors, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         name = "dpbtrf"
     else:            # each colour's lines end to end, U along each line
-        out = [dpttrf(D[p::2].ravel(), U[p::2].ravel()[:-1])
-               for D, U in ((A[0], A[1]), (A[0].T, A[2].T)) for p in (0, 1)]
+        out = [spttrf(D[p::2].ravel(), U[p::2].ravel()[:-1]) for D, U in
+               ((A32[0], A32[1]), (A32[0].T, A32[2].T)) for p in (0, 1)]
         factors = [(d, e) for d, e, _ in out]
-        info, name = next((i for *_, i in out if i), 0), "dpttrf"
+        info, name = next((i for *_, i in out if i), 0), "spttrf"
+        if not all(np.isfinite(a).all() for a in (A32, *sum(factors, ()))):
+            raise DegenerateStateError(f"Newton matrix on the {R + 1}x{C - 1} "
+                                       "grid leaves the single-precision range")
     if info != 0:
         raise DegenerateStateError(
             f"Newton matrix not positive definite: {name} info {info}")
-    return _Level(A, factors)
+    return _Level(A32, factors)
 
 
 def _relax(x: np.ndarray, b: np.ndarray, V: np.ndarray, factor: tuple,
@@ -477,7 +490,7 @@ def _relax(x: np.ndarray, b: np.ndarray, V: np.ndarray, factor: tuple,
     r[q:] -= V[q::2][:n - q] * x[q::2][:n - q]
     above = x[p + 1::2]
     r[:len(above)] -= V[p::2][:len(above)] * above
-    x[p::2] = dpttrs(*factor, r.ravel(), overwrite_b=1)[0].reshape(r.shape)
+    x[p::2] = spttrs(*factor, r.ravel(), overwrite_b=1)[0].reshape(r.shape)
 
 
 def _smooth(lv: _Level, x: np.ndarray, b: np.ndarray, colours) -> None:
@@ -495,10 +508,11 @@ def _smooth(lv: _Level, x: np.ndarray, b: np.ndarray, colours) -> None:
 
 
 def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
-    """One V(1,1)-cycle for ``levels[-1]`` from zero: the preconditioner, in
-    the interior rows of a buffer whose pinned first and last rows are 0."""
+    """One V(1,1)-cycle for ``levels[-1]`` from zero, in float32: the
+    preconditioner, in the interior rows of a buffer whose pinned rows are 0."""
     *coarse, lv = levels
-    x = np.zeros((len(b) + 2, b.shape[1]))[1:-1]
+    b = b.astype(np.float32, copy=False)
+    x = np.zeros((len(b) + 2, b.shape[1]), np.float32)[1:-1]
     if not coarse:
         x[...] = dpbtrs(lv.factors, b.ravel(), lower=1)[0].reshape(b.shape)
         return x
@@ -512,14 +526,14 @@ def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pcg(levels: list[_Level], b: np.ndarray, tol: float,
+def _pcg(A: np.ndarray, levels: list[_Level], b: np.ndarray, tol: float,
          where: str) -> tuple[np.ndarray, int]:
-    """Solve ``levels[-1].A x = b`` by CG preconditioned with `_vcycle`, to a
-    residual of ``tol`` relative to ``b``; x and the iterations."""
-    A = levels[-1].A
+    """Solve ``A x = b`` by CG preconditioned with `_vcycle` over ``levels``,
+    to a residual of ``tol`` relative to ``b``; x and the iterations."""
     x, r = np.zeros_like(b), b.copy()
     z = _vcycle(levels, r)
-    d, rz, stop = z, float(np.vdot(r, z)), tol * np.linalg.norm(b)
+    d, rz = z.astype(b.dtype), float(np.vdot(r, z))
+    stop = tol * np.linalg.norm(b)
     for it in range(1, _CG_MAX_ITER + 1):
         q = _apply(A, d)
         dq = float(np.vdot(d, q))
@@ -533,7 +547,7 @@ def _pcg(levels: list[_Level], b: np.ndarray, tol: float,
             return x, it
         z = _vcycle(levels, r)
         rz, prev = float(np.vdot(r, z)), rz
-        d = np.add(z, (rz / prev) * d, out=z)    # z's buffer, not a new one
+        np.add(z, (rz / prev) * d, out=d)
     raise NewtonDivergenceError(f"CG missed its tolerance {tol:.0e} in "
                                 f"{_CG_MAX_ITER} iterations {where}")
 
@@ -583,12 +597,13 @@ def _newton(ws: _Workspace, gamma: np.ndarray, cfg: SolverConfig,
         G, gn = ws.gradient(gamma) if grad is None else grad
         if gn <= cfg.residual_tol:
             return gamma, it - 1, iterations, gn, E0, level
-        level = _level(_newton_matrix(ws, gamma), not coarse)
+        A = _newton_matrix(ws, gamma)
+        level = _level(A, not coarse)
         if coarse:
-            d, k = _pcg([*coarse, level], -G, _CG_TOL, where)
+            d, k = _pcg(A, [*coarse, level], -G, _CG_TOL, where)
             iterations += k
         else:
-            d = _vcycle([level], -G)
+            d = dpbtrs(level.factors, -G.ravel(), lower=1)[0].reshape(G.shape)
 
         # largest step keeping all interior slopes above the floor
         s = ws.slopes(gamma)[1:-1]

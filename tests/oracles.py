@@ -22,12 +22,18 @@
   ``test_solver.py`` checks that `solver._prolong` gives its bits wherever
   an axis doubles.
 - `_restrict`, `_relax`, `_smooth`, `_vcycle` and `_pcg` are the multigrid
-  V-cycle and its CG as they first ran: restriction by `np.add.reduceat`
-  over the fine nodes of each coarse node, the time lines relaxed on
-  strided views, the pinned rows padded on by `np.pad`, and a new array for
-  each CG direction.  ``test_solver.py`` checks that `solver._restrict`,
-  `solver._vcycle` and `solver._pcg` give their bits on the ladders of
-  square, odd, unequal and one-level grids.
+  V-cycle and its CG as they first ran, in the single precision of the
+  program's cycle: restriction by `np.add.reduceat` over the fine nodes of each
+  coarse node, the time lines relaxed on strided views, the pinned rows
+  padded on by `np.pad`, and a new array for each CG direction.
+  ``test_solver.py`` checks that `solver._restrict`, `solver._vcycle` and
+  `solver._pcg` give their bits on the ladders of square, odd, unequal and
+  one-level grids.
+- `_level_f64`, `_relax_f64`, `_smooth_f64` and `_vcycle_f64` are the
+  V-cycle as it ran in double precision, on float64 planes and `dpttrf`
+  line factors, before it ran in float32.  ``test_solver.py`` puts them in
+  `solver` and checks that the solve takes the same Newton steps and CG
+  iterations and reaches the same flow.
 
 Nothing under ``src/`` imports this module.
 """
@@ -37,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrs, dpttrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs, spttrs
 
 from dirac_mfp.errors import (CrossingCharacteristicsError,
                               DegenerateStateError, InvalidParameterError,
@@ -324,9 +330,9 @@ def _restrict(r: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     nodes of one left node j are consecutive, and every j has some."""
     for axis in (0, 1):
         r = np.moveaxis(r, axis, 0)
-        j, w = _axis_map(shape[axis] - 1, len(r) - 1)
+        j, w = _axis_map(shape[axis] - 1, len(r) - 1, r.dtype)
         first = np.flatnonzero(np.diff(j, prepend=-1))
-        out = np.zeros((shape[axis], r.shape[1]))
+        out = np.zeros((shape[axis], r.shape[1]), r.dtype)
         out[:-1] = np.add.reduceat((1.0 - w)[:, None] * r, first)
         out[1:] += np.add.reduceat(w[:, None] * r, first)
         r = np.moveaxis(out, 0, axis)
@@ -342,7 +348,7 @@ def _relax(x: np.ndarray, b: np.ndarray, V: np.ndarray, factor: tuple,
     r[q:] -= V[q::2][:n - q] * x[q::2][:n - q]
     above = x[p + 1::2]
     r[:len(above)] -= V[p::2][:len(above)] * above
-    x[p::2] = dpttrs(*factor, r.ravel())[0].reshape(r.shape)
+    x[p::2] = spttrs(*factor, r.ravel())[0].reshape(r.shape)
 
 
 def _smooth(lv: _Level, x: np.ndarray, b: np.ndarray, colours) -> None:
@@ -353,10 +359,13 @@ def _smooth(lv: _Level, x: np.ndarray, b: np.ndarray, colours) -> None:
 
 
 def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
-    """One V(1,1)-cycle for ``levels[-1]`` from zero: the preconditioner."""
+    """One V(1,1)-cycle for ``levels[-1]`` from zero in float32, the band
+    solve in float64: the preconditioner."""
     *coarse, lv = levels
+    b = b.astype(np.float32)
     if not coarse:
-        return dpbtrs(lv.factors, b.ravel(), lower=1)[0].reshape(b.shape)
+        x = dpbtrs(lv.factors, b.astype(np.float64).ravel(), lower=1)[0]
+        return x.astype(np.float32).reshape(b.shape)
     x = np.zeros_like(b)
     _smooth(lv, x, b, (0, 1, 2, 3))
     pad = ((1, 1), (0, 0))                       # the pinned rows
@@ -368,14 +377,14 @@ def _vcycle(levels: list[_Level], b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pcg(levels: list[_Level], b: np.ndarray, tol: float,
+def _pcg(A: np.ndarray, levels: list[_Level], b: np.ndarray, tol: float,
          where: str) -> tuple[np.ndarray, int]:
-    """Solve ``levels[-1].A x = b`` by CG preconditioned with `_vcycle`, to a
-    residual of ``tol`` relative to ``b``; x and the iterations."""
-    A = levels[-1].A
+    """Solve ``A x = b`` by CG preconditioned with `_vcycle` over ``levels``,
+    to a residual of ``tol`` relative to ``b``; x and the iterations."""
     x, r = np.zeros_like(b), b.copy()
     z = _vcycle(levels, r)
-    d, rz, stop = z, float(np.vdot(r, z)), tol * np.linalg.norm(b)
+    d, rz = z.astype(np.float64), float(np.vdot(r, z))
+    stop = tol * np.linalg.norm(b)
     for it in range(1, _CG_MAX_ITER + 1):
         q = _apply(A, d)
         dq = float(np.vdot(d, q))
@@ -393,3 +402,68 @@ def _pcg(levels: list[_Level], b: np.ndarray, tol: float,
     raise NewtonDivergenceError(f"CG missed its tolerance {tol:.0e} in "
                                 f"{_CG_MAX_ITER} iterations {where}")
 
+
+# -- the V-cycle in double precision ------------------------------------------
+
+def _level_f64(A: np.ndarray, coarsest: bool) -> _Level:
+    """`DegenerateStateError` when a factor meets a pivot that is not
+    positive: ``A`` is not positive definite."""
+    if coarsest:
+        R, C = A.shape[1:]
+        ab = np.zeros((C + 1, R * C))                # row d: A[k + d, k]
+        ab[[0, 1, C]] = A.reshape(3, -1)
+        factors, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        name = "dpbtrf"
+    else:            # each colour's lines end to end, U along each line
+        out = [dpttrf(D[p::2].ravel(), U[p::2].ravel()[:-1])
+               for D, U in ((A[0], A[1]), (A[0].T, A[2].T)) for p in (0, 1)]
+        factors = [(d, e) for d, e, _ in out]
+        info, name = next((i for *_, i in out if i), 0), "dpttrf"
+    if info != 0:
+        raise DegenerateStateError(
+            f"Newton matrix not positive definite: {name} info {info}")
+    return _Level(A, factors)
+
+
+def _relax_f64(x: np.ndarray, b: np.ndarray, V: np.ndarray, factor: tuple,
+               p: int) -> None:
+    """Solve the lines p, p+2, ... of ``x`` (its rows) for ``b``, their
+    neighbours held; ``V[i]`` couples line i to line i+1."""
+    r = b[p::2].copy()
+    n, q = len(r), 1 - p                 # q: the first line below one of p's
+    r[q:] -= V[q::2][:n - q] * x[q::2][:n - q]
+    above = x[p + 1::2]
+    r[:len(above)] -= V[p::2][:len(above)] * above
+    x[p::2] = dpttrs(*factor, r.ravel(), overwrite_b=1)[0].reshape(r.shape)
+
+
+def _smooth_f64(lv: _Level, x: np.ndarray, b: np.ndarray, colours) -> None:
+    """Zebra line Gauss-Seidel over ``colours``, indices of ``lv.factors``:
+    (0, 1, 2, 3) or (3, 2, 1, 0).  The time lines (2, 3) relax as the rows
+    of one contiguous transposed copy of x, b and the label couplings."""
+    for run in (colours[:2], colours[2:]):
+        time = run[0] >= 2
+        xs, bs, V = ((a.T.copy() for a in (x, b, lv.A[1])) if time
+                     else (x, b, lv.A[2]))
+        for k in run:
+            _relax_f64(xs, bs, V, lv.factors[k], k % 2)
+        if time:
+            x[...] = xs.T
+
+
+def _vcycle_f64(levels: list[_Level], b: np.ndarray) -> np.ndarray:
+    """One V(1,1)-cycle for ``levels[-1]`` from zero: the preconditioner, in
+    the interior rows of a buffer whose pinned first and last rows are 0."""
+    *coarse, lv = levels
+    x = np.zeros((len(b) + 2, b.shape[1]))[1:-1]
+    if not coarse:
+        x[...] = dpbtrs(lv.factors, b.ravel(), lower=1)[0].reshape(b.shape)
+        return x
+    _smooth_f64(lv, x, b, (0, 1, 2, 3))
+    r = np.zeros_like(x.base)                    # b - A x, the pinned rows 0
+    np.subtract(b, _apply(lv.A, x), out=r[1:-1])
+    R, C = coarse[-1].A.shape[1:]
+    r = _restrict(r, (R + 2, C))                 # frees the fine residual
+    x += _prolong(_vcycle_f64(coarse, r[1:-1]).base, x.base.shape)[1:-1]
+    _smooth_f64(lv, x, b, (3, 2, 1, 0))
+    return x
