@@ -42,7 +42,10 @@ exits 1.  Then the output paths that no call above takes: ``rates --write``
 on a copy of ``theta=1`` (``rewritten``); ``rates theta=3 --window 0.2
 0.201``, which fits no law; ``export`` on a copy of ``theta=3`` without
 ``series.csv`` and ``export`` (``no-series``), which rebuilds the series;
-an eps sweep over {1e-3, 0.5} on 64^2 (``failed-sweep``), whose second run
+``rates --write --window 0.02 0.2`` and then ``export`` on a copy of
+``theta=3`` without ``export`` (``rewindowed``), whose export follows the
+window of ``config.json``, not that of the rewritten ``rates.json``, and so
+equals that of ``theta=3``; an eps sweep over {1e-3, 0.5} on 64^2 (``failed-sweep``), whose second run
 fails inside its pipeline, so the sweep writes a ``failed`` row and an
 empty Cauchy table and exits 2; and ``solve --strict`` at theta 1 on 64^2
 of a ((1 + x)(1 - x))^3 table on 400 rows that the script writes
@@ -297,6 +300,9 @@ def matrix(workloads) -> list:
         lambda: copied_run(Path("no-series"), Path("theta=3"), "series.csv",
                            "export"),
         ["export", "no-series"],
+        lambda: copied_run(Path("rewindowed"), Path("theta=3"), "export"),
+        ["rates", "rewindowed", "--write", "--window", "0.02", "0.2"],
+        ["export", "rewindowed"],
         ["sweep", "--axis", "eps", "--values", "1e-3,0.5", *GRID64,
          "--outdir", "failed-sweep"],
         ["solve", "--target", "file", "--target-path", str(steep),

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVER, DiracMfpError,
-                     FormatError, InvalidParameterError, check_int,
-                     check_number, check_type)
+                     FormatError, InvalidParameterError, check_fit_window,
+                     check_int, check_number, check_type)
 from .metrics import LAWS
 from .solver import SolverConfig
 from .target import RATIO_BOUND
@@ -88,17 +88,9 @@ class RunConfig:
             check_int(name, getattr(self, name), 16)
         check_type("target", self.target, TargetConfig, "a target section")
         check_type("solver", self.solver, SolverConfig, "a solver section")
-        win = self.fit_window
-        if win is not None:
-            if not (isinstance(win, (list, tuple)) and len(win) == 2):
-                raise FormatError(
-                    f"fit_window must be [lo, hi], got {win!r}")
-            for v in win:
-                check_number("fit_window", v)
-            if not 0.0 < win[0] < win[1]:
-                raise InvalidParameterError(f"fit window must satisfy "
-                                            f"0 < lo < hi, got {list(win)}")
-            object.__setattr__(self, "fit_window", tuple(map(float, win)))
+        if self.fit_window is not None:
+            object.__setattr__(self, "fit_window",
+                               check_fit_window(self.fit_window))
         check_type("outdir", self.outdir, str, "a string")
         check_type("strict", self.strict, bool, "true or false")
 
@@ -550,7 +542,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from . import fields as fields_mod
     from . import rescale as rescale_mod
-    from .metrics import default_fit_window, fit_rate
+    from .metrics import rate_report
 
     rundir = Path(args.rundir)
     cfg, f = _load_run(rundir)
@@ -572,28 +564,25 @@ def cmd_export(args: argparse.Namespace) -> int:
     series = _load_series(rundir / RUN_FILES["series"], f)
     if series is None:
         series = rescale_mod.build_series(f)
-    tau, H = series["tau"], series["H"]
-    lo, hi = cfg.fit_window or default_fit_window(g)
-    env = np.full_like(tau, np.nan)
-    keep = (H > 0.0) & (tau >= np.log(lo)) & (tau <= np.log(hi))
-    if np.count_nonzero(keep) >= 4:
-        fit = fit_rate(tau[keep], H[keep], kind="exp")
-        env = np.exp(fit.log_prefactor + fit.exponent * tau)
+    # each curve is the law of the rate report, NaN where it fits none
+    laws = {r["law"]: (r["log_prefactor"], r["fitted_exponent"])
+            for r in rate_report(f, window=cfg.fit_window,
+                                 series=series)["laws"]
+            if r["fitted_exponent"] is not None}
+    tau = series["tau"]
+    lp, s = laws.get("lyapunov", (np.nan, np.nan))
     _write_csv(out / "lyapunov.csv",
                ("tau", "H", "dH_fd", "dH_identity", "envelope"),
-               [tau, H, series["dH_fd"], series["dH_identity"], env])
+               [tau, series["H"], series["dH_fd"], series["dH_identity"],
+                np.exp(lp + s * tau)])
 
     # log-log support radius with its fitted power law
     pos = g.t > 0.0
     t_pos = g.t[pos]
     radius = 0.5 * (f.gamma[pos, -1] - f.gamma[pos, 0])
-    in_win = (t_pos >= lo) & (t_pos <= hi)
-    fitted = np.full_like(t_pos, np.nan)
-    if np.count_nonzero(in_win) >= 4:
-        fit = fit_rate(t_pos[in_win], radius[in_win], kind="power")
-        fitted = np.exp(fit.log_prefactor) * t_pos ** fit.exponent
+    lp, s = laws.get("support_radius", (np.nan, np.nan))
     _write_csv(out / "support_radius.csv", ("t", "radius", "fitted"),
-               [t_pos, radius, fitted])
+               [t_pos, radius, np.exp(lp) * t_pos ** s])
 
     # free-boundary fan: straight characteristics leaving the boundary
     fan = []

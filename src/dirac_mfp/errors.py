@@ -84,3 +84,15 @@ def check_int(name: str, value, minimum: int) -> None:
     if value < minimum:
         raise InvalidParameterError(
             f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_fit_window(window) -> tuple[float, float]:
+    """A fit window ``[lo, hi]`` in t with 0 < lo < hi, as two floats."""
+    if not (isinstance(window, (list, tuple)) and len(window) == 2):
+        raise FormatError(f"fit_window must be [lo, hi], got {window!r}")
+    for v in window:
+        check_number("fit_window", v)
+    if not 0.0 < window[0] < window[1]:
+        raise InvalidParameterError(f"fit window must satisfy "
+                                    f"0 < lo < hi, got {list(window)}")
+    return float(window[0]), float(window[1])

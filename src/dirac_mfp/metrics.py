@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_fit_window
 from .profile import Profile
 
 __all__ = [
@@ -112,17 +112,13 @@ _REL_TOL = 0.10  # pass band around the theoretical exponent
 def _law_row(law: str, theo: float, fit: RateFit | None) -> dict:
     if fit is None:
         return {"law": law, "theoretical_exponent": theo,
-                "fitted_exponent": None, "r2": None, "window": None,
-                "pass": False}
+                "fitted_exponent": None, "log_prefactor": None, "r2": None,
+                "window": None, "pass": False}
     ok = abs(fit.exponent - theo) <= _REL_TOL * abs(theo)
     return {"law": law, "theoretical_exponent": theo,
-            "fitted_exponent": fit.exponent, "r2": fit.r_squared,
+            "fitted_exponent": fit.exponent,
+            "log_prefactor": fit.log_prefactor, "r2": fit.r_squared,
             "window": list(fit.window), "pass": bool(ok)}
-
-
-def default_fit_window(g) -> tuple[float, float]:
-    """The fit window in t of a run that sets none: [t_resolved, T/4]."""
-    return g.t_resolved, g.T / 4.0
 
 
 def rate_report(f, *, window: tuple | None = None,
@@ -137,17 +133,18 @@ def rate_report(f, *, window: tuple | None = None,
     each fitted over the rows where the series is sign-definite.
     ``series`` may be passed when the caller already holds the
     `rescale.build_series` of ``f`` (as `cli` reads it back from a run's
-    ``series.csv``).  The window defaults to `default_fit_window`.  The per-row laws
-    are reductions along the label axis of the (rows x labels) arrays of
-    the fit window.
+    ``series.csv``).  The window, in t, must satisfy 0 < lo < hi
+    (`errors.check_fit_window`); it defaults to [t_resolved, T/4].  Each
+    fitted row carries the law's curve, ``exp(log_prefactor) * t**s`` or
+    ``exp(log_prefactor + s * tau)``.  The per-row laws are reductions
+    along the label axis of the (rows x labels) arrays of the fit window.
     """
     from . import fields as fields_mod
     from . import rescale as rescale_mod
 
     p, g = f.profile, f.grid
-    if window is None:
-        window = default_fit_window(g)
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = ((g.t_resolved, g.T / 4.0) if window is None
+              else check_fit_window(window))
     critical = abs(p.kappa) < 1e-12
 
     wq = p.node_masses(g.y)

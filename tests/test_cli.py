@@ -1099,6 +1099,58 @@ def test_rates_and_export_reuse_series_csv(supercritical_run, tmp_path,
     assert "lyapunov" in reused[0]
 
 
+def law_curves(rundir):
+    """The ``fitted`` column of ``support_radius.csv`` and the ``envelope``
+    column of ``lyapunov.csv`` in ``rundir/export``, and the same curves
+    drawn from the laws of ``rundir/rates.json`` (all NaN for a law the
+    report does not fit)."""
+    laws = {r["law"]: r for r in
+            json.loads((rundir / "rates.json").read_text())["laws"]}
+    radius = np.loadtxt(rundir / "export" / "support_radius.csv",
+                        delimiter=",", skiprows=1)
+    lyap = np.loadtxt(rundir / "export" / "lyapunov.csv", delimiter=",",
+                      skiprows=1)
+
+    def curve(law, x, kind):
+        row = laws.get(law, {"fitted_exponent": None})
+        if row["fitted_exponent"] is None:
+            return np.full_like(x, np.nan)
+        lp, s = row["log_prefactor"], row["fitted_exponent"]
+        return np.exp(lp) * x ** s if kind == "power" else np.exp(lp + s * x)
+
+    return ((radius[:, 2], curve("support_radius", radius[:, 0], "power")),
+            (lyap[:, 4], curve("lyapunov", lyap[:, 0], "exp")))
+
+
+@pytest.mark.parametrize("theta", [1, 3])
+def test_export_curves_are_the_rate_reports_laws(solved_run,
+                                                 supercritical_run, tmp_path,
+                                                 capsys, theta):
+    run = copy_run(supercritical_run if theta == 3 else solved_run,
+                   tmp_path / "run")
+    assert run_cli("rates", run, "--write") == 0
+    assert run_cli("export", run) == 0
+    laws = [r["law"] for r in
+            json.loads((run / "rates.json").read_text())["laws"]]
+    # the envelope is the Lyapunov law, fitted only where kappa > 0
+    assert ("lyapunov" in laws) == (theta == 3)
+    (fitted, radius_law), (envelope, lyapunov_law) = law_curves(run)
+    np.testing.assert_array_equal(fitted, radius_law)
+    np.testing.assert_array_equal(envelope, lyapunov_law)
+    assert np.all(np.isfinite(fitted))
+    assert np.all(np.isfinite(envelope) if theta == 3 else np.isnan(envelope))
+
+    # a window that fits nothing is written as null, and export keeps the
+    # window of config.json: it does not read rates.json back
+    exported = read_tree(run / "export")
+    assert run_cli("rates", run, "--window", "0.2", "0.201", "--write") == 0
+    assert all(r["log_prefactor"] is None for r in
+               json.loads((run / "rates.json").read_text())["laws"])
+    assert run_cli("export", run) == 0
+    assert read_tree(run / "export") == exported
+    capsys.readouterr()
+
+
 def drop_last_row(text):
     return "".join(text.splitlines(keepends=True)[:-1])
 

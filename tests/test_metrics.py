@@ -377,7 +377,23 @@ def test_report_empty_window_rows_are_null(run_scaling, theta1):
     rep = rate_report(run_scaling, window=(0.2, 0.201))
     for r in rep["laws"]:
         assert r["fitted_exponent"] is None
+        assert r["log_prefactor"] is None
         assert r["pass"] is False
+
+
+@pytest.mark.parametrize("theta", [1.0, 3.0])
+@pytest.mark.parametrize("window", [(0.0, 0.25), (-0.1, 0.25), (0.3, 0.2)])
+def test_rate_report_rejects_a_window_outside_0_lo_hi(theta, window):
+    # (0, 0.25) raised a bare math domain error at theta = 3, and at
+    # theta = 1 fitted no power law, since the t = 0 row fails every one;
+    # the message is the one `cli.RunConfig` gives for its fit_window
+    p = make_profile(theta)
+    f = solve(p, power_bump(-1.0, 1.0, theta),
+              make_grid(p, eps=1e-3, T=1.0, nt=32, ny=32))
+    with pytest.raises(InvalidParameterError) as exc:
+        rate_report(f, window=window)
+    assert str(exc.value) == (f"fit window must satisfy 0 < lo < hi, "
+                              f"got {list(window)}")
 
 
 # ---------------------------------------------------------------------------
