@@ -2,48 +2,43 @@
 # The Dirac initial condition is realized as the limit of point-mass
 # regularizations: each run starts from the self-similar slice at time
 # eps and the family is Cauchy in the 1-Wasserstein metric as eps -> 0.
-# The demo solves the same terminal problem for a ladder of eps values
-# and prints the pairwise d1 distances at fixed physical times.
+# The demo runs `dirac-mfp sweep --axis eps`, which solves the same
+# terminal problem for a ladder of eps values and tabulates the pairwise
+# d1 distances at fixed physical times in cauchy_d1.csv.
 #
 # Usage:
 #   python3 demos/eps_cauchy_ladder.py
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
-from dirac_mfp.metrics import wasserstein_maps
-from dirac_mfp.profile import make_profile
-from dirac_mfp.solver import make_grid, solve
-from dirac_mfp.target import power_bump
+from dirac_mfp.cli import main
 
-p = make_profile(1.0)
 ladder = [1e-2, 1e-3, 1e-4]
-m_T = power_bump(-1.0, 1.0, 1.0)
 
-flows = {}
-for eps in ladder:
-    grid = make_grid(p, eps=eps, T=1.0, nt=128, ny=128)
-    flows[eps] = solve(p, m_T, grid)
-    print(f"eps = {eps:7.0e}: {flows[eps].info.iterations} Newton steps")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "sweep"
+    status = main(["sweep", "--axis", "eps",
+                   "--values", ",".join(f"{e:g}" for e in ladder),
+                   "--theta", "1", "--a", "-1", "--b", "1",
+                   "--outdir", str(out)])
+    if status:
+        raise SystemExit(status)
+    for eps in ladder:
+        manifest = json.loads((out / f"eps={eps:g}" / "manifest.json")
+                              .read_text())
+        print(f"eps = {eps:7.0e}: {manifest['solver']['iterations']} "
+              "Newton steps")
+    table = np.loadtxt(out / "cauchy_d1.csv", delimiter=",", skiprows=1)
 
-
-def gamma_at(f, t_star):
-    """Linear interpolation of the flow map between time rows."""
-    t = f.grid.t
-    i = int(np.clip(np.searchsorted(t, t_star), 1, t.size - 1))
-    lam = (t_star - t[i - 1]) / (t[i] - t[i - 1])
-    return (1.0 - lam) * f.gamma[i - 1] + lam * f.gamma[i]
-
-
-y = flows[ladder[0]].grid.y
 print("\npairwise d1(m^eps_k(t), m^eps_{k+1}(t)):")
 print("      t      " + "   ".join(f"{a:.0e} vs {b:.0e}"
                                    for a, b in zip(ladder, ladder[1:])))
-for t_star in (0.05, 0.1, 0.5):
-    row = []
-    for ea, eb in zip(ladder, ladder[1:]):
-        row.append(wasserstein_maps(p, gamma_at(flows[ea], t_star),
-                                    gamma_at(flows[eb], t_star),
-                                    order=1, y=y))
+for t_star in np.unique(table[:, 0]):
+    row = table[table[:, 0] == t_star, 3]   # in ladder order
     marks = "  (decreasing)" if row[0] > row[1] else "  (NOT decreasing)"
     print(f"  {t_star:7.3f}  " + "     ".join(f"{d:.6e}" for d in row) + marks)
 

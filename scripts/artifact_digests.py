@@ -45,9 +45,12 @@ on a copy of ``theta=1`` (``rewritten``); ``rates theta=3 --window 0.2
 ``rates --write --window 0.02 0.2`` and then ``export`` on a copy of
 ``theta=3`` without ``export`` (``rewindowed``), whose export follows the
 window of ``config.json``, not that of the rewritten ``rates.json``, and so
-equals that of ``theta=3``; an eps sweep over {1e-3, 0.5} on 64^2 (``failed-sweep``), whose second run
-fails inside its pipeline, so the sweep writes a ``failed`` row and an
-empty Cauchy table and exits 2; and ``solve --strict`` at theta 1 on 64^2
+equals that of ``theta=3``; an eps sweep over {1e-3, 0.5} on 64^2
+(``failed-sweep``), whose second run fails inside its pipeline, so the
+sweep writes a ``failed`` row and an empty Cauchy table and exits 2; an
+eps sweep over {1e-2, 1e-3, 0.5} on 64^2 (``partial-sweep``), whose
+Cauchy table holds the three rows of the pair (1e-2, 1e-3) and skips the
+pair with the failed run; and ``solve --strict`` at theta 1 on 64^2
 of a ((1 + x)(1 - x))^3 table on 400 rows that the script writes
 (``steep``), whose envelope ratio 5.5e3 exceeds the bound 1e3 (exit 3).
 A set-up step between calls (building such a run directory) prints
@@ -305,6 +308,8 @@ def matrix(workloads) -> list:
         ["export", "rewindowed"],
         ["sweep", "--axis", "eps", "--values", "1e-3,0.5", *GRID64,
          "--outdir", "failed-sweep"],
+        ["sweep", "--axis", "eps", "--values", "1e-2,1e-3,0.5", *GRID64,
+         "--outdir", "partial-sweep"],
         ["solve", "--target", "file", "--target-path", str(steep),
          "--theta", "1", *GRID64, "--strict", "--outdir", "steep"],
     ]

@@ -237,11 +237,11 @@ def _load_series(path, f) -> dict[str, np.ndarray] | None:
     `rescale.build_series` of ``f``.
 
     The file is accepted only when its header is `rescale.SERIES_COLUMNS`,
-    it has one row per series row of ``f`` and its ``tau`` column equals
-    the log-times of those rows bit for bit; ``%.17g`` round-trips
-    exactly, so an accepted series is the one that was saved.  Returns
-    ``None`` otherwise (also for a missing or unreadable file, and for a
-    grid with too few series rows), and the caller rebuilds the series.
+    it has one row per series row of ``f``, its ``tau`` column equals the
+    log-times of those rows bit for bit and every number is finite; the
+    other columns are not checked against ``f``.  Returns ``None``
+    otherwise (also for a missing or unreadable file, and for a grid with
+    too few series rows), and the caller rebuilds the series.
     """
     from .rescale import SERIES_COLUMNS, series_rows
     try:
@@ -253,7 +253,8 @@ def _load_series(path, f) -> dict[str, np.ndarray] | None:
     except (OSError, ValueError):
         return None
     if (data is None or data.shape != (tau.size, len(SERIES_COLUMNS))
-            or data[:, 0].tobytes() != tau.tobytes()):
+            or data[:, 0].tobytes() != tau.tobytes()
+            or not np.all(np.isfinite(data))):
         return None
     return {k: data[:, j].copy() for j, k in enumerate(SERIES_COLUMNS)}
 
@@ -458,30 +459,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_SOLVER if n_failed else EXIT_OK
 
 
-def _gamma_at_time(f, t_star: float) -> np.ndarray:
+def _gamma_at_time(f, times: np.ndarray) -> np.ndarray:
+    """The flow map at each of ``times``, linear between time rows."""
     t = f.grid.t
-    i = int(np.clip(np.searchsorted(t, t_star), 1, t.size - 1))
-    lam = (t_star - t[i - 1]) / (t[i] - t[i - 1])
+    i = np.clip(np.searchsorted(t, times), 1, t.size - 1)
+    lam = ((times - t[i - 1]) / (t[i] - t[i - 1]))[:, None]
     return (1.0 - lam) * f.gamma[i - 1] + lam * f.gamma[i]
 
 
 def _write_cauchy_table(cfg: RunConfig, values, results, out: Path) -> None:
     """Pairwise d1 between consecutive eps runs at shared probe times."""
     from .metrics import wasserstein_maps
-    from .profile import make_profile
 
-    p = make_profile(cfg.theta)
-    probes = [cfg.T / 20.0, cfg.T / 10.0, cfg.T / 2.0]
+    probes = cfg.T / np.array([20.0, 10.0, 2.0])
     rows = []
     for k in range(len(values) - 1):
         fa, fb = results[k][0], results[k + 1][0]
         if fa is None or fb is None:
             continue
-        for t_star in probes:
-            d1 = wasserstein_maps(p, _gamma_at_time(fa, t_star),
-                                  _gamma_at_time(fb, t_star),
-                                  order=1, y=fa.grid.y)
-            rows.append((t_star, values[k], values[k + 1], d1))
+        d1 = wasserstein_maps(fa.profile, _gamma_at_time(fa, probes),
+                              _gamma_at_time(fb, probes), order=1,
+                              y=fa.grid.y)
+        rows += [(t, values[k], values[k + 1], d) for t, d in zip(probes, d1)]
     _write_csv(out / "cauchy_d1.csv", ("t", "eps_a", "eps_b", "d1"),
                [np.reshape(rows, (-1, 4))])
 

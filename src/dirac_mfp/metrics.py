@@ -37,21 +37,24 @@ LAWS = ("support_radius", "m_inf", "m_power_norm", "ux_inf",
 
 
 def wasserstein_maps(p: Profile, g: np.ndarray, h: np.ndarray,
-                     order: int = 1, *, y: np.ndarray) -> float:
-    """d_p between pushforwards of phi by monotone maps on the labels ``y``."""
+                     order: int = 1, *, y: np.ndarray) -> float | np.ndarray:
+    """d_p between pushforwards of phi by monotone maps on the labels ``y``,
+    along the last axis: a float for two maps, one per row for two stacks."""
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     if g.shape != h.shape:
         raise InvalidParameterError("maps must share the sample grid")
     if np.any(np.diff(g) < 0.0) or np.any(np.diff(h) < 0.0):
         raise InvalidParameterError("pushforward maps must be nondecreasing")
+    if order not in (1, 2):
+        raise InvalidParameterError(f"order must be 1 or 2, got {order}")
     wq = p.node_masses(y)
     gap = np.abs(g - h)
     if order == 1:
-        return float(np.sum(wq * gap))
-    if order == 2:
-        return float(np.sqrt(np.sum(wq * gap * gap)))
-    raise InvalidParameterError(f"order must be 1 or 2, got {order}")
+        d = np.sum(wq * gap, axis=-1)
+    else:
+        d = np.sqrt(np.sum(wq * gap * gap, axis=-1))
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -161,20 +164,25 @@ def rate_report(f, *, window: tuple | None = None,
                     axis=1)
     osc_u = u.max(axis=1) - u.min(axis=1)
 
-    def _fit_power(vals):
+    def _fit(vals, signdef=None):
+        # a power law in t, or an exponential law in tau over the window
+        # rows where the series is signdef; None when it cannot be fitted
         try:
-            return fit_rate(t, vals, kind="power")
+            if signdef is None:
+                return fit_rate(t, vals, kind="power")
+            keep = signdef & (tau >= math.log(lo)) & (tau <= math.log(hi))
+            return fit_rate(tau[keep], vals[keep], kind="exp")
         except InvalidParameterError:
             return None
 
     laws = [
-        _law_row("support_radius", p.alpha, _fit_power(radius)),
-        _law_row("m_inf", -p.alpha, _fit_power(m_inf)),
-        _law_row("m_power_norm", -p.alpha * p.theta, _fit_power(m_power)),
-        _law_row("ux_inf", p.alpha - 1.0, _fit_power(ux_inf)),
+        _law_row("support_radius", p.alpha, _fit(radius)),
+        _law_row("m_inf", -p.alpha, _fit(m_inf)),
+        _law_row("m_power_norm", -p.alpha * p.theta, _fit(m_power)),
+        _law_row("ux_inf", p.alpha - 1.0, _fit(ux_inf)),
     ]
     if not critical:
-        laws.append(_law_row("osc_u", 2.0 * p.alpha - 1.0, _fit_power(osc_u)))
+        laws.append(_law_row("osc_u", 2.0 * p.alpha - 1.0, _fit(osc_u)))
 
     flags = []
     if critical:
@@ -183,22 +191,12 @@ def rate_report(f, *, window: tuple | None = None,
     elif p.kappa > 0.0:
         if series is None:
             series = rescale_mod.build_series(f)
-        tau = series["tau"]
-        tau_win = (math.log(lo), math.log(hi))
-
-        def _fit_exp(vals, signdef):
-            keep = signdef & (tau >= tau_win[0]) & (tau <= tau_win[1])
-            if keep.sum() < 4:
-                return None
-            return fit_rate(tau[keep], vals[keep], kind="exp")
-
-        H = series["H"]
-        d2 = series["d2"]
-        du = series["duality_pairing"]
-        laws.append(_law_row("lyapunov", 2.0 * p.kappa, _fit_exp(H, H > 0.0)))
-        laws.append(_law_row("d2_profile", p.kappa, _fit_exp(d2, d2 > 0.0)))
+        tau, H, d2, du = (series[k] for k in ("tau", "H", "d2",
+                                              "duality_pairing"))
+        laws.append(_law_row("lyapunov", 2.0 * p.kappa, _fit(H, H > 0.0)))
+        laws.append(_law_row("d2_profile", p.kappa, _fit(d2, d2 > 0.0)))
         laws.append(_law_row("duality_pairing", 2.0 * p.kappa,
-                             _fit_exp(np.abs(du), du < 0.0)))
+                             _fit(np.abs(du), du < 0.0)))
 
     return {"theta": p.theta, "alpha": p.alpha, "kappa": p.kappa,
             "critical": critical, "flags": flags,

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import DegenerateStateError, InvalidParameterError
 from .fields import (EulerianSnapshot, _row_gradient, _second_derivative,
                      snapshot)
+from .metrics import wasserstein_maps
 from .profile import Profile
 from .solver import FlowField
 
@@ -266,22 +267,23 @@ def build_series(f: FlowField) -> dict[str, np.ndarray]:
                    / ((gR - gL) / g.ny))    # labels y t^alpha, in pad nodes
     s = rescale_snapshot(
         snapshot(f, keep, n_pad=max(2, math.ceil(reach) + 1)), p)
-    wq = p.node_masses(g.y)
     gh = s.gamma_hat
+    labels = np.broadcast_to(g.y, gh.shape)
     w_sup = s.w[:, s.support]
-    gap = gh - g.y
     H = lyapunov(s, p)
+    # reciprocal_integral first: a rescaled flow map that is not increasing
+    # is its DegenerateStateError, not the distances' InvalidParameterError
     return {
         "tau": tau,
         "H": H,
         "dH_fd": np.gradient(H, tau, edge_order=2),
         "dH_identity": -(2.0 * p.alpha - 1.0) * dissipation(s, p),
-        "d1": np.sum(wq * np.abs(gap), axis=1),
-        "d2": np.sqrt(np.sum(wq * gap * gap, axis=1)),
+        "recip_integral": reciprocal_integral(s, p),
+        "d1": wasserstein_maps(p, gh, labels, order=1, y=g.y),
+        "d2": wasserstein_maps(p, gh, labels, order=2, y=g.y),
         "mu_max": s.mu.max(axis=1),
         "osc_w": w_sup.max(axis=1) - w_sup.min(axis=1),
         "supp_left": gh[:, 0].copy(),
         "supp_right": gh[:, -1].copy(),
-        "recip_integral": reciprocal_integral(s, p),
         "duality_pairing": duality_pairing(s, p),
     }

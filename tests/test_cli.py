@@ -1171,8 +1171,21 @@ def tau_one_ulp_up(text):
     return "\n".join([head, ",".join(cells), rest])
 
 
+def h_not_finite(text):
+    # H is inf in the third to seventh data rows; tau is left intact, so
+    # only the finiteness check tells this file from the saved one
+    lines = text.splitlines(keepends=True)
+    col = lines[0].rstrip("\n").split(",").index("H")
+    for k in range(3, 8):
+        cells = lines[k].split(",")
+        cells[col] = "inf"
+        lines[k] = ",".join(cells)
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("corrupt", [foreign_header, drop_last_row,
-                                     tau_one_ulp_up, header_only])
+                                     tau_one_ulp_up, header_only,
+                                     h_not_finite])
 def test_mismatched_series_csv_is_rebuilt(supercritical_run, tmp_path,
                                           capsys, monkeypatch, corrupt):
     expected = rates_and_export(copy_run(supercritical_run, tmp_path / "ok"),

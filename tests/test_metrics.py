@@ -175,6 +175,28 @@ def test_maps_route_validation(theta1):
         wasserstein_maps(p, y, bad, y=y)
 
 
+def test_stacked_distance_is_the_one_row_distance(theta1):
+    # a stack of maps gives one distance per row, each the bits of the
+    # one-row call and of the quantile formula sum wq |g - h|^p as written
+    p = theta1
+    y = np.linspace(-p.r_alpha, p.r_alpha, 257)
+    rng = np.random.default_rng(3)
+    a, c, b = (rng.uniform(lo, hi, (5, 1))
+               for lo, hi in ((0.5, 2.0), (0.0, 0.5), (-1.0, 1.0)))
+    g = b + a * y + c * y ** 3
+    h = np.broadcast_to(y, g.shape)
+    wq, gap = p.node_masses(y), np.abs(g - y)
+    formula = {1: np.sum(wq * gap, axis=1),
+               2: np.sqrt(np.sum(wq * gap * gap, axis=1))}
+    for order in (1, 2):
+        stacked = wasserstein_maps(p, g, h, order=order, y=y)
+        rows = [wasserstein_maps(p, gk, y, order=order, y=y) for gk in g]
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (5,)
+        assert all(isinstance(d, float) for d in rows)
+        assert stacked.tobytes() == np.array(rows).tobytes()
+        assert stacked.tobytes() == formula[order].tobytes()
+
+
 def test_two_routes_agree_dilation(theta1):
     p = theta1
     y = np.linspace(-p.r_alpha, p.r_alpha, 4096)
@@ -379,6 +401,30 @@ def test_report_empty_window_rows_are_null(run_scaling, theta1):
         assert r["fitted_exponent"] is None
         assert r["log_prefactor"] is None
         assert r["pass"] is False
+
+
+def test_report_exp_law_with_too_few_finite_values_is_null(theta3):
+    # 11 of the 14 window rows of H are inf: H > 0 keeps all 14, the fit
+    # has three finite points, and the row is null as a power law's would be
+    p = theta3
+    f = solve(p, power_bump(-1.0, 1.0, 3.0),
+              make_grid(p, eps=1e-3, T=1.0, nt=32, ny=32))
+    series = build_series(f)
+    lo, hi = f.grid.t_resolved, f.grid.T / 4.0
+    window = np.nonzero((series["tau"] >= math.log(lo))
+                        & (series["tau"] <= math.log(hi)))[0]
+    assert window.size == 14
+    H = series["H"].copy()
+    H[window[3:]] = np.inf
+    clean = rate_report(f, series=series)["laws"]
+    laws = rate_report(f, series={**series, "H": H})["laws"]
+    assert [r["law"] for r in laws] == [r["law"] for r in clean]
+    for r, ref in zip(laws, clean):
+        if r["law"] == "lyapunov":
+            assert ref["fitted_exponent"] is not None
+            assert r["fitted_exponent"] is None and r["pass"] is False
+        else:
+            assert r == ref
 
 
 @pytest.mark.parametrize("theta", [1.0, 3.0])

@@ -18,6 +18,7 @@ import pytest
 from dirac_mfp import errors
 from dirac_mfp import fields as F
 from dirac_mfp import rescale as RS
+from dirac_mfp.metrics import wasserstein_maps
 from dirac_mfp.profile import make_profile
 from dirac_mfp.solver import FlowField, make_grid, solve
 from dirac_mfp.target import power_bump
@@ -429,6 +430,36 @@ def test_series_matches_per_row_reference(solved64):
         assert got[k].shape == ref[k].shape
         scale = np.max(np.abs(ref[k]))
         assert np.max(np.abs(got[k] - ref[k])) <= 1e-13 * scale, k
+
+
+def test_series_distances_are_wasserstein_maps(solved64):
+    # d1 and d2 are the one-row distances of each gamma_hat row to the
+    # labels, bit for bit
+    p, f = solved64
+    g = f.grid
+    got = RS.build_series(f)
+    keep, _ = RS.series_rows(g)
+    gh = RS.rescale_snapshot(F.snapshot(f, keep, n_pad=2), p).gamma_hat
+    assert gh[:, 0].tobytes() == got["supp_left"].tobytes()
+    for col, order in (("d1", 1), ("d2", 2)):
+        rows = [wasserstein_maps(p, row, g.y, order=order, y=g.y)
+                for row in gh]
+        assert got[col].tobytes() == np.array(rows).tobytes(), col
+
+
+def test_series_of_a_zigzag_flow_is_degenerate(theta1):
+    # row 50 decreases from label 30 to 31 while every centred slope stays
+    # positive: the reciprocal integral's check sees it before the
+    # distances' monotonicity check does
+    f = analytic_flow(theta1, make_grid(theta1, eps=1e-3, T=1.0,
+                                        nt=64, ny=64))
+    gamma = f.gamma.copy()
+    gamma[50, 30] = gamma[50, 31] + 0.25 * (gamma[50, 32] - gamma[50, 31])
+    assert np.min(np.gradient(gamma[50], f.grid.y, edge_order=2)) > 0.0
+    assert 50 in RS.series_rows(f.grid)[0]
+    with pytest.raises(errors.DegenerateStateError,
+                       match="rescaled flow map is not increasing"):
+        RS.build_series(replace(f, gamma=gamma))
 
 
 # (a, b, theta, n): at eps 1e-3 some labels of each of these flows lie past
